@@ -185,6 +185,9 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_design(args) -> int:
+    if args.dump_field and not args.dump_field.endswith((".sfld", ".csv")):
+        print("dump-field path must end in .sfld or .csv", file=sys.stderr)
+        return EXIT_PARSE
     scenario = load_scenario(args.scenario)
     t0 = time.perf_counter()
     crystal, array, out, prescription, grid = _build_pipeline(
@@ -237,11 +240,8 @@ def cmd_design(args) -> int:
         )
         if args.dump_field.endswith(".sfld"):
             write_field_sfld(field, args.dump_field)
-        elif args.dump_field.endswith(".csv"):
-            write_field_csv(field, args.dump_field)
         else:
-            print("dump-field path must end in .sfld or .csv", file=sys.stderr)
-            return EXIT_PARSE
+            write_field_csv(field, args.dump_field)
         print(f"field dump: {args.dump_field}")
     return 0
 

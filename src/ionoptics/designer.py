@@ -30,6 +30,7 @@ from .errors import (
     ConvergenceError,
     InfeasibleDesignError,
     InvalidInputError,
+    IonOpticsError,
 )
 from .gaussbeam import (
     AstigmaticGaussian,
@@ -198,7 +199,8 @@ class ChannelFocus:
     z_focus is measured from the chip plane; image_distance from the
     stack top. When at_shared_plane is set the metrics were taken at the
     common crosstalk evaluation plane instead of this channel's own
-    x-width minimum.
+    x-width minimum. focus_fit_residual is find_focus's fit_residual,
+    None for channels evaluated only at the shared plane.
     """
 
     channel: int
@@ -214,6 +216,7 @@ class ChannelFocus:
     beam_slope: float
     off_normal: bool
     at_shared_plane: bool = False
+    focus_fit_residual: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -587,16 +590,6 @@ def _default_z_search(prescription: LensStackPrescription):
     return (top + 0.5 * dist, top + 1.25 * dist, 33)
 
 
-def _beam_slope(result: FocusResult) -> float:
-    """Transverse walk rate dy/dz of the focused beam, radians."""
-    profile = result.axial_profile
-    z = profile["refine_z"]
-    cy = profile["refine_centroid_y"]
-    if len(z) < 2 or z[-1] == z[0]:
-        return 0.0
-    return float(np.polyfit(z, cy, 1)[0])
-
-
 def _run_channel(
     elements,
     beam: AstigmaticGaussian,
@@ -611,7 +604,6 @@ def _run_channel(
     )
     result = find_focus(source, list(elements), z_search)
     m = result.metrics
-    slope = _beam_slope(result)
     focus = ChannelFocus(
         channel=-1,
         waveguide_position=center_x,
@@ -623,8 +615,9 @@ def _run_channel(
         clipped_fraction=m.clipped_fraction,
         peak_intensity=m.peak_intensity,
         fit_failed=m.fit_failed,
-        beam_slope=slope,
-        off_normal=abs(slope) > OFF_NORMAL_SLOPE,
+        beam_slope=result.beam_slope,
+        off_normal=abs(result.beam_slope) > OFF_NORMAL_SLOPE,
+        focus_fit_residual=result.fit_residual,
     )
     return focus, result
 
@@ -742,8 +735,9 @@ def crosstalk_matrix(
                 _default_z_search(prescription),
                 prescription.stack_height,
             )
-        except Exception as exc:
-            raise type(exc)(f"channel {centre}: {exc}") from exc
+        except IonOpticsError as exc:
+            exc.args = (f"channel {centre}: {exc}",) + exc.args[1:]
+            raise
         centre_focus = replace(centre_focus, channel=centre)
         z_eval = centre_focus.z_focus
         y_row = centre_focus.centroid[1]
@@ -773,8 +767,9 @@ def crosstalk_matrix(
                 center=(float(array.positions_m[i]), 0.0),
             )
             field = _propagate_to_plane(source, prescription.elements, z_eval)
-        except Exception as exc:
-            raise type(exc)(f"channel {i}: {exc}") from exc
+        except IonOpticsError as exc:
+            exc.args = (f"channel {i}: {exc}",) + exc.args[1:]
+            raise
         metrics = spot_metrics(field)
         rows[i] = _plane_intensity_row(field, y_row)
         centroids[i] = metrics.centroid[0]
@@ -960,10 +955,10 @@ def tolerance_sweep(
                     z_search,
                     prescription.stack_height,
                 )
-            except Exception as exc:
-                raise type(exc)(
-                    f"sweep point {parameter}={value:g} failed: {exc}"
-                ) from exc
+            except IonOpticsError as exc:
+                message = f"sweep point {parameter}={value:g} failed: {exc}"
+                exc.args = (message,) + exc.args[1:]
+                raise
             points.append(
                 SweepPoint(
                     parameter=parameter,

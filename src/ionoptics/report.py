@@ -39,11 +39,11 @@ def to_plain(value):
         return [to_plain(v) for v in value]
     if isinstance(value, np.ndarray):
         return [to_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.floating):
+        value = float(value)
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.bool_,)):
+    if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, float) and not math.isfinite(value):
         raise InvalidInputError("reports must not contain NaN or infinity")
@@ -149,6 +149,7 @@ def channel_section(focus: ChannelFocus) -> dict:
         "beam_slope_rad": focus.beam_slope,
         "off_normal": focus.off_normal,
         "at_shared_plane": focus.at_shared_plane,
+        "focus_fit_residual": focus.focus_fit_residual,
     }
 
 

@@ -30,6 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.fft as sfft
+from numpy.polynomial import Polynomial
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import (
@@ -248,8 +249,12 @@ def _intensity_moments(intensity: np.ndarray, x: np.ndarray, y: np.ndarray):
     return cx, cy, vx, vy
 
 
-def _window_guard(field: ScalarField, spectrum: np.ndarray, distance: float):
-    """Raise PropagationWindowError if the beam would leave the safe window."""
+def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
+    """Raise PropagationWindowError if the beam would leave the safe window
+    at any of `distances`. A zero distance is the identity and passes."""
+    distances = [d for d in distances if d != 0.0]
+    if not distances:
+        return
     intensity = np.abs(field.samples) ** 2
     cx, cy, vx, vy = _intensity_moments(intensity, field.x, field.y)
 
@@ -280,23 +285,23 @@ def _window_guard(field: ScalarField, spectrum: np.ndarray, distance: float):
     cov_x = float(np.sum(px * field.x[None, :])) / itot - cx * mean_sx
     cov_y = float(np.sum(py * field.y[:, None])) / itot - cy * mean_sy
 
-    d = distance
-    for label, c, mean_s, var, cov, var_s, n_axis, centre0 in (
-        ("x", cx, mean_sx, vx, cov_x, var_sx, field.nx, field.origin[0]),
-        ("y", cy, mean_sy, vy, cov_y, var_sy, field.ny, field.origin[1]),
-    ):
-        var_pred = max(var + 2.0 * d * cov + d * d * var_s, 0.0)
-        radius = 2.0 * math.sqrt(var_pred)  # 1/e^2 radius of a Gaussian
-        centre = c + d * mean_s / max(math.sqrt(1.0 - mean_s**2), 1e-6)
-        extent = abs(centre - centre0) + _WINDOW_FACTOR * radius
-        half = 0.5 * n_axis * field.pitch
-        if extent > half:
-            raise PropagationWindowError(
-                f"propagating {distance:.3e} m would move the beam "
-                f"({label}-extent {extent:.3e} m) outside the safe "
-                f"half-window {half:.3e} m; enlarge the grid or split "
-                "the propagation"
-            )
+    for d in distances:
+        for label, c, mean_s, var, cov, var_s, n_axis, centre0 in (
+            ("x", cx, mean_sx, vx, cov_x, var_sx, field.nx, field.origin[0]),
+            ("y", cy, mean_sy, vy, cov_y, var_sy, field.ny, field.origin[1]),
+        ):
+            var_pred = max(var + 2.0 * d * cov + d * d * var_s, 0.0)
+            radius = 2.0 * math.sqrt(var_pred)  # 1/e^2 radius of a Gaussian
+            centre = c + d * mean_s / max(math.sqrt(1.0 - mean_s**2), 1e-6)
+            extent = abs(centre - centre0) + _WINDOW_FACTOR * radius
+            half = 0.5 * n_axis * field.pitch
+            if extent > half:
+                raise PropagationWindowError(
+                    f"propagating {d:.3e} m would move the beam "
+                    f"({label}-extent {extent:.3e} m) outside the safe "
+                    f"half-window {half:.3e} m; enlarge the grid or split "
+                    "the propagation"
+                )
 
 
 def _transfer(field: ScalarField, distance: float) -> np.ndarray:
@@ -319,22 +324,6 @@ def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarFie
     _window_guard(field, spectrum, distance)
     out = sfft.ifft2(spectrum * _transfer(field, distance), workers=-1)
     return replace(field, samples=out)
-
-
-def _propagation_scan(field: ScalarField, distances: Sequence[float]):
-    """Yield (distance, propagated samples) with one forward FFT total.
-
-    The window guard runs once at the extreme distances of the scan.
-    """
-    spectrum = sfft.fft2(field.samples, workers=-1)
-    for d in (min(distances), max(distances)):
-        if d != 0.0:
-            _window_guard(field, spectrum, d)
-    for d in distances:
-        if d == 0.0:
-            yield d, field.samples.copy()
-        else:
-            yield d, sfft.ifft2(spectrum * _transfer(field, d), workers=-1)
 
 
 def _element_mask(field: ScalarField, element: PhaseElement) -> np.ndarray:
@@ -458,12 +447,17 @@ def spot_metrics(field: ScalarField) -> SpotMetrics:
 
 @dataclass(frozen=True)
 class FocusResult:
+    """beam_slope is dy/dz of the intensity centroid past the last element;
+    fit_residual is the largest deviation of the sampled x variances from
+    the final parabola, over the smallest of them."""
+
     z_focus: float
     metrics: SpotMetrics
     field_at_focus: ScalarField
     exit_field: ScalarField
     exit_z: float
-    axial_profile: dict
+    beam_slope: float
+    fit_residual: float
 
 
 def find_focus(
@@ -473,12 +467,13 @@ def find_focus(
 ) -> FocusResult:
     """Propagate through positioned elements and locate the x-width minimum.
 
-    `elements` is a list of (z, element) with strictly increasing z >= 0;
-    the source sits at z = 0. The search samples `steps` planes uniformly
-    over [z_min, z_max] (absolute coordinates past the last element),
-    minimises the second-moment x diameter, and refines with a parabola
-    through the bracketing triple. The focus must be interior to the
-    window or FocusNotBracketedError is raised.
+    `elements` is a list of (z, element) with non-decreasing z >= 0; the
+    source sits at z = 0. Past the last element the x variance of the
+    intensity is quadratic in z (free space). The parabola through it at
+    z_min, the window middle and z_max (absolute coordinates) gives a
+    vertex a; the parabola at a and a +- 2 (z_max - z_min) / (steps - 1),
+    shifted into the window, gives the focus. FocusNotBracketedError is
+    raised unless both open upward with vertices inside the window.
     """
     z_min, z_max, steps = z_search
     if steps < 16:
@@ -503,52 +498,51 @@ def find_focus(
         z_now = z_el
     exit_field = field
 
-    zs = np.linspace(z_min, z_max, int(steps))
-    widths = np.empty(len(zs))
-    for i, (_, samples) in enumerate(
-        _propagation_scan(exit_field, list(zs - z_now))
-    ):
-        intensity = np.abs(samples) ** 2
-        _, _, vx, _ = _intensity_moments(intensity, exit_field.x, exit_field.y)
-        widths[i] = 4.0 * math.sqrt(max(vx, 0.0))
+    # the predicted footprint is convex in z, so guarding both ends of
+    # the window covers the sampled planes between them
+    spectrum = sfft.fft2(exit_field.samples, workers=-1)
+    _window_guard(exit_field, spectrum, z_min - z_now, z_max - z_now)
 
-    i_min = int(np.argmin(widths))
-    if i_min == 0 or i_min == len(zs) - 1:
-        raise FocusNotBracketedError(
-            f"x-width minimum sits at the {'near' if i_min == 0 else 'far'} edge "
-            f"of the search window [{z_min:.3e}, {z_max:.3e}] m"
-        )
+    def plane(z):
+        if z == z_now:
+            return exit_field.samples.copy()
+        return sfft.ifft2(spectrum * _transfer(exit_field, z - z_now), workers=-1)
 
-    # parabolic refinement through the bracketing triple
-    z0, z1, z2 = zs[i_min - 1 : i_min + 2]
-    w0_, w1_, w2_ = widths[i_min - 1 : i_min + 2]
-    denom = (w0_ - 2.0 * w1_ + w2_)
-    if abs(denom) > 0:
-        z_star = z1 + 0.5 * (zs[1] - zs[0]) * (w0_ - w2_) / denom
-        z_star = float(np.clip(z_star, z0, z2))
-    else:
-        z_star = float(z1)
+    planes = []  # (z, x variance, centroid y) of every sampled plane
 
-    focus_field = angular_spectrum_propagate(exit_field, z_star - z_now)
-    metrics = spot_metrics(focus_field)
-    centroids = [
-        _intensity_moments(np.abs(s) ** 2, exit_field.x, exit_field.y)[:2]
-        for _, s in _propagation_scan(exit_field, [z - z_now for z in (z0, z1, z2)])
-    ]
-    profile = {
-        "z": zs,
-        "mfd_moment_x": widths,
-        "refine_z": np.array([z0, z1, z2]),
-        "refine_centroid_x": np.array([c[0] for c in centroids]),
-        "refine_centroid_y": np.array([c[1] for c in centroids]),
-    }
+    def variance_parabola(zs):
+        for z in zs:
+            intensity = np.abs(plane(z)) ** 2
+            _, cy, vx, _ = _intensity_moments(intensity, exit_field.x, exit_field.y)
+            planes.append((z, vx, cy))
+        parabola = Polynomial.fit(zs, [vx for _, vx, _ in planes[-3:]], 2)
+        opens_up = parabola.deriv(2)(0.0) > 0
+        vertex = float(parabola.deriv().roots()[0]) if opens_up else math.nan
+        if not z_min <= vertex <= z_max:
+            raise FocusNotBracketedError(
+                "the x variance has no minimum inside the search window "
+                f"[{z_min:.3e}, {z_max:.3e}] m"
+            )
+        return parabola, vertex
+
+    _, vertex = variance_parabola([z_min, 0.5 * (z_min + z_max), z_max])
+    h = 2.0 * (z_max - z_min) / (int(steps) - 1)
+    centre = min(max(vertex, z_min + h), z_max - h)
+    parabola, z_focus = variance_parabola([centre - h, centre, centre + h])
+
+    z, variance, centroid_y = np.array(planes).T
+    fit_residual = float(np.max(np.abs(variance - parabola(z))) / np.min(variance))
+
+    _window_guard(exit_field, spectrum, z_focus - z_now)
+    focus_field = replace(exit_field, samples=plane(z_focus))
     return FocusResult(
-        z_focus=z_star,
-        metrics=metrics,
+        z_focus=z_focus,
+        metrics=spot_metrics(focus_field),
         field_at_focus=focus_field,
         exit_field=exit_field,
         exit_z=z_now,
-        axial_profile=profile,
+        beam_slope=float(np.polyfit(z, centroid_y, 1)[0]),
+        fit_residual=fit_residual,
     )
 
 
@@ -588,7 +582,12 @@ def read_field_sfld(path) -> ScalarField:
             raise InvalidInputError("not a field dump (bad magic)")
         if version != 1:
             raise InvalidInputError(f"unsupported field dump version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f4").reshape(ny, nx, 2)
+        payload = fh.read()
+    if len(payload) != nx * ny * 8:
+        raise InvalidInputError(
+            f"field payload holds {len(payload)} bytes, not {nx}*{ny}*8"
+        )
+    data = np.frombuffer(payload, dtype="<f4").reshape(ny, nx, 2)
     samples = data[..., 0].astype(np.float64) + 1j * data[..., 1].astype(np.float64)
     return ScalarField(
         samples, pitch, wavelength, index, (ox, oy), clipped_fraction=float(clipped)

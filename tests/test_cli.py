@@ -160,6 +160,8 @@ def test_dump_field_unknown_extension_exits_2(tmp_path):
     )
     assert result.returncode == EXIT_PARSE
     assert "dump" in result.stderr.lower() or ".txt" in result.stderr
+    # the suffix is checked before any design work
+    assert not list(tmp_path.glob("*_design_report.json"))
 
 
 def test_sweep_needs_work_exits_2(tmp_path):

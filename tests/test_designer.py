@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ionoptics import (
+    ConvergenceError,
     DesignTargets,
     InfeasibleDesignError,
     InvalidInputError,
@@ -19,6 +20,7 @@ from ionoptics import (
     synthesize_lens_stack,
     tolerance_sweep,
 )
+from ionoptics import designer
 from ionoptics.designer import ChannelFocus
 
 WL = 0.729e-6
@@ -364,3 +366,35 @@ def test_sweep_failure_names_point(compact_pipeline):
             [{"parameter": "lateral_offset", "lo": 2e-4, "hi": 2e-4, "steps": 1}],
             grid=pipe["scenario"].grid,
         )
+
+
+def test_sweep_failure_keeps_exception_type_and_attributes(
+    compact_pipeline, monkeypatch
+):
+    pipe = compact_pipeline
+    real_run_channel = designer._run_channel
+    calls = []
+
+    def failing_point(*args):
+        calls.append(args)
+        if len(calls) == 1:  # the unperturbed baseline
+            return real_run_channel(*args)
+        raise ConvergenceError("x", residual=0.5)
+
+    monkeypatch.setattr(designer, "_run_channel", failing_point)
+    with pytest.raises(ConvergenceError, match="sweep point") as info:
+        tolerance_sweep(
+            pipe["prescription"],
+            pipe["array"],
+            pipe["scenario"].mirror,
+            [{"parameter": "source_tilt", "lo": 0.1, "hi": 0.1, "steps": 1}],
+            grid=pipe["scenario"].grid,
+        )
+    assert info.value.residual == 0.5
+
+
+def test_focus_fit_residual_only_at_own_focus(compact_channels, reference_crosstalk):
+    for focus in compact_channels:
+        assert 0.0 <= focus.focus_fit_residual < 1.0
+    for focus in reference_crosstalk["report"].channel_focus:
+        assert (focus.focus_fit_residual is None) == focus.at_shared_plane

@@ -72,6 +72,14 @@ def test_to_plain_rejects_non_finite():
         to_plain({"bad": np.inf})
 
 
+@pytest.mark.parametrize("value", [np.float64("nan"), np.float32("inf")])
+def test_to_plain_rejects_non_finite_numpy_scalars(value):
+    with pytest.raises(InvalidInputError):
+        to_plain({"bad": value})
+    with pytest.raises(InvalidInputError):
+        canonical_json({"bad": [value]})
+
+
 def test_minimal_report_validates():
     validate_report(minimal_report())
 

@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ionoptics import beam_from_mfd, rayleigh_length, width_at
+from ionoptics import (
+    ThinLens,
+    beam_from_mfd,
+    propagate_abcd,
+    rayleigh_length,
+    width_at,
+)
 from ionoptics.errors import (
     FocusNotBracketedError,
     InvalidInputError,
@@ -180,6 +189,62 @@ def test_find_focus_needs_bracketing_minimum():
         find_focus(field, [], z_search=(40e-6, 120e-6, 33))
 
 
+def lens_focus(mfd, focal, tilt=0.0):
+    """A round Gaussian through a thin lens at z = 0 on a 256^2 grid, and
+    its ABCD waist position."""
+    beam = round_beam(mfd)
+    field = make_gaussian_field(beam, (0.0, tilt), (256, 256, 0.25e-6))
+    z_waist = propagate_abcd(beam, [ThinLens(focal)]).x.waist_position
+    return field, [(0.0, ThinLensPhase(focal))], z_waist
+
+
+# waists and focal lengths keep the focused beam's divergence below
+# 0.07 rad, where the paraxial ABCD waist applies; the wave focus moves
+# toward the lens by about half the squared divergence
+@settings(max_examples=15, deadline=None)
+@given(
+    mfd=st.floats(min_value=6e-6, max_value=10e-6),
+    focal=st.floats(min_value=80e-6, max_value=200e-6),
+)
+def test_find_focus_matches_abcd_waist(mfd, focal):
+    field, elements, z_waist = lens_focus(mfd, focal)
+    result = find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
+    assert result.z_focus == pytest.approx(z_waist, rel=0.005)
+    # in free space the variance is exactly quadratic in z
+    assert 0.0 <= result.fit_residual < 1e-6
+
+
+def test_find_focus_beam_slope_follows_tilt():
+    tilt = 0.03
+    field, elements, z_waist = lens_focus(8e-6, 100e-6, tilt=tilt)
+    result = find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
+    assert result.beam_slope == pytest.approx(math.tan(tilt), rel=0.01)
+
+
+@pytest.mark.parametrize("window", [(1.5, 3.0), (0.2, 0.7)])
+def test_find_focus_window_missing_the_waist(window):
+    field, elements, z_waist = lens_focus(8e-6, 100e-6)
+    with pytest.raises(FocusNotBracketedError):
+        find_focus(
+            field, elements, z_search=(window[0] * z_waist, window[1] * z_waist, 33)
+        )
+
+
+def test_find_focus_transform_count(monkeypatch):
+    field, elements, z_waist = lens_focus(8e-6, 100e-6)
+    calls = []
+    for name in ("fft2", "ifft2"):
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
+    assert 0 < len(calls) <= 14
+
+
 def test_sfld_roundtrip(tmp_path):
     field = make_gaussian_field(
         round_beam(), (0.0, 0.01), (128, 128, 0.25e-6), center=(2e-6, 0.0)
@@ -216,4 +281,13 @@ def test_sfld_rejects_garbage(tmp_path):
     path = tmp_path / "bad.sfld"
     path.write_bytes(b"not a field dump at all")
     with pytest.raises(InvalidInputError):
+        read_field_sfld(path)
+
+
+def test_sfld_rejects_truncated_payload(tmp_path):
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (64, 64, 0.4e-6))
+    path = tmp_path / "dump.sfld"
+    write_field_sfld(field, path)
+    path.write_bytes(path.read_bytes()[: 64 + 100])
+    with pytest.raises(InvalidInputError, match="payload"):
         read_field_sfld(path)
