@@ -78,7 +78,6 @@ from .scenario import Scenario, load_scenario, parse_scenario
 from .wavefield import (
     CircAperture,
     FocusResult,
-    RectAperture,
     ScalarField,
     SpotMetrics,
     ThinLensPhase,

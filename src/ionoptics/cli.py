@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -30,14 +29,11 @@ from . import __version__
 from .crystal import solve_crystal
 from .designer import (
     SWEEP_PRESETS,
-    _propagate_to_plane,
     crosstalk_matrix,
     pitch_plan,
-    simulate_channel,
     synthesize_lens_stack,
     tolerance_sweep,
 )
-from .gaussbeam import beam_from_mfd
 from .errors import (
     ConvergenceError,
     FocusNotBracketedError,
@@ -63,7 +59,7 @@ from .report import (
     write_report,
 )
 from .scenario import Scenario, load_scenario
-from .wavefield import make_gaussian_field, write_field_csv, write_field_sfld
+from .wavefield import write_field_csv, write_field_sfld
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
@@ -194,17 +190,11 @@ def cmd_design(args) -> int:
         scenario, args.grid
     )
 
-    channels = [
-        simulate_channel(
-            prescription, array, i, scenario.mirror,
-            grid=grid, z_search=scenario.z_search,
-        )
-        for i in range(array.channel_count)
-    ]
     xt = crosstalk_matrix(
         prescription, array, crystal, scenario.mirror,
-        grid=grid, channel_focus=channels,
+        grid=grid, z_search=scenario.z_search, own_focus=True,
     )
+    channels = xt.channel_focus
 
     data = _report_skeleton("design", scenario, time.perf_counter() - t0)
     data["crystal"] = crystal_section(crystal)
@@ -229,19 +219,10 @@ def cmd_design(args) -> int:
     print(f"report: {path}")
 
     if args.dump_field:
-        beam = beam_from_mfd(*array.mode_mfd_m, scenario.targets.wavelength)
-        tilt = math.radians(out.exit_angle_deg)
-        source = make_gaussian_field(
-            beam, tilt=(0.0, tilt), grid=grid,
-            center=(float(array.positions_m[centre]), 0.0),
-        )
-        field = _propagate_to_plane(
-            source, prescription.elements, channels[centre].z_focus
-        )
         if args.dump_field.endswith(".sfld"):
-            write_field_sfld(field, args.dump_field)
+            write_field_sfld(xt.centre_field, args.dump_field)
         else:
-            write_field_csv(field, args.dump_field)
+            write_field_csv(xt.centre_field, args.dump_field)
         print(f"field dump: {args.dump_field}")
     return 0
 

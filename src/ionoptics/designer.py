@@ -49,13 +49,15 @@ from .picmodel import (
 from .wavefield import (
     CircAperture,
     FocusResult,
+    FreeSpacePlanes,
     ScalarField,
     ThinLensPhase,
     WedgePhase,
+    _interp_row,
     angular_spectrum_propagate,
-    apply_element,
     find_focus,
     make_gaussian_field,
+    propagate_elements,
     spot_metrics,
 )
 
@@ -226,7 +228,8 @@ class CrosstalkReport:
     matrix_db[i][j] is the relative intensity (dB) that the beam
     addressing ion i delivers at ion j's position; the diagonal is 0 by
     definition. contributions lists the optical and waveguide-leakage
-    terms and their power sum for every ordered pair.
+    terms and their power sum for every ordered pair. centre_field is the
+    centre channel's field in the evaluation plane; reports omit it.
     """
 
     matrix_db: np.ndarray
@@ -236,6 +239,7 @@ class CrosstalkReport:
     evaluation_z: float
     alignment_scale: float
     alignment_residual: float
+    centre_field: Optional[ScalarField] = None
 
 
 @dataclass(frozen=True)
@@ -338,7 +342,8 @@ def _wave_verify(f_list, z_list, targets: DesignTargets, magnification: float):
     (no apertures) and the waist measured at the wave focus must match
     the ABCD magnification within 3 percent. The focus is located by a
     fine fitted-width scan around the predicted image plane, which also
-    tolerates the small non-paraxial focal shift.
+    tolerates the small non-paraxial focal shift; every scan plane comes
+    from the spectrum of the one lens-exit field.
     """
     w0p = 2.5e-6
     wavelength = targets.wavelength
@@ -362,23 +367,21 @@ def _wave_verify(f_list, z_list, targets: DesignTargets, magnification: float):
 
     beam = AstigmaticGaussian(wavelength, BeamAxis(w0p), BeamAxis(w0p))
     field = make_gaussian_field(beam, tilt=(0.0, 0.0), grid=(nx, nx, pitch))
-    z_now = 0.0
-    for f, z in zip(f_list, z_list):
-        field = angular_spectrum_propagate(field, z - z_now)
-        field = apply_element(field, ThinLensPhase(f))
-        z_now = z
+    field = propagate_elements(
+        field, [(z, ThinLensPhase(f)) for f, z in zip(f_list, z_list)]
+    )
+    planes = FreeSpacePlanes(field)
 
     v, _ = _achieved_imaging(f_list, z_list)
     z_top = z_list[-1]
     best = math.inf
     best_edge = None
-    offsets = np.linspace(-0.12 * v, 0.12 * v, 13)
-    for idx, dz in enumerate(offsets):
-        plane = angular_spectrum_propagate(field, z_top + v + dz - z_now)
-        mfd = spot_metrics(plane).mfd_fit[0]
+    z_planes = z_top + v + np.linspace(-0.12 * v, 0.12 * v, 13)
+    for idx, z_plane in enumerate(z_planes):
+        mfd = spot_metrics(planes.plane(z_plane - z_top)).mfd_fit[0]
         if mfd < best:
             best = mfd
-            best_edge = idx in (0, len(offsets) - 1)
+            best_edge = idx in (0, len(z_planes) - 1)
     if best_edge:
         raise ConvergenceError(
             "wave cross-check found no waist near the predicted image plane"
@@ -629,12 +632,15 @@ def simulate_channel(
     mirror: TirMirrorSpec,
     grid=None,
     z_search=None,
-) -> ChannelFocus:
+    with_result: bool = False,
+):
     """Wave-propagate one channel through the stack and find its focus.
 
     The source is the array's Gaussian mode at the channel's transverse
     offset, tilted by the mirror's out-coupling exit angle; the returned
-    metrics are taken at the x-width minimum past the stack.
+    ChannelFocus holds the metrics at the x-width minimum past the stack.
+    With with_result the return value is (ChannelFocus, FocusResult), so
+    a caller can reuse the exit and focus fields.
     """
     if not 0 <= channel < array.channel_count:
         raise InvalidInputError(
@@ -647,7 +653,7 @@ def simulate_channel(
     beam = beam_from_mfd(
         array.mode_mfd_m[0], array.mode_mfd_m[1], prescription.targets.wavelength
     )
-    focus, _ = _run_channel(
+    focus, result = _run_channel(
         prescription.elements,
         beam,
         float(array.positions_m[channel]),
@@ -656,27 +662,8 @@ def simulate_channel(
         z_search,
         prescription.stack_height,
     )
-    return replace(focus, channel=channel)
-
-
-def _plane_intensity_row(field: ScalarField, y_value: float) -> np.ndarray:
-    """Intensity along x at height y, linearly interpolated between rows."""
-    intensity = np.abs(field.samples) ** 2
-    y = field.y
-    idx = float(np.interp(y_value, y, np.arange(len(y))))
-    lo = int(np.clip(math.floor(idx), 0, len(y) - 2))
-    frac = idx - lo
-    return (1.0 - frac) * intensity[lo, :] + frac * intensity[lo + 1, :]
-
-
-def _propagate_to_plane(source: ScalarField, elements, z_plane: float) -> ScalarField:
-    field = source
-    z_now = 0.0
-    for z_el, el in elements:
-        field = angular_spectrum_propagate(field, z_el - z_now)
-        field = apply_element(field, el)
-        z_now = z_el
-    return angular_spectrum_propagate(field, z_plane - z_now)
+    focus = replace(focus, channel=channel)
+    return (focus, result) if with_result else focus
 
 
 def crosstalk_matrix(
@@ -685,13 +672,18 @@ def crosstalk_matrix(
     crystal: IonCrystal,
     mirror: TirMirrorSpec,
     grid=None,
-    channel_focus: Optional[Sequence[ChannelFocus]] = None,
+    z_search=None,
+    own_focus: bool = False,
 ) -> CrosstalkReport:
     """Intensity crosstalk of every addressing beam at every ion.
 
     All channels are evaluated in one common plane, the x-focus of the
-    centre channel (the ions sit in one plane above the chip). Ion
-    positions are mapped into that plane by a least-squares scale fit of
+    centre channel (the ions sit in one plane above the chip). Each
+    source goes through the stack once, the centre channel first: its
+    focus search (simulate_channel, within z_search) fixes the plane, and
+    its focus field is its field there. Every other channel takes one
+    guarded free-space step from its exit field to that plane. Ion
+    positions are mapped into the plane by a least-squares scale fit of
     the simulated spot centroids, which absorbs the sub-percent
     magnification offset of the realized stack; the fit residual is
     reported. The optical term for the pair (i, j) is the beam-i
@@ -699,9 +691,9 @@ def crosstalk_matrix(
     spot; the leakage term comes from the waveguide-array model with the
     two channels that address ions i and j; totals are power sums.
 
-    Passing precomputed channel_focus records (from simulate_channel)
-    reuses their centre-channel focus; otherwise only the centre channel
-    gets a focus search and the other entries hold shared-plane metrics.
+    With own_focus every channel also gets its own focus search from its
+    exit field, and channel_focus holds the records simulate_channel
+    returns; otherwise the other entries hold shared-plane metrics.
     """
     n = array.channel_count
     if len(crystal.positions_m) != n:
@@ -711,70 +703,52 @@ def crosstalk_matrix(
         )
     grid = DEFAULT_GRID if grid is None else grid
     ions = np.asarray(crystal.positions_m, dtype=float)
-
     tilt = math.radians(outcoupling_angle(mirror).exit_angle_deg)
     beam = beam_from_mfd(
         array.mode_mfd_m[0], array.mode_mfd_m[1], prescription.targets.wavelength
     )
     centre = int(np.argmin(np.abs(array.positions_m)))
 
-    if channel_focus is not None:
-        if len(channel_focus) != n:
-            raise InvalidInputError("channel_focus must list every channel")
-        focus_table = [replace(cf, channel=i) for i, cf in enumerate(channel_focus)]
-        z_eval = focus_table[centre].z_focus
-        y_row = focus_table[centre].centroid[1]
-    else:
-        try:
-            centre_focus, _ = _run_channel(
-                prescription.elements,
-                beam,
-                float(array.positions_m[centre]),
-                tilt,
-                grid,
-                _default_z_search(prescription),
-                prescription.stack_height,
+    def evaluate(i):
+        """Channel i's own focus record (None unless searched) and its
+        field and spot metrics in the shared plane. The centre channel's
+        own focus defines that plane."""
+        record = None
+        if i == centre or own_focus:
+            record, result = simulate_channel(
+                prescription, array, i, mirror, grid=grid, z_search=z_search,
+                with_result=True,
             )
-        except IonOpticsError as exc:
-            exc.args = (f"channel {centre}: {exc}",) + exc.args[1:]
-            raise
-        centre_focus = replace(centre_focus, channel=centre)
-        z_eval = centre_focus.z_focus
-        y_row = centre_focus.centroid[1]
-        focus_table = [None] * n
+            if i == centre:
+                return record, result.field_at_focus, result.metrics
+            exit_field, exit_z = result.exit_field, result.exit_z
+            del result  # drop the focus field before the next propagation
+        else:
+            # no name holds the source, so the stack loop can free it
+            exit_field = propagate_elements(
+                make_gaussian_field(
+                    beam, tilt=(0.0, tilt), grid=grid,
+                    center=(float(array.positions_m[i]), 0.0),
+                ),
+                prescription.elements,
+            )
+            exit_z = prescription.elements[-1][0]
+        field = angular_spectrum_propagate(exit_field, z_eval - exit_z)
+        return record, field, spot_metrics(field)
 
-    if n == 1:
-        if channel_focus is None:
-            focus_table[0] = centre_focus
-        return CrosstalkReport(
-            matrix_db=np.zeros((1, 1)),
-            contributions=(),
-            ion_positions=ions,
-            channel_focus=tuple(focus_table),
-            evaluation_z=z_eval,
-            alignment_scale=float(prescription.predicted_magnification[0]),
-            alignment_residual=0.0,
-        )
-
+    focus_table = [None] * n
     rows = np.empty((n, int(grid[0])))
     centroids = np.empty(n)
-    for i in range(n):
+    for i in [centre] + [j for j in range(n) if j != centre]:
         try:
-            source = make_gaussian_field(
-                beam,
-                tilt=(0.0, tilt),
-                grid=grid,
-                center=(float(array.positions_m[i]), 0.0),
-            )
-            field = _propagate_to_plane(source, prescription.elements, z_eval)
+            record, field, metrics = evaluate(i)
         except IonOpticsError as exc:
             exc.args = (f"channel {i}: {exc}",) + exc.args[1:]
             raise
-        metrics = spot_metrics(field)
-        rows[i] = _plane_intensity_row(field, y_row)
-        centroids[i] = metrics.centroid[0]
-        if channel_focus is None and focus_table[i] is None:
-            focus_table[i] = ChannelFocus(
+        if i == centre:
+            z_eval, y_row, centre_field = record.z_focus, record.centroid[1], field
+        if record is None:
+            record = ChannelFocus(
                 channel=i,
                 waveguide_position=float(array.positions_m[i]),
                 z_focus=z_eval,
@@ -789,14 +763,19 @@ def crosstalk_matrix(
                 off_normal=False,
                 at_shared_plane=True,
             )
-    if channel_focus is None:
-        focus_table[centre] = centre_focus
+        focus_table[i] = record
+        rows[i] = _interp_row(np.abs(field.samples) ** 2, field.y, y_row, axis=0)
+        centroids[i] = metrics.centroid[0]
+        del field
 
     # Channel k images onto ion n-1-k, so the spot of channel n-1-j
     # marks ion j. One scale factor maps ion coordinates to the plane.
-    spot_for_ion = centroids[::-1]
-    scale = float(np.dot(spot_for_ion, ions) / np.dot(ions, ions))
-    residual = float(np.max(np.abs(spot_for_ion - scale * ions)))
+    if n == 1:
+        scale, residual = float(prescription.predicted_magnification[0]), 0.0
+    else:
+        spot_for_ion = centroids[::-1]
+        scale = float(np.dot(spot_for_ion, ions) / np.dot(ions, ions))
+        residual = float(np.max(np.abs(spot_for_ion - scale * ions)))
     ion_x = scale * ions
 
     nx, _, pitch = int(grid[0]), int(grid[1]), float(grid[2])
@@ -839,6 +818,7 @@ def crosstalk_matrix(
         evaluation_z=z_eval,
         alignment_scale=scale,
         alignment_residual=residual,
+        centre_field=centre_field,
     )
 
 
@@ -915,7 +895,8 @@ def tolerance_sweep(
     )
     exit_deg = outcoupling_angle(mirror).exit_angle_deg
 
-    baseline, _ = _run_channel(
+    # [0]: the focus result's fields must not outlive the search
+    baseline = _run_channel(
         prescription.elements,
         beam,
         float(array.positions_m[worst]),
@@ -923,7 +904,7 @@ def tolerance_sweep(
         grid,
         z_search,
         prescription.stack_height,
-    )
+    )[0]
     baseline = replace(baseline, channel=worst)
 
     points = []
@@ -946,7 +927,7 @@ def tolerance_sweep(
                 elements, center, tilt_rad, residual = _perturbed_system(
                     prescription, array, worst, mirror, parameter, value
                 )
-                focus, _ = _run_channel(
+                focus = _run_channel(
                     elements,
                     beam,
                     center,
@@ -954,7 +935,7 @@ def tolerance_sweep(
                     grid,
                     z_search,
                     prescription.stack_height,
-                )
+                )[0]
             except IonOpticsError as exc:
                 message = f"sweep point {parameter}={value:g} failed: {exc}"
                 exc.args = (message,) + exc.args[1:]

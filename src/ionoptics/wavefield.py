@@ -22,6 +22,7 @@ All angles are radians and all lengths metres.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import warnings
@@ -46,11 +47,12 @@ __all__ = [
     "ScalarField",
     "ThinLensPhase",
     "WedgePhase",
-    "RectAperture",
     "CircAperture",
     "PhaseElement",
     "make_gaussian_field",
     "angular_spectrum_propagate",
+    "FreeSpacePlanes",
+    "propagate_elements",
     "apply_element",
     "spot_metrics",
     "SpotMetrics",
@@ -148,30 +150,14 @@ class WedgePhase:
 
     The phase ramp is exp(i k (sin(tilt_x) x + sin(tilt_y) y)), so a wedge
     with tilt_y = -t cancels a source launched with tilt (0, +t).
-    index_step records the refractive contrast of the physical prism; the
-    implied facet slope is atan(sin(tilt) / index_step).
     """
 
     tilt_x: float
     tilt_y: float
-    index_step: float = 0.52
 
     def __post_init__(self):
         if max(abs(self.tilt_x), abs(self.tilt_y)) >= _TILT_LIMIT:
             raise InvalidInputError("wedge tilt magnitude must stay below 30 degrees")
-        if not self.index_step > 0:
-            raise InvalidInputError("index_step must be positive")
-
-
-@dataclass(frozen=True)
-class RectAperture:
-    width_x: float
-    width_y: float
-    offset: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if not (self.width_x > 0 and self.width_y > 0):
-            raise InvalidInputError("aperture widths must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,7 +170,7 @@ class CircAperture:
             raise InvalidInputError("aperture radius must be positive")
 
 
-PhaseElement = Union[ThinLensPhase, WedgePhase, RectAperture, CircAperture]
+PhaseElement = Union[ThinLensPhase, WedgePhase, CircAperture]
 
 
 def make_gaussian_field(
@@ -249,14 +235,14 @@ def _intensity_moments(intensity: np.ndarray, x: np.ndarray, y: np.ndarray):
     return cx, cy, vx, vy
 
 
-def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
-    """Raise PropagationWindowError if the beam would leave the safe window
-    at any of `distances`. A zero distance is the identity and passes."""
-    distances = [d for d in distances if d != 0.0]
-    if not distances:
-        return
+def _window_moments(field: ScalarField, spectrum: np.ndarray):
+    """Per-axis moments of the wrap-around guard's footprint prediction:
+    (label, centroid, mean sin(theta), variance, x-theta covariance,
+    variance of sin(theta), samples, window centre)."""
     intensity = np.abs(field.samples) ** 2
     cx, cy, vx, vy = _intensity_moments(intensity, field.x, field.y)
+    itot = float(intensity.sum())
+    del intensity
 
     # angular moments from the propagating part of the spectrum;
     # fx maps to sin(theta) = lambda fx / n
@@ -267,78 +253,131 @@ def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
     stot = float(spec_int.sum())
     if stot <= 0:
         raise InvalidInputError("field has no power")
-    sx = spec_int.sum(axis=0)
-    sy = spec_int.sum(axis=1)
+    sx, sy = spec_int.sum(axis=0), spec_int.sum(axis=1)
+    del spec_int
     mean_sx = lam * float(sx @ fx) / stot
     mean_sy = lam * float(sy @ fy) / stot
     var_sx = lam**2 * float(sx @ fx**2) / stot - mean_sx**2
     var_sy = lam**2 * float(sy @ fy**2) / stot - mean_sy**2
 
-    # x-theta covariance via the local transverse momentum density
-    k = field.wavenumber
-    dx_field = sfft.ifft2(spectrum * (2j * math.pi * fx)[None, :], workers=-1)
-    dy_field = sfft.ifft2(spectrum * (2j * math.pi * fy)[:, None], workers=-1)
+    # x-theta covariance via the local transverse momentum density, one
+    # axis at a time to bound the working set
     conj = np.conj(field.samples)
-    px = np.imag(conj * dx_field) / k
-    py = np.imag(conj * dy_field) / k
-    itot = float(intensity.sum())
-    cov_x = float(np.sum(px * field.x[None, :])) / itot - cx * mean_sx
-    cov_y = float(np.sum(py * field.y[:, None])) / itot - cy * mean_sy
 
-    for d in distances:
-        for label, c, mean_s, var, cov, var_s, n_axis, centre0 in (
-            ("x", cx, mean_sx, vx, cov_x, var_sx, field.nx, field.origin[0]),
-            ("y", cy, mean_sy, vy, cov_y, var_sy, field.ny, field.origin[1]),
-        ):
-            var_pred = max(var + 2.0 * d * cov + d * d * var_s, 0.0)
-            radius = 2.0 * math.sqrt(var_pred)  # 1/e^2 radius of a Gaussian
-            centre = c + d * mean_s / max(math.sqrt(1.0 - mean_s**2), 1e-6)
-            extent = abs(centre - centre0) + _WINDOW_FACTOR * radius
-            half = 0.5 * n_axis * field.pitch
-            if extent > half:
-                raise PropagationWindowError(
-                    f"propagating {d:.3e} m would move the beam "
-                    f"({label}-extent {extent:.3e} m) outside the safe "
-                    f"half-window {half:.3e} m; enlarge the grid or split "
-                    "the propagation"
-                )
+    def covariance(freq, coords, c, mean_s):
+        d_field = sfft.ifft2(spectrum * (2j * math.pi * freq), workers=-1)
+        p = np.imag(conj * d_field) / field.wavenumber
+        return float(np.sum(p * coords)) / itot - c * mean_s
+
+    cov_x = covariance(fx[None, :], field.x[None, :], cx, mean_sx)
+    cov_y = covariance(fy[:, None], field.y[:, None], cy, mean_sy)
+    return (
+        ("x", cx, mean_sx, vx, cov_x, var_sx, field.nx, field.origin[0]),
+        ("y", cy, mean_sy, vy, cov_y, var_sy, field.ny, field.origin[1]),
+    )
+
+
+def _check_window(field: ScalarField, moments, d: float):
+    """Raise PropagationWindowError if the beam described by `moments`
+    would leave the safe window after propagating `d`."""
+    for label, c, mean_s, var, cov, var_s, n_axis, centre0 in moments:
+        var_pred = max(var + 2.0 * d * cov + d * d * var_s, 0.0)
+        radius = 2.0 * math.sqrt(var_pred)  # 1/e^2 radius of a Gaussian
+        centre = c + d * mean_s / max(math.sqrt(1.0 - mean_s**2), 1e-6)
+        extent = abs(centre - centre0) + _WINDOW_FACTOR * radius
+        half = 0.5 * n_axis * field.pitch
+        if extent > half:
+            raise PropagationWindowError(
+                f"propagating {d:.3e} m would move the beam "
+                f"({label}-extent {extent:.3e} m) outside the safe "
+                f"half-window {half:.3e} m; enlarge the grid or split "
+                "the propagation"
+            )
+
+
+def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
+    """Raise PropagationWindowError if the beam would leave the safe window
+    at any of `distances`. A zero distance is the identity and passes."""
+    distances = [d for d in distances if d != 0.0]
+    if distances:
+        moments = _window_moments(field, spectrum)
+        for d in distances:
+            _check_window(field, moments, d)
+
+
+@functools.lru_cache(maxsize=1)
+def _kz(nx: int, ny: int, pitch: float, k: float):
+    """Read-only kz on the FFT grid and the evanescent mask. One entry
+    suffices: a run propagates on one grid at a time."""
+    kx = (2.0 * math.pi * sfft.fftfreq(nx, pitch))[None, :]
+    ky = (2.0 * math.pi * sfft.fftfreq(ny, pitch))[:, None]
+    kz_sq = k * k - kx * kx - ky * ky
+    evanescent = kz_sq <= 0.0
+    kz = np.sqrt(np.where(evanescent, 0.0, kz_sq))
+    kz.flags.writeable = evanescent.flags.writeable = False
+    return kz, evanescent
 
 
 def _transfer(field: ScalarField, distance: float) -> np.ndarray:
-    fx = sfft.fftfreq(field.nx, field.pitch)
-    fy = sfft.fftfreq(field.ny, field.pitch)
-    kx = (2.0 * math.pi * fx)[None, :]
-    ky = (2.0 * math.pi * fy)[:, None]
-    k = field.wavenumber
-    kz_sq = k * k - kx * kx - ky * ky
-    mask = kz_sq > 0.0
-    kz = np.sqrt(np.where(mask, kz_sq, 0.0))
-    return np.where(mask, np.exp(1j * kz * distance), 0.0)
+    kz, evanescent = _kz(field.nx, field.ny, field.pitch, field.wavenumber)
+    out = np.multiply(kz, 1j * distance)
+    np.exp(out, out=out)
+    out[evanescent] = 0.0
+    return out
+
+
+class FreeSpacePlanes:
+    """Free-space planes of one field, from one forward FFT and at most one
+    pass of the window guard's moments; each plane then costs one transfer
+    build and one inverse FFT."""
+
+    def __init__(self, field: ScalarField):
+        self.field = field
+        self.spectrum = sfft.fft2(field.samples, workers=-1)
+        self._moments = None
+
+    def guard(self, *distances: float):
+        """_window_guard with the moments computed at most once."""
+        for d in distances:
+            if d != 0.0:
+                if self._moments is None:
+                    self._moments = _window_moments(self.field, self.spectrum)
+                _check_window(self.field, self._moments, d)
+
+    def samples_at(self, distance: float) -> np.ndarray:
+        """Samples `distance` downstream, without the guard."""
+        if distance == 0.0:
+            return self.field.samples.copy()
+        transfer = _transfer(self.field, distance)
+        # keep this operand order: NumPy's complex multiply may round
+        # differently with the operands swapped, and reports must not move
+        transfer *= self.spectrum
+        return sfft.ifft2(transfer, workers=-1)
+
+    def plane(self, distance: float) -> ScalarField:
+        """The guarded field `distance` downstream."""
+        self.guard(distance)
+        return replace(self.field, samples=self.samples_at(distance))
 
 
 def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarField:
     """Propagate by `distance` (may be negative). Zero distance is the identity."""
     if distance == 0.0:
         return replace(field, samples=field.samples.copy())
-    spectrum = sfft.fft2(field.samples, workers=-1)
-    _window_guard(field, spectrum, distance)
-    out = sfft.ifft2(spectrum * _transfer(field, distance), workers=-1)
-    return replace(field, samples=out)
+    return FreeSpacePlanes(field).plane(distance)
 
 
-def _element_mask(field: ScalarField, element: PhaseElement) -> np.ndarray:
-    ox, oy = element.offset
-    xg = field.x[None, :] - ox
-    yg = field.y[:, None] - oy
-    if isinstance(element, RectAperture):
-        inside = (np.abs(xg) <= element.width_x / 2.0) & (
-            np.abs(yg) <= element.width_y / 2.0
-        )
-    else:
-        inside = xg * xg + yg * yg <= element.radius**2
-    if not inside.any():
-        raise InvalidGeometryError("aperture lies entirely outside the grid")
-    return inside
+def propagate_elements(field: ScalarField, elements: Sequence) -> ScalarField:
+    """Carry a source at z = 0 through (z, element) pairs with non-decreasing
+    z and return the field just past the last element. Zero-length steps,
+    such as between an aperture and the lens at its z, are skipped."""
+    z_now = 0.0
+    for z_el, el in elements:
+        if z_el != z_now:
+            field = angular_spectrum_propagate(field, z_el - z_now)
+        field = apply_element(field, el)
+        z_now = z_el
+    return field
 
 
 def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
@@ -363,8 +402,12 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
             )
         )
         return replace(field, samples=field.samples * ramp)
-    if isinstance(element, (RectAperture, CircAperture)):
-        inside = _element_mask(field, element)
+    if isinstance(element, CircAperture):
+        xg = field.x[None, :] - element.offset[0]
+        yg = field.y[:, None] - element.offset[1]
+        inside = xg * xg + yg * yg <= element.radius**2
+        if not inside.any():
+            raise InvalidGeometryError("aperture lies entirely outside the grid")
         before = field.power
         out = np.where(inside, field.samples, 0.0)
         after = float(np.sum(np.abs(out) ** 2)) * field.pitch**2
@@ -474,6 +517,10 @@ def find_focus(
     vertex a; the parabola at a and a +- 2 (z_max - z_min) / (steps - 1),
     shifted into the window, gives the focus. FocusNotBracketedError is
     raised unless both open upward with vertices inside the window.
+
+    Every plane past the stack comes from one spectrum of the exit field,
+    and one pass of the guard's moments checks both window ends and the
+    focus plane. The result keeps the exit and focus fields.
     """
     z_min, z_max, steps = z_search
     if steps < 16:
@@ -490,32 +537,22 @@ def find_focus(
     if z_min < z_exit:
         raise InvalidInputError("z_search must start past the last element")
 
-    field = source
-    z_now = 0.0
-    for z_el, el in elements:
-        field = angular_spectrum_propagate(field, z_el - z_now)
-        field = apply_element(field, el)
-        z_now = z_el
-    exit_field = field
+    exit_field = propagate_elements(source, elements)
 
-    # the predicted footprint is convex in z, so guarding both ends of
-    # the window covers the sampled planes between them
-    spectrum = sfft.fft2(exit_field.samples, workers=-1)
-    _window_guard(exit_field, spectrum, z_min - z_now, z_max - z_now)
+    # one spectrum and one set of guard moments serve every plane; the
+    # predicted footprint is convex in z, so guarding both ends of the
+    # window covers the sampled planes between them
+    planes = FreeSpacePlanes(exit_field)
+    planes.guard(z_min - z_exit, z_max - z_exit)
 
-    def plane(z):
-        if z == z_now:
-            return exit_field.samples.copy()
-        return sfft.ifft2(spectrum * _transfer(exit_field, z - z_now), workers=-1)
-
-    planes = []  # (z, x variance, centroid y) of every sampled plane
+    sampled = []  # (z, x variance, centroid y) of every sampled plane
 
     def variance_parabola(zs):
         for z in zs:
-            intensity = np.abs(plane(z)) ** 2
+            intensity = np.abs(planes.samples_at(z - z_exit)) ** 2
             _, cy, vx, _ = _intensity_moments(intensity, exit_field.x, exit_field.y)
-            planes.append((z, vx, cy))
-        parabola = Polynomial.fit(zs, [vx for _, vx, _ in planes[-3:]], 2)
+            sampled.append((z, vx, cy))
+        parabola = Polynomial.fit(zs, [vx for _, vx, _ in sampled[-3:]], 2)
         opens_up = parabola.deriv(2)(0.0) > 0
         vertex = float(parabola.deriv().roots()[0]) if opens_up else math.nan
         if not z_min <= vertex <= z_max:
@@ -530,17 +567,16 @@ def find_focus(
     centre = min(max(vertex, z_min + h), z_max - h)
     parabola, z_focus = variance_parabola([centre - h, centre, centre + h])
 
-    z, variance, centroid_y = np.array(planes).T
+    z, variance, centroid_y = np.array(sampled).T
     fit_residual = float(np.max(np.abs(variance - parabola(z))) / np.min(variance))
 
-    _window_guard(exit_field, spectrum, z_focus - z_now)
-    focus_field = replace(exit_field, samples=plane(z_focus))
+    focus_field = planes.plane(z_focus - z_exit)
     return FocusResult(
         z_focus=z_focus,
         metrics=spot_metrics(focus_field),
         field_at_focus=focus_field,
         exit_field=exit_field,
-        exit_z=z_now,
+        exit_z=z_exit,
         beam_slope=float(np.polyfit(z, centroid_y, 1)[0]),
         fit_residual=fit_residual,
     )

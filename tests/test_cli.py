@@ -201,3 +201,33 @@ def test_reports_validate_against_packaged_schema(tmp_path):
     import jsonschema
 
     jsonschema.Draft202012Validator.check_schema(report_schema())
+
+
+def test_design_propagates_each_channel_once(tmp_path, monkeypatch):
+    from ionoptics import cli, designer, wavefield
+
+    sources, steps = [], []
+    make_source = wavefield.make_gaussian_field
+    propagate = wavefield.angular_spectrum_propagate
+
+    def counted_source(*args, **kwargs):
+        sources.append(1)
+        return make_source(*args, **kwargs)
+
+    def counted_step(field, distance):
+        steps.append(distance)
+        return propagate(field, distance)
+
+    for module in (designer, wavefield):
+        monkeypatch.setattr(module, "make_gaussian_field", counted_source)
+        monkeypatch.setattr(module, "angular_spectrum_propagate", counted_step)
+    dump = tmp_path / "centre.sfld"
+    code = cli.main(
+        ["design", str(SCENARIO_DIR / "compact.json"),
+         "--report", str(tmp_path / "design.json"), "--dump-field", str(dump)]
+    )
+    assert code == 0
+    assert dump.stat().st_size > 0
+    # the synthesis probe plus one source per channel
+    assert len(sources) == 4
+    assert steps and 0.0 not in steps

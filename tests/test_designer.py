@@ -21,7 +21,6 @@ from ionoptics import (
     tolerance_sweep,
 )
 from ionoptics import designer
-from ionoptics.designer import ChannelFocus
 
 WL = 0.729e-6
 
@@ -208,31 +207,34 @@ def test_crosstalk_single_channel_is_silent(compact_pipeline):
         leakage_decay_per_m=pipe["array"].leakage_decay_per_m,
         leakage_reference=pipe["array"].leakage_reference,
     )
-    stub = ChannelFocus(
-        channel=0,
-        waveguide_position=0.0,
-        z_focus=pipe["prescription"].stack_height + 120e-6,
-        image_distance=120e-6,
-        mfd_fit=(1.7e-6, 3.1e-6),
-        mfd_moment=(1.7e-6, 3.1e-6),
-        centroid=(0.0, 0.0),
-        clipped_fraction=0.01,
-        peak_intensity=1.0,
-        fit_failed=False,
-        beam_slope=0.0,
-        off_normal=False,
-    )
     report = crosstalk_matrix(
         pipe["prescription"],
         array,
         crystal,
         pipe["scenario"].mirror,
         grid=pipe["scenario"].grid,
-        channel_focus=[stub],
     )
     assert report.matrix_db.shape == (1, 1)
     assert report.matrix_db[0, 0] == 0.0
     assert report.contributions == ()
+
+
+def test_crosstalk_own_focus_records_match_simulate_channel(
+    compact_pipeline, compact_channels
+):
+    pipe = compact_pipeline
+    report = crosstalk_matrix(
+        pipe["prescription"],
+        pipe["array"],
+        pipe["crystal"],
+        pipe["scenario"].mirror,
+        grid=pipe["scenario"].grid,
+        own_focus=True,
+    )
+    assert report.channel_focus == tuple(compact_channels)
+    centre = int(np.argmin(np.abs(pipe["positions"])))
+    assert report.evaluation_z == compact_channels[centre].z_focus
+    assert report.centre_field.nx == pipe["scenario"].grid[0]
 
 
 def test_crosstalk_requires_matching_counts(compact_pipeline, reference_pipeline):

@@ -1,6 +1,7 @@
 """Scalar wave propagation: conservation laws, metrics, focus search, I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ionoptics import (
     rayleigh_length,
     width_at,
 )
+from ionoptics import wavefield
 from ionoptics.errors import (
     FocusNotBracketedError,
     InvalidInputError,
@@ -23,12 +25,15 @@ from ionoptics.errors import (
 )
 from ionoptics.wavefield import (
     CircAperture,
+    FreeSpacePlanes,
+    ScalarField,
     ThinLensPhase,
     WedgePhase,
     angular_spectrum_propagate,
     apply_element,
     find_focus,
     make_gaussian_field,
+    propagate_elements,
     read_field_sfld,
     spot_metrics,
     write_field_csv,
@@ -230,8 +235,8 @@ def test_find_focus_window_missing_the_waist(window):
         )
 
 
-def test_find_focus_transform_count(monkeypatch):
-    field, elements, z_waist = lens_focus(8e-6, 100e-6)
+def count_transforms(monkeypatch):
+    """List that grows by one for every scipy.fft fft2 or ifft2 call."""
     calls = []
     for name in ("fft2", "ifft2"):
         original = getattr(scipy.fft, name)
@@ -241,8 +246,76 @@ def test_find_focus_transform_count(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
+
+
+def test_find_focus_transform_count(monkeypatch):
+    field, elements, z_waist = lens_focus(8e-6, 100e-6)
+    calls = count_transforms(monkeypatch)
     find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
     assert 0 < len(calls) <= 14
+
+
+def test_find_focus_guards_from_one_moment_pass(monkeypatch):
+    # one forward FFT, two for the guard's moments (both window ends and
+    # the focus plane), six fit planes and the focus plane
+    field, elements, z_waist = lens_focus(8e-6, 100e-6)
+    calls = count_transforms(monkeypatch)
+    find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
+    assert 0 < len(calls) <= 10
+
+
+def test_find_focus_guards_far_window_end():
+    field, elements, z_waist = lens_focus(8e-6, 100e-6)
+    message = (
+        "propagating 3.867e-04 m would move the beam (x-extent 5.039e-05 m) "
+        "outside the safe half-window 3.200e-05 m; enlarge the grid or split "
+        "the propagation"
+    )
+    with pytest.raises(PropagationWindowError, match=re.escape(message)):
+        find_focus(field, elements, z_search=(0.5 * z_waist, 12.0 * z_waist, 33))
+
+
+@pytest.mark.parametrize("distance", [37.3e-6, -12.9e-6])
+def test_transfer_matches_direct_formula(distance):
+    field = ScalarField(np.ones((64, 64)), 0.25e-6, WL)
+    fx = scipy.fft.fftfreq(64, field.pitch)
+    kx = (2.0 * math.pi * fx)[None, :]
+    ky = (2.0 * math.pi * fx)[:, None]
+    kz_sq = field.wavenumber**2 - kx * kx - ky * ky
+    mask = kz_sq > 0.0
+    kz = np.sqrt(np.where(mask, kz_sq, 0.0))
+    expected = np.where(mask, np.exp(1j * kz * distance), 0.0)
+    assert np.array_equal(wavefield._transfer(field, distance), expected)
+
+
+def test_free_space_planes_match_single_propagations():
+    field = make_gaussian_field(round_beam(), (0.0, 0.02), (256, 256, 0.25e-6))
+    planes = FreeSpacePlanes(field)
+    for distance in (-20e-6, 0.0, 35e-6, 80e-6):
+        one = angular_spectrum_propagate(field, distance).samples
+        assert np.array_equal(planes.plane(distance).samples, one)
+
+
+def test_propagate_elements_skips_zero_steps(monkeypatch):
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
+    elements = [(0.0, CircAperture(8e-6)), (20e-6, CircAperture(6e-6)),
+                (20e-6, ThinLensPhase(100e-6))]
+    steps = []
+    propagate = wavefield.angular_spectrum_propagate
+
+    def recorded(f, distance):
+        steps.append(distance)
+        return propagate(f, distance)
+
+    monkeypatch.setattr(wavefield, "angular_spectrum_propagate", recorded)
+    out = propagate_elements(field, elements)
+    assert steps == [20e-6]
+    by_hand = apply_element(field, CircAperture(8e-6))
+    by_hand = apply_element(propagate(by_hand, 20e-6), CircAperture(6e-6))
+    by_hand = apply_element(by_hand, ThinLensPhase(100e-6))
+    assert np.array_equal(out.samples, by_hand.samples)
+    assert out.clipped_fraction == by_hand.clipped_fraction
 
 
 def test_sfld_roundtrip(tmp_path):
