@@ -53,9 +53,9 @@ from .wavefield import (
     ScalarField,
     ThinLensPhase,
     WedgePhase,
-    _interp_row,
     angular_spectrum_propagate,
     find_focus,
+    interp_row,
     make_gaussian_field,
     propagate_elements,
     spot_metrics,
@@ -602,10 +602,14 @@ def _run_channel(
     z_search,
     stack_top: float,
 ) -> tuple[ChannelFocus, FocusResult]:
-    source = make_gaussian_field(
-        beam, tilt=(0.0, tilt_rad), grid=grid, center=(center_x, 0.0)
+    # no name here holds the source, so find_focus can free it past the stack
+    result = find_focus(
+        make_gaussian_field(
+            beam, tilt=(0.0, tilt_rad), grid=grid, center=(center_x, 0.0)
+        ),
+        list(elements),
+        z_search,
     )
-    result = find_focus(source, list(elements), z_search)
     m = result.metrics
     focus = ChannelFocus(
         channel=-1,
@@ -640,7 +644,7 @@ def simulate_channel(
     offset, tilted by the mirror's out-coupling exit angle; the returned
     ChannelFocus holds the metrics at the x-width minimum past the stack.
     With with_result the return value is (ChannelFocus, FocusResult), so
-    a caller can reuse the exit and focus fields.
+    a caller can reuse the focus field and the exit field's planes.
     """
     if not 0 <= channel < array.channel_count:
         raise InvalidInputError(
@@ -682,7 +686,8 @@ def crosstalk_matrix(
     source goes through the stack once, the centre channel first: its
     focus search (simulate_channel, within z_search) fixes the plane, and
     its focus field is its field there. Every other channel takes one
-    guarded free-space step from its exit field to that plane. Ion
+    guarded free-space step from its exit field to that plane (with
+    own_focus, from the spectrum its own focus search already took). Ion
     positions are mapped into the plane by a least-squares scale fit of
     the simulated spot centroids, which absorbs the sub-percent
     magnification offset of the realized stack; the fit residual is
@@ -721,8 +726,11 @@ def crosstalk_matrix(
             )
             if i == centre:
                 return record, result.field_at_focus, result.metrics
-            exit_field, exit_z = result.exit_field, result.exit_z
-            del result  # drop the focus field before the next propagation
+            # the focus search's spectrum and guard moments of the exit
+            # field reach the shared plane in one inverse FFT
+            planes, exit_z = result.planes, result.exit_z
+            del result  # drop the focus field before the next plane
+            field = planes.plane(z_eval - exit_z)
         else:
             # no name holds the source, so the stack loop can free it
             exit_field = propagate_elements(
@@ -733,7 +741,7 @@ def crosstalk_matrix(
                 prescription.elements,
             )
             exit_z = prescription.elements[-1][0]
-        field = angular_spectrum_propagate(exit_field, z_eval - exit_z)
+            field = angular_spectrum_propagate(exit_field, z_eval - exit_z)
         return record, field, spot_metrics(field)
 
     focus_table = [None] * n
@@ -764,7 +772,7 @@ def crosstalk_matrix(
                 at_shared_plane=True,
             )
         focus_table[i] = record
-        rows[i] = _interp_row(np.abs(field.samples) ** 2, field.y, y_row, axis=0)
+        rows[i] = interp_row(np.abs(field.samples) ** 2, field.y, y_row, axis=0)
         centroids[i] = metrics.centroid[0]
         del field
 

@@ -23,6 +23,7 @@ All angles are radians and all lengths metres.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 import warnings
@@ -73,6 +74,8 @@ SFLD_HEADER_SIZE = 64
 # radius must stay inside the half-width of the grid
 _WINDOW_FACTOR = 2.0
 _TILT_LIMIT = math.radians(30.0)
+# np.exp of a float64 below -745.2 is exactly 0
+_EXP_UNDERFLOW = 750.0
 
 
 def _check_grid(nx: int, ny: int, pitch: float):
@@ -184,6 +187,13 @@ def make_gaussian_field(
     `grid` is (nx, ny, pitch). The pitch must resolve the smaller waist
     with at least four samples and the window must span eight times the
     larger waist, otherwise a SamplingError explains the required grid.
+
+    Both exps are taken only on the span of rows and columns where the
+    envelope can be nonzero; outside it the envelope underflows to 0.
+    The tilt ramp is the product of one exp per axis (_tilt_ramp). A zero
+    tilt component makes its factor exactly 1, so a tilt with one zero
+    component, as every channel source has, gives the same bits as the
+    2-d exp of the summed phase; other tilts agree to rounding.
     """
 
     nx, ny, pitch = grid
@@ -206,12 +216,15 @@ def make_gaussian_field(
 
     x = (np.arange(nx) - nx // 2) * pitch - center[0]
     y = (np.arange(ny) - ny // 2) * pitch - center[1]
-    xg, yg = x[None, :], y[:, None]
-    envelope = np.exp(-(xg / w0x) ** 2 - (yg / w0y) ** 2)
+    # the envelope is exactly 0 wherever one axis's term alone underflows exp
+    rows = _span((y / w0y) ** 2 < _EXP_UNDERFLOW)
+    cols = _span((x / w0x) ** 2 < _EXP_UNDERFLOW)
+    xb, yb = x[cols], y[rows]
     k = 2.0 * math.pi * beam.x.ambient_index / beam.wavelength
-    samples = envelope * np.exp(
-        1j * k * (math.sin(tilt[0]) * xg + math.sin(tilt[1]) * yg)
-    )
+    samples = np.zeros((ny, nx), dtype=np.complex128)
+    samples[rows, cols] = np.exp(
+        -(xb[None, :] / w0x) ** 2 - (yb[:, None] / w0y) ** 2
+    ) * _tilt_ramp(k, tilt, xb, yb)
     norm = math.sqrt(np.sum(np.abs(samples) ** 2) * pitch**2)
     if norm == 0.0:
         raise InvalidInputError(
@@ -220,6 +233,22 @@ def make_gaussian_field(
         )
     samples /= norm
     return ScalarField(samples, pitch, beam.wavelength, beam.x.ambient_index)
+
+
+def _span(mask: np.ndarray) -> slice:
+    """The slice from the first to the last true entry of a 1-d mask."""
+    if not mask.any():
+        return slice(0, 0)
+    return slice(int(mask.argmax()), len(mask) - int(mask[::-1].argmax()))
+
+
+def _tilt_ramp(k: float, tilt: tuple[float, float], x: np.ndarray, y: np.ndarray):
+    """exp(i k (sin(tilt_x) x + sin(tilt_y) y)) on the grid, from one exp per axis."""
+    ik = 1j * k
+    return (
+        np.exp(ik * (math.sin(tilt[1]) * y))[:, None]
+        * np.exp(ik * (math.sin(tilt[0]) * x))[None, :]
+    )
 
 
 def _intensity_moments(intensity: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -260,17 +289,22 @@ def _window_moments(field: ScalarField, spectrum: np.ndarray):
     var_sx = lam**2 * float(sx @ fx**2) / stot - mean_sx**2
     var_sy = lam**2 * float(sy @ fy**2) / stot - mean_sy**2
 
-    # x-theta covariance via the local transverse momentum density, one
-    # axis at a time to bound the working set
-    conj = np.conj(field.samples)
+    # x-theta covariance via the local transverse momentum density
+    # Im(conj(E) dE/dx) / k, one axis at a time to bound the working set
+    re, im = field.samples.real, field.samples.imag
 
-    def covariance(freq, coords, c, mean_s):
-        d_field = sfft.ifft2(spectrum * (2j * math.pi * freq), workers=-1)
-        p = np.imag(conj * d_field) / field.wavenumber
-        return float(np.sum(p * coords)) / itot - c * mean_s
+    def covariance(freq, axis, coords, c, mean_s):
+        d_field = sfft.ifft2(
+            spectrum * (2j * math.pi * freq), workers=-1, overwrite_x=True
+        )
+        density = re * d_field.imag
+        density -= im * d_field.real
+        del d_field
+        moment = float(density.sum(axis=axis) @ coords)
+        return moment / (field.wavenumber * itot) - c * mean_s
 
-    cov_x = covariance(fx[None, :], field.x[None, :], cx, mean_sx)
-    cov_y = covariance(fy[:, None], field.y[:, None], cy, mean_sy)
+    cov_x = covariance(fx[None, :], 0, field.x, cx, mean_sx)
+    cov_y = covariance(fy[:, None], 1, field.y, cy, mean_sy)
     return (
         ("x", cx, mean_sx, vx, cov_x, var_sx, field.nx, field.origin[0]),
         ("y", cy, mean_sy, vy, cov_y, var_sy, field.ny, field.origin[1]),
@@ -306,23 +340,53 @@ def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
 
 
 @functools.lru_cache(maxsize=1)
-def _kz(nx: int, ny: int, pitch: float, k: float):
-    """Read-only kz on the FFT grid and the evanescent mask. One entry
-    suffices: a run propagates on one grid at a time."""
-    kx = (2.0 * math.pi * sfft.fftfreq(nx, pitch))[None, :]
-    ky = (2.0 * math.pi * sfft.fftfreq(ny, pitch))[:, None]
+def _kz_quadrant(nx: int, ny: int, pitch: float, k: float):
+    """Read-only kz and evanescent mask on the block [0..ay] x [0..ax] of
+    the FFT grid that bounds the propagating band (kx, ky >= 0, the
+    Nyquist index included). One entry suffices: a run propagates on one
+    grid at a time."""
+    kx = (2.0 * math.pi * sfft.fftfreq(nx, pitch))[None, : nx // 2 + 1]
+    ky = (2.0 * math.pi * sfft.fftfreq(ny, pitch))[: ny // 2 + 1, None]
     kz_sq = k * k - kx * kx - ky * ky
+    # kx = 0 and ky = 0 bound the band's reach along the other axis
+    ax = int(np.count_nonzero(kz_sq[0] > 0.0)) - 1
+    ay = int(np.count_nonzero(kz_sq[:, 0] > 0.0)) - 1
+    kz_sq = kz_sq[: ay + 1, : ax + 1]
     evanescent = kz_sq <= 0.0
     kz = np.sqrt(np.where(evanescent, 0.0, kz_sq))
     kz.flags.writeable = evanescent.flags.writeable = False
     return kz, evanescent
 
 
-def _transfer(field: ScalarField, distance: float) -> np.ndarray:
-    kz, evanescent = _kz(field.nx, field.ny, field.pitch, field.wavenumber)
-    out = np.multiply(kz, 1j * distance)
-    np.exp(out, out=out)
-    out[evanescent] = 0.0
+def _transfer(field: ScalarField, distance: float, spectrum=None) -> np.ndarray:
+    """Band-limited transfer exp(i kz d) on the FFT grid, zero outside the
+    propagating band; with `spectrum`, the product transfer * spectrum.
+
+    On an even grid fftfreq negates exactly, so kz[iy, ix] equals
+    kz[iy, (nx - ix) % nx] and kz[(ny - iy) % ny, ix] bit for bit. The exp
+    is therefore taken only on the quadrant block that bounds the band
+    (_kz_quadrant), and its mirror images fill the other three blocks of
+    one zeroed grid; every value equals the full-grid formula's.
+    """
+    nx, ny = field.nx, field.ny
+    kz, evanescent = _kz_quadrant(nx, ny, field.pitch, field.wavenumber)
+    quadrant = np.multiply(kz, 1j * distance)
+    np.exp(quadrant, out=quadrant)
+    quadrant[evanescent] = 0.0
+    # index n - i mirrors index i (i >= 1); the Nyquist index n/2 is its
+    # own mirror, so the mirrored blocks stop short of it
+    qy, qx = kz.shape
+    my, mx = min(qy, ny // 2) - 1, min(qx, nx // 2) - 1
+    rows = ((slice(0, qy), slice(None)), (slice(ny - my, ny), slice(my, 0, -1)))
+    cols = ((slice(0, qx), slice(None)), (slice(nx - mx, nx), slice(mx, 0, -1)))
+    out = np.zeros((ny, nx), dtype=np.complex128)
+    for (r, qr), (c, qc) in itertools.product(rows, cols):
+        if spectrum is None:
+            out[r, c] = quadrant[qr, qc]
+        else:
+            # keep this operand order: NumPy's complex multiply may round
+            # differently with the operands swapped, and reports must not move
+            np.multiply(quadrant[qr, qc], spectrum[r, c], out=out[r, c])
     return out
 
 
@@ -348,11 +412,9 @@ class FreeSpacePlanes:
         """Samples `distance` downstream, without the guard."""
         if distance == 0.0:
             return self.field.samples.copy()
-        transfer = _transfer(self.field, distance)
-        # keep this operand order: NumPy's complex multiply may round
-        # differently with the operands swapped, and reports must not move
-        transfer *= self.spectrum
-        return sfft.ifft2(transfer, workers=-1)
+        return sfft.ifft2(
+            _transfer(self.field, distance, self.spectrum), workers=-1, overwrite_x=True
+        )
 
     def plane(self, distance: float) -> ScalarField:
         """The guarded field `distance` downstream."""
@@ -380,27 +442,35 @@ def propagate_elements(field: ScalarField, elements: Sequence) -> ScalarField:
     return field
 
 
+def _support_box(samples: np.ndarray) -> tuple[slice, slice]:
+    """Row and column slices of the bounding box of the nonzero samples."""
+    nonzero = samples != 0
+    return _span(nonzero.any(axis=1)), _span(nonzero.any(axis=0))
+
+
 def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     """Apply a thin element in place at the field's plane.
 
     Apertures zero the field outside their opening and fold the removed
     power into the returned field's cumulative clipped_fraction.
+
+    A lens takes its phase only on the bounding box of the field's
+    nonzero samples, such as the opening of the aperture before it;
+    outside the box the product is zero anyway, so the result differs
+    from the full-grid product at most in the sign of zeros. A wedge
+    builds its ramp from one exp per axis, like make_gaussian_field.
     """
     k = field.wavenumber
     if isinstance(element, ThinLensPhase):
-        xg = field.x[None, :] - element.offset[0]
-        yg = field.y[:, None] - element.offset[1]
+        rows, cols = _support_box(field.samples)
+        xg = field.x[None, cols] - element.offset[0]
+        yg = field.y[rows, None] - element.offset[1]
         phase = np.exp(-1j * k * (xg * xg + yg * yg) / (2.0 * element.focal_length))
-        return replace(field, samples=field.samples * phase)
+        samples = np.zeros_like(field.samples)
+        np.multiply(field.samples[rows, cols], phase, out=samples[rows, cols])
+        return replace(field, samples=samples)
     if isinstance(element, WedgePhase):
-        ramp = np.exp(
-            1j
-            * k
-            * (
-                math.sin(element.tilt_x) * field.x[None, :]
-                + math.sin(element.tilt_y) * field.y[:, None]
-            )
-        )
+        ramp = _tilt_ramp(k, (element.tilt_x, element.tilt_y), field.x, field.y)
         return replace(field, samples=field.samples * ramp)
     if isinstance(element, CircAperture):
         xg = field.x[None, :] - element.offset[0]
@@ -448,7 +518,8 @@ def _fit_profile(coords: np.ndarray, profile: np.ndarray, c0: float, w0: float):
         return None
     return abs(float(popt[2]))
 
-def _interp_row(intensity: np.ndarray, coords: np.ndarray, value: float, axis: int):
+
+def interp_row(intensity: np.ndarray, coords: np.ndarray, value: float, axis: int):
     """Linear interpolation of a 1-d slice through `value` along `axis`."""
     idx = float(np.interp(value, coords, np.arange(len(coords))))
     lo = int(np.clip(math.floor(idx), 0, len(coords) - 2))
@@ -471,8 +542,8 @@ def spot_metrics(field: ScalarField) -> SpotMetrics:
     mfd_mx = 4.0 * math.sqrt(max(vx, 0.0))
     mfd_my = 4.0 * math.sqrt(max(vy, 0.0))
 
-    profile_x = _interp_row(intensity, field.y, cy, axis=0)
-    profile_y = _interp_row(intensity, field.x, cx, axis=1)
+    profile_x = interp_row(intensity, field.y, cy, axis=0)
+    profile_y = interp_row(intensity, field.x, cx, axis=1)
     wx = _fit_profile(field.x, profile_x, cx, mfd_mx / 2.0)
     wy = _fit_profile(field.y, profile_y, cy, mfd_my / 2.0)
     failed = wx is None or wy is None
@@ -492,12 +563,14 @@ def spot_metrics(field: ScalarField) -> SpotMetrics:
 class FocusResult:
     """beam_slope is dy/dz of the intensity centroid past the last element;
     fit_residual is the largest deviation of the sampled x variances from
-    the final parabola, over the smallest of them."""
+    the final parabola, over the smallest of them. planes holds the exit
+    field (planes.field, at exit_z) with its spectrum and guard moments,
+    so any later plane costs one inverse FFT."""
 
     z_focus: float
     metrics: SpotMetrics
     field_at_focus: ScalarField
-    exit_field: ScalarField
+    planes: FreeSpacePlanes
     exit_z: float
     beam_slope: float
     fit_residual: float
@@ -520,7 +593,8 @@ def find_focus(
 
     Every plane past the stack comes from one spectrum of the exit field,
     and one pass of the guard's moments checks both window ends and the
-    focus plane. The result keeps the exit and focus fields.
+    focus plane. The result keeps the focus field and the exit field's
+    planes.
     """
     z_min, z_max, steps = z_search
     if steps < 16:
@@ -538,6 +612,7 @@ def find_focus(
         raise InvalidInputError("z_search must start past the last element")
 
     exit_field = propagate_elements(source, elements)
+    del source  # free the source before the guard's moment pass
 
     # one spectrum and one set of guard moments serve every plane; the
     # predicted footprint is convex in z, so guarding both ends of the
@@ -575,7 +650,7 @@ def find_focus(
         z_focus=z_focus,
         metrics=spot_metrics(focus_field),
         field_at_focus=focus_field,
-        exit_field=exit_field,
+        planes=planes,
         exit_z=z_exit,
         beam_slope=float(np.polyfit(z, centroid_y, 1)[0]),
         fit_residual=fit_residual,

@@ -204,11 +204,20 @@ def test_reports_validate_against_packaged_schema(tmp_path):
 
 
 def test_design_propagates_each_channel_once(tmp_path, monkeypatch):
+    import scipy.fft
+
     from ionoptics import cli, designer, wavefield
 
-    sources, steps = [], []
+    sources, steps, transforms = [], [], []
     make_source = wavefield.make_gaussian_field
     propagate = wavefield.angular_spectrum_propagate
+
+    for name in ("fft2", "ifft2"):
+        def counted_transform(*args, _original=getattr(scipy.fft, name), **kwargs):
+            transforms.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted_transform)
 
     def counted_source(*args, **kwargs):
         sources.append(1)
@@ -231,3 +240,6 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch):
     # the synthesis probe plus one source per channel
     assert len(sources) == 4
     assert steps and 0.0 not in steps
+    # each off-centre channel reaches the shared plane from the spectrum
+    # and guard moments of its own focus search: one inverse FFT
+    assert 0 < len(transforms) <= 92

@@ -289,6 +289,84 @@ def test_transfer_matches_direct_formula(distance):
     assert np.array_equal(wavefield._transfer(field, distance), expected)
 
 
+def direct_transfer(field, distance):
+    """exp(i kz d) on the whole FFT grid, zero outside the propagating band."""
+    kx = (2.0 * math.pi * scipy.fft.fftfreq(field.nx, field.pitch))[None, :]
+    ky = (2.0 * math.pi * scipy.fft.fftfreq(field.ny, field.pitch))[:, None]
+    kz_sq = field.wavenumber**2 - kx * kx - ky * ky
+    mask = kz_sq > 0.0
+    kz = np.sqrt(np.where(mask, kz_sq, 0.0))
+    return np.where(mask, np.exp(1j * kz * distance), 0.0)
+
+
+# square, non-square, and a pitch above lambda/2, where the band reaches
+# the Nyquist index, which is its own mirror image
+@pytest.mark.parametrize(
+    "nx, ny, pitch", [(128, 128, 0.25e-6), (256, 128, 0.22e-6), (64, 128, 0.4e-6)]
+)
+@pytest.mark.parametrize("distance", [37.3e-6, -12.9e-6])
+def test_quadrant_transfer_times_spectrum_is_exact(nx, ny, pitch, distance):
+    rng = np.random.default_rng(3)
+    field = ScalarField(
+        rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx)), pitch, WL
+    )
+    spectrum = FreeSpacePlanes(field).spectrum
+    kz = wavefield._kz_quadrant(nx, ny, pitch, field.wavenumber)[0]
+    reaches_nyquist = kz.shape == (ny // 2 + 1, nx // 2 + 1)
+    assert reaches_nyquist == (pitch > WL / 2)
+    product = wavefield._transfer(field, distance, spectrum)
+    assert np.array_equal(product, wavefield._transfer(field, distance) * spectrum)
+    assert np.array_equal(product, direct_transfer(field, distance) * spectrum)
+
+
+@pytest.mark.parametrize("tilt", [(0.0, 0.12), (0.0, -0.2), (0.07, 0.0)])
+def test_tilt_ramps_equal_the_2d_phase(tilt):
+    # a window wide enough that the envelope underflows to 0 at its edges
+    nx, ny, pitch = 512, 1024, 0.3e-6
+    beam, center = beam_from_mfd(2.45e-6, 5.2e-6, WL), (1.5e-6, -0.5e-6)
+    k = 2.0 * math.pi / WL
+    x = (np.arange(nx) - nx // 2) * pitch - center[0]
+    y = (np.arange(ny) - ny // 2) * pitch - center[1]
+    xg, yg = x[None, :], y[:, None]
+    expected = np.exp(
+        -(xg / beam.x.waist_radius) ** 2 - (yg / beam.y.waist_radius) ** 2
+    ) * np.exp(1j * k * (math.sin(tilt[0]) * xg + math.sin(tilt[1]) * yg))
+    expected /= math.sqrt(np.sum(np.abs(expected) ** 2) * pitch**2)
+    assert not expected[0].any() and not expected[:, 0].any()
+    field = make_gaussian_field(beam, tilt, (nx, ny, pitch), center=center)
+    assert np.array_equal(field.samples, expected)
+
+    xg, yg = field.x[None, :], field.y[:, None]
+    ramp = np.exp(1j * k * (math.sin(tilt[0]) * xg + math.sin(tilt[1]) * yg))
+    wedged = apply_element(field, WedgePhase(*tilt))
+    assert np.array_equal(wedged.samples, field.samples * ramp)
+
+
+def test_general_tilt_agrees_to_rounding():
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
+    tilt = (0.05, 0.11)
+    k = field.wavenumber
+    xg, yg = field.x[None, :], field.y[:, None]
+    ramp = np.exp(1j * k * (math.sin(tilt[0]) * xg + math.sin(tilt[1]) * yg))
+    wedged = apply_element(field, WedgePhase(*tilt))
+    np.testing.assert_allclose(wedged.samples, field.samples * ramp, rtol=1e-13)
+
+
+@pytest.mark.parametrize("aperture", [CircAperture(6e-6, (2e-6, -1e-6)), None])
+def test_lens_phase_on_the_support_is_exact(aperture):
+    field = make_gaussian_field(round_beam(8e-6), (0.0, 0.02), (128, 128, 0.25e-6))
+    if aperture is not None:
+        field = apply_element(field, aperture)
+    lens = ThinLensPhase(90e-6, offset=(1e-6, 0.5e-6))
+    xg = field.x[None, :] - lens.offset[0]
+    yg = field.y[:, None] - lens.offset[1]
+    k = field.wavenumber
+    # a named phase: NumPy may evaluate `samples * <temporary>` in place
+    # on the temporary, which swaps the operands and the rounding
+    phase = np.exp(-1j * k * (xg * xg + yg * yg) / (2.0 * lens.focal_length))
+    assert np.array_equal(apply_element(field, lens).samples, field.samples * phase)
+
+
 def test_free_space_planes_match_single_propagations():
     field = make_gaussian_field(round_beam(), (0.0, 0.02), (256, 256, 0.25e-6))
     planes = FreeSpacePlanes(field)
