@@ -26,11 +26,13 @@ import time
 import numpy as np
 
 from . import __version__
+from .constants import UM
 from .crystal import solve_crystal
 from .designer import (
     SWEEP_PRESETS,
     crosstalk_matrix,
     pitch_plan,
+    sweep_row_to_si,
     synthesize_lens_stack,
     tolerance_sweep,
 )
@@ -38,6 +40,7 @@ from .errors import (
     ConvergenceError,
     FocusNotBracketedError,
     InfeasibleDesignError,
+    InvalidInputError,
     IonOpticsError,
     PropagationWindowError,
     SamplingError,
@@ -46,8 +49,6 @@ from .errors import (
 from .picmodel import WaveguideArraySpec, outcoupling_angle
 from .report import (
     REPORT_SCHEMA_VERSION,
-    UM,
-    canonical_json,
     channel_section,
     crosstalk_section,
     crystal_section,
@@ -59,7 +60,7 @@ from .report import (
     write_report,
 )
 from .scenario import Scenario, load_scenario
-from .wavefield import write_field_csv, write_field_sfld
+from .wavefield import _check_grid, write_field_csv, write_field_sfld
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
@@ -105,7 +106,8 @@ def _parse_grid(text: str):
     try:
         nx, ny = int(parts[0]), int(parts[1])
         pitch = float(parts[2]) * UM
-    except ValueError as exc:
+        _check_grid(nx, ny, pitch)
+    except (ValueError, InvalidInputError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
     return (nx, ny, pitch)
 
@@ -113,17 +115,14 @@ def _parse_grid(text: str):
 def _parse_param(text: str):
     parts = text.split(":")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            "param must be name:lo:hi:steps (angles deg, offsets um)"
+        raise ScenarioError(
+            f"bad param {text!r}: need name:lo:hi:steps (angles deg, offsets um)"
         )
-    name = parts[0]
     try:
         lo, hi, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad param {text!r}: {exc}") from exc
-    if name in ("lateral_offset", "z_offset"):
-        lo, hi = lo * UM, hi * UM
-    return {"parameter": name, "lo": lo, "hi": hi, "steps": steps}
+        raise ScenarioError(f"bad param {text!r}: {exc}") from exc
+    return sweep_row_to_si({"parameter": parts[0], "lo": lo, "hi": hi, "steps": steps})
 
 
 def _build_pipeline(scenario: Scenario, grid_override=None):
@@ -230,7 +229,7 @@ def cmd_design(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     perturbations = list(scenario.sweeps) + [
-        _parse_param(p) if isinstance(p, str) else p for p in (args.param or [])
+        _parse_param(p) for p in args.param or []
     ]
     if not perturbations and not args.preset:
         print(

@@ -18,3 +18,6 @@ ATOMIC_MASS = 1.66053906660e-27
 
 COULOMB_CONSTANT = 1.0 / (4.0 * math.pi * VACUUM_PERMITTIVITY)
 """1 / (4 pi eps0) in N m^2 / C^2."""
+
+UM = 1e-6
+"""One micrometre in m: scenario files and reports give lengths in um."""

@@ -19,12 +19,13 @@ module's boundary; wave-optics element tilts are radians internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
+from .constants import UM
 from .crystal import IonCrystal
 from .errors import (
     ConvergenceError,
@@ -39,6 +40,8 @@ from .gaussbeam import (
     ThinLens,
     beam_from_mfd,
     chain_matrix,
+    propagate_abcd,
+    width_at,
 )
 from .picmodel import (
     TirMirrorSpec,
@@ -94,19 +97,73 @@ DEFAULT_GRID = (2048, 2048, 0.15e-6)
 CROSSTALK_FLOOR_DB = -200.0
 OFF_NORMAL_SLOPE = 0.02
 
-SWEEP_PARAMETERS = (
-    "prism_design_angle",
-    "source_tilt",
-    "lateral_offset",
-    "z_offset",
-    "chip_wedge",
-)
+
+class SweepParameter(NamedTuple):
+    """An assembly error a tolerance sweep can vary. unit ("deg" or "um")
+    is that of lo and hi in scenario files and --param and of value in
+    reports. perturb(elements, centre, exit_deg, value) returns the
+    perturbed element list, source centre (m), source tilt (deg) and the
+    tilt the wedge leaves uncorrected (deg); lengths are metres here."""
+
+    unit: str
+    perturb: Callable
+
+
+def _rebuild_wedge(elements, centre, exit_deg, value):
+    # the corrective wedge was built for an exit angle of `value` degrees
+    kept = [(z, el) for z, el in elements if not isinstance(el, WedgePhase)]
+    wedge = (WEDGE_Z, WedgePhase(0.0, -math.radians(value)))
+    return [wedge] + kept, centre, exit_deg, exit_deg - value
+
+
+def _shift_stack(elements, centre, exit_deg, value):
+    shifted = [(z + value, el) for z, el in elements]
+    if shifted and shifted[0][0] <= 0:
+        raise InvalidInputError(
+            f"z_offset {value:.3e} m pushes the stack below the chip plane"
+        )
+    return shifted, centre, exit_deg, 0.0
+
+
+def _tilt_chip(elements, centre, exit_deg, value):
+    # an unintended wedge of `value` degrees between the chip and the stack
+    wedge = (WEDGE_Z / 2.0, WedgePhase(0.0, math.radians(value)))
+    return [wedge] + elements, centre, exit_deg, 0.0
+
+
+SWEEP_PARAMETERS = {
+    "prism_design_angle": SweepParameter("deg", _rebuild_wedge),
+    "source_tilt": SweepParameter("deg", lambda elements, centre, exit_deg, value: (
+        elements, centre, exit_deg + value, value)),
+    "lateral_offset": SweepParameter("um", lambda elements, centre, exit_deg, value: (
+        elements, centre + value, exit_deg, 0.0)),
+    "z_offset": SweepParameter("um", _shift_stack),
+    "chip_wedge": SweepParameter("deg", _tilt_chip),
+}
 
 # The shipped failure-analysis preset: the wedge was designed for a 7
 # degree exit tilt while the mirror actually out-couples much steeper.
 SWEEP_PRESETS = {
     "prism-mismatch": ({"parameter": "prism_design_angle", "lo": 7.0, "hi": 7.0, "steps": 1},),
 }
+
+
+def _sweep_parameter(name: str) -> SweepParameter:
+    try:
+        return SWEEP_PARAMETERS[name]
+    except KeyError:
+        raise InvalidInputError(
+            f"unknown sweep parameter {name!r}; expected one of "
+            + ", ".join(SWEEP_PARAMETERS)
+        ) from None
+
+
+def sweep_row_to_si(row: dict) -> dict:
+    """A {parameter, lo, hi, steps} row with lo and hi taken from the
+    parameter's unit to the sweep's: micrometres to metres, degrees kept.
+    An unknown parameter raises InvalidInputError."""
+    scale = UM if _sweep_parameter(row["parameter"]).unit == "um" else 1.0
+    return {**row, "lo": row["lo"] * scale, "hi": row["hi"] * scale}
 
 
 @dataclass(frozen=True)
@@ -281,16 +338,15 @@ def pitch_plan(crystal: IonCrystal, magnification: float) -> np.ndarray:
     return np.asarray(crystal.positions_m, dtype=float) / magnification
 
 
-def _gaussian_width(w0: float, z_r: float, z: float) -> float:
-    return w0 * math.sqrt(1.0 + (z / z_r) ** 2)
-
-
-def _width_after_lens(w0: float, z_r: float, d1: float, f1: float, g: float,
-                      wavelength: float) -> float:
-    """1/e^2 radius at the second lens, waist at z=0, lens f1 at z=d1."""
-    q = complex(d1, z_r)
-    q = 1.0 / (1.0 / q - 1.0 / f1) + g
-    return math.sqrt(wavelength / math.pi * abs(q) ** 2 / q.imag)
+def _widths_at_lenses(beam: AstigmaticGaussian, f_list, z_list) -> list:
+    """Larger of the x and y 1/e^2 radii of `beam` (waist at z = 0) at each
+    thin lens f_list[i] placed at z_list[i], taken just before the lens."""
+    widths, z_prev = [], 0.0
+    for f, z in zip(f_list, z_list):
+        widths.append(max(width_at(beam, "x", z - z_prev), width_at(beam, "y", z - z_prev)))
+        beam = propagate_abcd(beam, [FreeSpace(z - z_prev), ThinLens(f)])
+        z_prev = z
+    return widths
 
 
 def _achieved_imaging(f_list, z_list, n_index=1.0):
@@ -346,26 +402,15 @@ def _wave_verify(f_list, z_list, targets: DesignTargets, magnification: float):
     from the spectrum of the one lens-exit field.
     """
     w0p = 2.5e-6
-    wavelength = targets.wavelength
-    z_rp = math.pi * w0p**2 / wavelength
     m_abs = abs(magnification)
-
-    widths = [w0p]
-    q = complex(0.0, z_rp)
-    z_prev = 0.0
-    for f, z in zip(f_list, z_list):
-        q += z - z_prev
-        widths.append(math.sqrt(wavelength / math.pi * abs(q) ** 2 / q.imag))
-        q = 1.0 / (1.0 / q - 1.0 / f)
-        z_prev = z
+    beam = AstigmaticGaussian(targets.wavelength, BeamAxis(w0p), BeamAxis(w0p))
 
     pitch = min(w0p, m_abs * w0p) / 4.5
-    window = max(8.5 * w0p, 5.0 * max(widths))
+    window = max(8.5 * w0p, 5.0 * max(_widths_at_lenses(beam, f_list, z_list)))
     nx = 256
     while nx * pitch < window and nx < 2048:
         nx *= 2
 
-    beam = AstigmaticGaussian(wavelength, BeamAxis(w0p), BeamAxis(w0p))
     field = make_gaussian_field(beam, tilt=(0.0, 0.0), grid=(nx, nx, pitch))
     field = propagate_elements(
         field, [(z, ThinLensPhase(f)) for f, z in zip(f_list, z_list)]
@@ -399,7 +444,6 @@ def synthesize_lens_stack(
     targets: DesignTargets,
     source_tilt: float = 0.0,
     chief_reach: float = 0.0,
-    wave_verify: bool = True,
 ) -> LensStackPrescription:
     """Find a printable wedge + two-lens stack meeting the targets.
 
@@ -422,8 +466,8 @@ def synthesize_lens_stack(
         raise InvalidInputError("chief_reach must be >= 0")
 
     wavelength = targets.wavelength
-    w0x = targets.source_mfd[0] / 2.0
-    w0y = targets.source_mfd[1] / 2.0
+    source = beam_from_mfd(targets.source_mfd[0], targets.source_mfd[1], wavelength)
+    w0x = source.x.waist_radius
     na_pred = wavelength / (math.pi * w0x)
     if abs(na_pred / targets.numerical_aperture - 1.0) > NA_TOL:
         raise InfeasibleDesignError(
@@ -434,8 +478,6 @@ def synthesize_lens_stack(
     ms = -targets.magnification
     dist = targets.image_distance
     budget_r = targets.aperture_budget / 2.0
-    z_rx = math.pi * w0x**2 / wavelength
-    z_ry = math.pi * w0y**2 / wavelength
 
     f2_values = np.arange(F2_RANGE[0], F2_RANGE[1] + GRID_STEP / 2, GRID_STEP)
     gap_values = np.arange(GAP_RANGE[0], GAP_RANGE[1] + GRID_STEP / 2, GRID_STEP)
@@ -478,14 +520,7 @@ def synthesize_lens_stack(
             if chief_reach / f1 > MAX_CHIEF_SLOPE:
                 rejections["chief_slope"] += 1
                 continue
-            w_l1 = max(
-                _gaussian_width(w0x, z_rx, d1), _gaussian_width(w0y, z_ry, d1)
-            )
-            w_l2 = max(
-                _width_after_lens(w0x, z_rx, d1, f1, g, wavelength),
-                _width_after_lens(w0y, z_ry, d1, f1, g, wavelength),
-            )
-            if w_l1 > budget_r or w_l2 > budget_r:
+            if max(_widths_at_lenses(source, (f1, f2), (d1, stack))) > budget_r:
                 rejections["aperture_budget"] += 1
                 continue
             key = (stack, f2, g)
@@ -510,23 +545,15 @@ def synthesize_lens_stack(
             d1 = float(-p01 / (p00 - p01 / f1))
         f_list = (f1, f2)
         z_list = (d1, d1 + g)
-        w_l1 = max(_gaussian_width(w0x, z_rx, d1), _gaussian_width(w0y, z_ry, d1))
-        w_l2 = max(
-            _width_after_lens(w0x, z_rx, d1, f1, g, wavelength),
-            _width_after_lens(w0y, z_ry, d1, f1, g, wavelength),
-        )
-        chief_l2 = chief_reach * abs(1.0 - g / f1)
-        radii = (
-            min(APERTURE_ENVELOPE * w_l1 + chief_reach + APERTURE_MARGIN, budget_r),
-            min(APERTURE_ENVELOPE * w_l2 + chief_l2 + APERTURE_MARGIN, budget_r),
-        )
+        # the chief ray's reach at each lens
+        reaches = (chief_reach, chief_reach * abs(1.0 - g / f1))
     else:
         # Degenerate fallback: one lens imaging source to ion directly.
         height = dist / targets.magnification
         f_single = dist / (1.0 + targets.magnification)
-        w_lens = max(
-            _gaussian_width(w0x, z_rx, height), _gaussian_width(w0y, z_ry, height)
-        )
+        f_list = (f_single,)
+        z_list = (height,)
+        reaches = (chief_reach,)
         failures = [k for k, v in sorted(rejections.items(), key=lambda kv: -kv[1]) if v]
         detail = ", ".join(f"{k} ({rejections[k]} candidates)" for k in failures)
         if height > targets.max_stack_height:
@@ -541,17 +568,17 @@ def synthesize_lens_stack(
                 "no feasible lens stack: working_distance too short for the "
                 f"single-lens conjugate; two-lens candidates rejected by: {detail}"
             )
+        w_lens = _widths_at_lenses(source, f_list, z_list)[0]
         if w_lens > budget_r:
             raise InfeasibleDesignError(
                 "no feasible lens stack: aperture_budget admits a beam radius "
                 f"of {budget_r * 1e6:.1f} um but the mode grows to "
                 f"{w_lens * 1e6:.1f} um; two-lens candidates rejected by: {detail}"
             )
-        f_list = (f_single,)
-        z_list = (height,)
-        radii = (
-            min(APERTURE_ENVELOPE * w_lens + chief_reach + APERTURE_MARGIN, budget_r),
-        )
+    radii = tuple(
+        min(APERTURE_ENVELOPE * w + reach + APERTURE_MARGIN, budget_r)
+        for w, reach in zip(_widths_at_lenses(source, f_list, z_list), reaches)
+    )
 
     v_ach, m_ach = _achieved_imaging(f_list, z_list)
     if abs(abs(m_ach) / targets.magnification - 1.0) > MAGNIFICATION_TOL:
@@ -563,8 +590,7 @@ def synthesize_lens_stack(
             f"image_distance misses target: {v_ach * 1e6:.2f} um vs {dist * 1e6:.2f} um"
         )
 
-    if wave_verify:
-        _wave_verify(f_list, z_list, targets, m_ach)
+    _wave_verify(f_list, z_list, targets, m_ach)
 
     elements = []
     if abs(source_tilt) > 0:
@@ -593,7 +619,31 @@ def _default_z_search(prescription: LensStackPrescription):
     return (top + 0.5 * dist, top + 1.25 * dist, 33)
 
 
+def _focus_record(channel, position, stack_top, z, metrics, result=None) -> ChannelFocus:
+    """ChannelFocus of `channel` from its spot metrics at z. With `result`
+    (the channel's own focus search) it carries the beam slope and the fit
+    residual; without, it is a record taken at the shared plane."""
+    own = result is not None
+    return ChannelFocus(
+        channel=channel,
+        waveguide_position=position,
+        z_focus=z,
+        image_distance=z - stack_top,
+        mfd_fit=metrics.mfd_fit,
+        mfd_moment=metrics.mfd_moment,
+        centroid=metrics.centroid,
+        clipped_fraction=metrics.clipped_fraction,
+        peak_intensity=metrics.peak_intensity,
+        fit_failed=metrics.fit_failed,
+        beam_slope=result.beam_slope if own else 0.0,
+        off_normal=own and abs(result.beam_slope) > OFF_NORMAL_SLOPE,
+        at_shared_plane=not own,
+        focus_fit_residual=result.fit_residual if own else None,
+    )
+
+
 def _run_channel(
+    channel: int,
     elements,
     beam: AstigmaticGaussian,
     center_x: float,
@@ -610,21 +660,8 @@ def _run_channel(
         list(elements),
         z_search,
     )
-    m = result.metrics
-    focus = ChannelFocus(
-        channel=-1,
-        waveguide_position=center_x,
-        z_focus=result.z_focus,
-        image_distance=result.z_focus - stack_top,
-        mfd_fit=m.mfd_fit,
-        mfd_moment=m.mfd_moment,
-        centroid=m.centroid,
-        clipped_fraction=m.clipped_fraction,
-        peak_intensity=m.peak_intensity,
-        fit_failed=m.fit_failed,
-        beam_slope=result.beam_slope,
-        off_normal=abs(result.beam_slope) > OFF_NORMAL_SLOPE,
-        focus_fit_residual=result.fit_residual,
+    focus = _focus_record(
+        channel, center_x, stack_top, result.z_focus, result.metrics, result
     )
     return focus, result
 
@@ -654,19 +691,11 @@ def simulate_channel(
     if z_search is None:
         z_search = _default_z_search(prescription)
     tilt = math.radians(outcoupling_angle(mirror).exit_angle_deg)
-    beam = beam_from_mfd(
-        array.mode_mfd_m[0], array.mode_mfd_m[1], prescription.targets.wavelength
-    )
+    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
     focus, result = _run_channel(
-        prescription.elements,
-        beam,
-        float(array.positions_m[channel]),
-        tilt,
-        grid,
-        z_search,
-        prescription.stack_height,
+        channel, prescription.elements, beam, float(array.positions_m[channel]),
+        tilt, grid, z_search, prescription.stack_height,
     )
-    focus = replace(focus, channel=channel)
     return (focus, result) if with_result else focus
 
 
@@ -709,16 +738,13 @@ def crosstalk_matrix(
     grid = DEFAULT_GRID if grid is None else grid
     ions = np.asarray(crystal.positions_m, dtype=float)
     tilt = math.radians(outcoupling_angle(mirror).exit_angle_deg)
-    beam = beam_from_mfd(
-        array.mode_mfd_m[0], array.mode_mfd_m[1], prescription.targets.wavelength
-    )
+    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
     centre = int(np.argmin(np.abs(array.positions_m)))
 
     def evaluate(i):
-        """Channel i's own focus record (None unless searched) and its
-        field and spot metrics in the shared plane. The centre channel's
-        own focus defines that plane."""
-        record = None
+        """Channel i's focus record (its own focus when searched, else the
+        shared plane's) and its field and spot metrics in the shared
+        plane. The centre channel's own focus defines that plane."""
         if i == centre or own_focus:
             record, result = simulate_channel(
                 prescription, array, i, mirror, grid=grid, z_search=z_search,
@@ -731,18 +757,22 @@ def crosstalk_matrix(
             planes, exit_z = result.planes, result.exit_z
             del result  # drop the focus field before the next plane
             field = planes.plane(z_eval - exit_z)
-        else:
-            # no name holds the source, so the stack loop can free it
-            exit_field = propagate_elements(
-                make_gaussian_field(
-                    beam, tilt=(0.0, tilt), grid=grid,
-                    center=(float(array.positions_m[i]), 0.0),
-                ),
-                prescription.elements,
-            )
-            exit_z = prescription.elements[-1][0]
-            field = angular_spectrum_propagate(exit_field, z_eval - exit_z)
-        return record, field, spot_metrics(field)
+            return record, field, spot_metrics(field)
+        # no name holds the source, so the stack loop can free it
+        position = float(array.positions_m[i])
+        exit_field = propagate_elements(
+            make_gaussian_field(
+                beam, tilt=(0.0, tilt), grid=grid, center=(position, 0.0)
+            ),
+            prescription.elements,
+        )
+        exit_z = prescription.elements[-1][0]
+        field = angular_spectrum_propagate(exit_field, z_eval - exit_z)
+        metrics = spot_metrics(field)
+        record = _focus_record(
+            i, position, prescription.stack_height, z_eval, metrics
+        )
+        return record, field, metrics
 
     focus_table = [None] * n
     rows = np.empty((n, int(grid[0])))
@@ -755,22 +785,6 @@ def crosstalk_matrix(
             raise
         if i == centre:
             z_eval, y_row, centre_field = record.z_focus, record.centroid[1], field
-        if record is None:
-            record = ChannelFocus(
-                channel=i,
-                waveguide_position=float(array.positions_m[i]),
-                z_focus=z_eval,
-                image_distance=z_eval - prescription.stack_height,
-                mfd_fit=metrics.mfd_fit,
-                mfd_moment=metrics.mfd_moment,
-                centroid=metrics.centroid,
-                clipped_fraction=metrics.clipped_fraction,
-                peak_intensity=metrics.peak_intensity,
-                fit_failed=metrics.fit_failed,
-                beam_slope=0.0,
-                off_normal=False,
-                at_shared_plane=True,
-            )
         focus_table[i] = record
         rows[i] = interp_row(np.abs(field.samples) ** 2, field.y, y_row, axis=0)
         centroids[i] = metrics.centroid[0]
@@ -830,42 +844,6 @@ def crosstalk_matrix(
     )
 
 
-def _perturbed_system(prescription, array, channel, mirror, parameter, value):
-    """Element list, source centre and tilt for one perturbation point."""
-    exit_deg = outcoupling_angle(mirror).exit_angle_deg
-    elements = list(prescription.elements)
-    center = float(array.positions_m[channel])
-    tilt_deg = exit_deg
-    residual = 0.0
-
-    if parameter == "prism_design_angle":
-        rebuilt = [
-            (z, el) for z, el in elements if not isinstance(el, WedgePhase)
-        ]
-        rebuilt.insert(0, (WEDGE_Z, WedgePhase(0.0, -math.radians(value))))
-        elements = rebuilt
-        residual = exit_deg - value
-    elif parameter == "source_tilt":
-        tilt_deg = exit_deg + value
-        residual = value
-    elif parameter == "lateral_offset":
-        center += value
-    elif parameter == "z_offset":
-        elements = [(z + value, el) for z, el in elements]
-        if elements and elements[0][0] <= 0:
-            raise InvalidInputError(
-                f"z_offset {value:.3e} m pushes the stack below the chip plane"
-            )
-    elif parameter == "chip_wedge":
-        elements = [(WEDGE_Z / 2.0, WedgePhase(0.0, math.radians(value)))] + elements
-    else:
-        raise InvalidInputError(
-            f"unknown sweep parameter {parameter!r}; expected one of "
-            + ", ".join(SWEEP_PARAMETERS)
-        )
-    return elements, center, math.radians(tilt_deg), residual
-
-
 def tolerance_sweep(
     prescription: LensStackPrescription,
     array: WaveguideArraySpec,
@@ -893,36 +871,27 @@ def tolerance_sweep(
         perturbations = list(perturbations) + list(SWEEP_PRESETS[preset])
     if not perturbations:
         raise InvalidInputError("tolerance_sweep needs perturbations or a preset")
+    for spec_row in perturbations:  # before the baseline focus search
+        _sweep_parameter(spec_row["parameter"])
 
     grid = DEFAULT_GRID if grid is None else grid
     if z_search is None:
         z_search = _default_z_search(prescription)
     worst = int(np.argmax(np.abs(array.positions_m)))
-    beam = beam_from_mfd(
-        array.mode_mfd_m[0], array.mode_mfd_m[1], prescription.targets.wavelength
-    )
+    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
     exit_deg = outcoupling_angle(mirror).exit_angle_deg
+    centre = float(array.positions_m[worst])
 
     # [0]: the focus result's fields must not outlive the search
     baseline = _run_channel(
-        prescription.elements,
-        beam,
-        float(array.positions_m[worst]),
-        math.radians(exit_deg),
-        grid,
-        z_search,
-        prescription.stack_height,
+        worst, prescription.elements, beam, centre, math.radians(exit_deg),
+        grid, z_search, prescription.stack_height,
     )[0]
-    baseline = replace(baseline, channel=worst)
 
     points = []
     for spec_row in perturbations:
         parameter = spec_row["parameter"]
-        if parameter not in SWEEP_PARAMETERS:
-            raise InvalidInputError(
-                f"unknown sweep parameter {parameter!r}; expected one of "
-                + ", ".join(SWEEP_PARAMETERS)
-            )
+        perturb = SWEEP_PARAMETERS[parameter].perturb
         lo, hi, steps = spec_row["lo"], spec_row["hi"], int(spec_row["steps"])
         if steps < 1:
             raise InvalidInputError("sweep steps must be >= 1")
@@ -932,17 +901,12 @@ def tolerance_sweep(
             values = list(np.linspace(lo, hi, steps))
         for value in values:
             try:
-                elements, center, tilt_rad, residual = _perturbed_system(
-                    prescription, array, worst, mirror, parameter, value
+                elements, source_x, tilt_deg, residual = perturb(
+                    list(prescription.elements), centre, exit_deg, value
                 )
                 focus = _run_channel(
-                    elements,
-                    beam,
-                    center,
-                    tilt_rad,
-                    grid,
-                    z_search,
-                    prescription.stack_height,
+                    worst, elements, beam, source_x, math.radians(tilt_deg),
+                    grid, z_search, prescription.stack_height,
                 )[0]
             except IonOpticsError as exc:
                 message = f"sweep point {parameter}={value:g} failed: {exc}"

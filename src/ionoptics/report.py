@@ -17,8 +17,10 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
+from .constants import UM
 from .crystal import IonCrystal, ion_spacings
 from .designer import (
+    SWEEP_PARAMETERS,
     ChannelFocus,
     CrosstalkReport,
     LensStackPrescription,
@@ -28,7 +30,6 @@ from .errors import InvalidInputError
 from .picmodel import OutcouplingResult, TirMirrorSpec, tir_critical_angle
 
 REPORT_SCHEMA_VERSION = 1
-UM = 1e-6
 
 
 def to_plain(value):
@@ -176,11 +177,11 @@ def crosstalk_section(report: CrosstalkReport) -> dict:
 
 
 def sweep_point_section(point) -> dict:
-    offsets_metres = point.parameter in ("lateral_offset", "z_offset")
+    unit = SWEEP_PARAMETERS[point.parameter].unit
     return {
         "parameter": point.parameter,
-        "value": point.value / UM if offsets_metres else point.value,
-        "value_unit": "um" if offsets_metres else "deg",
+        "value": point.value / UM if unit == "um" else point.value,
+        "value_unit": unit,
         "z_focus_um": point.z_focus / UM,
         "image_distance_um": point.image_distance / UM,
         "mfd_fit_um": [v / UM for v in point.mfd_fit],

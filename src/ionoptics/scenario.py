@@ -18,12 +18,12 @@ from typing import Optional
 
 import jsonschema
 
+from .constants import UM
 from .crystal import TrapSpec
-from .designer import DesignTargets
-from .errors import ScenarioError
+from .designer import DesignTargets, sweep_row_to_si
+from .errors import InvalidInputError, ScenarioError
 from .picmodel import TirMirrorSpec
-
-UM = 1e-6
+from .wavefield import _check_grid
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,17 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
 
     g = data["grid"]
     grid = (int(g["nx"]), int(g["ny"]), g["pitch_um"] * UM)
+    try:
+        _check_grid(*grid)
+    except InvalidInputError as exc:
+        raise ScenarioError(f"invalid scenario at grid: {exc}") from exc
 
     z_search = None
     if "z_search_um" in data:
         zs = data["z_search_um"]
         z_search = (zs["lo"] * UM, zs["hi"] * UM, int(zs["steps"]))
 
-    sweeps = []
-    for row in data.get("sweeps", ()):
-        entry = dict(row)
-        if entry["parameter"] in ("lateral_offset", "z_offset"):
-            entry["lo"] = entry["lo"] * UM
-            entry["hi"] = entry["hi"] * UM
-        sweeps.append(entry)
+    sweeps = [sweep_row_to_si(row) for row in data.get("sweeps", ())]
 
     return Scenario(
         name=data.get("name", name_hint),

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, reports, dumps, overrides."""
 
-import copy
 import csv
 import json
 import subprocess
@@ -127,6 +126,25 @@ def test_malformed_grid_exits_2(tmp_path):
     assert result.returncode == EXIT_PARSE
 
 
+@pytest.mark.parametrize("grid", ["100,100,0.2", "128,128,-0.2"])
+def test_invalid_grid_exits_2_before_synthesis(tmp_path, grid):
+    result = run_cli(
+        "design", SCENARIO_DIR / "compact.json", "--grid", grid, outdir=tmp_path
+    )
+    assert result.returncode == EXIT_PARSE
+    assert "--grid" in result.stderr
+    assert "channel" not in result.stderr
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_scenario_grid_not_power_of_two_exits_2(tmp_path):
+    path = compact_variant(tmp_path, **{"grid.nx": 1000})
+    result = run_cli("design", path, outdir=tmp_path)
+    assert result.returncode == EXIT_PARSE
+    assert "invalid scenario at grid" in result.stderr
+    assert not list(tmp_path.glob("*_design_report.json"))
+
+
 def test_design_report_and_csv_dump(tmp_path):
     report_path = tmp_path / "design.json"
     dump_path = tmp_path / "focus.csv"
@@ -179,21 +197,49 @@ def test_sweep_unknown_preset_exits_3(tmp_path):
 
 
 def test_sweep_param_writes_single_row_csv(tmp_path):
+    # angles stay degrees; offsets are micrometres on the command line
+    for param, value, unit in (
+        ("source_tilt:0:0:1", 0.0, "deg"), ("lateral_offset:0.5:0.5:1", 0.5, "um")
+    ):
+        outdir = tmp_path / unit
+        outdir.mkdir()
+        path = compact_variant(outdir, sweeps=None)
+        result = run_cli("sweep", path, "--param", param, outdir=outdir)
+        assert result.returncode == 0
+        with open(outdir / "variant_sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:4] == ["parameter", "value", "value_unit", "z_focus_um"]
+        assert len(rows[0]) == 17
+        assert len(rows) == 2
+        assert rows[1][0] == param.split(":")[0]
+        assert float(rows[1][1]) == pytest.approx(value, abs=1e-12)
+        assert rows[1][2] == unit
+        report = json.loads((outdir / "variant_sweep_report.json").read_text())
+        validate_report(report)
+        assert len(report["sweep"]["points"]) == 1
+        point = report["sweep"]["points"][0]
+        assert point["value"] == pytest.approx(value, abs=1e-12)
+        assert point["value_unit"] == unit
+
+
+def test_sweep_unknown_param_exits_3_before_synthesis(tmp_path):
     path = compact_variant(tmp_path, sweeps=None)
-    result = run_cli(
-        "sweep", path, "--param", "source_tilt:0:0:1", outdir=tmp_path
-    )
-    assert result.returncode == 0
-    csv_path = tmp_path / "variant_sweep.csv"
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][:4] == ["parameter", "value", "value_unit", "z_focus_um"]
-    assert len(rows[0]) == 17
-    assert len(rows) == 2
-    assert rows[1][0] == "source_tilt"
-    report = json.loads((tmp_path / "variant_sweep_report.json").read_text())
-    validate_report(report)
-    assert len(report["sweep"]["points"]) == 1
+    result = run_cli("sweep", path, "--param", "bogus:0:1:2", outdir=tmp_path)
+    assert result.returncode == EXIT_INVARIANT
+    assert "'bogus'" in result.stderr
+    for name in (
+        "prism_design_angle", "source_tilt", "lateral_offset", "z_offset", "chip_wedge"
+    ):
+        assert name in result.stderr
+    assert not list(tmp_path.glob("variant_sweep*"))
+
+
+def test_malformed_param_exits_2(tmp_path):
+    path = compact_variant(tmp_path, sweeps=None)
+    result = run_cli("sweep", path, "--param", "source_tilt:0:1", outdir=tmp_path)
+    assert result.returncode == EXIT_PARSE
+    assert "name:lo:hi:steps" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_reports_validate_against_packaged_schema(tmp_path):

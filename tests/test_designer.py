@@ -346,6 +346,25 @@ def test_sweep_unknown_preset_lists_available(compact_pipeline):
     assert "prism-mismatch" in SWEEP_PRESETS
 
 
+def test_sweep_unknown_parameter_lists_all_names(compact_pipeline, monkeypatch):
+    pipe = compact_pipeline
+    # the name is checked before any focus search
+    monkeypatch.setattr(designer, "_run_channel", None)
+    with pytest.raises(InvalidInputError) as info:
+        tolerance_sweep(
+            pipe["prescription"],
+            pipe["array"],
+            pipe["scenario"].mirror,
+            [{"parameter": "bogus", "lo": 0.0, "hi": 1.0, "steps": 2}],
+            grid=pipe["scenario"].grid,
+        )
+    assert "'bogus'" in str(info.value)
+    for name in (
+        "prism_design_angle", "source_tilt", "lateral_offset", "z_offset", "chip_wedge"
+    ):
+        assert name in str(info.value)
+
+
 def test_sweep_needs_work(compact_pipeline):
     pipe = compact_pipeline
     with pytest.raises(InvalidInputError):

@@ -106,6 +106,22 @@ def test_unknown_sweep_parameter_rejected():
         parse_scenario(data)
 
 
+@pytest.mark.parametrize(
+    "grid", [{"nx": 1000, "ny": 256, "pitch_um": 0.25}, {"nx": 256, "ny": 96, "pitch_um": 0.25}]
+)
+def test_grid_must_be_powers_of_two(grid):
+    with pytest.raises(ScenarioError, match="grid.*powers of two"):
+        parse_scenario(variant(grid=grid))
+
+
+def test_sweep_parameter_enum_matches_designer_table():
+    from ionoptics.designer import SWEEP_PARAMETERS
+    from ionoptics.scenario import scenario_schema
+
+    sweep_row = scenario_schema()["properties"]["sweeps"]["items"]
+    assert sweep_row["properties"]["parameter"]["enum"] == list(SWEEP_PARAMETERS)
+
+
 def test_z_search_parsed():
     data = variant(z_search_um={"lo": 400.0, "hi": 650.0, "steps": 33})
     s = parse_scenario(data)
