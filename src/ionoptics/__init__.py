@@ -56,12 +56,10 @@ from .errors import (
 from .gaussbeam import (
     AstigmaticGaussian,
     BeamAxis,
-    FlatInterface,
     FreeSpace,
     ThinLens,
     beam_from_mfd,
     chain_matrix,
-    na_waist_conversion,
     propagate_abcd,
     rayleigh_length,
     width_at,

@@ -122,6 +122,8 @@ def _parse_param(text: str):
         lo, hi, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise ScenarioError(f"bad param {text!r}: {exc}") from exc
+    if steps < 1:
+        raise ScenarioError(f"bad param {text!r}: need steps >= 1 in name:lo:hi:steps")
     return sweep_row_to_si({"parameter": parts[0], "lo": lo, "hi": hi, "steps": steps})
 
 
@@ -193,26 +195,25 @@ def cmd_design(args) -> int:
         prescription, array, crystal, scenario.mirror,
         grid=grid, z_search=scenario.z_search, own_focus=True,
     )
-    channels = xt.channel_focus
 
     data = _report_skeleton("design", scenario, time.perf_counter() - t0)
     data["crystal"] = crystal_section(crystal)
     data["mirror"] = mirror_section(scenario.mirror, out)
     data["pitch_plan"] = pitch_plan_section(array.positions_m)
     data["prescription"] = prescription_section(prescription)
-    data["channels"] = [channel_section(c) for c in channels]
+    data["channels"] = [channel_section(c) for c in xt.channel_focus]
     data["crosstalk"] = crosstalk_section(xt)
     data["run"]["wall_time_s"] = time.perf_counter() - t0
 
     path = _out_path(args.report, f"{scenario.name}_design_report.json")
     write_report(data, path)
 
-    centre = int(np.argmin(np.abs(array.positions_m)))
     print(f"lens stack: f = {[f'{f * 1e6:.2f}' for f in prescription.focal_lengths]} um "
           f"at z = {[f'{z * 1e6:.2f}' for z in prescription.lens_positions]} um, "
           f"stack {prescription.stack_height * 1e6:.2f} um")
-    print(f"centre channel focus: z = {channels[centre].z_focus * 1e6:.3f} um "
-          f"(image distance {channels[centre].image_distance * 1e6:.3f} um)")
+    image_distance = xt.evaluation_z - prescription.stack_height
+    print(f"centre channel focus: z = {xt.evaluation_z * 1e6:.3f} um "
+          f"(image distance {image_distance * 1e6:.3f} um)")
     print(f"worst nearest-neighbor crosstalk: "
           f"{data['crosstalk']['worst_nearest_neighbor_total_db']:.2f} dB")
     print(f"report: {path}")

@@ -40,6 +40,7 @@ __all__ = [
     "ion_spacings",
 ]
 
+_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 200
 
 
@@ -129,21 +130,17 @@ def _jacobian(u: np.ndarray) -> np.ndarray:
     return jac
 
 
-def equilibrium_positions(
-    n: int, tolerance: float = 1e-12, max_iterations: int = _MAX_ITERATIONS
-) -> np.ndarray:
+def equilibrium_positions(n: int) -> np.ndarray:
     """Dimensionless equilibrium positions of an n-ion chain, sorted ascending.
 
     Damped Newton iteration on the force balance, starting from uniformly
     spaced positions over [-n/2, n/2] scaled by 0.63. Backtracking halves
     the step until the residual norm decreases and the ordering stays
     strict. Raises ConvergenceError if the residual has not dropped below
-    `tolerance` (max norm) within `max_iterations`.
+    _TOLERANCE (max norm) within _MAX_ITERATIONS iterations.
     """
     if int(n) != n or n < 1:
         raise InvalidInputError("ion count must be a positive integer")
-    if not tolerance > 0:
-        raise InvalidInputError("tolerance must be positive")
     n = int(n)
 
     u = 0.63 * np.linspace(-n / 2.0, n / 2.0, n)
@@ -151,9 +148,9 @@ def equilibrium_positions(
     # symmetric to machine precision
     u = 0.5 * (u - u[::-1])
 
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         res = force_residual(u)
-        if np.max(np.abs(res)) < tolerance:
+        if np.max(np.abs(res)) < _TOLERANCE:
             return u
         step = np.linalg.solve(_jacobian(u), -res)
         norm = np.linalg.norm(res)
@@ -168,15 +165,15 @@ def equilibrium_positions(
 
     res = float(np.max(np.abs(force_residual(u))))
     raise ConvergenceError(
-        f"equilibrium solver did not reach tolerance {tolerance:g} "
-        f"after {max_iterations} iterations (residual {res:.3e})",
+        f"equilibrium solver did not reach tolerance {_TOLERANCE:g} "
+        f"after {_MAX_ITERATIONS} iterations (residual {res:.3e})",
         residual=res,
     )
 
 
-def solve_crystal(trap: TrapSpec, tolerance: float = 1e-12) -> IonCrystal:
+def solve_crystal(trap: TrapSpec) -> IonCrystal:
     """Solve the chain for the given trap and attach the physical length scale."""
-    u = equilibrium_positions(trap.ion_count, tolerance=tolerance)
+    u = equilibrium_positions(trap.ion_count)
     return IonCrystal(u, length_scale(trap), trap)
 
 

@@ -93,7 +93,6 @@ IMAGE_DISTANCE_TOL = 0.02
 NA_TOL = 0.05
 WAVE_VERIFY_TOL = 0.03
 
-DEFAULT_GRID = (2048, 2048, 0.15e-6)
 CROSSTALK_FLOOR_DB = -200.0
 OFF_NORMAL_SLOPE = 0.02
 
@@ -229,27 +228,6 @@ class LensStackPrescription:
         if any(b < a for a, b in zip(zs, zs[1:])):
             raise InvalidInputError("element positions must be non-decreasing")
 
-    def element_table(self):
-        """Plain-data description of the element list, for reports."""
-        rows = []
-        for z, el in self.elements:
-            if isinstance(el, WedgePhase):
-                rows.append(
-                    {
-                        "z_m": z,
-                        "kind": "wedge",
-                        "tilt_x_deg": math.degrees(el.tilt_x),
-                        "tilt_y_deg": math.degrees(el.tilt_y),
-                    }
-                )
-            elif isinstance(el, ThinLensPhase):
-                rows.append({"z_m": z, "kind": "lens", "focal_length_m": el.focal_length})
-            elif isinstance(el, CircAperture):
-                rows.append({"z_m": z, "kind": "aperture", "radius_m": el.radius})
-            else:
-                rows.append({"z_m": z, "kind": type(el).__name__})
-        return rows
-
 
 @dataclass(frozen=True)
 class ChannelFocus:
@@ -270,7 +248,6 @@ class ChannelFocus:
     mfd_moment: tuple[float, float]
     centroid: tuple[float, float]
     clipped_fraction: float
-    peak_intensity: float
     fit_failed: bool
     beam_slope: float
     off_normal: bool
@@ -349,7 +326,7 @@ def _widths_at_lenses(beam: AstigmaticGaussian, f_list, z_list) -> list:
     return widths
 
 
-def _achieved_imaging(f_list, z_list, n_index=1.0):
+def _achieved_imaging(f_list, z_list):
     """(image distance past the stack top, signed magnification) via ABCD."""
     chain = []
     z_prev = 0.0
@@ -357,7 +334,7 @@ def _achieved_imaging(f_list, z_list, n_index=1.0):
         chain.append(FreeSpace(z - z_prev))
         chain.append(ThinLens(f))
         z_prev = z
-    mat, _, _ = chain_matrix(chain)
+    mat = chain_matrix(chain)
     if abs(mat[1, 1]) < 1e-300:
         raise InfeasibleDesignError("image plane at infinity: S11 = 0")
     v = -mat[0, 1] / mat[1, 1]
@@ -633,7 +610,6 @@ def _focus_record(channel, position, stack_top, z, metrics, result=None) -> Chan
         mfd_moment=metrics.mfd_moment,
         centroid=metrics.centroid,
         clipped_fraction=metrics.clipped_fraction,
-        peak_intensity=metrics.peak_intensity,
         fit_failed=metrics.fit_failed,
         beam_slope=result.beam_slope if own else 0.0,
         off_normal=own and abs(result.beam_slope) > OFF_NORMAL_SLOPE,
@@ -671,7 +647,7 @@ def simulate_channel(
     array: WaveguideArraySpec,
     channel: int,
     mirror: TirMirrorSpec,
-    grid=None,
+    grid,
     z_search=None,
     with_result: bool = False,
 ):
@@ -687,7 +663,6 @@ def simulate_channel(
         raise InvalidInputError(
             f"channel {channel} out of range for {array.channel_count} waveguides"
         )
-    grid = DEFAULT_GRID if grid is None else grid
     if z_search is None:
         z_search = _default_z_search(prescription)
     tilt = math.radians(outcoupling_angle(mirror).exit_angle_deg)
@@ -704,7 +679,7 @@ def crosstalk_matrix(
     array: WaveguideArraySpec,
     crystal: IonCrystal,
     mirror: TirMirrorSpec,
-    grid=None,
+    grid,
     z_search=None,
     own_focus: bool = False,
 ) -> CrosstalkReport:
@@ -735,7 +710,6 @@ def crosstalk_matrix(
             f"crystal has {len(crystal.positions_m)} ions but the array "
             f"has {n} channels"
         )
-    grid = DEFAULT_GRID if grid is None else grid
     ions = np.asarray(crystal.positions_m, dtype=float)
     tilt = math.radians(outcoupling_angle(mirror).exit_angle_deg)
     beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
@@ -849,7 +823,7 @@ def tolerance_sweep(
     array: WaveguideArraySpec,
     mirror: TirMirrorSpec,
     perturbations: Sequence[dict],
-    grid=None,
+    grid,
     z_search=None,
     preset: Optional[str] = None,
 ) -> SweepReport:
@@ -873,8 +847,9 @@ def tolerance_sweep(
         raise InvalidInputError("tolerance_sweep needs perturbations or a preset")
     for spec_row in perturbations:  # before the baseline focus search
         _sweep_parameter(spec_row["parameter"])
+        if int(spec_row["steps"]) < 1:
+            raise InvalidInputError("sweep steps must be >= 1")
 
-    grid = DEFAULT_GRID if grid is None else grid
     if z_search is None:
         z_search = _default_z_search(prescription)
     worst = int(np.argmax(np.abs(array.positions_m)))
@@ -893,8 +868,6 @@ def tolerance_sweep(
         parameter = spec_row["parameter"]
         perturb = SWEEP_PARAMETERS[parameter].perturb
         lo, hi, steps = spec_row["lo"], spec_row["hi"], int(spec_row["steps"])
-        if steps < 1:
-            raise InvalidInputError("sweep steps must be >= 1")
         if steps == 1:
             values = [0.5 * (lo + hi)]
         else:

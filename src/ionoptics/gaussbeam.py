@@ -11,9 +11,8 @@ q' = (A q + B) / (C q + D). Matrices use the physical-q convention:
 
     free space (length L):      [[1, L], [0, 1]]
     thin lens (focal f):        [[1, 0], [-1/f, 1]]
-    flat interface n1 -> n2:    [[1, 0], [0, n1/n2]]
 
-so the determinant of a composed chain equals n_in / n_out.
+Every element keeps the beam in its ambient medium.
 
 The numerical aperture used throughout is the sine of the 1/e^2
 far-field half-angle; in the small-angle form NA = lambda / (pi w0),
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -35,11 +34,8 @@ __all__ = [
     "AstigmaticGaussian",
     "FreeSpace",
     "ThinLens",
-    "FlatInterface",
-    "AbcdElement",
     "beam_from_mfd",
     "rayleigh_length",
-    "na_waist_conversion",
     "chain_matrix",
     "propagate_abcd",
     "width_at",
@@ -103,40 +99,11 @@ def rayleigh_length(beam: AstigmaticGaussian, axis: str) -> float:
     return math.pi * ax.waist_radius**2 * ax.ambient_index / beam.wavelength
 
 
-def na_waist_conversion(value: float, direction: str, wavelength: float) -> float:
-    """Convert between numerical aperture and waist radius at `wavelength`.
-
-    direction: "na_to_waist" maps an NA to w0 = lambda / (pi NA);
-    "waist_to_na" maps a waist radius to NA = lambda / (pi w0).
-    """
-    if not wavelength > 0:
-        raise InvalidInputError("wavelength must be positive")
-    if not value > 0:
-        raise InvalidInputError("value must be positive")
-    if direction == "na_to_waist":
-        if value >= 1.0:
-            raise InvalidInputError("numerical aperture must be < 1")
-        return wavelength / (math.pi * value)
-    if direction == "waist_to_na":
-        na = wavelength / (math.pi * value)
-        if na >= 1.0:
-            raise InvalidInputError(
-                "waist is below the guided-wave limit (implied NA >= 1)"
-            )
-        return na
-    raise InvalidInputError("direction must be 'na_to_waist' or 'waist_to_na'")
-
-
 @dataclass(frozen=True)
 class FreeSpace:
-    """Propagation over `length` metres in a uniform medium of index `index`."""
+    """Propagation over `length` metres in the beam's ambient medium."""
 
     length: float
-    index: float = 1.0
-
-    def __post_init__(self):
-        if not self.index >= 1.0:
-            raise InvalidInputError("index must be >= 1")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -156,50 +123,12 @@ class ThinLens:
         return np.array([[1.0, 0.0], [-1.0 / self.focal_length, 1.0]])
 
 
-@dataclass(frozen=True)
-class FlatInterface:
-    """Normal-incidence planar interface from index n1 into n2."""
-
-    n1: float
-    n2: float
-
-    def __post_init__(self):
-        if not (self.n1 >= 1.0 and self.n2 >= 1.0):
-            raise InvalidInputError("indices must be >= 1")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[1.0, 0.0], [0.0, self.n1 / self.n2]])
-
-
-AbcdElement = Union[FreeSpace, ThinLens, FlatInterface]
-
-
-def chain_matrix(chain: Sequence[AbcdElement], n_in: float = 1.0):
-    """Compose a chain applied left to right.
-
-    Returns (matrix, n_out, path_length). Free-space indices must match the
-    current medium and interfaces must be entered from it; a mismatch means
-    the chain is physically inconsistent and raises InvalidInputError.
-    """
+def chain_matrix(chain: Sequence) -> np.ndarray:
+    """Compose a chain of FreeSpace and ThinLens elements applied left to right."""
     mat = np.eye(2)
-    n = float(n_in)
-    path = 0.0
     for el in chain:
-        if isinstance(el, FreeSpace):
-            if abs(el.index - n) > 1e-12:
-                raise InvalidInputError(
-                    f"free-space index {el.index} does not match current medium {n}"
-                )
-            path += el.length
-        elif isinstance(el, FlatInterface):
-            if abs(el.n1 - n) > 1e-12:
-                raise InvalidInputError(
-                    f"interface n1={el.n1} does not match current medium {n}"
-                )
-            n = el.n2
         mat = el.matrix @ mat
-    return mat, n, path
+    return mat
 
 
 def _q_reference(ax: BeamAxis, wavelength: float) -> complex:
@@ -207,7 +136,7 @@ def _q_reference(ax: BeamAxis, wavelength: float) -> complex:
     return complex(-ax.waist_position, zr)
 
 
-def _transform_axis(ax: BeamAxis, wavelength: float, mat: np.ndarray, n_out: float) -> BeamAxis:
+def _transform_axis(ax: BeamAxis, wavelength: float, mat: np.ndarray) -> BeamAxis:
     q = _q_reference(ax, wavelength)
     denom = mat[1, 0] * q + mat[1, 1]
     if abs(denom) < 1e-15:
@@ -216,13 +145,11 @@ def _transform_axis(ax: BeamAxis, wavelength: float, mat: np.ndarray, n_out: flo
     zr_out = q_out.imag
     if not zr_out > 0:
         raise SingularConfigurationError("transform produced a non-physical beam")
-    w0 = math.sqrt(zr_out * wavelength / (math.pi * n_out))
-    return BeamAxis(w0, -q_out.real, n_out)
+    w0 = math.sqrt(zr_out * wavelength / (math.pi * ax.ambient_index))
+    return BeamAxis(w0, -q_out.real, ax.ambient_index)
 
 
-def propagate_abcd(
-    beam: AstigmaticGaussian, chain: Sequence[AbcdElement]
-) -> AstigmaticGaussian:
+def propagate_abcd(beam: AstigmaticGaussian, chain: Sequence) -> AstigmaticGaussian:
     """Propagate both axes through `chain`.
 
     The returned beam's reference plane is the chain exit; its
@@ -230,11 +157,11 @@ def propagate_abcd(
     """
     if abs(beam.x.ambient_index - beam.y.ambient_index) > 1e-12:
         raise InvalidInputError("x and y axes must share one ambient medium")
-    mat, n_out, _ = chain_matrix(chain, beam.x.ambient_index)
+    mat = chain_matrix(chain)
     return AstigmaticGaussian(
         wavelength=beam.wavelength,
-        x=_transform_axis(beam.x, beam.wavelength, mat, n_out),
-        y=_transform_axis(beam.y, beam.wavelength, mat, n_out),
+        x=_transform_axis(beam.x, beam.wavelength, mat),
+        y=_transform_axis(beam.y, beam.wavelength, mat),
     )
 
 

@@ -28,6 +28,7 @@ from .designer import (
 )
 from .errors import InvalidInputError
 from .picmodel import OutcouplingResult, TirMirrorSpec, tir_critical_angle
+from .wavefield import ThinLensPhase, WedgePhase
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -111,16 +112,16 @@ def pitch_plan_section(positions_m: np.ndarray) -> dict:
 
 def prescription_section(prescription: LensStackPrescription) -> dict:
     elements = []
-    for row in prescription.element_table():
-        entry = {"z_um": row["z_m"] / UM, "kind": row["kind"]}
-        if "focal_length_m" in row:
-            entry["focal_length_um"] = row["focal_length_m"] / UM
-        if "radius_m" in row:
-            entry["radius_um"] = row["radius_m"] / UM
-        if "tilt_x_deg" in row:
-            entry["tilt_x_deg"] = row["tilt_x_deg"]
-            entry["tilt_y_deg"] = row["tilt_y_deg"]
-        elements.append(entry)
+    for z, el in prescription.elements:
+        if isinstance(el, WedgePhase):
+            elements.append({"z_um": z / UM, "kind": "wedge",
+                             "tilt_x_deg": math.degrees(el.tilt_x),
+                             "tilt_y_deg": math.degrees(el.tilt_y)})
+        elif isinstance(el, ThinLensPhase):
+            elements.append({"z_um": z / UM, "kind": "lens",
+                             "focal_length_um": el.focal_length / UM})
+        else:
+            elements.append({"z_um": z / UM, "kind": "aperture", "radius_um": el.radius / UM})
     return {
         "elements": elements,
         "focal_lengths_um": [f / UM for f in prescription.focal_lengths],

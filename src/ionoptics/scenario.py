@@ -131,6 +131,8 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"scenario is not valid JSON: {path}: line {exc.lineno} "

@@ -492,8 +492,6 @@ class SpotMetrics:
     centroid: tuple[float, float]
     mfd_moment: tuple[float, float]
     mfd_fit: tuple[float, float]
-    peak_intensity: float
-    power: float
     clipped_fraction: float
     fit_failed: bool
 
@@ -552,8 +550,6 @@ def spot_metrics(field: ScalarField) -> SpotMetrics:
         centroid=(cx, cy),
         mfd_moment=(mfd_mx, mfd_my),
         mfd_fit=(2.0 * wx if wx else mfd_mx, 2.0 * wy if wy else mfd_my),
-        peak_intensity=float(intensity.max()),
-        power=field.power,
         clipped_fraction=field.clipped_fraction,
         fit_failed=failed,
     )

@@ -12,40 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionoptics import (
-    WaveguideArraySpec,
-    crosstalk_matrix,
-    load_scenario,
-    outcoupling_angle,
-    pitch_plan,
-    simulate_channel,
-    solve_crystal,
-    synthesize_lens_stack,
-)
+from ionoptics import cli, crosstalk_matrix, load_scenario, simulate_channel
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def build_pipeline(scenario):
-    """Scenario -> crystal, waveguide plan, and lens prescription."""
-    crystal = solve_crystal(scenario.trap)
-    positions = pitch_plan(crystal, scenario.targets.magnification)
-    array = WaveguideArraySpec(
-        positions_m=positions,
-        mode_mfd_m=scenario.mode_mfd_m,
-        leakage_decay_per_m=scenario.leakage_decay_per_m,
-        leakage_reference=scenario.leakage_reference,
-    )
-    outcoupling = outcoupling_angle(scenario.mirror)
-    prescription = synthesize_lens_stack(
-        scenario.targets,
-        source_tilt=outcoupling.exit_angle_deg,
-        chief_reach=float(np.max(np.abs(positions))),
-    )
+    """Scenario -> crystal, waveguide plan, and lens prescription, from the
+    CLI's own front half."""
+    crystal, array, outcoupling, prescription, _ = cli._build_pipeline(scenario)
     return {
         "scenario": scenario,
         "crystal": crystal,
-        "positions": positions,
+        "positions": array.positions_m,
         "array": array,
         "outcoupling": outcoupling,
         "prescription": prescription,

@@ -1,17 +1,20 @@
-"""The names the benchmark traces and times must exist in the program.
+"""The names the benchmark traces, times and imports must exist in the program.
 
-perfbench/tracer.py wraps functions by (module, function) name and
-perfbench/primitives.py calls two private wavefield helpers. A rename or
-deletion would otherwise surface only when the benchmark runs.
+perfbench/tracer.py wraps functions by (module, function) name,
+perfbench/primitives.py calls two private wavefield helpers, and the
+benchmark scripts import names from the package. A rename or deletion
+would otherwise surface only when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def traced_layers():
@@ -21,6 +24,31 @@ def traced_layers():
     return tracer.LAYERS
 
 
+def imported_names():
+    """Every name in `from ionoptics import ...` or `import ionoptics.<name>`
+    in a perfbench script, and every `pkg.<name>` in workload.py."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "ionoptics":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(
+                    alias.name.split(".", 1)[1]
+                    for alias in node.names
+                    if alias.name.startswith("ionoptics.")
+                )
+    workload = ast.parse((PERFBENCH / "workload.py").read_text(encoding="utf-8"))
+    for node in ast.walk(workload):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "pkg") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "pkg"
+            ):
+                names.add(node.attr)
+    return sorted(names)
+
+
 @pytest.mark.parametrize(
     "module, function",
     list(traced_layers()) + [("wavefield", "_transfer"), ("wavefield", "_window_guard")],
@@ -28,3 +56,11 @@ def traced_layers():
 def test_benchmark_name_exists(module, function):
     home = importlib.import_module(f"ionoptics.{module}")
     assert callable(getattr(home, function, None)), f"ionoptics.{module}.{function}"
+
+
+@pytest.mark.parametrize("name", imported_names())
+def test_benchmark_import_exists(name):
+    package = importlib.import_module("ionoptics")
+    if not hasattr(package, name):
+        # `from ionoptics import cli` also finds a submodule
+        importlib.import_module(f"ionoptics.{name}")

@@ -77,6 +77,19 @@ def test_missing_scenario_file_exits_2(tmp_path):
     assert "not found" in result.stderr
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_scenario_exits_2(tmp_path, kind):
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"name": "\xff"}')
+    result = run_cli("crystal", path)
+    assert result.returncode == EXIT_PARSE
+    assert "cannot read scenario" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_bad_json_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "broken",')
@@ -236,10 +249,11 @@ def test_sweep_unknown_param_exits_3_before_synthesis(tmp_path):
 
 def test_malformed_param_exits_2(tmp_path):
     path = compact_variant(tmp_path, sweeps=None)
-    result = run_cli("sweep", path, "--param", "source_tilt:0:1", outdir=tmp_path)
-    assert result.returncode == EXIT_PARSE
-    assert "name:lo:hi:steps" in result.stderr
-    assert "Traceback" not in result.stderr
+    for param in ("source_tilt:0:1", "source_tilt:0:1:0"):
+        result = run_cli("sweep", path, "--param", param, outdir=tmp_path)
+        assert result.returncode == EXIT_PARSE, param
+        assert "name:lo:hi:steps" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_reports_validate_against_packaged_schema(tmp_path):

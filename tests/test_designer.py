@@ -21,6 +21,7 @@ from ionoptics import (
     tolerance_sweep,
 )
 from ionoptics import designer
+from ionoptics.report import prescription_section
 
 WL = 0.729e-6
 
@@ -97,12 +98,12 @@ def test_compact_prescription_frozen(compact_pipeline):
 
 
 def test_element_table_order(reference_pipeline):
-    table = reference_pipeline["prescription"].element_table()
+    table = prescription_section(reference_pipeline["prescription"])["elements"]
     kinds = [row["kind"] for row in table]
     assert kinds == ["wedge", "aperture", "lens", "aperture", "lens"]
-    z = [row["z_m"] for row in table]
+    z = [row["z_um"] for row in table]
     assert z == sorted(z)
-    assert z[0] == pytest.approx(2e-6)
+    assert z[0] == pytest.approx(2.0)
 
 
 def test_single_lens_fallback_is_analytic():
@@ -363,6 +364,19 @@ def test_sweep_unknown_parameter_lists_all_names(compact_pipeline, monkeypatch):
         "prism_design_angle", "source_tilt", "lateral_offset", "z_offset", "chip_wedge"
     ):
         assert name in str(info.value)
+
+
+def test_sweep_zero_steps_rejected_before_any_focus_search(compact_pipeline, monkeypatch):
+    pipe = compact_pipeline
+    monkeypatch.setattr(designer, "_run_channel", None)
+    with pytest.raises(InvalidInputError, match="steps"):
+        tolerance_sweep(
+            pipe["prescription"],
+            pipe["array"],
+            pipe["scenario"].mirror,
+            [{"parameter": "source_tilt", "lo": 0.0, "hi": 1.0, "steps": 0}],
+            grid=pipe["scenario"].grid,
+        )
 
 
 def test_sweep_needs_work(compact_pipeline):

@@ -1,15 +1,18 @@
 """Report serialization: canonical JSON, schema validation, sections."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ionoptics import InvalidInputError
+from ionoptics import ChannelFocus, InvalidInputError
+from ionoptics.constants import UM
 from ionoptics.report import (
     REPORT_SCHEMA_VERSION,
     canonical_json,
+    channel_section,
     report_schema,
     run_block,
     to_plain,
@@ -129,3 +132,25 @@ def test_docs_schema_matches_packaged_schema():
     # the schema published in docs must stay in lockstep with the package
     docs_schema = json.loads((REPO_ROOT / "docs" / "report.schema.json").read_text())
     assert docs_schema == report_schema()
+
+
+def test_every_channel_focus_field_reaches_the_report():
+    # a record field that no report key carries is computed for nothing
+    focus = ChannelFocus(
+        channel=1, waveguide_position=2e-6, z_focus=3e-6, image_distance=4e-6,
+        mfd_fit=(5e-6, 6e-6), mfd_moment=(7e-6, 8e-6), centroid=(9e-6, 1e-5),
+        clipped_fraction=0.11, fit_failed=True, beam_slope=0.12, off_normal=True,
+        at_shared_plane=True, focus_fit_residual=0.13,
+    )
+    section = channel_section(focus)
+    fields = dataclasses.fields(ChannelFocus)
+    assert len(section) == len(fields)
+    for field in fields:
+        value = getattr(focus, field.name)
+        if field.name + "_um" in section:
+            expected = [v / UM for v in value] if isinstance(value, tuple) else value / UM
+            assert section[field.name + "_um"] == expected
+        elif field.name + "_rad" in section:
+            assert section[field.name + "_rad"] == value
+        else:
+            assert section[field.name] == value
