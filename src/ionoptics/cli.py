@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -68,25 +69,35 @@ EXIT_INFEASIBLE = 4
 EXIT_CONVERGENCE = 5
 EXIT_PROPAGATION = 6
 
-SWEEP_CSV_COLUMNS = (
-    "parameter",
-    "value",
-    "value_unit",
-    "z_focus_um",
-    "dz_focus_um",
-    "mfd_x_um",
-    "mfd_y_um",
-    "dmfd_x_um",
-    "dmfd_y_um",
-    "centroid_x_um",
-    "centroid_y_um",
-    "dcentroid_x_um",
-    "dcentroid_y_um",
-    "clipped_fraction",
-    "beam_slope_rad",
-    "off_normal",
-    "residual_tilt_deg",
+# Sweep CSV columns: (column, sweep-point report key, index into the
+# key's [x, y] pair or None)
+SWEEP_CSV = (
+    ("parameter", "parameter", None),
+    ("value", "value", None),
+    ("value_unit", "value_unit", None),
+    ("z_focus_um", "z_focus_um", None),
+    ("dz_focus_um", "dz_focus_um", None),
+    ("mfd_x_um", "mfd_fit_um", 0),
+    ("mfd_y_um", "mfd_fit_um", 1),
+    ("dmfd_x_um", "dmfd_um", 0),
+    ("dmfd_y_um", "dmfd_um", 1),
+    ("centroid_x_um", "centroid_um", 0),
+    ("centroid_y_um", "centroid_um", 1),
+    ("dcentroid_x_um", "dcentroid_um", 0),
+    ("dcentroid_y_um", "dcentroid_um", 1),
+    ("clipped_fraction", "clipped_fraction", None),
+    ("beam_slope_rad", "beam_slope_rad", None),
+    ("off_normal", "off_normal", None),
+    ("residual_tilt_deg", "residual_tilt_deg", None),
 )
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.9g}"
 
 
 def _out_dir() -> str:
@@ -124,6 +135,8 @@ def _parse_param(text: str):
         raise ScenarioError(f"bad param {text!r}: {exc}") from exc
     if steps < 1:
         raise ScenarioError(f"bad param {text!r}: need steps >= 1 in name:lo:hi:steps")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScenarioError(f"bad param {text!r}: need finite lo and hi in name:lo:hi:steps")
     return sweep_row_to_si({"parameter": parts[0], "lo": lo, "hi": hi, "steps": steps})
 
 
@@ -263,28 +276,11 @@ def cmd_sweep(args) -> int:
     )
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
+        writer.writerow(column for column, _, _ in SWEEP_CSV)
         for p in data["sweep"]["points"]:
             writer.writerow(
-                [
-                    p["parameter"],
-                    f"{p['value']:.9g}",
-                    p["value_unit"],
-                    f"{p['z_focus_um']:.9g}",
-                    f"{p['dz_focus_um']:.9g}",
-                    f"{p['mfd_fit_um'][0]:.9g}",
-                    f"{p['mfd_fit_um'][1]:.9g}",
-                    f"{p['dmfd_um'][0]:.9g}",
-                    f"{p['dmfd_um'][1]:.9g}",
-                    f"{p['centroid_um'][0]:.9g}",
-                    f"{p['centroid_um'][1]:.9g}",
-                    f"{p['dcentroid_um'][0]:.9g}",
-                    f"{p['dcentroid_um'][1]:.9g}",
-                    f"{p['clipped_fraction']:.9g}",
-                    f"{p['beam_slope_rad']:.9g}",
-                    str(p["off_normal"]).lower(),
-                    f"{p['residual_tilt_deg']:.9g}",
-                ]
+                _csv_cell(p[key] if index is None else p[key][index])
+                for _, key, index in SWEEP_CSV
             )
 
     flagged = sum(1 for p in data["sweep"]["points"] if p["off_normal"])

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .constants import UM
 from .crystal import IonCrystal
@@ -342,41 +341,15 @@ def _achieved_imaging(f_list, z_list):
     return float(v), float(magnification)
 
 
-def _residual_objective(ms: float, image_distance: float):
-    """Squared magnification residual at fixed image distance.
-
-    Given (f1, f2, g) the first-lens spacing d1 is eliminated through
-    the imaging condition, so the only residual is the magnification.
-    Geometry outside the printable bounds is penalised quadratically.
-    """
-
-    def objective(params):
-        f1, f2, g = params
-        if f1 <= 0 or f2 <= 0 or g <= 0:
-            return 1e6
-        p00 = 1.0 - image_distance / f2
-        p01 = g * p00 + image_distance
-        m_ach = p00 - p01 / f1
-        if abs(m_ach) < 1e-12:
-            return 1e6
-        d1 = -p01 / m_ach
-        penalty = 0.0
-        if d1 < MIN_WORKING_DISTANCE:
-            penalty += ((MIN_WORKING_DISTANCE - d1) / GRID_STEP) ** 2
-        return ((m_ach - ms) / ms) ** 2 + penalty
-
-    return objective
-
-
-def _wave_verify(f_list, z_list, targets: DesignTargets, magnification: float):
+def _wave_verify(f_list, z_list, targets: DesignTargets, v: float, magnification: float):
     """Cross-check the ABCD prescription against scalar wave propagation.
 
     A paraxial probe Gaussian is imaged through the powered surfaces
     (no apertures) and the waist measured at the wave focus must match
     the ABCD magnification within 3 percent. The focus is located by a
-    fine fitted-width scan around the predicted image plane, which also
-    tolerates the small non-paraxial focal shift; every scan plane comes
-    from the spectrum of the one lens-exit field.
+    fine fitted-width scan around the ABCD image plane (v past the top
+    lens), which also tolerates the small non-paraxial focal shift; every
+    scan plane comes from the spectrum of the one lens-exit field.
     """
     w0p = 2.5e-6
     m_abs = abs(magnification)
@@ -394,7 +367,6 @@ def _wave_verify(f_list, z_list, targets: DesignTargets, magnification: float):
     )
     planes = FreeSpacePlanes(field)
 
-    v, _ = _achieved_imaging(f_list, z_list)
     z_top = z_list[-1]
     best = math.inf
     best_edge = None
@@ -427,10 +399,9 @@ def synthesize_lens_stack(
     The search is a deterministic coarse grid over (second focal length,
     lens gap); the first focal length and its height follow in closed
     form from the imaging conditions, so every grid point is exact and
-    feasibility alone decides. Ties break toward the smallest stack. A
-    bounded simplex polish then minimizes the squared magnification
-    residual inside the winning grid cell, and the result is
-    cross-checked with a paraxial wave propagation before return.
+    feasibility alone decides. Ties break toward the smallest stack. The
+    best feasible grid point is returned as is, after a cross-check with
+    a paraxial wave propagation.
 
     When no telecentric two-lens geometry fits the stack budget the
     degenerate single-lens conjugate (flat first surface) is used
@@ -506,20 +477,6 @@ def synthesize_lens_stack(
 
     if best is not None:
         _, f1, f2, g, d1 = best
-        objective = _residual_objective(ms, dist)
-        half = GRID_STEP / 2.0
-        polish = minimize(
-            objective,
-            x0=np.array([f1, f2, g]),
-            method="Nelder-Mead",
-            bounds=[(f1 - half, f1 + half), (f2 - half, f2 + half), (g - half, g + half)],
-            options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 400},
-        )
-        if polish.fun < objective((f1, f2, g)):
-            f1, f2, g = (float(v) for v in polish.x)
-            p00 = 1.0 - dist / f2
-            p01 = g * p00 + dist
-            d1 = float(-p01 / (p00 - p01 / f1))
         f_list = (f1, f2)
         z_list = (d1, d1 + g)
         # the chief ray's reach at each lens
@@ -567,7 +524,7 @@ def synthesize_lens_stack(
             f"image_distance misses target: {v_ach * 1e6:.2f} um vs {dist * 1e6:.2f} um"
         )
 
-    _wave_verify(f_list, z_list, targets, m_ach)
+    _wave_verify(f_list, z_list, targets, v_ach, m_ach)
 
     elements = []
     if abs(source_tilt) > 0:
@@ -774,8 +731,7 @@ def crosstalk_matrix(
         residual = float(np.max(np.abs(spot_for_ion - scale * ions)))
     ion_x = scale * ions
 
-    nx, _, pitch = int(grid[0]), int(grid[1]), float(grid[2])
-    x_coords = (np.arange(nx) - nx // 2) * pitch
+    x_coords = centre_field.x
 
     matrix = np.zeros((n, n))
     contributions = []
@@ -849,6 +805,8 @@ def tolerance_sweep(
         _sweep_parameter(spec_row["parameter"])
         if int(spec_row["steps"]) < 1:
             raise InvalidInputError("sweep steps must be >= 1")
+        if not (math.isfinite(spec_row["lo"]) and math.isfinite(spec_row["hi"])):
+            raise InvalidInputError("sweep lo and hi must be finite")
 
     if z_search is None:
         z_search = _default_z_search(prescription)

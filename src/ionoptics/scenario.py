@@ -11,6 +11,7 @@ that typos fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -124,11 +125,19 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     )
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ScenarioError(f"invalid scenario: numbers must be finite, got {text}")
+    return value
+
+
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file."""
+    """Read and validate a scenario file. NaN, Infinity and float
+    literals that overflow (1e400) are rejected while parsing."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:

@@ -249,11 +249,47 @@ def test_sweep_unknown_param_exits_3_before_synthesis(tmp_path):
 
 def test_malformed_param_exits_2(tmp_path):
     path = compact_variant(tmp_path, sweeps=None)
-    for param in ("source_tilt:0:1", "source_tilt:0:1:0"):
+    for param in (
+        "source_tilt:0:1",
+        "source_tilt:0:1:0",
+        "source_tilt:nan:nan:1",
+        "source_tilt:0:inf:2",
+    ):
         result = run_cli("sweep", path, "--param", param, outdir=tmp_path)
         assert result.returncode == EXIT_PARSE, param
         assert "name:lo:hi:steps" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, change",
+    [
+        (
+            "sweep",
+            {"sweeps": [{"parameter": "source_tilt", "lo": float("nan"), "hi": 1.0, "steps": 3}]},
+        ),
+        ("design", {"array.leakage_reference.db": float("nan")}),
+    ],
+    ids=["sweep-lo", "leakage-db"],
+)
+def test_non_finite_scenario_number_exits_2(tmp_path, command, change):
+    path = compact_variant(tmp_path, **change)
+    assert "NaN" in path.read_text()
+    result = run_cli(command, path, outdir=tmp_path)
+    assert result.returncode == EXIT_PARSE
+    assert "finite" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not list(tmp_path.glob("variant_*"))
+
+
+def test_sweep_csv_columns_match_docs():
+    from ionoptics.cli import SWEEP_CSV
+
+    docs = (SCENARIO_DIR.parent / "docs" / "REPORTS.md").read_text()
+    section = docs.split("\n## Sweep CSV\n", 1)[1]
+    fenced = section.split("```\n", 2)[1]
+    documented = [name.strip() for name in fenced.replace("\n", " ").split(",")]
+    assert documented == [column for column, _, _ in SWEEP_CSV]
 
 
 def test_reports_validate_against_packaged_schema(tmp_path):

@@ -142,6 +142,29 @@ def test_shorter_conjugate_variant_synthesizes():
     assert abs(p.predicted_magnification[0]) == pytest.approx(0.6, rel=0.01)
 
 
+def test_synthesis_returns_a_grid_point(monkeypatch):
+    # Magnification 3.4 at 170 um is feasible on the grid with a start
+    # residual of ~1e-32 from rounding; the returned f2 must be the grid
+    # point that passed the feasibility checks, not a value moved off
+    # the lattice after them. The 13-plane wave check rejects this
+    # target, and this test is about the ABCD search.
+    monkeypatch.setattr(designer, "_wave_verify", lambda *args: None)
+    targets = reference_targets(
+        magnification=3.4,
+        image_distance=170e-6,
+        max_stack_height=300e-6,
+        aperture_budget=100e-6,
+    )
+    p = synthesize_lens_stack(targets, source_tilt=20.0, chief_reach=20e-6)
+    f2_values = np.arange(
+        designer.F2_RANGE[0],
+        designer.F2_RANGE[1] + designer.GRID_STEP / 2,
+        designer.GRID_STEP,
+    )
+    assert p.focal_lengths[1] in f2_values
+    assert p.focal_lengths[1] == pytest.approx(102.5e-6, abs=1e-12)
+
+
 def test_targets_validation():
     with pytest.raises(InvalidInputError):
         reference_targets(magnification=-0.6)
@@ -377,6 +400,22 @@ def test_sweep_zero_steps_rejected_before_any_focus_search(compact_pipeline, mon
             [{"parameter": "source_tilt", "lo": 0.0, "hi": 1.0, "steps": 0}],
             grid=pipe["scenario"].grid,
         )
+
+
+def test_sweep_non_finite_bounds_rejected_before_any_focus_search(
+    compact_pipeline, monkeypatch
+):
+    pipe = compact_pipeline
+    monkeypatch.setattr(designer, "_run_channel", None)
+    for lo, hi in ((math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(InvalidInputError, match="finite"):
+            tolerance_sweep(
+                pipe["prescription"],
+                pipe["array"],
+                pipe["scenario"].mirror,
+                [{"parameter": "source_tilt", "lo": lo, "hi": hi, "steps": 2}],
+                grid=pipe["scenario"].grid,
+            )
 
 
 def test_sweep_needs_work(compact_pipeline):

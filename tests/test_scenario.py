@@ -164,6 +164,16 @@ def test_load_scenario_non_object(tmp_path):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+def test_load_scenario_rejects_non_finite_numbers(tmp_path, literal):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(MINIMAL).replace("180.0", literal))
+    assert literal in path.read_text()
+    with pytest.raises(ScenarioError, match="finite") as info:
+        load_scenario(str(path))
+    assert literal in str(info.value)
+
+
 def test_name_defaults_to_file_stem(tmp_path):
     data = copy.deepcopy(MINIMAL)
     del data["name"]
