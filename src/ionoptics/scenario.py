@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -51,13 +52,40 @@ def scenario_schema() -> dict:
         return json.load(fh)
 
 
+def _location(path) -> str:
+    return "/".join(str(p) for p in path) or "(document root)"
+
+
+def _check_finite(value, path=()):
+    """Raise ScenarioError for a number anywhere in decoded data that is
+    not finite or lies beyond the float range."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _check_finite(item, (*path, index))
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(
+            f"invalid scenario at {_location(path)}: numbers must be finite, got {value}"
+        )
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ScenarioError(
+            f"invalid scenario at {_location(path)}: numbers must be finite, "
+            "got an integer beyond the float range"
+        )
+
+
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
-    """Validate a decoded scenario document and convert units to SI."""
+    """Validate a decoded scenario document and convert units to SI.
+    NaN, infinity and integers beyond the float range are rejected."""
+    _check_finite(data)
     try:
         jsonschema.validate(data, scenario_schema())
     except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(document root)"
-        raise ScenarioError(f"invalid scenario at {where}: {exc.message}") from exc
+        raise ScenarioError(
+            f"invalid scenario at {_location(exc.absolute_path)}: {exc.message}"
+        ) from exc
 
     trap_d = data["trap"]
     trap = TrapSpec(

@@ -12,10 +12,13 @@ z / -z round trip is the identity.
 
 Before propagating, the routine estimates where the beam will land from
 the first and second moments of intensity in both real and angular
-space, including the x-theta covariance (so converging beams are not
-penalised), and refuses distances that would push the predicted 1/e^2
+space, and refuses distances that would push the predicted 1/e^2
 footprint into the outer half of the window, where periodic wrap-around
-would corrupt the result.
+would corrupt the result. It first decides from the Cauchy-Schwarz
+bound |cov| <= sqrt(var var_s) on the x-theta covariance, which needs
+no FFT beyond the spectrum; only a distance the bound cannot clear takes
+the covariance itself (one inverse FFT for both axes), so converging
+beams are not penalised.
 
 All angles are radians and all lengths metres.
 """
@@ -73,6 +76,9 @@ SFLD_HEADER_SIZE = 64
 # wrap-around guard: |centroid| + this factor times the predicted 1/e^2
 # radius must stay inside the half-width of the grid
 _WINDOW_FACTOR = 2.0
+# relative margin of the guard's covariance-free bound over the rounding
+# of the moments it is computed from
+_BOUND_MARGIN = 1e-9
 _TILT_LIMIT = math.radians(30.0)
 # np.exp of a float64 below -745.2 is exactly 0
 _EXP_UNDERFLOW = 750.0
@@ -265,8 +271,8 @@ def _intensity_moments(intensity: np.ndarray, x: np.ndarray, y: np.ndarray):
 
 
 def _window_moments(field: ScalarField, spectrum: np.ndarray):
-    """Per-axis moments of the wrap-around guard's footprint prediction:
-    (label, centroid, mean sin(theta), variance, x-theta covariance,
+    """The guard's cheap pass, from |E|^2 and |spectrum|^2: the total
+    intensity and per axis (label, centroid, mean sin(theta), variance,
     variance of sin(theta), samples, window centre)."""
     intensity = np.abs(field.samples) ** 2
     cx, cy, vx, vy = _intensity_moments(intensity, field.x, field.y)
@@ -288,37 +294,72 @@ def _window_moments(field: ScalarField, spectrum: np.ndarray):
     mean_sy = lam * float(sy @ fy) / stot
     var_sx = lam**2 * float(sx @ fx**2) / stot - mean_sx**2
     var_sy = lam**2 * float(sy @ fy**2) / stot - mean_sy**2
-
-    # x-theta covariance via the local transverse momentum density
-    # Im(conj(E) dE/dx) / k, one axis at a time to bound the working set
-    re, im = field.samples.real, field.samples.imag
-
-    def covariance(freq, axis, coords, c, mean_s):
-        d_field = sfft.ifft2(
-            spectrum * (2j * math.pi * freq), workers=-1, overwrite_x=True
-        )
-        density = re * d_field.imag
-        density -= im * d_field.real
-        del d_field
-        moment = float(density.sum(axis=axis) @ coords)
-        return moment / (field.wavenumber * itot) - c * mean_s
-
-    cov_x = covariance(fx[None, :], 0, field.x, cx, mean_sx)
-    cov_y = covariance(fy[:, None], 1, field.y, cy, mean_sy)
-    return (
-        ("x", cx, mean_sx, vx, cov_x, var_sx, field.nx, field.origin[0]),
-        ("y", cy, mean_sy, vy, cov_y, var_sy, field.ny, field.origin[1]),
+    return itot, (
+        ("x", cx, mean_sx, vx, var_sx, field.nx, field.origin[0]),
+        ("y", cy, mean_sy, vy, var_sy, field.ny, field.origin[1]),
     )
 
 
+def _window_covariance(field: ScalarField, spectrum: np.ndarray, itot: float, axes):
+    """x-theta and y-theta covariances from the local transverse momentum
+    density Im(conj(E) grad E) / k, given the cheap pass's total intensity
+    and axes.
+
+    One inverse FFT gives h = dE/dx + i dE/dy. Im(conj(E) h) adds
+    Re(conj(E) dE/dy) to the x density and -Re(conj(E) h) adds
+    -Re(conj(E) dE/dx) to the y density; the spectral derivative is
+    anti-Hermitian, so those cross terms sum to zero down every column
+    and along every row, and the weighted sums keep only the wanted term.
+    """
+    fx = sfft.fftfreq(field.nx, field.pitch)
+    fy = sfft.fftfreq(field.ny, field.pitch)
+    h = (2j * math.pi * fx)[None, :] - (2.0 * math.pi * fy)[:, None]
+    h *= spectrum
+    h = sfft.ifft2(h, workers=-1, overwrite_x=True)
+    re, im = field.samples.real, field.samples.imag
+    density = re * h.imag
+    density -= im * h.real
+    moment_x = float(density.sum(axis=0) @ field.x)
+    np.multiply(re, h.real, out=density)
+    density += im * h.imag
+    moment_y = -float(density.sum(axis=1) @ field.y)
+    (_, cx, mean_sx, *_), (_, cy, mean_sy, *_) = axes
+    k_itot = field.wavenumber * itot
+    return moment_x / k_itot - cx * mean_sx, moment_y / k_itot - cy * mean_sy
+
+
+def _centre_at(c: float, mean_s: float, d: float) -> float:
+    """The centroid `d` downstream, moved along the mean ray."""
+    return c + d * mean_s / max(math.sqrt(1.0 - mean_s**2), 1e-6)
+
+
+def _bound_passes(field: ScalarField, axes, d: float) -> bool:
+    """True if the guard's footprint is safe at `d` for any covariance.
+
+    On the grid x is diagonal and the spectral momentum Hermitian, so
+    |cov| <= sqrt(var var_s) and the predicted variance is at most
+    (sqrt(var) + |d| sqrt(var_s))^2. The relative margin absorbs the
+    rounding of the moments, so a pass here implies a pass in
+    _check_window."""
+    for _, c, mean_s, var, var_s, n_axis, centre0 in axes:
+        radius_ub = 2.0 * (
+            math.sqrt(max(var, 0.0)) + abs(d) * math.sqrt(max(var_s, 0.0))
+        )
+        extent_ub = abs(_centre_at(c, mean_s, d) - centre0) + _WINDOW_FACTOR * radius_ub
+        if extent_ub * (1.0 + _BOUND_MARGIN) > 0.5 * n_axis * field.pitch:
+            return False
+    return True
+
+
 def _check_window(field: ScalarField, moments, d: float):
-    """Raise PropagationWindowError if the beam described by `moments`
-    would leave the safe window after propagating `d`."""
+    """Raise PropagationWindowError if the beam described by `moments`,
+    per axis (label, centroid, mean sin(theta), variance, x-theta
+    covariance, variance of sin(theta), samples, window centre), would
+    leave the safe window after propagating `d`."""
     for label, c, mean_s, var, cov, var_s, n_axis, centre0 in moments:
         var_pred = max(var + 2.0 * d * cov + d * d * var_s, 0.0)
         radius = 2.0 * math.sqrt(var_pred)  # 1/e^2 radius of a Gaussian
-        centre = c + d * mean_s / max(math.sqrt(1.0 - mean_s**2), 1e-6)
-        extent = abs(centre - centre0) + _WINDOW_FACTOR * radius
+        extent = abs(_centre_at(c, mean_s, d) - centre0) + _WINDOW_FACTOR * radius
         half = 0.5 * n_axis * field.pitch
         if extent > half:
             raise PropagationWindowError(
@@ -329,14 +370,43 @@ def _check_window(field: ScalarField, moments, d: float):
             )
 
 
+class _WindowGuard:
+    """The wrap-around guard of one field and its spectrum. A distance is
+    decided from the cheap pass's bound when it can be; only a distance the
+    bound cannot clear needs the covariance. Each is computed at most once."""
+
+    def __init__(self, field: ScalarField, spectrum: np.ndarray):
+        self.field = field
+        self.spectrum = spectrum
+        self._itot = self._axes = self._moments = None
+
+    def guard(self, *distances: float):
+        """Raise PropagationWindowError if the beam would leave the safe
+        window at any of `distances`. A zero distance is the identity and
+        passes."""
+        for d in distances:
+            if d == 0.0:
+                continue
+            if self._axes is None:
+                self._itot, self._axes = _window_moments(self.field, self.spectrum)
+            if _bound_passes(self.field, self._axes, d):
+                continue
+            if self._moments is None:
+                covs = _window_covariance(
+                    self.field, self.spectrum, self._itot, self._axes
+                )
+                self._moments = tuple(
+                    (label, c, mean_s, var, cov, var_s, n_axis, centre0)
+                    for (label, c, mean_s, var, var_s, n_axis, centre0), cov
+                    in zip(self._axes, covs)
+                )
+            _check_window(self.field, self._moments, d)
+
+
 def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
     """Raise PropagationWindowError if the beam would leave the safe window
     at any of `distances`. A zero distance is the identity and passes."""
-    distances = [d for d in distances if d != 0.0]
-    if distances:
-        moments = _window_moments(field, spectrum)
-        for d in distances:
-            _check_window(field, moments, d)
+    _WindowGuard(field, spectrum).guard(*distances)
 
 
 @functools.lru_cache(maxsize=1)
@@ -390,23 +460,14 @@ def _transfer(field: ScalarField, distance: float, spectrum=None) -> np.ndarray:
     return out
 
 
-class FreeSpacePlanes:
+class FreeSpacePlanes(_WindowGuard):
     """Free-space planes of one field, from one forward FFT and at most one
-    pass of the window guard's moments; each plane then costs one transfer
-    build and one inverse FFT."""
+    pass of the window guard's moments (and of its covariance, only for a
+    distance the bound cannot clear); each plane then costs one transfer
+    build and one inverse FFT. guard() is the window guard of the field."""
 
     def __init__(self, field: ScalarField):
-        self.field = field
-        self.spectrum = sfft.fft2(field.samples, workers=-1)
-        self._moments = None
-
-    def guard(self, *distances: float):
-        """_window_guard with the moments computed at most once."""
-        for d in distances:
-            if d != 0.0:
-                if self._moments is None:
-                    self._moments = _window_moments(self.field, self.spectrum)
-                _check_window(self.field, self._moments, d)
+        super().__init__(field, sfft.fft2(field.samples, workers=-1))
 
     def samples_at(self, distance: float) -> np.ndarray:
         """Samples `distance` downstream, without the guard."""
@@ -452,7 +513,8 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     """Apply a thin element in place at the field's plane.
 
     Apertures zero the field outside their opening and fold the removed
-    power into the returned field's cumulative clipped_fraction.
+    power into the returned field's cumulative clipped_fraction. The
+    opening's mask is built only on its bounding box.
 
     A lens takes its phase only on the bounding box of the field's
     nonzero samples, such as the opening of the aperture before it;
@@ -473,13 +535,21 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
         ramp = _tilt_ramp(k, (element.tilt_x, element.tilt_y), field.x, field.y)
         return replace(field, samples=field.samples * ramp)
     if isinstance(element, CircAperture):
-        xg = field.x[None, :] - element.offset[0]
-        yg = field.y[:, None] - element.offset[1]
-        inside = xg * xg + yg * yg <= element.radius**2
+        x = field.x - element.offset[0]
+        y = field.y - element.offset[1]
+        r_sq = element.radius**2
+        # x^2 + y^2 <= r^2 implies x^2 <= r^2 also in floating point, so
+        # the box holds every sample of the opening
+        rows, cols = _span(y * y <= r_sq), _span(x * x <= r_sq)
+        xg, yg = x[None, cols], y[rows, None]
+        inside = xg * xg + yg * yg <= r_sq
         if not inside.any():
             raise InvalidGeometryError("aperture lies entirely outside the grid")
         before = field.power
-        out = np.where(inside, field.samples, 0.0)
+        out = np.zeros_like(field.samples)
+        out[rows, cols] = np.where(inside, field.samples[rows, cols], 0.0)
+        # the power sums stay full-grid: a sum over the box alone would
+        # round differently and move clipped_fraction in its last bits
         after = float(np.sum(np.abs(out) ** 2)) * field.pitch**2
         step = 0.0 if before <= 0 else max(0.0, 1.0 - after / before)
         cumulative = field.clipped_fraction + (1.0 - field.clipped_fraction) * step
@@ -560,8 +630,8 @@ class FocusResult:
     """beam_slope is dy/dz of the intensity centroid past the last element;
     fit_residual is the largest deviation of the sampled x variances from
     the final parabola, over the smallest of them. planes holds the exit
-    field (planes.field, at exit_z) with its spectrum and guard moments,
-    so any later plane costs one inverse FFT."""
+    field (planes.field, at exit_z) with its spectrum and at most one pass
+    of the guard's moments, so any later plane costs one inverse FFT."""
 
     z_focus: float
     metrics: SpotMetrics
@@ -588,9 +658,9 @@ def find_focus(
     raised unless both open upward with vertices inside the window.
 
     Every plane past the stack comes from one spectrum of the exit field,
-    and one pass of the guard's moments checks both window ends and the
-    focus plane. The result keeps the focus field and the exit field's
-    planes.
+    and at most one pass of the guard's moments, with its covariance taken
+    at most once, checks both window ends and the focus plane. The result
+    keeps the focus field and the exit field's planes.
     """
     z_min, z_max, steps = z_search
     if steps < 16:
@@ -610,7 +680,7 @@ def find_focus(
     exit_field = propagate_elements(source, elements)
     del source  # free the source before the guard's moment pass
 
-    # one spectrum and one set of guard moments serve every plane; the
+    # one spectrum and at most one pass of guard moments serve every plane; the
     # predicted footprint is convex in z, so guarding both ends of the
     # window covers the sampled planes between them
     planes = FreeSpacePlanes(exit_field)

@@ -64,3 +64,19 @@ def test_benchmark_import_exists(name):
     if not hasattr(package, name):
         # `from ionoptics import cli` also finds a submodule
         importlib.import_module(f"ionoptics.{name}")
+
+
+def test_window_guard_primitive_is_callable_as_timed():
+    # perfbench/primitives.py times _window_guard(field, spectrum, distance)
+    import scipy.fft as sfft
+
+    from ionoptics import beam_from_mfd, make_gaussian_field
+    from ionoptics import wavefield
+    from ionoptics.errors import PropagationWindowError
+
+    beam = beam_from_mfd(3e-6, 3e-6, 0.729e-6)
+    field = make_gaussian_field(beam, tilt=(0.0, 0.05), grid=(64, 64, 0.25e-6))
+    spectrum = sfft.fft2(field.samples, workers=-1)
+    wavefield._window_guard(field, spectrum, 5e-6)
+    with pytest.raises(PropagationWindowError):
+        wavefield._window_guard(field, spectrum, 2e-3)

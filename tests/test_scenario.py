@@ -174,6 +174,29 @@ def test_load_scenario_rejects_non_finite_numbers(tmp_path, literal):
     assert literal in str(info.value)
 
 
+def compact_data():
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "compact.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "section, key, value, where",
+    [
+        ("array", "leakage_reference", {"pitch_um": 5.0, "db": float("nan")},
+         "array/leakage_reference/db"),
+        ("targets", "aperture_budget_um", float("inf"), "targets/aperture_budget_um"),
+        ("targets", "image_distance_um", 10**400, "targets/image_distance_um"),
+    ],
+)
+def test_parse_scenario_rejects_non_finite_numbers(section, key, value, where):
+    data = compact_data()
+    data[section][key] = value
+    with pytest.raises(ScenarioError, match=f"at {where}: numbers must be finite"):
+        parse_scenario(data)
+
+
 def test_name_defaults_to_file_stem(tmp_path):
     data = copy.deepcopy(MINIMAL)
     del data["name"]

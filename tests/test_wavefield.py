@@ -257,8 +257,9 @@ def test_find_focus_transform_count(monkeypatch):
 
 
 def test_find_focus_guards_from_one_moment_pass(monkeypatch):
-    # one forward FFT, two for the guard's moments (both window ends and
-    # the focus plane), six fit planes and the focus plane
+    # one forward FFT, at most one for the guard's covariance (both window
+    # ends and the focus plane share one pass of the moments), six fit
+    # planes and the focus plane
     field, elements, z_waist = lens_focus(8e-6, 100e-6)
     calls = count_transforms(monkeypatch)
     find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
@@ -274,6 +275,134 @@ def test_find_focus_guards_far_window_end():
     )
     with pytest.raises(PropagationWindowError, match=re.escape(message)):
         find_focus(field, elements, z_search=(0.5 * z_waist, 12.0 * z_waist, 33))
+
+
+def test_short_unclipped_step_needs_no_covariance(monkeypatch):
+    # the bound clears the step: one forward and one inverse FFT
+    field = make_gaussian_field(round_beam(), (0.0, 0.02), (128, 128, 0.25e-6))
+    calls = count_transforms(monkeypatch)
+    angular_spectrum_propagate(field, 20e-6)
+    assert len(calls) == 2
+
+
+def test_find_focus_takes_the_covariance_in_one_transform(monkeypatch):
+    # one forward FFT, one for the covariance the window ends need, six
+    # fit planes and the focus plane
+    field, elements, z_waist = lens_focus(8e-6, 100e-6)
+    calls = count_transforms(monkeypatch)
+    find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
+    assert 0 < len(calls) <= 9
+
+
+def test_compact_design_transform_count(tmp_path, monkeypatch):
+    from pathlib import Path
+
+    from ionoptics import cli
+
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "compact.json"
+    calls = count_transforms(monkeypatch)
+    code = cli.main(
+        ["design", str(scenario), "--report", str(tmp_path / "design.json"),
+         "--dump-field", str(tmp_path / "centre.sfld")]
+    )
+    assert code == 0
+    assert 0 < len(calls) <= 65
+
+
+def two_transform_moments(field, spectrum):
+    """The guard's exact moments per axis, (label, centroid, mean
+    sin(theta), variance, x-theta covariance, variance of sin(theta),
+    samples, window centre), with one inverse FFT per axis for the
+    covariance."""
+    intensity = np.abs(field.samples) ** 2
+    spec_int = np.abs(spectrum) ** 2
+    itot, stot = float(intensity.sum()), float(spec_int.sum())
+    lam = field.wavelength / field.ambient_index
+    re, im = field.samples.real, field.samples.imag
+    moments = []
+    for label, axis, coords, centre0 in (
+        ("x", 0, field.x, field.origin[0]),
+        ("y", 1, field.y, field.origin[1]),
+    ):
+        n = len(coords)
+        freq = scipy.fft.fftfreq(n, field.pitch)
+        profile = intensity.sum(axis=axis)
+        c = float(profile @ coords) / itot
+        var = float(profile @ (coords - c) ** 2) / itot
+        s_profile = spec_int.sum(axis=axis)
+        mean_s = lam * float(s_profile @ freq) / stot
+        var_s = lam**2 * float(s_profile @ freq**2) / stot - mean_s**2
+        shape = (1, n) if axis == 0 else (n, 1)
+        d_field = scipy.fft.ifft2(spectrum * (2j * math.pi * freq.reshape(shape)))
+        density = re * d_field.imag - im * d_field.real
+        moment = float(density.sum(axis=axis) @ coords)
+        cov = moment / (field.wavenumber * itot) - c * mean_s
+        moments.append((label, c, mean_s, var, cov, var_s, n, centre0))
+    return moments
+
+
+@pytest.mark.parametrize("ny, nx", [(64, 64), (128, 128), (128, 64), (256, 256)])
+def test_one_transform_covariance_matches_two(ny, nx):
+    rng = np.random.default_rng(nx + ny)
+    for _ in range(3):
+        field = ScalarField(
+            rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx)),
+            0.25e-6, WL, origin=(1e-6, -2e-6),
+        )
+        spectrum = scipy.fft.fft2(field.samples)
+        itot, axes = wavefield._window_moments(field, spectrum)
+        covs = wavefield._window_covariance(field, spectrum, itot, axes)
+        for cov, exact in zip(covs, two_transform_moments(field, spectrum)):
+            _, _, _, var, cov_exact, var_s, _, _ = exact
+            assert abs(cov - cov_exact) <= 1e-12 * math.sqrt(var * var_s)
+
+
+def window_error(check, *args):
+    """The PropagationWindowError message `check(*args)` raises, or None."""
+    try:
+        check(*args)
+    except PropagationWindowError as exc:
+        return str(exc)
+    return None
+
+
+# Gaussians of any width the window takes, with any tilt and centre,
+# converging or diverging behind an optional lens, optionally clipped to
+# a fraction of the waist: the bound may clear a distance only
+# where the exact check passes, and a raise carries the exact message
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([64, 128]),
+    fill=st.floats(min_value=0.55, max_value=0.95),
+    tilt=st.tuples(*[st.floats(min_value=-0.15, max_value=0.15)] * 2),
+    centre=st.tuples(*[st.floats(min_value=-2e-6, max_value=2e-6)] * 2),
+    focal=st.one_of(
+        st.none(),
+        st.floats(min_value=20e-6, max_value=150e-6),
+        st.floats(min_value=-150e-6, max_value=-20e-6),
+    ),
+    clip=st.one_of(st.none(), st.floats(min_value=0.5, max_value=1.5)),
+    steps=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=4),
+)
+def test_guard_decides_as_the_exact_check(n, fill, tilt, centre, focal, clip, steps):
+    # a `fill` of 1 would be the widest beam the window takes (8 waists),
+    # one of 0.5 the narrowest the pitch resolves (4 samples per waist)
+    waist = fill * n * 0.25e-6 / 8.0
+    field = make_gaussian_field(
+        round_beam(2.0 * waist), tilt, (n, n, 0.25e-6), center=centre
+    )
+    if clip is not None:
+        field = apply_element(field, CircAperture(clip * waist, centre))
+    if focal is not None:
+        field = apply_element(field, ThinLensPhase(focal, centre))
+    planes = FreeSpacePlanes(field)
+    exact = two_transform_moments(field, planes.spectrum)
+    # distances in units of the focal length reach past the focus, where
+    # only the covariance tells a converging beam from a diverging one
+    for d in np.multiply(steps, 100e-6 if focal is None else abs(focal)):
+        expected = window_error(wavefield._check_window, field, exact, d)
+        assert window_error(planes.guard, d) == expected
+        assert window_error(wavefield._window_guard, field, planes.spectrum, d) == expected
 
 
 @pytest.mark.parametrize("distance", [37.3e-6, -12.9e-6])
