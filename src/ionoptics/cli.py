@@ -11,8 +11,9 @@ Subcommands:
 Exit codes: 0 success, 2 scenario parse or validation error, 3 invariant
 violation (invalid field values, geometry, trapped rays), 4 infeasible
 design targets, 5 convergence failure, 6 propagation-window or sampling
-error. The IONOPTICS_OUTDIR environment variable sets the default
-output directory for reports; flags override it.
+error; an output that cannot be written exits 2, before any work if
+its directory is missing. The IONOPTICS_OUTDIR environment variable sets
+the default output directory for reports; flags override it.
 """
 
 from __future__ import annotations
@@ -100,14 +101,18 @@ def _csv_cell(value) -> str:
     return f"{value:.9g}"
 
 
-def _out_dir() -> str:
-    return os.environ.get("IONOPTICS_OUTDIR", ".")
-
-
 def _out_path(flag_value, default_name: str) -> str:
     if flag_value:
         return flag_value
-    return os.path.join(_out_dir(), default_name)
+    return os.path.join(os.environ.get("IONOPTICS_OUTDIR", "."), default_name)
+
+
+def _check_out_dirs(*paths):
+    """Raise FileNotFoundError for an output path whose directory does not
+    exist; empty paths (outputs not asked for) pass."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"no directory for output {path!r}")
 
 
 def _parse_grid(text: str):
@@ -173,6 +178,7 @@ def _report_skeleton(command: str, scenario: Scenario, wall_time: float) -> dict
 
 def cmd_crystal(args) -> int:
     scenario = load_scenario(args.scenario)
+    _check_out_dirs(args.report)
     t0 = time.perf_counter()
     crystal = solve_crystal(scenario.trap)
     section = crystal_section(crystal)
@@ -199,6 +205,8 @@ def cmd_design(args) -> int:
         print("dump-field path must end in .sfld or .csv", file=sys.stderr)
         return EXIT_PARSE
     scenario = load_scenario(args.scenario)
+    path = _out_path(args.report, f"{scenario.name}_design_report.json")
+    _check_out_dirs(path, args.dump_field)
     t0 = time.perf_counter()
     crystal, array, out, prescription, grid = _build_pipeline(
         scenario, args.grid
@@ -218,7 +226,6 @@ def cmd_design(args) -> int:
     data["crosstalk"] = crosstalk_section(xt)
     data["run"]["wall_time_s"] = time.perf_counter() - t0
 
-    path = _out_path(args.report, f"{scenario.name}_design_report.json")
     write_report(data, path)
 
     print(f"lens stack: f = {[f'{f * 1e6:.2f}' for f in prescription.focal_lengths]} um "
@@ -253,6 +260,9 @@ def cmd_sweep(args) -> int:
         )
         return EXIT_PARSE
 
+    json_path = _out_path(args.report, f"{scenario.name}_sweep_report.json")
+    csv_path = _out_path(args.csv, f"{scenario.name}_sweep.csv")
+    _check_out_dirs(json_path, csv_path)
     t0 = time.perf_counter()
     crystal, array, out, prescription, grid = _build_pipeline(
         scenario, args.grid
@@ -268,12 +278,7 @@ def cmd_sweep(args) -> int:
     data["sweep"] = sweep_section(result)
     data["run"]["wall_time_s"] = time.perf_counter() - t0
 
-    json_path = _out_path(args.report, f"{scenario.name}_sweep_report.json")
     write_report(data, json_path)
-
-    csv_path = args.csv or os.path.join(
-        _out_dir(), f"{scenario.name}_sweep.csv"
-    )
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(column for column, _, _ in SWEEP_CSV)
@@ -340,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code(exc: IonOpticsError) -> int:
-    if isinstance(exc, ScenarioError):
+def _exit_code(exc: Exception) -> int:
+    # an OSError comes from writing an output; scenario reads raise ScenarioError
+    if isinstance(exc, (ScenarioError, OSError)):
         return EXIT_PARSE
     if isinstance(exc, InfeasibleDesignError):
         return EXIT_INFEASIBLE
@@ -357,7 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IonOpticsError as exc:
+    except (IonOpticsError, OSError) as exc:
         stage = args.command
         print(f"error in {stage}: {exc}", file=sys.stderr)
         return _exit_code(exc)

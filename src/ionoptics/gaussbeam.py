@@ -1,18 +1,17 @@
 """Astigmatic Gaussian beams and ABCD matrix propagation.
 
-A beam is described per transverse axis (x and y) by its waist radius,
-the waist position relative to the beam's reference plane, and the
-ambient refractive index. The complex parameter at the reference plane is
+A beam is described per transverse axis (x and y) by its waist radius
+and the waist position relative to the beam's reference plane. Beams
+propagate in vacuum (n = 1). The complex parameter at the reference
+plane is
 
-    q = -waist_position + i z_R,      z_R = pi w0^2 n / lambda
+    q = -waist_position + i z_R,      z_R = pi w0^2 / lambda
 
-with lambda the vacuum wavelength. Elements act on q as
+with lambda the wavelength. Elements act on q as
 q' = (A q + B) / (C q + D). Matrices use the physical-q convention:
 
     free space (length L):      [[1, L], [0, 1]]
     thin lens (focal f):        [[1, 0], [-1/f, 1]]
-
-Every element keeps the beam in its ambient medium.
 
 The numerical aperture used throughout is the sine of the 1/e^2
 far-field half-angle; in the small-angle form NA = lambda / (pi w0),
@@ -52,13 +51,10 @@ class BeamAxis:
 
     waist_radius: float
     waist_position: float = 0.0
-    ambient_index: float = 1.0
 
     def __post_init__(self):
         if not self.waist_radius > 0:
             raise InvalidInputError("waist_radius must be positive")
-        if not self.ambient_index >= 1.0:
-            raise InvalidInputError("ambient_index must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,16 +68,14 @@ class AstigmaticGaussian:
             raise InvalidInputError("wavelength must be positive")
 
 
-def beam_from_mfd(
-    mfd_x: float, mfd_y: float, wavelength: float, index: float = 1.0
-) -> AstigmaticGaussian:
+def beam_from_mfd(mfd_x: float, mfd_y: float, wavelength: float) -> AstigmaticGaussian:
     """Construct a beam at its waist from mode-field diameters (2 w0)."""
     if not (mfd_x > 0 and mfd_y > 0):
         raise InvalidInputError("mode-field diameters must be positive")
     return AstigmaticGaussian(
         wavelength=wavelength,
-        x=BeamAxis(0.5 * mfd_x, 0.0, index),
-        y=BeamAxis(0.5 * mfd_y, 0.0, index),
+        x=BeamAxis(0.5 * mfd_x),
+        y=BeamAxis(0.5 * mfd_y),
     )
 
 
@@ -94,14 +88,14 @@ def _axis(beam: AstigmaticGaussian, axis: str) -> BeamAxis:
 
 
 def rayleigh_length(beam: AstigmaticGaussian, axis: str) -> float:
-    """z_R = pi w0^2 n / lambda for the requested axis, in metres."""
+    """z_R = pi w0^2 / lambda (vacuum) for the requested axis, in metres."""
     ax = _axis(beam, axis)
-    return math.pi * ax.waist_radius**2 * ax.ambient_index / beam.wavelength
+    return math.pi * ax.waist_radius**2 / beam.wavelength
 
 
 @dataclass(frozen=True)
 class FreeSpace:
-    """Propagation over `length` metres in the beam's ambient medium."""
+    """Propagation over `length` metres in vacuum."""
 
     length: float
 
@@ -132,7 +126,7 @@ def chain_matrix(chain: Sequence) -> np.ndarray:
 
 
 def _q_reference(ax: BeamAxis, wavelength: float) -> complex:
-    zr = math.pi * ax.waist_radius**2 * ax.ambient_index / wavelength
+    zr = math.pi * ax.waist_radius**2 / wavelength
     return complex(-ax.waist_position, zr)
 
 
@@ -145,8 +139,8 @@ def _transform_axis(ax: BeamAxis, wavelength: float, mat: np.ndarray) -> BeamAxi
     zr_out = q_out.imag
     if not zr_out > 0:
         raise SingularConfigurationError("transform produced a non-physical beam")
-    w0 = math.sqrt(zr_out * wavelength / (math.pi * ax.ambient_index))
-    return BeamAxis(w0, -q_out.real, ax.ambient_index)
+    w0 = math.sqrt(zr_out * wavelength / math.pi)
+    return BeamAxis(w0, -q_out.real)
 
 
 def propagate_abcd(beam: AstigmaticGaussian, chain: Sequence) -> AstigmaticGaussian:
@@ -155,8 +149,6 @@ def propagate_abcd(beam: AstigmaticGaussian, chain: Sequence) -> AstigmaticGauss
     The returned beam's reference plane is the chain exit; its
     waist_position values locate the output waists relative to that plane.
     """
-    if abs(beam.x.ambient_index - beam.y.ambient_index) > 1e-12:
-        raise InvalidInputError("x and y axes must share one ambient medium")
     mat = chain_matrix(chain)
     return AstigmaticGaussian(
         wavelength=beam.wavelength,
@@ -168,5 +160,5 @@ def propagate_abcd(beam: AstigmaticGaussian, chain: Sequence) -> AstigmaticGauss
 def width_at(beam: AstigmaticGaussian, axis: str, z: float) -> float:
     """1/e^2 intensity radius at position z relative to the reference plane."""
     ax = _axis(beam, axis)
-    zr = math.pi * ax.waist_radius**2 * ax.ambient_index / beam.wavelength
+    zr = math.pi * ax.waist_radius**2 / beam.wavelength
     return ax.waist_radius * math.sqrt(1.0 + ((z - ax.waist_position) / zr) ** 2)

@@ -3,7 +3,8 @@ thin phase elements, and focal-spot metrology.
 
 Fields are sampled on an nx-by-ny grid (powers of two, >= 64) with a
 single pitch for both axes. samples[iy, ix] holds the complex amplitude
-at x = (ix - nx/2) * pitch + origin_x, and likewise for y. Propagation
+at x = (ix - nx/2) * pitch, and likewise for y, so the window is centred
+on the optical axis. Fields propagate in vacuum (n = 1). Propagation
 uses the band-limited angular spectrum: the spectrum is multiplied by
 exp(i kz d) with kz = sqrt(k^2 - kx^2 - ky^2) and evanescent components
 (kx^2 + ky^2 > k^2) are discarded. Within the propagating band the
@@ -68,11 +69,13 @@ __all__ = [
 ]
 
 _MIN_GRID = 64
+_MAX_SAMPLES = 4096 * 4096  # 256 MiB per complex grid; reference.json runs 2048^2
 SFLD_MAGIC = b"SFLD"
-# magic, version, nx, ny, clipped_fraction, pitch, wavelength,
-# ambient_index, origin_x, origin_y
+# magic, version, nx, ny, clipped_fraction, pitch, wavelength, then ambient
+# index, origin x and origin y, fixed at _SFLD_FRAME and checked on read
 _SFLD_HEADER = struct.Struct("<4sIIIf5d")
 SFLD_HEADER_SIZE = 64
+_SFLD_FRAME = (1.0, 0.0, 0.0)
 # wrap-around guard: |centroid| + this factor times the predicted 1/e^2
 # radius must stay inside the half-width of the grid
 _WINDOW_FACTOR = 2.0
@@ -90,6 +93,11 @@ def _check_grid(nx: int, ny: int, pitch: float):
             raise InvalidInputError(
                 f"grid dimensions must be powers of two >= {_MIN_GRID}, got {nx}x{ny}"
             )
+    if nx * ny > _MAX_SAMPLES:
+        raise InvalidInputError(
+            f"grid {nx}x{ny} needs {nx * ny * 16 // 2**20} MiB per complex grid, over "
+            f"the {_MAX_SAMPLES * 16 // 2**20} MiB limit ({_MAX_SAMPLES} samples)"
+        )
     if not pitch > 0:
         raise InvalidInputError("pitch must be positive")
 
@@ -102,8 +110,6 @@ class ScalarField:
     samples: np.ndarray
     pitch: float
     wavelength: float
-    ambient_index: float = 1.0
-    origin: tuple[float, float] = (0.0, 0.0)
     clipped_fraction: float = 0.0
 
     def __post_init__(self):
@@ -113,8 +119,6 @@ class ScalarField:
         _check_grid(self.nx, self.ny, self.pitch)
         if not self.wavelength > 0:
             raise InvalidInputError("wavelength must be positive")
-        if not self.ambient_index >= 1.0:
-            raise InvalidInputError("ambient_index must be >= 1")
 
     @property
     def nx(self) -> int:
@@ -126,11 +130,11 @@ class ScalarField:
 
     @property
     def x(self) -> np.ndarray:
-        return (np.arange(self.nx) - self.nx // 2) * self.pitch + self.origin[0]
+        return (np.arange(self.nx) - self.nx // 2) * self.pitch
 
     @property
     def y(self) -> np.ndarray:
-        return (np.arange(self.ny) - self.ny // 2) * self.pitch + self.origin[1]
+        return (np.arange(self.ny) - self.ny // 2) * self.pitch
 
     @property
     def power(self) -> float:
@@ -138,15 +142,14 @@ class ScalarField:
 
     @property
     def wavenumber(self) -> float:
-        return 2.0 * math.pi * self.ambient_index / self.wavelength
+        return 2.0 * math.pi / self.wavelength
 
 
 @dataclass(frozen=True)
 class ThinLensPhase:
-    """Ideal thin lens: multiplies by exp(-i k r^2 / (2 f)) about `offset`."""
+    """Ideal thin lens: multiplies by exp(-i k r^2 / (2 f)) about the axis."""
 
     focal_length: float
-    offset: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.focal_length == 0:
@@ -172,7 +175,6 @@ class WedgePhase:
 @dataclass(frozen=True)
 class CircAperture:
     radius: float
-    offset: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -205,8 +207,6 @@ def make_gaussian_field(
     nx, ny, pitch = grid
     _check_grid(nx, ny, pitch)
     w0x, w0y = beam.x.waist_radius, beam.y.waist_radius
-    if abs(beam.x.ambient_index - beam.y.ambient_index) > 1e-12:
-        raise InvalidInputError("x and y axes must share one ambient medium")
 
     w_min, w_max = min(w0x, w0y), max(w0x, w0y)
     if pitch > w_min / 4.0:
@@ -226,7 +226,7 @@ def make_gaussian_field(
     rows = _span((y / w0y) ** 2 < _EXP_UNDERFLOW)
     cols = _span((x / w0x) ** 2 < _EXP_UNDERFLOW)
     xb, yb = x[cols], y[rows]
-    k = 2.0 * math.pi * beam.x.ambient_index / beam.wavelength
+    k = 2.0 * math.pi / beam.wavelength
     samples = np.zeros((ny, nx), dtype=np.complex128)
     samples[rows, cols] = np.exp(
         -(xb[None, :] / w0x) ** 2 - (yb[:, None] / w0y) ** 2
@@ -238,7 +238,7 @@ def make_gaussian_field(
             "power inside the sampled window"
         )
     samples /= norm
-    return ScalarField(samples, pitch, beam.wavelength, beam.x.ambient_index)
+    return ScalarField(samples, pitch, beam.wavelength)
 
 
 def _span(mask: np.ndarray) -> slice:
@@ -273,17 +273,17 @@ def _intensity_moments(intensity: np.ndarray, x: np.ndarray, y: np.ndarray):
 def _window_moments(field: ScalarField, spectrum: np.ndarray):
     """The guard's cheap pass, from |E|^2 and |spectrum|^2: the total
     intensity and per axis (label, centroid, mean sin(theta), variance,
-    variance of sin(theta), samples, window centre)."""
+    variance of sin(theta), samples)."""
     intensity = np.abs(field.samples) ** 2
     cx, cy, vx, vy = _intensity_moments(intensity, field.x, field.y)
     itot = float(intensity.sum())
     del intensity
 
     # angular moments from the propagating part of the spectrum;
-    # fx maps to sin(theta) = lambda fx / n
+    # fx maps to sin(theta) = lambda fx
     fx = sfft.fftfreq(field.nx, field.pitch)
     fy = sfft.fftfreq(field.ny, field.pitch)
-    lam = field.wavelength / field.ambient_index
+    lam = field.wavelength
     spec_int = np.abs(spectrum) ** 2
     stot = float(spec_int.sum())
     if stot <= 0:
@@ -295,8 +295,8 @@ def _window_moments(field: ScalarField, spectrum: np.ndarray):
     var_sx = lam**2 * float(sx @ fx**2) / stot - mean_sx**2
     var_sy = lam**2 * float(sy @ fy**2) / stot - mean_sy**2
     return itot, (
-        ("x", cx, mean_sx, vx, var_sx, field.nx, field.origin[0]),
-        ("y", cy, mean_sy, vy, var_sy, field.ny, field.origin[1]),
+        ("x", cx, mean_sx, vx, var_sx, field.nx),
+        ("y", cy, mean_sy, vy, var_sy, field.ny),
     )
 
 
@@ -341,11 +341,11 @@ def _bound_passes(field: ScalarField, axes, d: float) -> bool:
     (sqrt(var) + |d| sqrt(var_s))^2. The relative margin absorbs the
     rounding of the moments, so a pass here implies a pass in
     _check_window."""
-    for _, c, mean_s, var, var_s, n_axis, centre0 in axes:
+    for _, c, mean_s, var, var_s, n_axis in axes:
         radius_ub = 2.0 * (
             math.sqrt(max(var, 0.0)) + abs(d) * math.sqrt(max(var_s, 0.0))
         )
-        extent_ub = abs(_centre_at(c, mean_s, d) - centre0) + _WINDOW_FACTOR * radius_ub
+        extent_ub = abs(_centre_at(c, mean_s, d)) + _WINDOW_FACTOR * radius_ub
         if extent_ub * (1.0 + _BOUND_MARGIN) > 0.5 * n_axis * field.pitch:
             return False
     return True
@@ -354,12 +354,12 @@ def _bound_passes(field: ScalarField, axes, d: float) -> bool:
 def _check_window(field: ScalarField, moments, d: float):
     """Raise PropagationWindowError if the beam described by `moments`,
     per axis (label, centroid, mean sin(theta), variance, x-theta
-    covariance, variance of sin(theta), samples, window centre), would
-    leave the safe window after propagating `d`."""
-    for label, c, mean_s, var, cov, var_s, n_axis, centre0 in moments:
+    covariance, variance of sin(theta), samples), would leave the safe
+    window, centred on the axis, after propagating `d`."""
+    for label, c, mean_s, var, cov, var_s, n_axis in moments:
         var_pred = max(var + 2.0 * d * cov + d * d * var_s, 0.0)
         radius = 2.0 * math.sqrt(var_pred)  # 1/e^2 radius of a Gaussian
-        extent = abs(_centre_at(c, mean_s, d) - centre0) + _WINDOW_FACTOR * radius
+        extent = abs(_centre_at(c, mean_s, d)) + _WINDOW_FACTOR * radius
         half = 0.5 * n_axis * field.pitch
         if extent > half:
             raise PropagationWindowError(
@@ -396,8 +396,8 @@ class _WindowGuard:
                     self.field, self.spectrum, self._itot, self._axes
                 )
                 self._moments = tuple(
-                    (label, c, mean_s, var, cov, var_s, n_axis, centre0)
-                    for (label, c, mean_s, var, var_s, n_axis, centre0), cov
+                    (label, c, mean_s, var, cov, var_s, n_axis)
+                    for (label, c, mean_s, var, var_s, n_axis), cov
                     in zip(self._axes, covs)
                 )
             _check_window(self.field, self._moments, d)
@@ -525,8 +525,7 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     k = field.wavenumber
     if isinstance(element, ThinLensPhase):
         rows, cols = _support_box(field.samples)
-        xg = field.x[None, cols] - element.offset[0]
-        yg = field.y[rows, None] - element.offset[1]
+        xg, yg = field.x[None, cols], field.y[rows, None]
         phase = np.exp(-1j * k * (xg * xg + yg * yg) / (2.0 * element.focal_length))
         samples = np.zeros_like(field.samples)
         np.multiply(field.samples[rows, cols], phase, out=samples[rows, cols])
@@ -535,8 +534,7 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
         ramp = _tilt_ramp(k, (element.tilt_x, element.tilt_y), field.x, field.y)
         return replace(field, samples=field.samples * ramp)
     if isinstance(element, CircAperture):
-        x = field.x - element.offset[0]
-        y = field.y - element.offset[1]
+        x, y = field.x, field.y
         r_sq = element.radius**2
         # x^2 + y^2 <= r^2 implies x^2 <= r^2 also in floating point, so
         # the box holds every sample of the opening
@@ -734,9 +732,7 @@ def write_field_sfld(field: ScalarField, path) -> None:
         field.clipped_fraction,
         field.pitch,
         field.wavelength,
-        field.ambient_index,
-        field.origin[0],
-        field.origin[1],
+        *_SFLD_FRAME,
     )
     header = header.ljust(SFLD_HEADER_SIZE, b"\0")
     data = np.empty((field.ny, field.nx, 2), dtype="<f4")
@@ -752,13 +748,17 @@ def read_field_sfld(path) -> ScalarField:
         raw = fh.read(SFLD_HEADER_SIZE)
         if len(raw) < SFLD_HEADER_SIZE:
             raise InvalidInputError("truncated field file")
-        magic, version, nx, ny, clipped, pitch, wavelength, index, ox, oy = (
+        magic, version, nx, ny, clipped, pitch, wavelength, *frame = (
             _SFLD_HEADER.unpack(raw[: _SFLD_HEADER.size])
         )
         if magic != SFLD_MAGIC:
             raise InvalidInputError("not a field dump (bad magic)")
         if version != 1:
             raise InvalidInputError(f"unsupported field dump version {version}")
+        if tuple(frame) != _SFLD_FRAME:
+            raise InvalidInputError(
+                f"field dump index and origin {tuple(frame)} are not {_SFLD_FRAME}"
+            )
         payload = fh.read()
     if len(payload) != nx * ny * 8:
         raise InvalidInputError(
@@ -766,9 +766,7 @@ def read_field_sfld(path) -> ScalarField:
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(ny, nx, 2)
     samples = data[..., 0].astype(np.float64) + 1j * data[..., 1].astype(np.float64)
-    return ScalarField(
-        samples, pitch, wavelength, index, (ox, oy), clipped_fraction=float(clipped)
-    )
+    return ScalarField(samples, pitch, wavelength, clipped_fraction=float(clipped))
 
 
 def write_field_csv(field: ScalarField, path) -> None:

@@ -1,14 +1,17 @@
-"""The names the benchmark traces, times and imports must exist in the program.
+"""The names the benchmark traces, times and imports must exist in the program,
+and its calls into the program must bind to their signatures.
 
 perfbench/tracer.py wraps functions by (module, function) name,
 perfbench/primitives.py calls two private wavefield helpers, and the
-benchmark scripts import names from the package. A rename or deletion
-would otherwise surface only when the benchmark runs.
+benchmark scripts import names from the package and call them. A rename,
+deletion or signature change would otherwise surface only when the
+benchmark runs.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,69 @@ def imported_names():
             ):
                 names.add(node.attr)
     return sorted(names)
+
+
+def _resolve(name):
+    """The package attribute `name`, the submodule ionoptics.<name>, or None
+    (test_benchmark_import_exists reports a missing name)."""
+    package = importlib.import_module("ionoptics")
+    if hasattr(package, name):
+        return getattr(package, name)
+    try:
+        return importlib.import_module(f"ionoptics.{name}")
+    except ImportError:
+        return None
+
+
+def program_calls():
+    """(call site, callee, call node) of every call in a perfbench script to
+    a name from the package: a `from ionoptics import` name, or an attribute
+    of `import ionoptics as <alias>` or of an imported module such as
+    `wavefield`, also when reached through `self.<name>`."""
+    calls = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "ionoptics":
+                bound.update((a.asname or a.name, _resolve(a.name)) for a in node.names)
+            elif isinstance(node, ast.Import):
+                bound.update(
+                    (a.asname, importlib.import_module("ionoptics"))
+                    for a in node.names
+                    if a.name == "ionoptics" and a.asname
+                )
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and bound.get(func.id) is not None:
+                callee = bound[func.id]
+            elif isinstance(func, ast.Attribute):
+                owner = func.value
+                key = getattr(owner, "id", None) or getattr(owner, "attr", None)
+                if key not in bound or not hasattr(bound[key], func.attr):
+                    continue
+                callee = getattr(bound[key], func.attr)
+            else:
+                continue
+            site = f"{path.name}:{node.lineno}"
+            name = getattr(func, "id", None) or func.attr
+            calls.append(pytest.param(site, callee, node, id=f"{site}-{name}"))
+    return calls
+
+
+@pytest.mark.parametrize("site, callee, call", program_calls())
+def test_benchmark_call_binds(site, callee, call):
+    # every keyword must name a parameter and the positional count must
+    # fit; a call with *args gives no count to check
+    keywords = {k.arg: None for k in call.keywords if k.arg is not None}
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    positional = [] if starred else [None] * len(call.args)
+    try:
+        inspect.signature(callee).bind_partial(*positional, **keywords)
+    except TypeError as exc:
+        pytest.fail(f"perfbench/{site}: {callee.__qualname__}: {exc}")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, dumps, overrides."""
 
+import argparse
 import csv
 import json
 import subprocess
@@ -156,6 +157,40 @@ def test_scenario_grid_not_power_of_two_exits_2(tmp_path):
     assert result.returncode == EXIT_PARSE
     assert "invalid scenario at grid" in result.stderr
     assert not list(tmp_path.glob("*_design_report.json"))
+
+
+def test_oversized_grid_rejected_by_the_grid_parser():
+    from ionoptics import cli
+
+    with pytest.raises(argparse.ArgumentTypeError, match="MiB"):
+        cli._parse_grid("8192,8192,0.2")
+
+
+def test_crystal_report_in_missing_directory_exits_2(tmp_path):
+    report_path = tmp_path / "missing" / "crystal.json"
+    result = run_cli("crystal", SCENARIO_DIR / "compact.json", "--report", report_path)
+    assert result.returncode == EXIT_PARSE
+    assert "error in crystal" in result.stderr
+    assert "Traceback" not in result.stderr
+    # the check runs before the crystal is solved and printed
+    assert "position_um" not in result.stdout
+
+
+def test_design_output_in_missing_directory_exits_2_before_synthesis(
+    tmp_path, monkeypatch, capsys
+):
+    from ionoptics import cli
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, "synthesize_lens_stack", no_synthesis)
+    report_path = tmp_path / "missing" / "r.json"
+    code = cli.main(
+        ["design", str(SCENARIO_DIR / "compact.json"), "--report", str(report_path)]
+    )
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error in design: ")
 
 
 def test_design_report_and_csv_dump(tmp_path):

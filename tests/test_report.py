@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +12,11 @@ from ionoptics.report import (
     REPORT_SCHEMA_VERSION,
     canonical_json,
     channel_section,
-    report_schema,
     run_block,
     to_plain,
     validate_report,
     write_report,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def minimal_report():
@@ -126,12 +122,6 @@ def test_write_report_validates_and_is_canonical(tmp_path):
     bad["command"] = "paint"
     with pytest.raises(InvalidInputError):
         write_report(bad, tmp_path / "bad.json")
-
-
-def test_docs_schema_matches_packaged_schema():
-    # the schema published in docs must stay in lockstep with the package
-    docs_schema = json.loads((REPO_ROOT / "docs" / "report.schema.json").read_text())
-    assert docs_schema == report_schema()
 
 
 def test_every_channel_focus_field_reaches_the_report():

@@ -197,6 +197,13 @@ def test_parse_scenario_rejects_non_finite_numbers(section, key, value, where):
         parse_scenario(data)
 
 
+def test_parse_scenario_rejects_oversized_grid():
+    data = compact_data()
+    data["grid"].update(nx=8192, ny=8192)
+    with pytest.raises(ScenarioError, match="invalid scenario at grid: .*MiB"):
+        parse_scenario(data)
+
+
 def test_name_defaults_to_file_stem(tmp_path):
     data = copy.deepcopy(MINIMAL)
     del data["name"]
