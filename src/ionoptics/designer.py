@@ -55,7 +55,7 @@ from .wavefield import (
     ScalarField,
     ThinLensPhase,
     WedgePhase,
-    angular_spectrum_propagate,
+    _intensity_moments,
     find_focus,
     interp_row,
     make_gaussian_field,
@@ -575,26 +575,29 @@ def _focus_record(channel, position, stack_top, z, metrics, result=None) -> Chan
     )
 
 
+def _channel_source(prescription, array, mirror, grid):
+    """(source, exit_deg) of every channel. source(x, tilt_deg) is the
+    array's Gaussian mode at the design wavelength, centred at x on the chip
+    and tilted by tilt_deg in the y-z plane; the nominal tilt is exit_deg,
+    the mirror's exit angle."""
+    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
+
+    def source(x: float, tilt_deg: float) -> ScalarField:
+        return make_gaussian_field(
+            beam, tilt=(0.0, math.radians(tilt_deg)), grid=grid, center=(x, 0.0)
+        )
+
+    return source, outcoupling_angle(mirror).exit_angle_deg
+
+
 def _run_channel(
-    channel: int,
-    elements,
-    beam: AstigmaticGaussian,
-    center_x: float,
-    tilt_rad: float,
-    grid,
-    z_search,
-    stack_top: float,
+    channel: int, elements, source: Callable[[float, float], ScalarField],
+    x: float, tilt_deg: float, z_search, stack_top: float,
 ) -> tuple[ChannelFocus, FocusResult]:
     # no name here holds the source, so find_focus can free it past the stack
-    result = find_focus(
-        make_gaussian_field(
-            beam, tilt=(0.0, tilt_rad), grid=grid, center=(center_x, 0.0)
-        ),
-        list(elements),
-        z_search,
-    )
+    result = find_focus(source(x, tilt_deg), list(elements), z_search)
     focus = _focus_record(
-        channel, center_x, stack_top, result.z_focus, result.metrics, result
+        channel, x, stack_top, result.z_focus, result.metrics, result
     )
     return focus, result
 
@@ -622,11 +625,10 @@ def simulate_channel(
         )
     if z_search is None:
         z_search = _default_z_search(prescription)
-    tilt = math.radians(outcoupling_angle(mirror).exit_angle_deg)
-    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
+    source, exit_deg = _channel_source(prescription, array, mirror, grid)
     focus, result = _run_channel(
-        channel, prescription.elements, beam, float(array.positions_m[channel]),
-        tilt, grid, z_search, prescription.stack_height,
+        channel, prescription.elements, source, float(array.positions_m[channel]),
+        exit_deg, z_search, prescription.stack_height,
     )
     return (focus, result) if with_result else focus
 
@@ -646,20 +648,21 @@ def crosstalk_matrix(
     centre channel (the ions sit in one plane above the chip). Each
     source goes through the stack once, the centre channel first: its
     focus search (simulate_channel, within z_search) fixes the plane, and
-    its focus field is its field there. Every other channel takes one
-    guarded free-space step from its exit field to that plane (with
-    own_focus, from the spectrum its own focus search already took). Ion
-    positions are mapped into the plane by a least-squares scale fit of
-    the simulated spot centroids, which absorbs the sub-percent
+    its focus field is its field there. Every other channel reaches that
+    plane in one inverse FFT from its stack-exit FreeSpacePlanes: those of
+    its own focus search with own_focus, else those of its exit field. One
+    |E|^2 per channel gives its row through the centre spot and its
+    centroid. Ion positions are mapped into the plane by a least-squares
+    scale fit of the centroids, which absorbs the sub-percent
     magnification offset of the realized stack; the fit residual is
     reported. The optical term for the pair (i, j) is the beam-i
-    intensity at ion j relative to ion i on the row through the centre
-    spot; the leakage term comes from the waveguide-array model with the
-    two channels that address ions i and j; totals are power sums.
+    intensity at ion j relative to ion i on that row; the leakage term
+    comes from the waveguide-array model with the two channels that
+    address ions i and j; totals are power sums.
 
-    With own_focus every channel also gets its own focus search from its
-    exit field, and channel_focus holds the records simulate_channel
-    returns; otherwise the other entries hold shared-plane metrics.
+    With own_focus channel_focus holds the records simulate_channel
+    returns; otherwise the other entries hold spot metrics taken in the
+    shared plane.
     """
     n = array.channel_count
     if len(crystal.positions_m) != n:
@@ -668,58 +671,52 @@ def crosstalk_matrix(
             f"has {n} channels"
         )
     ions = np.asarray(crystal.positions_m, dtype=float)
-    tilt = math.radians(outcoupling_angle(mirror).exit_angle_deg)
-    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
+    source, exit_deg = _channel_source(prescription, array, mirror, grid)
     centre = int(np.argmin(np.abs(array.positions_m)))
+    exit_z = prescription.elements[-1][0]
 
     def evaluate(i):
-        """Channel i's focus record (its own focus when searched, else the
-        shared plane's) and its field and spot metrics in the shared
-        plane. The centre channel's own focus defines that plane."""
+        """Channel i's own-focus record (None without a focus search) and
+        its field in the shared plane, which the centre channel's own
+        focus defines."""
         if i == centre or own_focus:
             record, result = simulate_channel(
                 prescription, array, i, mirror, grid=grid, z_search=z_search,
                 with_result=True,
             )
             if i == centre:
-                return record, result.field_at_focus, result.metrics
-            # the focus search's spectrum and guard moments of the exit
-            # field reach the shared plane in one inverse FFT
-            planes, exit_z = result.planes, result.exit_z
+                return record, result.field_at_focus
+            planes = result.planes
             del result  # drop the focus field before the next plane
-            field = planes.plane(z_eval - exit_z)
-            return record, field, spot_metrics(field)
-        # no name holds the source, so the stack loop can free it
-        position = float(array.positions_m[i])
-        exit_field = propagate_elements(
-            make_gaussian_field(
-                beam, tilt=(0.0, tilt), grid=grid, center=(position, 0.0)
-            ),
-            prescription.elements,
-        )
-        exit_z = prescription.elements[-1][0]
-        field = angular_spectrum_propagate(exit_field, z_eval - exit_z)
-        metrics = spot_metrics(field)
-        record = _focus_record(
-            i, position, prescription.stack_height, z_eval, metrics
-        )
-        return record, field, metrics
+        else:
+            # no name holds the source, so the stack loop can free it
+            record, planes = None, FreeSpacePlanes(propagate_elements(
+                source(float(array.positions_m[i]), exit_deg),
+                prescription.elements,
+            ))
+        return record, planes.plane(z_eval - exit_z)
 
     focus_table = [None] * n
     rows = np.empty((n, int(grid[0])))
     centroids = np.empty(n)
     for i in [centre] + [j for j in range(n) if j != centre]:
         try:
-            record, field, metrics = evaluate(i)
+            record, field = evaluate(i)
+            if i == centre:
+                z_eval, y_row, centre_field = record.z_focus, record.centroid[1], field
+            if record is None:
+                record = _focus_record(
+                    i, float(array.positions_m[i]), prescription.stack_height,
+                    z_eval, spot_metrics(field),
+                )
+            intensity = np.abs(field.samples) ** 2
+            rows[i] = interp_row(intensity, field.y, y_row, axis=0)
+            centroids[i] = _intensity_moments(intensity, field.x, field.y)[0]
         except IonOpticsError as exc:
             exc.args = (f"channel {i}: {exc}",) + exc.args[1:]
             raise
-        if i == centre:
-            z_eval, y_row, centre_field = record.z_focus, record.centroid[1], field
         focus_table[i] = record
-        rows[i] = interp_row(np.abs(field.samples) ** 2, field.y, y_row, axis=0)
-        centroids[i] = metrics.centroid[0]
-        del field
+        del field, intensity
 
     # Channel k images onto ion n-1-k, so the spot of channel n-1-j
     # marks ion j. One scale factor maps ion coordinates to the plane.
@@ -811,14 +808,13 @@ def tolerance_sweep(
     if z_search is None:
         z_search = _default_z_search(prescription)
     worst = int(np.argmax(np.abs(array.positions_m)))
-    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
-    exit_deg = outcoupling_angle(mirror).exit_angle_deg
+    source, exit_deg = _channel_source(prescription, array, mirror, grid)
     centre = float(array.positions_m[worst])
 
     # [0]: the focus result's fields must not outlive the search
     baseline = _run_channel(
-        worst, prescription.elements, beam, centre, math.radians(exit_deg),
-        grid, z_search, prescription.stack_height,
+        worst, prescription.elements, source, centre, exit_deg,
+        z_search, prescription.stack_height,
     )[0]
 
     points = []
@@ -836,8 +832,8 @@ def tolerance_sweep(
                     list(prescription.elements), centre, exit_deg, value
                 )
                 focus = _run_channel(
-                    worst, elements, beam, source_x, math.radians(tilt_deg),
-                    grid, z_search, prescription.stack_height,
+                    worst, elements, source, source_x, tilt_deg,
+                    z_search, prescription.stack_height,
                 )[0]
             except IonOpticsError as exc:
                 message = f"sweep point {parameter}={value:g} failed: {exc}"

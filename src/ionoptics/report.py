@@ -10,6 +10,7 @@ and nothing else.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
 from importlib import resources
@@ -62,10 +63,19 @@ def report_schema() -> dict:
         return json.load(fh)
 
 
+@functools.cache
+def _report_validator():
+    # what jsonschema.validate builds and checks on every call, once per process
+    schema = report_schema()
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    return validator(schema)
+
+
 def validate_report(data: dict) -> None:
-    try:
-        jsonschema.validate(to_plain(data), report_schema())
-    except jsonschema.ValidationError as exc:
+    """Raise InvalidInputError for the error jsonschema.validate would raise."""
+    exc = jsonschema.exceptions.best_match(_report_validator().iter_errors(to_plain(data)))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "report"
         raise InvalidInputError(
             f"report violates its schema at {path}: {exc.message}"

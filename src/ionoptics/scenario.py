@@ -10,6 +10,7 @@ that typos fail loudly instead of silently using defaults.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -52,6 +53,15 @@ def scenario_schema() -> dict:
         return json.load(fh)
 
 
+@functools.cache
+def _scenario_validator():
+    # what jsonschema.validate builds and checks on every call, once per process
+    schema = scenario_schema()
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    return validator(schema)
+
+
 def _location(path) -> str:
     return "/".join(str(p) for p in path) or "(document root)"
 
@@ -80,9 +90,8 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a decoded scenario document and convert units to SI.
     NaN, infinity and integers beyond the float range are rejected."""
     _check_finite(data)
-    try:
-        jsonschema.validate(data, scenario_schema())
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(data))
+    if exc is not None:
         raise ScenarioError(
             f"invalid scenario at {_location(exc.absolute_path)}: {exc.message}"
         ) from exc

@@ -628,14 +628,14 @@ class FocusResult:
     """beam_slope is dy/dz of the intensity centroid past the last element;
     fit_residual is the largest deviation of the sampled x variances from
     the final parabola, over the smallest of them. planes holds the exit
-    field (planes.field, at exit_z) with its spectrum and at most one pass
-    of the guard's moments, so any later plane costs one inverse FFT."""
+    field (planes.field, at the last element's z) with its spectrum and at
+    most one pass of the guard's moments, so any later plane costs one
+    inverse FFT."""
 
     z_focus: float
     metrics: SpotMetrics
     field_at_focus: ScalarField
     planes: FreeSpacePlanes
-    exit_z: float
     beam_slope: float
     fit_residual: float
 
@@ -715,7 +715,6 @@ def find_focus(
         metrics=spot_metrics(focus_field),
         field_at_focus=focus_field,
         planes=planes,
-        exit_z=z_exit,
         beam_slope=float(np.polyfit(z, centroid_y, 1)[0]),
         fit_residual=fit_residual,
     )

@@ -1,11 +1,12 @@
 """The names the benchmark traces, times and imports must exist in the program,
-and its calls into the program must bind to their signatures.
+its calls into the program must bind to their signatures, and every layer a
+traced workload requires must record calls.
 
 perfbench/tracer.py wraps functions by (module, function) name,
 perfbench/primitives.py calls two private wavefield helpers, and the
 benchmark scripts import names from the package and call them. A rename,
-deletion or signature change would otherwise surface only when the
-benchmark runs.
+deletion, signature change or a required call folded away would otherwise
+surface only when the benchmark runs.
 """
 
 import ast
@@ -17,14 +18,19 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACER = PERFBENCH / "tracer.py"
+COMPACT = PERFBENCH.parent / "scenarios" / "compact.json"
+
+
+def load_script(name):
+    """perfbench/<name>.py as a module, without running its main."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def traced_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.LAYERS
+    return load_script("tracer").LAYERS
 
 
 def imported_names():
@@ -146,3 +152,26 @@ def test_window_guard_primitive_is_callable_as_timed():
     wavefield._window_guard(field, spectrum, 5e-6)
     with pytest.raises(PropagationWindowError):
         wavefield._window_guard(field, spectrum, 2e-3)
+
+
+@pytest.mark.parametrize("workload, argv", [
+    ("compact-design", ["design", str(COMPACT), "--dump-field", "x.sfld"]),
+    ("compact-sweep", ["sweep", str(COMPACT), "--preset", "prism-mismatch"]),
+], ids=["compact-design", "compact-sweep"])
+def test_benchmark_required_layers_record_calls(workload, argv, tmp_path, monkeypatch):
+    # perfbench's traced run fails when a layer it requires records no
+    # calls; run the same check on the CLI path here
+    from ionoptics import cli
+
+    monkeypatch.chdir(tmp_path)  # the reports, tables and dumps land here
+    monkeypatch.delenv("IONOPTICS_OUTDIR", raising=False)
+    tracer = load_script("tracer").Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    called = {layer for layer, *_ in tracer.spans}
+    silent = [name for name in load_script("run").REQUIRED_LAYERS[workload]
+              if name not in called]
+    assert not silent, f"{workload}: no calls recorded in {', '.join(silent)}"

@@ -360,7 +360,7 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch):
 
     for module in (designer, wavefield):
         monkeypatch.setattr(module, "make_gaussian_field", counted_source)
-        monkeypatch.setattr(module, "angular_spectrum_propagate", counted_step)
+    monkeypatch.setattr(wavefield, "angular_spectrum_propagate", counted_step)
     dump = tmp_path / "centre.sfld"
     code = cli.main(
         ["design", str(SCENARIO_DIR / "compact.json"),

@@ -243,22 +243,60 @@ def test_crosstalk_single_channel_is_silent(compact_pipeline):
     assert report.contributions == ()
 
 
+@pytest.fixture(scope="module")
+def compact_crosstalk(compact_pipeline):
+    """own_focus -> (compact crosstalk report, designer-level spot_metrics
+    calls it made)."""
+    pipe = compact_pipeline
+    runs = {}
+    for own_focus in (False, True):
+        calls = []
+
+        def counted(field, _original=designer.spot_metrics):
+            calls.append(1)
+            return _original(field)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(designer, "spot_metrics", counted)
+            report = crosstalk_matrix(
+                pipe["prescription"],
+                pipe["array"],
+                pipe["crystal"],
+                pipe["scenario"].mirror,
+                grid=pipe["scenario"].grid,
+                own_focus=own_focus,
+            )
+        runs[own_focus] = (report, len(calls))
+    return runs
+
+
 def test_crosstalk_own_focus_records_match_simulate_channel(
-    compact_pipeline, compact_channels
+    compact_pipeline, compact_channels, compact_crosstalk
 ):
     pipe = compact_pipeline
-    report = crosstalk_matrix(
-        pipe["prescription"],
-        pipe["array"],
-        pipe["crystal"],
-        pipe["scenario"].mirror,
-        grid=pipe["scenario"].grid,
-        own_focus=True,
-    )
+    report = compact_crosstalk[True][0]
     assert report.channel_focus == tuple(compact_channels)
     centre = int(np.argmin(np.abs(pipe["positions"])))
     assert report.evaluation_z == compact_channels[centre].z_focus
     assert report.centre_field.nx == pipe["scenario"].grid[0]
+    # both modes reach the shared plane from the same exit planes, so the
+    # matrix and the alignment agree bit for bit
+    shared = compact_crosstalk[False][0]
+    assert report.matrix_db.tobytes() == shared.matrix_db.tobytes()
+    assert report.alignment_scale == shared.alignment_scale
+    assert report.alignment_residual == shared.alignment_residual
+    assert report.evaluation_z == shared.evaluation_z
+    assert report.centre_field.samples.tobytes() == shared.centre_field.samples.tobytes()
+
+
+def test_crosstalk_spot_metrics_only_for_shared_plane_records(
+    compact_pipeline, compact_crosstalk
+):
+    # the centroids come from the crosstalk pass's own |E|^2; only a
+    # record taken in the shared plane needs the fitted spot metrics
+    n = compact_pipeline["array"].channel_count
+    assert compact_crosstalk[True][1] == 0
+    assert compact_crosstalk[False][1] == n - 1
 
 
 def test_crosstalk_requires_matching_counts(compact_pipeline, reference_pipeline):
