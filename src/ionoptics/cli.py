@@ -32,6 +32,7 @@ from .constants import UM
 from .crystal import solve_crystal
 from .designer import (
     SWEEP_PRESETS,
+    _sweep_preset,
     crosstalk_matrix,
     pitch_plan,
     sweep_row_to_si,
@@ -202,8 +203,7 @@ def cmd_crystal(args) -> int:
 
 def cmd_design(args) -> int:
     if args.dump_field and not args.dump_field.endswith((".sfld", ".csv")):
-        print("dump-field path must end in .sfld or .csv", file=sys.stderr)
-        return EXIT_PARSE
+        raise ScenarioError("dump-field path must end in .sfld or .csv")
     scenario = load_scenario(args.scenario)
     path = _out_path(args.report, f"{scenario.name}_design_report.json")
     _check_out_dirs(path, args.dump_field)
@@ -249,16 +249,15 @@ def cmd_design(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
+    preset = () if args.preset is None else _sweep_preset(args.preset)
     perturbations = list(scenario.sweeps) + [
         _parse_param(p) for p in args.param or []
-    ]
-    if not perturbations and not args.preset:
-        print(
+    ] + list(preset)
+    if not perturbations:
+        raise ScenarioError(
             "sweep needs scenario sweep definitions, --param, or --preset "
-            f"(available presets: {', '.join(sorted(SWEEP_PRESETS))})",
-            file=sys.stderr,
+            f"(available presets: {', '.join(sorted(SWEEP_PRESETS))})"
         )
-        return EXIT_PARSE
 
     json_path = _out_path(args.report, f"{scenario.name}_sweep_report.json")
     csv_path = _out_path(args.csv, f"{scenario.name}_sweep.csv")
@@ -269,7 +268,7 @@ def cmd_sweep(args) -> int:
     )
     result = tolerance_sweep(
         prescription, array, scenario.mirror, perturbations,
-        grid=grid, z_search=scenario.z_search, preset=args.preset,
+        grid=grid, z_search=scenario.z_search,
     )
 
     data = _report_skeleton("sweep", scenario, time.perf_counter() - t0)

@@ -110,7 +110,7 @@ class SweepParameter(NamedTuple):
 def _rebuild_wedge(elements, centre, exit_deg, value):
     # the corrective wedge was built for an exit angle of `value` degrees
     kept = [(z, el) for z, el in elements if not isinstance(el, WedgePhase)]
-    wedge = (WEDGE_Z, WedgePhase(0.0, -math.radians(value)))
+    wedge = (WEDGE_Z, WedgePhase(-math.radians(value)))
     return [wedge] + kept, centre, exit_deg, exit_deg - value
 
 
@@ -125,7 +125,7 @@ def _shift_stack(elements, centre, exit_deg, value):
 
 def _tilt_chip(elements, centre, exit_deg, value):
     # an unintended wedge of `value` degrees between the chip and the stack
-    wedge = (WEDGE_Z / 2.0, WedgePhase(0.0, math.radians(value)))
+    wedge = (WEDGE_Z / 2.0, WedgePhase(math.radians(value)))
     return [wedge] + elements, centre, exit_deg, 0.0
 
 
@@ -153,6 +153,15 @@ def _sweep_parameter(name: str) -> SweepParameter:
         raise InvalidInputError(
             f"unknown sweep parameter {name!r}; expected one of "
             + ", ".join(SWEEP_PARAMETERS)
+        ) from None
+
+
+def _sweep_preset(name: str) -> tuple:
+    try:
+        return SWEEP_PRESETS[name]
+    except KeyError:
+        raise InvalidInputError(
+            f"unknown preset {name!r}; available: " + ", ".join(sorted(SWEEP_PRESETS))
         ) from None
 
 
@@ -528,7 +537,7 @@ def synthesize_lens_stack(
 
     elements = []
     if abs(source_tilt) > 0:
-        elements.append((WEDGE_Z, WedgePhase(0.0, -math.radians(source_tilt))))
+        elements.append((WEDGE_Z, WedgePhase(-math.radians(source_tilt))))
     for f, z, r in zip(f_list, z_list, radii):
         elements.append((z, CircAperture(r)))
         elements.append((z, ThinLensPhase(f)))
@@ -790,12 +799,7 @@ def tolerance_sweep(
     ties resolved toward the lower index.
     """
     if preset is not None:
-        if preset not in SWEEP_PRESETS:
-            raise InvalidInputError(
-                f"unknown preset {preset!r}; available: "
-                + ", ".join(sorted(SWEEP_PRESETS))
-            )
-        perturbations = list(perturbations) + list(SWEEP_PRESETS[preset])
+        perturbations = list(perturbations) + list(_sweep_preset(preset))
     if not perturbations:
         raise InvalidInputError("tolerance_sweep needs perturbations or a preset")
     for spec_row in perturbations:  # before the baseline focus search

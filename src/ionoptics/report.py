@@ -124,8 +124,10 @@ def prescription_section(prescription: LensStackPrescription) -> dict:
     elements = []
     for z, el in prescription.elements:
         if isinstance(el, WedgePhase):
+            # wedges deflect in y only; tilt_x_deg stays a fixed 0 so that
+            # reports under report_schema_version 1 keep their bytes
             elements.append({"z_um": z / UM, "kind": "wedge",
-                             "tilt_x_deg": math.degrees(el.tilt_x),
+                             "tilt_x_deg": 0.0,
                              "tilt_y_deg": math.degrees(el.tilt_y)})
         elif isinstance(el, ThinLensPhase):
             elements.append({"z_um": z / UM, "kind": "lens",

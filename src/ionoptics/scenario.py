@@ -34,7 +34,6 @@ class Scenario:
     """Validated, SI-converted scenario ready for the pipeline."""
 
     name: str
-    comment: str
     trap: TrapSpec
     targets: DesignTargets
     mirror: TirMirrorSpec
@@ -148,7 +147,6 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
 
     return Scenario(
         name=data.get("name", name_hint),
-        comment=data.get("comment", ""),
         trap=trap,
         targets=targets,
         mirror=mirror,

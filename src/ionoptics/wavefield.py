@@ -158,17 +158,17 @@ class ThinLensPhase:
 
 @dataclass(frozen=True)
 class WedgePhase:
-    """Thin wedge deflecting the beam by (tilt_x, tilt_y) radians.
+    """Thin wedge deflecting the beam in y by tilt_y radians.
 
-    The phase ramp is exp(i k (sin(tilt_x) x + sin(tilt_y) y)), so a wedge
-    with tilt_y = -t cancels a source launched with tilt (0, +t).
+    The phase ramp is exp(i k sin(tilt_y) y), so a wedge with tilt_y = -t
+    cancels a source launched with tilt (0, +t). The out-couplers tilt
+    every beam in the y plane only, so no wedge needs an x tilt.
     """
 
-    tilt_x: float
     tilt_y: float
 
     def __post_init__(self):
-        if max(abs(self.tilt_x), abs(self.tilt_y)) >= _TILT_LIMIT:
+        if abs(self.tilt_y) >= _TILT_LIMIT:
             raise InvalidInputError("wedge tilt magnitude must stay below 30 degrees")
 
 
@@ -198,8 +198,8 @@ def make_gaussian_field(
 
     Both exps are taken only on the span of rows and columns where the
     envelope can be nonzero; outside it the envelope underflows to 0.
-    The tilt ramp is the product of one exp per axis (_tilt_ramp). A zero
-    tilt component makes its factor exactly 1, so a tilt with one zero
+    The tilt ramp is the product of one exp per axis. A zero tilt
+    component makes its factor exactly 1, so a tilt with one zero
     component, as every channel source has, gives the same bits as the
     2-d exp of the summed phase; other tilts agree to rounding.
     """
@@ -226,11 +226,14 @@ def make_gaussian_field(
     rows = _span((y / w0y) ** 2 < _EXP_UNDERFLOW)
     cols = _span((x / w0x) ** 2 < _EXP_UNDERFLOW)
     xb, yb = x[cols], y[rows]
-    k = 2.0 * math.pi / beam.wavelength
+    ik = 1j * (2.0 * math.pi / beam.wavelength)
     samples = np.zeros((ny, nx), dtype=np.complex128)
     samples[rows, cols] = np.exp(
         -(xb[None, :] / w0x) ** 2 - (yb[:, None] / w0y) ** 2
-    ) * _tilt_ramp(k, tilt, xb, yb)
+    ) * (
+        np.exp(ik * (math.sin(tilt[1]) * yb))[:, None]
+        * np.exp(ik * (math.sin(tilt[0]) * xb))[None, :]
+    )
     norm = math.sqrt(np.sum(np.abs(samples) ** 2) * pitch**2)
     if norm == 0.0:
         raise InvalidInputError(
@@ -246,15 +249,6 @@ def _span(mask: np.ndarray) -> slice:
     if not mask.any():
         return slice(0, 0)
     return slice(int(mask.argmax()), len(mask) - int(mask[::-1].argmax()))
-
-
-def _tilt_ramp(k: float, tilt: tuple[float, float], x: np.ndarray, y: np.ndarray):
-    """exp(i k (sin(tilt_x) x + sin(tilt_y) y)) on the grid, from one exp per axis."""
-    ik = 1j * k
-    return (
-        np.exp(ik * (math.sin(tilt[1]) * y))[:, None]
-        * np.exp(ik * (math.sin(tilt[0]) * x))[None, :]
-    )
 
 
 def _intensity_moments(intensity: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -520,7 +514,7 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     nonzero samples, such as the opening of the aperture before it;
     outside the box the product is zero anyway, so the result differs
     from the full-grid product at most in the sign of zeros. A wedge
-    builds its ramp from one exp per axis, like make_gaussian_field.
+    multiplies by one phase column, since its ramp varies in y only.
     """
     k = field.wavenumber
     if isinstance(element, ThinLensPhase):
@@ -531,7 +525,7 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
         np.multiply(field.samples[rows, cols], phase, out=samples[rows, cols])
         return replace(field, samples=samples)
     if isinstance(element, WedgePhase):
-        ramp = _tilt_ramp(k, (element.tilt_x, element.tilt_y), field.x, field.y)
+        ramp = np.exp(1j * k * (math.sin(element.tilt_y) * field.y))[:, None]
         return replace(field, samples=field.samples * ramp)
     if isinstance(element, CircAperture):
         x, y = field.x, field.y
@@ -769,22 +763,13 @@ def read_field_sfld(path) -> ScalarField:
 
 
 def write_field_csv(field: ScalarField, path) -> None:
-    """CSV dump with columns x, y, re, im, intensity (one row per sample)."""
-    xg, yg = np.meshgrid(field.x, field.y)
-    cols = np.column_stack(
-        [
-            xg.ravel(),
-            yg.ravel(),
-            field.samples.real.ravel(),
-            field.samples.imag.ravel(),
-            (np.abs(field.samples) ** 2).ravel(),
-        ]
-    )
-    np.savetxt(
-        path,
-        cols,
-        delimiter=",",
-        header="x_m,y_m,re,im,intensity",
-        comments="",
-        fmt="%.9e",
-    )
+    """CSV dump with columns x, y, re, im, intensity (one row per sample,
+    y outer, each value "%.9e"), streamed one grid row at a time."""
+    xs = [f"{x:.9e}" for x in field.x.tolist()]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("x_m,y_m,re,im,intensity\n")
+        for y, row in zip(field.y.tolist(), field.samples):
+            ys = f"{y:.9e}"
+            values = zip(xs, row.real.tolist(), row.imag.tolist(),
+                         (np.abs(row) ** 2).tolist())
+            fh.writelines(f"{x},{ys},{re:.9e},{im:.9e},{i:.9e}\n" for x, re, im, i in values)

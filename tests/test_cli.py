@@ -228,6 +228,7 @@ def test_dump_field_unknown_extension_exits_2(tmp_path):
     assert "dump" in result.stderr.lower() or ".txt" in result.stderr
     # the suffix is checked before any design work
     assert not list(tmp_path.glob("*_design_report.json"))
+    assert result.stderr.startswith("error in design: ")
 
 
 def test_sweep_needs_work_exits_2(tmp_path):
@@ -242,6 +243,22 @@ def test_sweep_unknown_preset_exits_3(tmp_path):
     result = run_cli("sweep", path, "--preset", "bogus", outdir=tmp_path)
     assert result.returncode == EXIT_INVARIANT
     assert "prism-mismatch" in result.stderr
+
+
+def test_sweep_unknown_preset_exits_before_synthesis(tmp_path, monkeypatch, capsys):
+    from ionoptics import cli
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the preset was checked")
+
+    monkeypatch.setattr(cli, "synthesize_lens_stack", no_synthesis)
+    path = compact_variant(tmp_path, sweeps=None)
+    code = cli.main(
+        ["sweep", str(path), "--preset", "bogus",
+         "--report", str(tmp_path / "s.json"), "--csv", str(tmp_path / "s.csv")]
+    )
+    assert code == EXIT_INVARIANT
+    assert capsys.readouterr().err.startswith("error in sweep: unknown preset 'bogus'")
 
 
 def test_sweep_param_writes_single_row_csv(tmp_path):
