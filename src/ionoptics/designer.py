@@ -18,6 +18,7 @@ module's boundary; wave-optics element tilts are radians internally.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -55,7 +56,7 @@ from .wavefield import (
     ScalarField,
     ThinLensPhase,
     WedgePhase,
-    _intensity_moments,
+    _intensity_stats,
     find_focus,
     interp_row,
     make_gaussian_field,
@@ -603,7 +604,7 @@ def _run_channel(
     channel: int, elements, source: Callable[[float, float], ScalarField],
     x: float, tilt_deg: float, z_search, stack_top: float,
 ) -> tuple[ChannelFocus, FocusResult]:
-    # no name here holds the source, so find_focus can free it past the stack
+    # no name here holds the source, so the stack loop can free it
     result = find_focus(source(x, tilt_deg), list(elements), z_search)
     focus = _focus_record(
         channel, x, stack_top, result.z_focus, result.metrics, result
@@ -659,10 +660,10 @@ def crosstalk_matrix(
     focus search (simulate_channel, within z_search) fixes the plane, and
     its focus field is its field there. Every other channel reaches that
     plane in one inverse FFT from its stack-exit FreeSpacePlanes: those of
-    its own focus search with own_focus, else those of its exit field. One
-    |E|^2 per channel gives its row through the centre spot and its
-    centroid. Ion positions are mapped into the plane by a least-squares
-    scale fit of the centroids, which absorbs the sub-percent
+    its own focus search with own_focus, else those of its exit field.
+    The marginals of its |E|^2 give its centroid, and |E|^2 on two rows its
+    row through the centre spot. Ion positions are mapped into the plane
+    by a least-squares scale fit of the centroids, which absorbs the sub-percent
     magnification offset of the realized stack; the fit residual is
     reported. The optical term for the pair (i, j) is the beam-i
     intensity at ion j relative to ion i on that row; the leakage term
@@ -718,14 +719,13 @@ def crosstalk_matrix(
                     i, float(array.positions_m[i]), prescription.stack_height,
                     z_eval, spot_metrics(field),
                 )
-            intensity = np.abs(field.samples) ** 2
-            rows[i] = interp_row(intensity, field.y, y_row, axis=0)
-            centroids[i] = _intensity_moments(intensity, field.x, field.y)[0]
+            rows[i] = interp_row(field.samples, field.y, y_row, axis=0)
+            centroids[i] = _intensity_stats(field.samples, field.x, field.y)[1]
         except IonOpticsError as exc:
             exc.args = (f"channel {i}: {exc}",) + exc.args[1:]
             raise
         focus_table[i] = record
-        del field, intensity
+        del field
 
     # Channel k images onto ion n-1-k, so the spot of channel n-1-j
     # marks ion j. One scale factor maps ion coordinates to the plane.
@@ -780,6 +780,16 @@ def crosstalk_matrix(
     )
 
 
+@contextlib.contextmanager
+def _sweep_point(parameter: str, value: float):
+    """Prefix an IonOpticsError raised inside with the sweep point."""
+    try:
+        yield
+    except IonOpticsError as exc:
+        exc.args = (f"sweep point {parameter}={value:g} failed: {exc}",) + exc.args[1:]
+        raise
+
+
 def tolerance_sweep(
     prescription: LensStackPrescription,
     array: WaveguideArraySpec,
@@ -796,25 +806,36 @@ def tolerance_sweep(
     corrective wedge was built for (nominal: the mirror's actual exit
     angle); the remaining parameters are deltas with nominal 0. The
     worst-case channel is the one with the largest transverse offset,
-    ties resolved toward the lower index.
+    ties resolved toward the lower index. Every point's perturbed system
+    is built, or fails, before the first focus search.
     """
     if preset is not None:
         perturbations = list(perturbations) + list(_sweep_preset(preset))
     if not perturbations:
         raise InvalidInputError("tolerance_sweep needs perturbations or a preset")
-    for spec_row in perturbations:  # before the baseline focus search
-        _sweep_parameter(spec_row["parameter"])
-        if int(spec_row["steps"]) < 1:
-            raise InvalidInputError("sweep steps must be >= 1")
-        if not (math.isfinite(spec_row["lo"]) and math.isfinite(spec_row["hi"])):
-            raise InvalidInputError("sweep lo and hi must be finite")
 
-    if z_search is None:
-        z_search = _default_z_search(prescription)
     worst = int(np.argmax(np.abs(array.positions_m)))
     source, exit_deg = _channel_source(prescription, array, mirror, grid)
     centre = float(array.positions_m[worst])
 
+    # (parameter, value, elements, source x, source tilt, residual tilt)
+    systems = []
+    for spec_row in perturbations:
+        parameter = spec_row["parameter"]
+        perturb = _sweep_parameter(parameter).perturb
+        lo, hi, steps = spec_row["lo"], spec_row["hi"], int(spec_row["steps"])
+        if steps < 1:
+            raise InvalidInputError("sweep steps must be >= 1")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidInputError("sweep lo and hi must be finite")
+        for value in [0.5 * (lo + hi)] if steps == 1 else np.linspace(lo, hi, steps):
+            with _sweep_point(parameter, value):
+                systems.append((parameter, value) + perturb(
+                    list(prescription.elements), centre, exit_deg, value
+                ))
+
+    if z_search is None:
+        z_search = _default_z_search(prescription)
     # [0]: the focus result's fields must not outlive the search
     baseline = _run_channel(
         worst, prescription.elements, source, centre, exit_deg,
@@ -822,49 +843,28 @@ def tolerance_sweep(
     )[0]
 
     points = []
-    for spec_row in perturbations:
-        parameter = spec_row["parameter"]
-        perturb = SWEEP_PARAMETERS[parameter].perturb
-        lo, hi, steps = spec_row["lo"], spec_row["hi"], int(spec_row["steps"])
-        if steps == 1:
-            values = [0.5 * (lo + hi)]
-        else:
-            values = list(np.linspace(lo, hi, steps))
-        for value in values:
-            try:
-                elements, source_x, tilt_deg, residual = perturb(
-                    list(prescription.elements), centre, exit_deg, value
-                )
-                focus = _run_channel(
-                    worst, elements, source, source_x, tilt_deg,
-                    z_search, prescription.stack_height,
-                )[0]
-            except IonOpticsError as exc:
-                message = f"sweep point {parameter}={value:g} failed: {exc}"
-                exc.args = (message,) + exc.args[1:]
-                raise
-            points.append(
-                SweepPoint(
-                    parameter=parameter,
-                    value=float(value),
-                    z_focus=focus.z_focus,
-                    image_distance=focus.image_distance,
-                    mfd_fit=focus.mfd_fit,
-                    centroid=focus.centroid,
-                    clipped_fraction=focus.clipped_fraction,
-                    beam_slope=focus.beam_slope,
-                    off_normal=focus.off_normal,
-                    dz_focus=focus.z_focus - baseline.z_focus,
-                    dmfd=(
-                        focus.mfd_fit[0] - baseline.mfd_fit[0],
-                        focus.mfd_fit[1] - baseline.mfd_fit[1],
-                    ),
-                    dcentroid=(
-                        focus.centroid[0] - baseline.centroid[0],
-                        focus.centroid[1] - baseline.centroid[1],
-                    ),
-                    residual_tilt_deg=residual,
-                )
+    for parameter, value, elements, source_x, tilt_deg, residual in systems:
+        with _sweep_point(parameter, value):
+            focus = _run_channel(
+                worst, elements, source, source_x, tilt_deg,
+                z_search, prescription.stack_height,
+            )[0]
+        points.append(
+            SweepPoint(
+                parameter=parameter,
+                value=float(value),
+                z_focus=focus.z_focus,
+                image_distance=focus.image_distance,
+                mfd_fit=focus.mfd_fit,
+                centroid=focus.centroid,
+                clipped_fraction=focus.clipped_fraction,
+                beam_slope=focus.beam_slope,
+                off_normal=focus.off_normal,
+                dz_focus=focus.z_focus - baseline.z_focus,
+                dmfd=tuple(f - b for f, b in zip(focus.mfd_fit, baseline.mfd_fit)),
+                dcentroid=tuple(f - b for f, b in zip(focus.centroid, baseline.centroid)),
+                residual_tilt_deg=residual,
             )
+        )
 
     return SweepReport(channel=worst, baseline=baseline, points=tuple(points))

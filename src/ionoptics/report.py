@@ -31,7 +31,7 @@ from .errors import InvalidInputError
 from .picmodel import OutcouplingResult, TirMirrorSpec, tir_critical_angle
 from .wavefield import ThinLensPhase, WedgePhase
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def to_plain(value):
@@ -125,7 +125,7 @@ def prescription_section(prescription: LensStackPrescription) -> dict:
     for z, el in prescription.elements:
         if isinstance(el, WedgePhase):
             # wedges deflect in y only; tilt_x_deg stays a fixed 0 so that
-            # reports under report_schema_version 1 keep their bytes
+            # the elements table keeps its fields
             elements.append({"z_um": z / UM, "kind": "wedge",
                              "tilt_x_deg": 0.0,
                              "tilt_y_deg": math.degrees(el.tilt_y)})

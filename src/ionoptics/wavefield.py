@@ -113,7 +113,7 @@ class ScalarField:
     clipped_fraction: float = 0.0
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if self.samples.ndim != 2:
             raise InvalidInputError("samples must be a 2-d array")
         _check_grid(self.nx, self.ny, self.pitch)
@@ -138,7 +138,7 @@ class ScalarField:
 
     @property
     def power(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2)) * self.pitch**2
+        return _power_sum(self.samples) * self.pitch**2
 
     @property
     def wavenumber(self) -> float:
@@ -227,20 +227,19 @@ def make_gaussian_field(
     cols = _span((x / w0x) ** 2 < _EXP_UNDERFLOW)
     xb, yb = x[cols], y[rows]
     ik = 1j * (2.0 * math.pi / beam.wavelength)
-    samples = np.zeros((ny, nx), dtype=np.complex128)
-    samples[rows, cols] = np.exp(
-        -(xb[None, :] / w0x) ** 2 - (yb[:, None] / w0y) ** 2
-    ) * (
+    block = np.exp(-(xb[None, :] / w0x) ** 2 - (yb[:, None] / w0y) ** 2) * (
         np.exp(ik * (math.sin(tilt[1]) * yb))[:, None]
         * np.exp(ik * (math.sin(tilt[0]) * xb))[None, :]
     )
-    norm = math.sqrt(np.sum(np.abs(samples) ** 2) * pitch**2)
+    norm = math.sqrt(_power_sum(block) * pitch**2)
     if norm == 0.0:
         raise InvalidInputError(
             f"beam centered at ({center[0]:.3e}, {center[1]:.3e}) m carries no "
             "power inside the sampled window"
         )
-    samples /= norm
+    block /= norm
+    samples = np.zeros((ny, nx), dtype=np.complex128)
+    samples[rows, cols] = block
     return ScalarField(samples, pitch, beam.wavelength)
 
 
@@ -251,43 +250,40 @@ def _span(mask: np.ndarray) -> slice:
     return slice(int(mask.argmax()), len(mask) - int(mask[::-1].argmax()))
 
 
-def _intensity_moments(intensity: np.ndarray, x: np.ndarray, y: np.ndarray):
-    total = float(intensity.sum())
+def _marginals(samples: np.ndarray):
+    """Column and row sums (ix, iy) of |samples|^2 (C-contiguous), from two
+    einsum reads of its float64 view: no |E|^2 grid, one thread, no BLAS."""
+    v = samples.view(np.float64)
+    ix = np.einsum("ij,ij->j", v, v)
+    return ix[0::2] + ix[1::2], np.einsum("ij,ij->i", v, v)
+
+
+def _power_sum(samples: np.ndarray) -> float:
+    """The sum of |samples|^2, from one read of the float64 view."""
+    v = samples.view(np.float64)
+    return float(np.einsum("ij,ij->i", v, v).sum())
+
+
+def _intensity_stats(samples: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """(total, cx, cy, vx, vy) of |samples|^2, from its marginals."""
+    ix, iy = _marginals(samples)
+    total = float(iy.sum())
     if total <= 0:
         raise InvalidInputError("field has no power")
-    ix = intensity.sum(axis=0)
-    iy = intensity.sum(axis=1)
     cx = float(ix @ x) / total
     cy = float(iy @ y) / total
-    vx = float(ix @ (x - cx) ** 2) / total
-    vy = float(iy @ (y - cy) ** 2) / total
-    return cx, cy, vx, vy
+    return total, cx, cy, float(ix @ (x - cx) ** 2) / total, float(iy @ (y - cy) ** 2) / total
 
 
 def _window_moments(field: ScalarField, spectrum: np.ndarray):
     """The guard's cheap pass, from |E|^2 and |spectrum|^2: the total
     intensity and per axis (label, centroid, mean sin(theta), variance,
     variance of sin(theta), samples)."""
-    intensity = np.abs(field.samples) ** 2
-    cx, cy, vx, vy = _intensity_moments(intensity, field.x, field.y)
-    itot = float(intensity.sum())
-    del intensity
-
-    # angular moments from the propagating part of the spectrum;
-    # fx maps to sin(theta) = lambda fx
-    fx = sfft.fftfreq(field.nx, field.pitch)
-    fy = sfft.fftfreq(field.ny, field.pitch)
-    lam = field.wavelength
-    spec_int = np.abs(spectrum) ** 2
-    stot = float(spec_int.sum())
-    if stot <= 0:
-        raise InvalidInputError("field has no power")
-    sx, sy = spec_int.sum(axis=0), spec_int.sum(axis=1)
-    del spec_int
-    mean_sx = lam * float(sx @ fx) / stot
-    mean_sy = lam * float(sy @ fy) / stot
-    var_sx = lam**2 * float(sx @ fx**2) / stot - mean_sx**2
-    var_sy = lam**2 * float(sy @ fy**2) / stot - mean_sy**2
+    itot, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y)
+    # angular moments of the whole spectrum, evanescent part included; sin(theta) = lambda f
+    sin_x = field.wavelength * sfft.fftfreq(field.nx, field.pitch)
+    sin_y = field.wavelength * sfft.fftfreq(field.ny, field.pitch)
+    _, mean_sx, mean_sy, var_sx, var_sy = _intensity_stats(spectrum, sin_x, sin_y)
     return itot, (
         ("x", cx, mean_sx, vx, var_sx, field.nx),
         ("y", cy, mean_sy, vy, var_sy, field.ny),
@@ -309,14 +305,13 @@ def _window_covariance(field: ScalarField, spectrum: np.ndarray, itot: float, ax
     fy = sfft.fftfreq(field.ny, field.pitch)
     h = (2j * math.pi * fx)[None, :] - (2.0 * math.pi * fy)[:, None]
     h *= spectrum
-    h = sfft.ifft2(h, workers=-1, overwrite_x=True)
-    re, im = field.samples.real, field.samples.imag
-    density = re * h.imag
-    density -= im * h.real
-    moment_x = float(density.sum(axis=0) @ field.x)
-    np.multiply(re, h.real, out=density)
-    density += im * h.imag
-    moment_y = -float(density.sum(axis=1) @ field.y)
+    e = field.samples.view(np.float64)
+    h = sfft.ifft2(h, workers=-1, overwrite_x=True).view(np.float64)
+    # column sums of Im(conj(E) h) = re h.imag - im h.real, row sums of Re(conj(E) h)
+    im_columns = np.einsum("ij,ij->j", e[:, 0::2], h[:, 1::2])
+    im_columns -= np.einsum("ij,ij->j", e[:, 1::2], h[:, 0::2])
+    moment_x = float(im_columns @ field.x)
+    moment_y = -float(np.einsum("ij,ij->i", e, h) @ field.y)
     (_, cx, mean_sx, *_), (_, cy, mean_sy, *_) = axes
     k_itot = field.wavenumber * itot
     return moment_x / k_itot - cx * mean_sx, moment_y / k_itot - cy * mean_sy
@@ -514,13 +509,16 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     nonzero samples, such as the opening of the aperture before it;
     outside the box the product is zero anyway, so the result differs
     from the full-grid product at most in the sign of zeros. A wedge
-    multiplies by one phase column, since its ramp varies in y only.
+    multiplies by one phase column, since its ramp varies in y only. The
+    lens phase is the outer product of one exp per axis, which equals the
+    2-d exp of -i k (x^2 + y^2) / (2 f) to rounding.
     """
     k = field.wavenumber
     if isinstance(element, ThinLensPhase):
         rows, cols = _support_box(field.samples)
-        xg, yg = field.x[None, cols], field.y[rows, None]
-        phase = np.exp(-1j * k * (xg * xg + yg * yg) / (2.0 * element.focal_length))
+        xb, yb = field.x[cols], field.y[rows]
+        ik_2f = -1j * k / (2.0 * element.focal_length)
+        phase = np.exp(ik_2f * (yb * yb))[:, None] * np.exp(ik_2f * (xb * xb))[None, :]
         samples = np.zeros_like(field.samples)
         np.multiply(field.samples[rows, cols], phase, out=samples[rows, cols])
         return replace(field, samples=samples)
@@ -537,13 +535,11 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
         inside = xg * xg + yg * yg <= r_sq
         if not inside.any():
             raise InvalidGeometryError("aperture lies entirely outside the grid")
-        before = field.power
+        before = _power_sum(field.samples)
+        kept = np.where(inside, field.samples[rows, cols], 0.0)
         out = np.zeros_like(field.samples)
-        out[rows, cols] = np.where(inside, field.samples[rows, cols], 0.0)
-        # the power sums stay full-grid: a sum over the box alone would
-        # round differently and move clipped_fraction in its last bits
-        after = float(np.sum(np.abs(out) ** 2)) * field.pitch**2
-        step = 0.0 if before <= 0 else max(0.0, 1.0 - after / before)
+        out[rows, cols] = kept
+        step = 0.0 if before <= 0 else max(0.0, 1.0 - _power_sum(kept) / before)
         cumulative = field.clipped_fraction + (1.0 - field.clipped_fraction) * step
         return replace(field, samples=out, clipped_fraction=cumulative)
     raise InvalidInputError(f"unknown element type {type(element).__name__}")
@@ -579,14 +575,15 @@ def _fit_profile(coords: np.ndarray, profile: np.ndarray, c0: float, w0: float):
     return abs(float(popt[2]))
 
 
-def interp_row(intensity: np.ndarray, coords: np.ndarray, value: float, axis: int):
-    """Linear interpolation of a 1-d slice through `value` along `axis`."""
+def interp_row(samples: np.ndarray, coords: np.ndarray, value: float, axis: int):
+    """Linear interpolation of |samples|^2 through `value` along `axis`
+    (0: a row, 1: a column), from |E|^2 on the two lines it reads."""
     idx = float(np.interp(value, coords, np.arange(len(coords))))
     lo = int(np.clip(math.floor(idx), 0, len(coords) - 2))
     frac = idx - lo
-    if axis == 0:
-        return (1.0 - frac) * intensity[lo, :] + frac * intensity[lo + 1, :]
-    return (1.0 - frac) * intensity[:, lo] + frac * intensity[:, lo + 1]
+    lines = samples[lo : lo + 2] if axis == 0 else samples[:, lo : lo + 2].T
+    below, above = lines.real**2 + lines.imag**2
+    return (1.0 - frac) * below + frac * above
 
 
 def spot_metrics(field: ScalarField) -> SpotMetrics:
@@ -597,13 +594,12 @@ def spot_metrics(field: ScalarField) -> SpotMetrics:
     least-squares Gaussian fits to slices through the centroid; if a fit
     does not converge the moment value is reported and fit_failed is set.
     """
-    intensity = np.abs(field.samples) ** 2
-    cx, cy, vx, vy = _intensity_moments(intensity, field.x, field.y)
+    _, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y)
     mfd_mx = 4.0 * math.sqrt(max(vx, 0.0))
     mfd_my = 4.0 * math.sqrt(max(vy, 0.0))
 
-    profile_x = interp_row(intensity, field.y, cy, axis=0)
-    profile_y = interp_row(intensity, field.x, cx, axis=1)
+    profile_x = interp_row(field.samples, field.y, cy, axis=0)
+    profile_y = interp_row(field.samples, field.x, cx, axis=1)
     wx = _fit_profile(field.x, profile_x, cx, mfd_mx / 2.0)
     wy = _fit_profile(field.y, profile_y, cy, mfd_my / 2.0)
     failed = wx is None or wy is None
@@ -669,8 +665,10 @@ def find_focus(
     if z_min < z_exit:
         raise InvalidInputError("z_search must start past the last element")
 
-    exit_field = propagate_elements(source, elements)
-    del source  # free the source before the guard's moment pass
+    # the stack loop holds the source's only reference and frees it early
+    sources = [source]
+    del source
+    exit_field = propagate_elements(sources.pop(), elements)
 
     # one spectrum and at most one pass of guard moments serve every plane; the
     # predicted footprint is convex in z, so guarding both ends of the
@@ -682,8 +680,9 @@ def find_focus(
 
     def variance_parabola(zs):
         for z in zs:
-            intensity = np.abs(planes.samples_at(z - z_exit)) ** 2
-            _, cy, vx, _ = _intensity_moments(intensity, exit_field.x, exit_field.y)
+            _, _, cy, vx, _ = _intensity_stats(
+                planes.samples_at(z - z_exit), exit_field.x, exit_field.y
+            )
             sampled.append((z, vx, cy))
         parabola = Polynomial.fit(zs, [vx for _, vx, _ in sampled[-3:]], 2)
         opens_up = parabola.deriv(2)(0.0) > 0

@@ -261,6 +261,15 @@ def test_sweep_unknown_preset_exits_before_synthesis(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err.startswith("error in sweep: unknown preset 'bogus'")
 
 
+def test_sweep_stack_below_chip_exits_3_without_output(tmp_path):
+    path = compact_variant(tmp_path, sweeps=None)
+    result = run_cli("sweep", path, "--param", "z_offset:-3:1:2", outdir=tmp_path)
+    assert result.returncode == EXIT_INVARIANT
+    assert "sweep point z_offset=-3e-06 failed: " in result.stderr
+    assert "pushes the stack below the chip plane" in result.stderr
+    assert not list(tmp_path.glob("variant_sweep*"))
+
+
 def test_sweep_param_writes_single_row_csv(tmp_path):
     # angles stay degrees; offsets are micrometres on the command line
     for param, value, unit in (

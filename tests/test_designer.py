@@ -1,6 +1,7 @@
 """Lens-stack synthesis, channel simulation, crosstalk, tolerance sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -454,6 +455,53 @@ def test_sweep_non_finite_bounds_rejected_before_any_focus_search(
                 [{"parameter": "source_tilt", "lo": lo, "hi": hi, "steps": 2}],
                 grid=pipe["scenario"].grid,
             )
+
+
+def test_sweep_stack_below_chip_fails_before_any_focus_search(
+    compact_pipeline, monkeypatch
+):
+    # the wedge sits 2 um above the chip, so a -3 um z_offset cannot be built
+    pipe = compact_pipeline
+    calls = []
+    monkeypatch.setattr(designer, "_run_channel", lambda *args: calls.append(args))
+    message = (
+        "sweep point z_offset=-3e-06 failed: z_offset -3.000e-06 m pushes the "
+        "stack below the chip plane"
+    )
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        tolerance_sweep(
+            pipe["prescription"],
+            pipe["array"],
+            pipe["scenario"].mirror,
+            [{"parameter": "source_tilt", "lo": -1.0, "hi": 1.0, "steps": 3},
+             {"parameter": "z_offset", "lo": -3e-6, "hi": 1e-6, "steps": 2}],
+            grid=pipe["scenario"].grid,
+        )
+    assert calls == []
+
+
+def test_sweep_single_step_builds_only_the_midpoint(compact_pipeline, monkeypatch):
+    # z_offset -3:1:1 runs at its valid midpoint, -1 um, and nowhere else
+    pipe = compact_pipeline
+    real_run_channel = designer._run_channel
+    elements = []
+
+    def recording_run_channel(*args):
+        elements.append(args[1])
+        return real_run_channel(*args)
+
+    monkeypatch.setattr(designer, "_run_channel", recording_run_channel)
+    report = tolerance_sweep(
+        pipe["prescription"],
+        pipe["array"],
+        pipe["scenario"].mirror,
+        [{"parameter": "z_offset", "lo": -3e-6, "hi": 1e-6, "steps": 1}],
+        grid=pipe["scenario"].grid,
+    )
+    assert [p.value for p in report.points] == [pytest.approx(-1e-6, abs=1e-18)]
+    nominal = [z for z, _ in pipe["prescription"].elements]
+    assert [z for z, _ in elements[0]] == nominal
+    assert [z for z, _ in elements[1]] == pytest.approx([z - 1e-6 for z in nominal])
 
 
 def test_sweep_needs_work(compact_pipeline):

@@ -518,6 +518,49 @@ def test_general_tilt_agrees_to_rounding():
     np.testing.assert_allclose(field.samples, expected, rtol=1e-13)
 
 
+# random fields, some zero outside a support box and some holding -0.0:
+# the einsum marginals and power total agree with sums of the |E|^2 grid
+@settings(max_examples=60, deadline=None)
+@given(
+    ny=st.sampled_from([64, 128, 256]),
+    nx=st.sampled_from([64, 128, 256]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    box=st.one_of(st.none(), st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 4)),
+    negative_zeros=st.booleans(),
+)
+def test_marginals_match_the_intensity_grid(ny, nx, seed, box, negative_zeros):
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
+    outside = np.zeros((ny, nx), dtype=bool)
+    if box is not None:
+        r0, r1 = sorted(int(b * ny) for b in box[:2])
+        c0, c1 = sorted(int(b * nx) for b in box[2:])
+        outside[:] = True
+        outside[r0 : r1 + 1, c0 : c1 + 1] = False
+        samples[outside] = 0.0
+    if negative_zeros:
+        samples.real[outside | (rng.random((ny, nx)) < 0.1)] = -0.0
+        samples.imag[rng.random((ny, nx)) < 0.1] = -0.0
+    intensity = np.abs(samples) ** 2
+    ix, iy = wavefield._marginals(samples)
+    np.testing.assert_allclose(ix, intensity.sum(axis=0), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(iy, intensity.sum(axis=1), rtol=1e-14, atol=0)
+    total = float(intensity.sum())
+    assert abs(wavefield._power_sum(samples) - total) <= 1e-14 * total
+
+
+def test_window_moments_build_no_intensity_grid():
+    field = make_gaussian_field(round_beam(), (0.0, 0.05), (512, 512, 0.25e-6))
+    spectrum = scipy.fft.fft2(field.samples)
+    tracemalloc.start()
+    try:
+        wavefield._window_moments(field, spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * field.samples.real.nbytes
+
+
 def test_wedge_allocates_one_grid():
     field = make_gaussian_field(round_beam(), (0.0, 0.05), (512, 512, 0.25e-6))
     tracemalloc.start()
@@ -539,13 +582,17 @@ def test_lens_phase_on_the_support_is_exact(aperture):
     if aperture is not None:
         field = apply_element(field, aperture)
     lens = ThinLensPhase(90e-6)
-    xg = field.x[None, :]
-    yg = field.y[:, None]
-    k = field.wavenumber
+    x, y = field.x, field.y
+    ik_2f = -1j * field.wavenumber / (2.0 * lens.focal_length)
     # a named phase: NumPy may evaluate `samples * <temporary>` in place
     # on the temporary, which swaps the operands and the rounding
-    phase = np.exp(-1j * k * (xg * xg + yg * yg) / (2.0 * lens.focal_length))
-    assert np.array_equal(apply_element(field, lens).samples, field.samples * phase)
+    phase = np.exp(ik_2f * (y * y))[:, None] * np.exp(ik_2f * (x * x))[None, :]
+    lensed = apply_element(field, lens).samples
+    assert np.array_equal(lensed, field.samples * phase)
+    # the product of the per-axis exps is the 2-d exp to rounding
+    xg, yg = x[None, :], y[:, None]
+    phase_2d = np.exp(ik_2f * (xg * xg + yg * yg))
+    np.testing.assert_allclose(lensed, field.samples * phase_2d, rtol=1e-13, atol=0)
 
 
 def test_free_space_planes_match_single_propagations():
