@@ -643,6 +643,16 @@ def simulate_channel(
     return (focus, result) if with_result else focus
 
 
+@contextlib.contextmanager
+def _error_prefix(prefix: str):
+    """Prefix the message of an IonOpticsError raised inside."""
+    try:
+        yield
+    except IonOpticsError as exc:
+        exc.args = (f"{prefix}{exc}",) + exc.args[1:]
+        raise
+
+
 def crosstalk_matrix(
     prescription: LensStackPrescription,
     array: WaveguideArraySpec,
@@ -710,7 +720,7 @@ def crosstalk_matrix(
     rows = np.empty((n, int(grid[0])))
     centroids = np.empty(n)
     for i in [centre] + [j for j in range(n) if j != centre]:
-        try:
+        with _error_prefix(f"channel {i}: "):
             record, field = evaluate(i)
             if i == centre:
                 z_eval, y_row, centre_field = record.z_focus, record.centroid[1], field
@@ -721,9 +731,6 @@ def crosstalk_matrix(
                 )
             rows[i] = interp_row(field.samples, field.y, y_row, axis=0)
             centroids[i] = _intensity_stats(field.samples, field.x, field.y)[1]
-        except IonOpticsError as exc:
-            exc.args = (f"channel {i}: {exc}",) + exc.args[1:]
-            raise
         focus_table[i] = record
         del field
 
@@ -780,16 +787,6 @@ def crosstalk_matrix(
     )
 
 
-@contextlib.contextmanager
-def _sweep_point(parameter: str, value: float):
-    """Prefix an IonOpticsError raised inside with the sweep point."""
-    try:
-        yield
-    except IonOpticsError as exc:
-        exc.args = (f"sweep point {parameter}={value:g} failed: {exc}",) + exc.args[1:]
-        raise
-
-
 def tolerance_sweep(
     prescription: LensStackPrescription,
     array: WaveguideArraySpec,
@@ -829,7 +826,7 @@ def tolerance_sweep(
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidInputError("sweep lo and hi must be finite")
         for value in [0.5 * (lo + hi)] if steps == 1 else np.linspace(lo, hi, steps):
-            with _sweep_point(parameter, value):
+            with _error_prefix(f"sweep point {parameter}={value:g} failed: "):
                 systems.append((parameter, value) + perturb(
                     list(prescription.elements), centre, exit_deg, value
                 ))
@@ -844,7 +841,7 @@ def tolerance_sweep(
 
     points = []
     for parameter, value, elements, source_x, tilt_deg, residual in systems:
-        with _sweep_point(parameter, value):
+        with _error_prefix(f"sweep point {parameter}={value:g} failed: "):
             focus = _run_channel(
                 worst, elements, source, source_x, tilt_deg,
                 z_search, prescription.stack_height,

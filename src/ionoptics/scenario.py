@@ -141,6 +141,8 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     z_search = None
     if "z_search_um" in data:
         zs = data["z_search_um"]
+        if not zs["lo"] < zs["hi"]:
+            raise ScenarioError("invalid scenario at z_search_um: lo must be below hi")
         z_search = (zs["lo"] * UM, zs["hi"] * UM, int(zs["steps"]))
 
     sweeps = [sweep_row_to_si(row) for row in data.get("sweeps", ())]

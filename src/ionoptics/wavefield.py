@@ -15,11 +15,12 @@ Before propagating, the routine estimates where the beam will land from
 the first and second moments of intensity in both real and angular
 space, and refuses distances that would push the predicted 1/e^2
 footprint into the outer half of the window, where periodic wrap-around
-would corrupt the result. It first decides from the Cauchy-Schwarz
-bound |cov| <= sqrt(var var_s) on the x-theta covariance, which needs
-no FFT beyond the spectrum; only a distance the bound cannot clear takes
-the covariance itself (one inverse FFT for both axes), so converging
-beams are not penalised.
+would corrupt the result. One footprint formula serves both of its
+steps. It first decides a distance at the Cauchy-Schwarz limit
+|cov| <= sqrt(var var_s) of the x-theta covariance, which needs no FFT
+beyond the spectrum; only a distance the limit cannot clear takes the
+covariance itself (one inverse FFT for both axes), so converging beams
+are not penalised.
 
 All angles are radians and all lengths metres.
 """
@@ -79,8 +80,8 @@ _SFLD_FRAME = (1.0, 0.0, 0.0)
 # wrap-around guard: |centroid| + this factor times the predicted 1/e^2
 # radius must stay inside the half-width of the grid
 _WINDOW_FACTOR = 2.0
-# relative margin of the guard's covariance-free bound over the rounding
-# of the moments it is computed from
+# relative margin of the guard's footprint at the covariance's
+# Cauchy-Schwarz limit over the rounding of the moments it is computed from
 _BOUND_MARGIN = 1e-9
 _TILT_LIMIT = math.radians(30.0)
 # np.exp of a float64 below -745.2 is exactly 0
@@ -317,39 +318,24 @@ def _window_covariance(field: ScalarField, spectrum: np.ndarray, itot: float, ax
     return moment_x / k_itot - cx * mean_sx, moment_y / k_itot - cy * mean_sy
 
 
-def _centre_at(c: float, mean_s: float, d: float) -> float:
-    """The centroid `d` downstream, moved along the mean ray."""
-    return c + d * mean_s / max(math.sqrt(1.0 - mean_s**2), 1e-6)
-
-
-def _bound_passes(field: ScalarField, axes, d: float) -> bool:
-    """True if the guard's footprint is safe at `d` for any covariance.
-
-    On the grid x is diagonal and the spectral momentum Hermitian, so
-    |cov| <= sqrt(var var_s) and the predicted variance is at most
-    (sqrt(var) + |d| sqrt(var_s))^2. The relative margin absorbs the
-    rounding of the moments, so a pass here implies a pass in
-    _check_window."""
-    for _, c, mean_s, var, var_s, n_axis in axes:
-        radius_ub = 2.0 * (
-            math.sqrt(max(var, 0.0)) + abs(d) * math.sqrt(max(var_s, 0.0))
-        )
-        extent_ub = abs(_centre_at(c, mean_s, d)) + _WINDOW_FACTOR * radius_ub
-        if extent_ub * (1.0 + _BOUND_MARGIN) > 0.5 * n_axis * field.pitch:
-            return False
-    return True
-
-
-def _check_window(field: ScalarField, moments, d: float):
-    """Raise PropagationWindowError if the beam described by `moments`,
-    per axis (label, centroid, mean sin(theta), variance, x-theta
-    covariance, variance of sin(theta), samples), would leave the safe
-    window, centred on the axis, after propagating `d`."""
-    for label, c, mean_s, var, cov, var_s, n_axis in moments:
+def _extents(field: ScalarField, axes, covs, d: float):
+    """Per axis of the cheap pass's `axes` with x-theta covariance in
+    `covs`: (label, extent, half-window) after propagating `d`. The
+    centroid moves along the mean ray and the predicted variance is
+    var + 2 d cov + d^2 var_s; the extent adds _WINDOW_FACTOR times its
+    1/e^2 radius to the centroid's distance from the axis."""
+    for (label, c, mean_s, var, var_s, n_axis), cov in zip(axes, covs):
         var_pred = max(var + 2.0 * d * cov + d * d * var_s, 0.0)
         radius = 2.0 * math.sqrt(var_pred)  # 1/e^2 radius of a Gaussian
-        extent = abs(_centre_at(c, mean_s, d)) + _WINDOW_FACTOR * radius
-        half = 0.5 * n_axis * field.pitch
+        centre = c + d * mean_s / max(math.sqrt(1.0 - mean_s**2), 1e-6)
+        yield label, abs(centre) + _WINDOW_FACTOR * radius, 0.5 * n_axis * field.pitch
+
+
+def _check_window(field: ScalarField, axes, covs, d: float):
+    """Raise PropagationWindowError if the beam of the cheap pass's `axes`
+    and x-theta covariances `covs` would leave the safe window, centred
+    on the axis, after propagating `d`."""
+    for label, extent, half in _extents(field, axes, covs, d):
         if extent > half:
             raise PropagationWindowError(
                 f"propagating {d:.3e} m would move the beam "
@@ -361,13 +347,17 @@ def _check_window(field: ScalarField, moments, d: float):
 
 class _WindowGuard:
     """The wrap-around guard of one field and its spectrum. A distance is
-    decided from the cheap pass's bound when it can be; only a distance the
-    bound cannot clear needs the covariance. Each is computed at most once."""
+    first decided with the exact check's footprint (_extents) at the
+    covariance's Cauchy-Schwarz limit: on the grid x is diagonal and the spectral
+    momentum Hermitian, so |cov| <= sqrt(var var_s), and no covariance can
+    give a larger footprint. The relative margin absorbs the rounding of
+    the moments, so only a distance the limit cannot clear needs the exact
+    covariance. Each is computed at most once."""
 
     def __init__(self, field: ScalarField, spectrum: np.ndarray):
         self.field = field
         self.spectrum = spectrum
-        self._itot = self._axes = self._moments = None
+        self._itot = self._axes = self._covs = None
 
     def guard(self, *distances: float):
         """Raise PropagationWindowError if the beam would leave the safe
@@ -378,18 +368,16 @@ class _WindowGuard:
                 continue
             if self._axes is None:
                 self._itot, self._axes = _window_moments(self.field, self.spectrum)
-            if _bound_passes(self.field, self._axes, d):
+            limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), d)
+                      for *_, v, v_s, _ in self._axes]
+            extents = _extents(self.field, self._axes, limits, d)
+            if all(extent * (1.0 + _BOUND_MARGIN) <= half for _, extent, half in extents):
                 continue
-            if self._moments is None:
-                covs = _window_covariance(
+            if self._covs is None:
+                self._covs = _window_covariance(
                     self.field, self.spectrum, self._itot, self._axes
                 )
-                self._moments = tuple(
-                    (label, c, mean_s, var, cov, var_s, n_axis)
-                    for (label, c, mean_s, var, var_s, n_axis), cov
-                    in zip(self._axes, covs)
-                )
-            _check_window(self.field, self._moments, d)
+            _check_window(self.field, self._axes, self._covs, d)
 
 
 def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
@@ -452,8 +440,9 @@ def _transfer(field: ScalarField, distance: float, spectrum=None) -> np.ndarray:
 class FreeSpacePlanes(_WindowGuard):
     """Free-space planes of one field, from one forward FFT and at most one
     pass of the window guard's moments (and of its covariance, only for a
-    distance the bound cannot clear); each plane then costs one transfer
-    build and one inverse FFT. guard() is the window guard of the field."""
+    distance the Cauchy-Schwarz limit cannot clear); each plane then costs
+    one transfer build and one inverse FFT. guard() is the window guard of
+    the field."""
 
     def __init__(self, field: ScalarField):
         super().__init__(field, sfft.fft2(field.samples, workers=-1))

@@ -20,6 +20,23 @@ EXIT_CONVERGENCE = 5
 EXIT_PROPAGATION = 6
 
 
+# README "Exit codes", per error class; OSError comes from writing an output
+DOCUMENTED_EXIT_CODES = {
+    "ScenarioError": EXIT_PARSE,
+    "OSError": EXIT_PARSE,
+    "InvalidInputError": EXIT_INVARIANT,
+    "InvalidGeometryError": EXIT_INVARIANT,
+    "NoTirError": EXIT_INVARIANT,
+    "TrappedRayError": EXIT_INVARIANT,
+    "SingularConfigurationError": EXIT_INVARIANT,
+    "InfeasibleDesignError": EXIT_INFEASIBLE,
+    "ConvergenceError": EXIT_CONVERGENCE,
+    "FocusNotBracketedError": EXIT_CONVERGENCE,
+    "PropagationWindowError": EXIT_PROPAGATION,
+    "SamplingError": EXIT_PROPAGATION,
+}
+
+
 def run_cli(*args, outdir=None):
     import os
 
@@ -49,6 +66,25 @@ def compact_variant(tmp_path, filename="variant.json", **changes):
     path = tmp_path / filename
     path.write_text(json.dumps(data))
     return path
+
+
+def error_classes(base):
+    """Every subclass of `base`, at any depth."""
+    for cls in base.__subclasses__():
+        yield cls
+        yield from error_classes(cls)
+
+
+def test_every_error_class_has_its_documented_exit_code():
+    from ionoptics import cli
+    from ionoptics.errors import IonOpticsError
+
+    # a new error class without a row here fails, instead of exiting 3 unnoticed
+    classes = {cls.__name__: cls for cls in error_classes(IonOpticsError)}
+    classes["OSError"] = OSError
+    assert sorted(classes) == sorted(DOCUMENTED_EXIT_CODES)
+    for name, code in DOCUMENTED_EXIT_CODES.items():
+        assert cli._exit_code(classes[name]("x")) == code, name
 
 
 def test_version():
@@ -191,6 +227,23 @@ def test_design_output_in_missing_directory_exits_2_before_synthesis(
     )
     assert code == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error in design: ")
+
+
+def test_empty_z_search_window_exits_2_before_synthesis(tmp_path, monkeypatch, capsys):
+    from ionoptics import cli
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the z_search window was checked")
+
+    monkeypatch.setattr(cli, "synthesize_lens_stack", no_synthesis)
+    path = compact_variant(tmp_path, z_search_um={"lo": 400, "hi": 300, "steps": 33})
+    report_path = tmp_path / "r.json"
+    code = cli.main(["design", str(path), "--report", str(report_path)])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error in design: invalid scenario at z_search_um: lo must be below hi\n"
+    )
+    assert not report_path.exists()
 
 
 def test_design_report_and_csv_dump(tmp_path):

@@ -300,6 +300,27 @@ def test_crosstalk_spot_metrics_only_for_shared_plane_records(
     assert compact_crosstalk[False][1] == n - 1
 
 
+@pytest.mark.parametrize("own_focus", [False, True])
+def test_crosstalk_failure_names_channel(compact_pipeline, monkeypatch, own_focus):
+    # the centre channel (1 of 3) is evaluated first
+    def failing_channel(*args):
+        raise ConvergenceError("x", residual=0.5)
+
+    monkeypatch.setattr(designer, "_run_channel", failing_channel)
+    pipe = compact_pipeline
+    with pytest.raises(ConvergenceError) as info:
+        crosstalk_matrix(
+            pipe["prescription"],
+            pipe["array"],
+            pipe["crystal"],
+            pipe["scenario"].mirror,
+            grid=pipe["scenario"].grid,
+            own_focus=own_focus,
+        )
+    assert str(info.value) == "channel 1: x"
+    assert info.value.residual == 0.5
+
+
 def test_crosstalk_requires_matching_counts(compact_pipeline, reference_pipeline):
     with pytest.raises(InvalidInputError):
         crosstalk_matrix(

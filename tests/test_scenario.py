@@ -132,6 +132,15 @@ def test_z_search_parsed():
     )
 
 
+@pytest.mark.parametrize("lo, hi", [(400.0, 400.0), (400.0, 300.0)])
+def test_empty_z_search_window_rejected(lo, hi):
+    data = variant(z_search_um={"lo": lo, "hi": hi, "steps": 33})
+    with pytest.raises(
+        ScenarioError, match="^invalid scenario at z_search_um: lo must be below hi$"
+    ):
+        parse_scenario(data)
+
+
 def test_array_block_overrides_defaults():
     data = variant(
         array={

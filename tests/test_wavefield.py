@@ -394,10 +394,14 @@ def test_guard_decides_as_the_exact_check(n, fill, tilt, centre, focal, clip, st
         field = apply_element(field, ThinLensPhase(focal))
     planes = FreeSpacePlanes(field)
     exact = two_transform_moments(field, planes.spectrum)
+    # _check_window takes the cheap pass's axes and the covariances apart
+    axes = [(label, c, mean_s, var, var_s, n)
+            for label, c, mean_s, var, _, var_s, n in exact]
+    covs = [cov for _, _, _, _, cov, _, _ in exact]
     # distances in units of the focal length reach past the focus, where
     # only the covariance tells a converging beam from a diverging one
     for d in np.multiply(steps, 100e-6 if focal is None else abs(focal)):
-        expected = window_error(wavefield._check_window, field, exact, d)
+        expected = window_error(wavefield._check_window, field, axes, covs, d)
         assert window_error(planes.guard, d) == expected
         assert window_error(wavefield._window_guard, field, planes.spectrum, d) == expected
 
