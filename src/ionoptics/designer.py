@@ -19,6 +19,7 @@ module's boundary; wave-optics element tilts are radians internally.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -665,20 +666,23 @@ def crosstalk_matrix(
     """Intensity crosstalk of every addressing beam at every ion.
 
     All channels are evaluated in one common plane, the x-focus of the
-    centre channel (the ions sit in one plane above the chip). Each
-    source goes through the stack once, the centre channel first: its
-    focus search (simulate_channel, within z_search) fixes the plane, and
-    its focus field is its field there. Every other channel reaches that
-    plane in one inverse FFT from its stack-exit FreeSpacePlanes: those of
-    its own focus search with own_focus, else those of its exit field.
-    The marginals of its |E|^2 give its centroid, and |E|^2 on two rows its
-    row through the centre spot. Ion positions are mapped into the plane
-    by a least-squares scale fit of the centroids, which absorbs the sub-percent
-    magnification offset of the realized stack; the fit residual is
-    reported. The optical term for the pair (i, j) is the beam-i
-    intensity at ion j relative to ion i on that row; the leakage term
-    comes from the waveguide-array model with the two channels that
-    address ions i and j; totals are power sums.
+    centre channel (the ions sit in one plane above the chip). One pass
+    takes the channels in turn, the centre channel first, and sends each
+    source through the stack once. The centre channel's focus search
+    (simulate_channel, within z_search) fixes the plane and the row's y,
+    and its focus field is its field there. Every other channel reaches
+    that plane in one inverse FFT from its stack-exit FreeSpacePlanes:
+    those of its own focus search with own_focus, else those of its exit
+    field. In the same step the marginals of its |E|^2 give its centroid,
+    and |E|^2 on two rows its row through the centre spot. Ion positions
+    are mapped into the plane by a least-squares scale fit of the
+    centroids, which absorbs the sub-percent magnification offset of the
+    realized stack; the fit residual is reported. A single ion has no fit:
+    its scale is the nominal |magnification| over the target. The optical
+    term for an ordered pair (i, j) is the beam-i intensity at ion j
+    relative to ion i on that row; the leakage term comes from the
+    waveguide-array model with the two channels that address ions i and
+    j; totals are power sums.
 
     With own_focus channel_focus holds the records simulate_channel
     returns; otherwise the other entries hold spot metrics taken in the
@@ -692,88 +696,74 @@ def crosstalk_matrix(
         )
     ions = np.asarray(crystal.positions_m, dtype=float)
     source, exit_deg = _channel_source(prescription, array, mirror, grid)
+    top = prescription.stack_height
     centre = int(np.argmin(np.abs(array.positions_m)))
-    exit_z = prescription.elements[-1][0]
-
-    def evaluate(i):
-        """Channel i's own-focus record (None without a focus search) and
-        its field in the shared plane, which the centre channel's own
-        focus defines."""
-        if i == centre or own_focus:
-            record, result = simulate_channel(
-                prescription, array, i, mirror, grid=grid, z_search=z_search,
-                with_result=True,
-            )
-            if i == centre:
-                return record, result.field_at_focus
-            planes = result.planes
-            del result  # drop the focus field before the next plane
-        else:
-            # no name holds the source, so the stack loop can free it
-            record, planes = None, FreeSpacePlanes(propagate_elements(
-                source(float(array.positions_m[i]), exit_deg),
-                prescription.elements,
-            ))
-        return record, planes.plane(z_eval - exit_z)
 
     focus_table = [None] * n
     rows = np.empty((n, int(grid[0])))
     centroids = np.empty(n)
     for i in [centre] + [j for j in range(n) if j != centre]:
+        x = float(array.positions_m[i])
         with _error_prefix(f"channel {i}: "):
-            record, field = evaluate(i)
-            if i == centre:
-                z_eval, y_row, centre_field = record.z_focus, record.centroid[1], field
-            if record is None:
-                record = _focus_record(
-                    i, float(array.positions_m[i]), prescription.stack_height,
-                    z_eval, spot_metrics(field),
+            if i == centre or own_focus:
+                record, result = simulate_channel(
+                    prescription, array, i, mirror, grid=grid, z_search=z_search,
+                    with_result=True,
                 )
+                if i == centre:
+                    z_eval, y_row = record.z_focus, record.centroid[1]
+                    field = centre_field = result.field_at_focus
+                else:
+                    planes = result.planes
+                    del result  # drop the focus field before the shared plane
+                    field = planes.plane(z_eval - top)
+            else:
+                # no name holds the source or its exit planes
+                field = FreeSpacePlanes(propagate_elements(
+                    source(x, exit_deg), prescription.elements
+                )).plane(z_eval - top)
+                record = _focus_record(i, x, top, z_eval, spot_metrics(field))
             rows[i] = interp_row(field.samples, field.y, y_row, axis=0)
             centroids[i] = _intensity_stats(field.samples, field.x, field.y)[1]
         focus_table[i] = record
-        del field
+        # nothing of this channel lives into the next channel's search
+        result = planes = field = None
 
     # Channel k images onto ion n-1-k, so the spot of channel n-1-j
     # marks ion j. One scale factor maps ion coordinates to the plane.
     if n == 1:
-        scale, residual = float(prescription.predicted_magnification[0]), 0.0
+        # the nominal ion-to-plane scale, which the fit estimates for n > 1
+        m = prescription.predicted_magnification[0]
+        scale, residual = float(abs(m) / prescription.targets.magnification), 0.0
     else:
         spot_for_ion = centroids[::-1]
         scale = float(np.dot(spot_for_ion, ions) / np.dot(ions, ions))
         residual = float(np.max(np.abs(spot_for_ion - scale * ions)))
     ion_x = scale * ions
 
-    x_coords = centre_field.x
-
     matrix = np.zeros((n, n))
     contributions = []
-    for a in range(n):
+    for a, b in itertools.permutations(range(n), 2):
         row = rows[n - 1 - a]
-        denom = float(np.interp(ion_x[a], x_coords, row))
-        for b in range(n):
-            if a == b:
-                continue
-            num = float(np.interp(ion_x[b], x_coords, row))
-            if denom <= 0:
-                raise ConvergenceError(
-                    f"channel {n - 1 - a}: no power at its target ion"
-                )
-            optical = 10.0 * math.log10(max(num / denom, 1e-20))
-            optical = max(optical, CROSSTALK_FLOOR_DB)
-            leak = leakage_crosstalk(array, n - 1 - a, n - 1 - b)
-            leak = max(leak, CROSSTALK_FLOOR_DB)
-            total = 10.0 * math.log10(10.0 ** (optical / 10.0) + 10.0 ** (leak / 10.0))
-            matrix[a, b] = total
-            contributions.append(
-                {
-                    "ion_i": a,
-                    "ion_j": b,
-                    "optical_db": optical,
-                    "leakage_db": leak,
-                    "total_db": total,
-                }
-            )
+        denom = float(np.interp(ion_x[a], centre_field.x, row))
+        if denom <= 0:
+            raise ConvergenceError(f"channel {n - 1 - a}: no power at its target ion")
+        num = float(np.interp(ion_x[b], centre_field.x, row))
+        optical = 10.0 * math.log10(max(num / denom, 1e-20))
+        optical = max(optical, CROSSTALK_FLOOR_DB)
+        leak = leakage_crosstalk(array, n - 1 - a, n - 1 - b)
+        leak = max(leak, CROSSTALK_FLOOR_DB)
+        total = 10.0 * math.log10(10.0 ** (optical / 10.0) + 10.0 ** (leak / 10.0))
+        matrix[a, b] = total
+        contributions.append(
+            {
+                "ion_i": a,
+                "ion_j": b,
+                "optical_db": optical,
+                "leakage_db": leak,
+                "total_db": total,
+            }
+        )
 
     return CrosstalkReport(
         matrix_db=matrix,

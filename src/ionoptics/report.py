@@ -21,6 +21,7 @@ import numpy as np
 from .constants import UM
 from .crystal import IonCrystal, ion_spacings
 from .designer import (
+    CROSSTALK_FLOOR_DB,
     SWEEP_PARAMETERS,
     ChannelFocus,
     CrosstalkReport,
@@ -171,10 +172,11 @@ def crosstalk_section(report: CrosstalkReport) -> dict:
     neighbors = [
         c for c in report.contributions if abs(c["ion_i"] - c["ion_j"]) == 1
     ]
-    worst_total = max((c["total_db"] for c in neighbors), default=0.0)
-    worst_optical = max((c["optical_db"] for c in neighbors), default=0.0)
+    # a single ion has no pairs: every worst value is the floor, not 0 dB
+    worst_total = max((c["total_db"] for c in neighbors), default=CROSSTALK_FLOOR_DB)
+    worst_optical = max((c["optical_db"] for c in neighbors), default=CROSSTALK_FLOOR_DB)
     worst_leak = max(
-        (c["leakage_db"] for c in report.contributions), default=-200.0
+        (c["leakage_db"] for c in report.contributions), default=CROSSTALK_FLOOR_DB
     )
     return {
         "matrix_db": report.matrix_db,

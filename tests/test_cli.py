@@ -107,6 +107,16 @@ def test_crystal_prints_positions_and_gaps(tmp_path):
     assert len(report["crystal"]["positions_um"]) == 3
 
 
+def test_mirror_index_below_one_exits_2(tmp_path, capsys):
+    from ionoptics import cli
+
+    path = compact_variant(tmp_path, **{"mirror.n_ambient": 0.5})
+    assert cli.main(["crystal", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(
+        "error in crystal: invalid scenario at mirror/n_ambient: "
+    )
+
+
 def test_missing_scenario_file_exits_2(tmp_path):
     result = run_cli("crystal", tmp_path / "absent.json")
     assert result.returncode == EXIT_PARSE

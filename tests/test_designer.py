@@ -22,7 +22,7 @@ from ionoptics import (
     tolerance_sweep,
 )
 from ionoptics import designer
-from ionoptics.report import prescription_section
+from ionoptics.report import crosstalk_section, prescription_section
 
 WL = 0.729e-6
 
@@ -242,6 +242,18 @@ def test_crosstalk_single_channel_is_silent(compact_pipeline):
     assert report.matrix_db.shape == (1, 1)
     assert report.matrix_db[0, 0] == 0.0
     assert report.contributions == ()
+    # no fit without pairs: the nominal ion-to-plane scale, near +1 as the
+    # fit finds it for several ions
+    prescription = pipe["prescription"]
+    assert report.alignment_scale == (
+        abs(prescription.predicted_magnification[0]) / prescription.targets.magnification
+    )
+    assert report.alignment_scale == pytest.approx(1.0, abs=0.02)
+    assert report.alignment_residual == 0.0
+    section = crosstalk_section(report)
+    assert section["worst_nearest_neighbor_total_db"] == designer.CROSSTALK_FLOOR_DB
+    assert section["worst_nearest_neighbor_optical_db"] == designer.CROSSTALK_FLOOR_DB
+    assert section["worst_leakage_db"] == designer.CROSSTALK_FLOOR_DB
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +331,65 @@ def test_crosstalk_failure_names_channel(compact_pipeline, monkeypatch, own_focu
         )
     assert str(info.value) == "channel 1: x"
     assert info.value.residual == 0.5
+
+
+def fail_on_call(number, original):
+    """`original`, except that call `number` (from 1) raises ConvergenceError."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == number:
+            raise ConvergenceError("x", residual=0.5)
+        return original(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "own_focus, name, number",
+    [(True, "_run_channel", 2), (False, "propagate_elements", 1)],
+)
+def test_crosstalk_off_centre_failure_names_channel(
+    compact_pipeline, monkeypatch, own_focus, name, number
+):
+    # after the centre channel (1 of 3) come the others in order: 0 is next
+    monkeypatch.setattr(designer, name, fail_on_call(number, getattr(designer, name)))
+    pipe = compact_pipeline
+    with pytest.raises(ConvergenceError) as info:
+        crosstalk_matrix(
+            pipe["prescription"],
+            pipe["array"],
+            pipe["crystal"],
+            pipe["scenario"].mirror,
+            grid=pipe["scenario"].grid,
+            own_focus=own_focus,
+        )
+    assert str(info.value) == "channel 0: x"
+    assert info.value.residual == 0.5
+
+
+def test_crosstalk_dark_row_names_its_channel(compact_pipeline, monkeypatch):
+    # the second row taken is channel 0's; a dark row has no power at its ion
+    rows = []
+
+    def dark_second_row(*args, _original=designer.interp_row, **kwargs):
+        rows.append(1)
+        row = _original(*args, **kwargs)
+        return np.zeros_like(row) if len(rows) == 2 else row
+
+    monkeypatch.setattr(designer, "interp_row", dark_second_row)
+    pipe = compact_pipeline
+    with pytest.raises(ConvergenceError) as info:
+        crosstalk_matrix(
+            pipe["prescription"],
+            pipe["array"],
+            pipe["crystal"],
+            pipe["scenario"].mirror,
+            grid=pipe["scenario"].grid,
+        )
+    assert str(info.value) == "channel 0: no power at its target ion"
+    assert len(rows) == 3
 
 
 def test_crosstalk_requires_matching_counts(compact_pipeline, reference_pipeline):

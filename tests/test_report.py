@@ -1,17 +1,23 @@
 """Report serialization: canonical JSON, schema validation, sections."""
 
 import dataclasses
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ionoptics import ChannelFocus, InvalidInputError
+from ionoptics import ChannelFocus, CrosstalkReport, InvalidInputError
 from ionoptics.constants import UM
+from ionoptics.designer import CROSSTALK_FLOOR_DB
 from ionoptics.report import (
     REPORT_SCHEMA_VERSION,
     canonical_json,
     channel_section,
+    crosstalk_section,
+    report_schema,
     run_block,
     to_plain,
     validate_report,
@@ -144,3 +150,53 @@ def test_every_channel_focus_field_reaches_the_report():
             assert section[field.name + "_rad"] == value
         else:
             assert section[field.name] == value
+
+
+def property_names(schema):
+    """Every key that a `properties` block of the schema names, at any depth."""
+    if isinstance(schema, dict):
+        for key, value in schema.items():
+            if key == "properties":
+                yield from value
+            yield from property_names(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            yield from property_names(value)
+
+
+def test_every_report_key_is_documented():
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "REPORTS.md").read_text()
+    missing = sorted(
+        name for name in set(property_names(report_schema()))
+        if not re.search(rf"\b{re.escape(name)}\b", docs)
+    )
+    assert missing == []
+
+
+WORST_KEYS = (
+    "worst_nearest_neighbor_total_db",
+    "worst_nearest_neighbor_optical_db",
+    "worst_leakage_db",
+)
+
+
+def crosstalk_report(contributions, n):
+    return CrosstalkReport(
+        matrix_db=np.zeros((n, n)), contributions=tuple(contributions),
+        ion_positions=np.arange(n) * 5e-6, channel_focus=(), evaluation_z=1e-4,
+        alignment_scale=1.0, alignment_residual=0.0,
+    )
+
+
+def test_crosstalk_section_worst_values():
+    pairs = []
+    for a, b in itertools.permutations(range(3), 2):
+        # the far pair (0, 2) is the loudest, but only neighbours count
+        optical = -10.0 if abs(a - b) == 2 else -30.0 - a - b
+        pairs.append({"ion_i": a, "ion_j": b, "optical_db": optical,
+                      "leakage_db": -40.0 - a - b, "total_db": optical + 1.0})
+    section = crosstalk_section(crosstalk_report(pairs, 3))
+    assert [section[key] for key in WORST_KEYS] == [-30.0, -31.0, -41.0]
+    # one ion has no pairs: its worst crosstalk is the floor, not 0 dB
+    section = crosstalk_section(crosstalk_report([], 1))
+    assert [section[key] for key in WORST_KEYS] == [CROSSTALK_FLOOR_DB] * 3

@@ -213,6 +213,17 @@ def test_parse_scenario_rejects_oversized_grid():
         parse_scenario(data)
 
 
+@pytest.mark.parametrize("key", ["n_ambient", "n_exit"])
+def test_mirror_index_below_one_rejected(key):
+    # the mirror model needs every index >= 1, so the schema does too
+    data = compact_data()
+    data["mirror"][key] = 0.5
+    with pytest.raises(ScenarioError, match=f"^invalid scenario at mirror/{key}: "):
+        parse_scenario(data)
+    data["mirror"][key] = 1.0
+    parse_scenario(data)
+
+
 def test_name_defaults_to_file_stem(tmp_path):
     data = copy.deepcopy(MINIMAL)
     del data["name"]
