@@ -11,9 +11,10 @@ Subcommands:
 Exit codes: 0 success, 2 scenario parse or validation error, 3 invariant
 violation (invalid field values, geometry, trapped rays), 4 infeasible
 design targets, 5 convergence failure, 6 propagation-window or sampling
-error; an output that cannot be written exits 2, before any work if
-its directory is missing. The IONOPTICS_OUTDIR environment variable sets
-the default output directory for reports; flags override it.
+error or memory exhausted; an output that cannot be written exits 2,
+before any work if its directory is missing. The IONOPTICS_OUTDIR
+environment variable sets the default output directory for reports;
+flags override it.
 """
 
 from __future__ import annotations
@@ -167,12 +168,12 @@ def _build_pipeline(scenario: Scenario, grid_override=None):
     return crystal, array, out, prescription, grid
 
 
-def _report_skeleton(command: str, scenario: Scenario, wall_time: float) -> dict:
+def _report_skeleton(command: str, scenario: Scenario) -> dict:
+    """The report envelope; each command adds "run" after its sections."""
     return {
         "report_schema_version": REPORT_SCHEMA_VERSION,
         "command": command,
         "toolkit": {"name": "ionoptics", "version": __version__},
-        "run": run_block(wall_time),
         "scenario": scenario.raw,
     }
 
@@ -194,8 +195,9 @@ def cmd_crystal(args) -> int:
         print(f"{i:>4}  {g:>12.4f}")
 
     if args.report:
-        data = _report_skeleton("crystal", scenario, time.perf_counter() - t0)
+        data = _report_skeleton("crystal", scenario)
         data["crystal"] = section
+        data["run"] = run_block(time.perf_counter() - t0)
         write_report(data, args.report)
         print(f"report: {args.report}")
     return 0
@@ -217,14 +219,14 @@ def cmd_design(args) -> int:
         grid=grid, z_search=scenario.z_search, own_focus=True,
     )
 
-    data = _report_skeleton("design", scenario, time.perf_counter() - t0)
+    data = _report_skeleton("design", scenario)
     data["crystal"] = crystal_section(crystal)
     data["mirror"] = mirror_section(scenario.mirror, out)
     data["pitch_plan"] = pitch_plan_section(array.positions_m)
     data["prescription"] = prescription_section(prescription)
     data["channels"] = [channel_section(c) for c in xt.channel_focus]
     data["crosstalk"] = crosstalk_section(xt)
-    data["run"]["wall_time_s"] = time.perf_counter() - t0
+    data["run"] = run_block(time.perf_counter() - t0)
 
     write_report(data, path)
 
@@ -271,11 +273,11 @@ def cmd_sweep(args) -> int:
         grid=grid, z_search=scenario.z_search,
     )
 
-    data = _report_skeleton("sweep", scenario, time.perf_counter() - t0)
+    data = _report_skeleton("sweep", scenario)
     data["mirror"] = mirror_section(scenario.mirror, out)
     data["prescription"] = prescription_section(prescription)
     data["sweep"] = sweep_section(result)
-    data["run"]["wall_time_s"] = time.perf_counter() - t0
+    data["run"] = run_block(time.perf_counter() - t0)
 
     write_report(data, json_path)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -289,7 +291,7 @@ def cmd_sweep(args) -> int:
 
     flagged = sum(1 for p in data["sweep"]["points"] if p["off_normal"])
     print(f"sweep: {len(data['sweep']['points'])} points on channel "
-          f"{result.channel}, {flagged} flagged off-normal")
+          f"{result.baseline.channel}, {flagged} flagged off-normal")
     print(f"report: {json_path}")
     print(f"table: {csv_path}")
     return 0
@@ -352,7 +354,7 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_INFEASIBLE
     if isinstance(exc, (ConvergenceError, FocusNotBracketedError)):
         return EXIT_CONVERGENCE
-    if isinstance(exc, (PropagationWindowError, SamplingError)):
+    if isinstance(exc, (PropagationWindowError, SamplingError, MemoryError)):
         return EXIT_PROPAGATION
     return EXIT_INVARIANT
 
@@ -362,9 +364,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IonOpticsError, OSError) as exc:
-        stage = args.command
-        print(f"error in {stage}: {exc}", file=sys.stderr)
+    except (IonOpticsError, OSError, MemoryError) as exc:
+        hint = "; out of memory, try a smaller --grid" if isinstance(exc, MemoryError) else ""
+        print(f"error in {args.command}: {exc}{hint}", file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -55,6 +55,7 @@ from .wavefield import (
     FocusResult,
     FreeSpacePlanes,
     ScalarField,
+    SpotMetrics,
     ThinLensPhase,
     WedgePhase,
     _intensity_stats,
@@ -240,8 +241,8 @@ class LensStackPrescription:
 
 
 @dataclass(frozen=True)
-class ChannelFocus:
-    """Focus metrics of one addressing channel.
+class ChannelFocus(SpotMetrics):
+    """Focus metrics of one addressing channel: its SpotMetrics at z_focus.
 
     z_focus is measured from the chip plane; image_distance from the
     stack top. When at_shared_plane is set the metrics were taken at the
@@ -254,11 +255,6 @@ class ChannelFocus:
     waveguide_position: float
     z_focus: float
     image_distance: float
-    mfd_fit: tuple[float, float]
-    mfd_moment: tuple[float, float]
-    centroid: tuple[float, float]
-    clipped_fraction: float
-    fit_failed: bool
     beam_slope: float
     off_normal: bool
     at_shared_plane: bool = False
@@ -286,19 +282,15 @@ class CrosstalkReport:
     centre_field: Optional[ScalarField] = None
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One perturbation grid point of a tolerance sweep."""
+@dataclass(frozen=True, kw_only=True)
+class SweepPoint(ChannelFocus):
+    """One perturbation grid point of a tolerance sweep: the swept
+    channel's focus record at that point, the parameter value, and the
+    deltas of z_focus, mfd_fit and centroid against the unperturbed
+    baseline."""
 
     parameter: str
     value: float
-    z_focus: float
-    image_distance: float
-    mfd_fit: tuple[float, float]
-    centroid: tuple[float, float]
-    clipped_fraction: float
-    beam_slope: float
-    off_normal: bool
     dz_focus: float
     dmfd: tuple[float, float]
     dcentroid: tuple[float, float]
@@ -307,9 +299,9 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Tolerance sweep of the worst-case (outermost) channel."""
+    """Tolerance sweep of the worst-case (outermost) channel; the
+    baseline is that channel's simulate_channel record."""
 
-    channel: int
     baseline: ChannelFocus
     points: tuple
 
@@ -570,15 +562,11 @@ def _focus_record(channel, position, stack_top, z, metrics, result=None) -> Chan
     residual; without, it is a record taken at the shared plane."""
     own = result is not None
     return ChannelFocus(
+        **vars(metrics),
         channel=channel,
         waveguide_position=position,
         z_focus=z,
         image_distance=z - stack_top,
-        mfd_fit=metrics.mfd_fit,
-        mfd_moment=metrics.mfd_moment,
-        centroid=metrics.centroid,
-        clipped_fraction=metrics.clipped_fraction,
-        fit_failed=metrics.fit_failed,
         beam_slope=result.beam_slope if own else 0.0,
         off_normal=own and abs(result.beam_slope) > OFF_NORMAL_SLOPE,
         at_shared_plane=not own,
@@ -823,30 +811,21 @@ def tolerance_sweep(
 
     if z_search is None:
         z_search = _default_z_search(prescription)
-    # [0]: the focus result's fields must not outlive the search
-    baseline = _run_channel(
-        worst, prescription.elements, source, centre, exit_deg,
-        z_search, prescription.stack_height,
-    )[0]
+    baseline = simulate_channel(prescription, array, worst, mirror, grid, z_search)
 
     points = []
     for parameter, value, elements, source_x, tilt_deg, residual in systems:
         with _error_prefix(f"sweep point {parameter}={value:g} failed: "):
+            # [0]: the focus result's fields must not outlive the search
             focus = _run_channel(
                 worst, elements, source, source_x, tilt_deg,
                 z_search, prescription.stack_height,
             )[0]
         points.append(
             SweepPoint(
+                **vars(focus),
                 parameter=parameter,
                 value=float(value),
-                z_focus=focus.z_focus,
-                image_distance=focus.image_distance,
-                mfd_fit=focus.mfd_fit,
-                centroid=focus.centroid,
-                clipped_fraction=focus.clipped_fraction,
-                beam_slope=focus.beam_slope,
-                off_normal=focus.off_normal,
                 dz_focus=focus.z_focus - baseline.z_focus,
                 dmfd=tuple(f - b for f, b in zip(focus.mfd_fit, baseline.mfd_fit)),
                 dcentroid=tuple(f - b for f, b in zip(focus.centroid, baseline.centroid)),
@@ -854,4 +833,4 @@ def tolerance_sweep(
             )
         )
 
-    return SweepReport(channel=worst, baseline=baseline, points=tuple(points))
+    return SweepReport(baseline=baseline, points=tuple(points))

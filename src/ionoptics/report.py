@@ -26,6 +26,7 @@ from .designer import (
     ChannelFocus,
     CrosstalkReport,
     LensStackPrescription,
+    SweepPoint,
     SweepReport,
 )
 from .errors import InvalidInputError
@@ -191,19 +192,21 @@ def crosstalk_section(report: CrosstalkReport) -> dict:
     }
 
 
-def sweep_point_section(point) -> dict:
+# the keys of a sweep point that carry its focus record, as in channel_section
+SWEEP_POINT_FOCUS_KEYS = (
+    "z_focus_um", "image_distance_um", "mfd_fit_um", "centroid_um",
+    "clipped_fraction", "beam_slope_rad", "off_normal",
+)
+
+
+def sweep_point_section(point: SweepPoint) -> dict:
     unit = SWEEP_PARAMETERS[point.parameter].unit
+    focus = channel_section(point)
     return {
         "parameter": point.parameter,
         "value": point.value / UM if unit == "um" else point.value,
         "value_unit": unit,
-        "z_focus_um": point.z_focus / UM,
-        "image_distance_um": point.image_distance / UM,
-        "mfd_fit_um": [v / UM for v in point.mfd_fit],
-        "centroid_um": [v / UM for v in point.centroid],
-        "clipped_fraction": point.clipped_fraction,
-        "beam_slope_rad": point.beam_slope,
-        "off_normal": point.off_normal,
+        **{key: focus[key] for key in SWEEP_POINT_FOCUS_KEYS},
         "dz_focus_um": point.dz_focus / UM,
         "dmfd_um": [v / UM for v in point.dmfd],
         "dcentroid_um": [v / UM for v in point.dcentroid],
@@ -213,7 +216,7 @@ def sweep_point_section(point) -> dict:
 
 def sweep_section(report: SweepReport) -> dict:
     return {
-        "channel": report.channel,
+        "channel": report.baseline.channel,
         "baseline": channel_section(report.baseline),
         "points": [sweep_point_section(p) for p in report.points],
     }

@@ -21,6 +21,7 @@ EXIT_PROPAGATION = 6
 
 
 # README "Exit codes", per error class; OSError comes from writing an output
+# and MemoryError from a grid too large for the machine
 DOCUMENTED_EXIT_CODES = {
     "ScenarioError": EXIT_PARSE,
     "OSError": EXIT_PARSE,
@@ -34,6 +35,7 @@ DOCUMENTED_EXIT_CODES = {
     "FocusNotBracketedError": EXIT_CONVERGENCE,
     "PropagationWindowError": EXIT_PROPAGATION,
     "SamplingError": EXIT_PROPAGATION,
+    "MemoryError": EXIT_PROPAGATION,
 }
 
 
@@ -82,9 +84,28 @@ def test_every_error_class_has_its_documented_exit_code():
     # a new error class without a row here fails, instead of exiting 3 unnoticed
     classes = {cls.__name__: cls for cls in error_classes(IonOpticsError)}
     classes["OSError"] = OSError
+    classes["MemoryError"] = MemoryError
     assert sorted(classes) == sorted(DOCUMENTED_EXIT_CODES)
     for name, code in DOCUMENTED_EXIT_CODES.items():
         assert cli._exit_code(classes[name]("x")) == code, name
+
+
+def test_memory_error_exits_6_with_one_line(tmp_path, monkeypatch, capsys):
+    from ionoptics import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    monkeypatch.setattr(cli, "crosstalk_matrix", out_of_memory)
+    report_path = tmp_path / "r.json"
+    code = cli.main(
+        ["design", str(SCENARIO_DIR / "compact.json"), "--report", str(report_path)]
+    )
+    assert code == EXIT_PROPAGATION
+    assert capsys.readouterr().err == (
+        "error in design: Unable to allocate 64.0 GiB; out of memory, try a smaller --grid\n"
+    )
+    assert not report_path.exists()
 
 
 def test_version():

@@ -1,5 +1,6 @@
 """Lens-stack synthesis, channel simulation, crosstalk, tolerance sweeps."""
 
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from ionoptics import (
+    ChannelFocus,
     ConvergenceError,
     DesignTargets,
     InfeasibleDesignError,
@@ -465,7 +467,10 @@ def test_sweep_zero_perturbation_is_identity(compact_pipeline):
     assert abs(point.dcentroid[0]) < 1e-12
     assert abs(point.dcentroid[1]) < 1e-12
     assert abs(point.dmfd[0]) < 1e-15
-    assert report.channel == 0
+    assert report.baseline.channel == 0
+    # the point carries the whole focus record, equal to the baseline's
+    for field in dataclasses.fields(ChannelFocus):
+        assert getattr(point, field.name) == getattr(report.baseline, field.name), field.name
 
 
 def test_sweep_preset_prism_mismatch(compact_pipeline):

@@ -9,19 +9,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionoptics import ChannelFocus, CrosstalkReport, InvalidInputError
+from ionoptics import ChannelFocus, CrosstalkReport, InvalidInputError, SweepPoint, SweepReport
 from ionoptics.constants import UM
 from ionoptics.designer import CROSSTALK_FLOOR_DB
 from ionoptics.report import (
     REPORT_SCHEMA_VERSION,
+    SWEEP_POINT_FOCUS_KEYS,
     canonical_json,
     channel_section,
     crosstalk_section,
     report_schema,
     run_block,
+    sweep_point_section,
+    sweep_section,
     to_plain,
     validate_report,
     write_report,
+)
+
+# one focus record with a distinct value in every field
+FOCUS = dict(
+    channel=1, waveguide_position=2e-6, z_focus=3e-6, image_distance=4e-6,
+    mfd_fit=(5e-6, 6e-6), mfd_moment=(7e-6, 8e-6), centroid=(9e-6, 1e-5),
+    clipped_fraction=0.11, fit_failed=True, beam_slope=0.12, off_normal=True,
+    at_shared_plane=True, focus_fit_residual=0.13,
+)
+POINT = SweepPoint(
+    **FOCUS, parameter="lateral_offset", value=0.5e-6, dz_focus=1e-7,
+    dmfd=(2e-8, 3e-8), dcentroid=(4e-8, 5e-8), residual_tilt_deg=0.25,
 )
 
 
@@ -132,12 +147,7 @@ def test_write_report_validates_and_is_canonical(tmp_path):
 
 def test_every_channel_focus_field_reaches_the_report():
     # a record field that no report key carries is computed for nothing
-    focus = ChannelFocus(
-        channel=1, waveguide_position=2e-6, z_focus=3e-6, image_distance=4e-6,
-        mfd_fit=(5e-6, 6e-6), mfd_moment=(7e-6, 8e-6), centroid=(9e-6, 1e-5),
-        clipped_fraction=0.11, fit_failed=True, beam_slope=0.12, off_normal=True,
-        at_shared_plane=True, focus_fit_residual=0.13,
-    )
+    focus = ChannelFocus(**FOCUS)
     section = channel_section(focus)
     fields = dataclasses.fields(ChannelFocus)
     assert len(section) == len(fields)
@@ -200,3 +210,83 @@ def test_crosstalk_section_worst_values():
     # one ion has no pairs: its worst crosstalk is the floor, not 0 dB
     section = crosstalk_section(crosstalk_report([], 1))
     assert [section[key] for key in WORST_KEYS] == [CROSSTALK_FLOOR_DB] * 3
+
+
+def test_sweep_point_focus_keys_are_the_channel_record_keys():
+    # a sweep point reports its focus fields in the units a channel record uses
+    section = sweep_point_section(POINT)
+    channel = channel_section(ChannelFocus(**FOCUS))
+    assert set(section) & set(channel) == set(SWEEP_POINT_FOCUS_KEYS)
+    for key in SWEEP_POINT_FOCUS_KEYS:
+        assert section[key] == channel[key], key
+    assert section["value"] == pytest.approx(0.5)
+    assert section["value_unit"] == "um"
+
+
+def sweep_report(points):
+    report = minimal_report()
+    report["command"] = "sweep"
+    report["sweep"] = {
+        "channel": 1, "baseline": channel_section(ChannelFocus(**FOCUS)), "points": points,
+    }
+    return report
+
+
+def test_sweep_point_with_an_extra_key_fails_validation():
+    point = sweep_point_section(POINT)
+    validate_report(sweep_report([point]))
+    with pytest.raises(InvalidInputError, match="sweep/points/0"):
+        validate_report(sweep_report([dict(point, debug=1.0)]))
+    del point["dmfd_um"]
+    with pytest.raises(InvalidInputError, match="sweep/points/0"):
+        validate_report(sweep_report([point]))
+
+
+def test_sweep_section_reads_the_channel_from_its_baseline():
+    baseline = ChannelFocus(**FOCUS)
+    section = sweep_section(SweepReport(baseline=baseline, points=(POINT,)))
+    assert section["channel"] == baseline.channel
+    assert section["baseline"] == channel_section(baseline)
+
+
+def object_schemas(schema, path=""):
+    """(path, subschema) of every subschema of type object."""
+    if isinstance(schema, dict):
+        if schema.get("type") == "object":
+            yield path, schema
+        for key, value in schema.items():
+            yield from object_schemas(value, f"{path}/{key}")
+    elif isinstance(schema, list):
+        for i, value in enumerate(schema):
+            yield from object_schemas(value, f"{path}/{i}")
+
+
+def test_every_report_object_but_the_scenario_is_closed():
+    # an object schema without its keys lets any record through unchecked
+    open_objects = [
+        path for path, schema in object_schemas(report_schema())
+        if path != "/properties/scenario"
+        and not (schema.get("additionalProperties") is False and schema.get("properties"))
+    ]
+    assert open_objects == []
+
+
+@pytest.mark.parametrize("element", [
+    {"z_um": 2.0, "kind": "wedge", "tilt_x_deg": 0.0, "tilt_y_deg": -14.0},
+    {"z_um": 30.0, "kind": "lens", "focal_length_um": 80.0},
+    {"z_um": 30.0, "kind": "aperture", "radius_um": 40.0},
+])
+def test_prescription_elements_have_one_shape_per_kind(element):
+    report = minimal_report()
+    report["prescription"] = {
+        "elements": [element], "focal_lengths_um": [], "lens_positions_um": [],
+        "aperture_radii_um": [], "stack_height_um": 1.0, "source_tilt_deg": 7.0,
+        "predicted": {"magnification": [1.0, 1.0], "image_distance_um": 1.0,
+                      "numerical_aperture": 0.1},
+    }
+    validate_report(report)
+    # a field of another kind breaks the shape
+    extra = "radius_um" if element["kind"] == "lens" else "focal_length_um"
+    report["prescription"]["elements"] = [dict(element, **{extra: 1.0})]
+    with pytest.raises(InvalidInputError, match="prescription/elements/0"):
+        validate_report(report)
