@@ -661,8 +661,9 @@ def crosstalk_matrix(
     and its focus field is its field there. Every other channel reaches
     that plane in one inverse FFT from its stack-exit FreeSpacePlanes:
     those of its own focus search with own_focus, else those of its exit
-    field. In the same step the marginals of its |E|^2 give its centroid,
-    and |E|^2 on two rows its row through the centre spot. Ion positions
+    field. In the same step |E|^2 on two rows gives its row through the
+    centre spot; its centroid is that of its record where the record was
+    taken in that plane, else from the marginals of its |E|^2. Ion positions
     are mapped into the plane by a least-squares scale fit of the
     centroids, which absorbs the sub-percent magnification offset of the
     realized stack; the fit residual is reported. A single ion has no fit:
@@ -712,7 +713,11 @@ def crosstalk_matrix(
                 )).plane(z_eval - top)
                 record = _focus_record(i, x, top, z_eval, spot_metrics(field))
             rows[i] = interp_row(field.samples, field.y, y_row, axis=0)
-            centroids[i] = _intensity_stats(field.samples, field.x, field.y)[1]
+            # the centre's record, and every record taken in this plane, holds its centroid
+            centroids[i] = (
+                record.centroid[0] if i == centre or not own_focus
+                else _intensity_stats(field.samples, field.x, field.y)[1]
+            )
         focus_table[i] = record
         # nothing of this channel lives into the next channel's search
         result = planes = field = None

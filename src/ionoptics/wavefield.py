@@ -31,14 +31,12 @@ import functools
 import itertools
 import math
 import struct
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
 import scipy.fft as sfft
 from numpy.polynomial import Polynomial
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .errors import (
     FocusNotBracketedError,
@@ -86,6 +84,10 @@ _BOUND_MARGIN = 1e-9
 _TILT_LIMIT = math.radians(30.0)
 # np.exp of a float64 below -745.2 is exactly 0
 _EXP_UNDERFLOW = 750.0
+# the spot fit stops at a step below this in units of (peak, w0, w0), or
+# fails after this many trial points
+_FIT_STEP_TOL = 1e-12
+_FIT_MAX_EVALS = 100
 
 
 def _check_grid(nx: int, ny: int, pitch: float):
@@ -543,25 +545,66 @@ class SpotMetrics:
     fit_failed: bool
 
 
-def _gauss1d(x, amplitude, centre, radius):
-    return amplitude * np.exp(-2.0 * ((x - centre) / radius) ** 2)
-
-
 def _fit_profile(coords: np.ndarray, profile: np.ndarray, c0: float, w0: float):
+    """The 1/e^2 radius w of the Gaussian A exp(-2 ((x - c) / w)^2) that
+    fits `profile` at `coords` in least squares over every sample.
+
+    The solver is Levenberg-Marquardt (Moré 1978) from (peak, c0, w0) with
+    the analytic Jacobian, in units of (peak, w0, w0), that is in
+    (a, s, v) = (A / peak, c / w0, w / w0): each step solves
+    (J^T J + lam diag(J^T J)) step = -J^T r. A trial point whose sum of
+    squares is no larger than the current one's, up to that sum's rounding
+    bound n eps, is taken and lam shrinks tenfold; otherwise lam grows
+    tenfold. The fit stops at the first step that moves no parameter by
+    more than _FIT_STEP_TOL in those units and returns w after that step.
+    None for peak <= 0 or w0 <= 0, a singular normal matrix, no stop within
+    _FIT_MAX_EVALS trial points, or a radius that is not finite and positive.
+    """
     peak = float(profile.max())
     if peak <= 0 or not w0 > 0:
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                _gauss1d, coords, profile, p0=[peak, c0, w0], maxfev=2000
-            )
-    except (RuntimeError, ValueError):
-        return None
-    if not np.isfinite(popt).all() or popt[2] <= 0:
-        return None
-    return abs(float(popt[2]))
+    t, y = coords / w0, profile / peak
+    rows = np.empty((4, len(t)))  # the model's derivatives in (a, s, v), then the residual
+    slack = 1.0 + len(t) * np.finfo(float).eps
+
+    def gram(q):
+        """rows @ rows.T at q = (a, s, v): J^T J, J^T r and r^T r in one product."""
+        a, s, v = q
+        e, ds, dv, r = rows
+        u = t - s
+        u /= v
+        np.multiply(u, u, out=e)
+        e *= -2.0
+        np.exp(e, out=e)
+        np.multiply(e, 4.0 * a / v, out=ds)
+        ds *= u
+        np.multiply(ds, u, out=dv)
+        np.multiply(e, a, out=r)
+        r -= y
+        return rows @ rows.T
+
+    q, lam = np.array([1.0, c0 / w0, 1.0]), 1e-3
+    # a wild trial point may overflow u*u or give inf * 0; its NaN or inf sum of
+    # squares fails the test below, so the warnings say nothing
+    with np.errstate(all="ignore"):
+        now = gram(q)
+        for _ in range(_FIT_MAX_EVALS):
+            normal = now[:3, :3].copy()
+            normal.flat[::4] *= 1.0 + lam
+            try:
+                step = np.linalg.solve(normal, -now[:3, 3])
+            except np.linalg.LinAlgError:
+                return None
+            if np.abs(step).max() <= _FIT_STEP_TOL:
+                w = float(q[2] + step[2]) * w0
+                return w if math.isfinite(w) and w > 0 else None
+            trial = q + step
+            after = gram(trial)
+            if after[3, 3] <= now[3, 3] * slack:
+                q, now, lam = trial, after, 0.1 * lam
+            else:
+                lam *= 10.0
+    return None
 
 
 def interp_row(samples: np.ndarray, coords: np.ndarray, value: float, axis: int):
@@ -579,9 +622,15 @@ def spot_metrics(field: ScalarField) -> SpotMetrics:
     """Centroid, second-moment and fitted mode-field diameters of |E|^2.
 
     mfd_moment is four times the intensity standard deviation per axis
-    (equal to the 1/e^2 diameter for a Gaussian). mfd_fit comes from 1-d
-    least-squares Gaussian fits to slices through the centroid; if a fit
-    does not converge the moment value is reported and fit_failed is set.
+    (equal to the 1/e^2 diameter for a Gaussian). mfd_fit is twice the
+    radius of a least-squares Gaussian fit to |E|^2 on the row and the
+    column through the centroid (_fit_profile: Levenberg-Marquardt with the
+    analytic Jacobian, started at the moment values, stopped at a step
+    below _FIT_STEP_TOL in units of (peak, moment radius, moment radius)).
+    Where a fit fails (no power on the line, a zero moment width, a
+    singular normal matrix, no stop within _FIT_MAX_EVALS trial points, or
+    a radius that is not finite and positive) that axis reports the moment
+    value and fit_failed is set.
     """
     _, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y)
     mfd_mx = 4.0 * math.sqrt(max(vx, 0.0))
@@ -721,7 +770,7 @@ def write_field_sfld(field: ScalarField, path) -> None:
     data[..., 1] = field.samples.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def read_field_sfld(path) -> ScalarField:

@@ -168,6 +168,35 @@ def test_synthesis_returns_a_grid_point(monkeypatch):
     assert p.focal_lengths[1] == pytest.approx(102.5e-6, abs=1e-12)
 
 
+def wave_verify_args(prescription):
+    """_wave_verify's arguments for a synthesized prescription."""
+    return (
+        list(prescription.focal_lengths), list(prescription.lens_positions),
+        prescription.targets, prescription.predicted_image_distance,
+        prescription.predicted_magnification[0],
+    )
+
+
+@pytest.mark.parametrize("scale", [0.7, 1.4])
+def test_wave_verify_finds_no_waist_off_the_image_plane(compact_pipeline, scale):
+    f_list, z_list, targets, v, m = wave_verify_args(compact_pipeline["prescription"])
+    designer._wave_verify(f_list, z_list, targets, v, m)
+    # a scan of +-12 % around scale * v holds no waist: the narrowest
+    # fitted spot lies on the scan's edge nearest the real image plane
+    with pytest.raises(ConvergenceError, match="found no waist near the predicted image plane") as info:
+        designer._wave_verify(f_list, z_list, targets, scale * v, m)
+    assert info.value.residual is None
+
+
+def test_wave_verify_rejects_a_wrong_magnification(compact_pipeline):
+    f_list, z_list, targets, v, m = wave_verify_args(compact_pipeline["prescription"])
+    with pytest.raises(ConvergenceError, match="disagrees with the ABCD prescription") as info:
+        designer._wave_verify(f_list, z_list, targets, v, 1.5 * m)
+    # the wave waist ratio is the stack's own |m|, a third below 1.5 |m|
+    assert info.value.residual > designer.WAVE_VERIFY_TOL
+    assert info.value.residual == pytest.approx(1.0 / 3.0, abs=0.01)
+
+
 def test_targets_validation():
     with pytest.raises(InvalidInputError):
         reference_targets(magnification=-0.6)

@@ -50,8 +50,8 @@ def minimal_report():
     }
 
 
-def test_schema_version_is_two():
-    assert REPORT_SCHEMA_VERSION == 2
+def test_schema_version_is_three():
+    assert REPORT_SCHEMA_VERSION == 3
 
 
 def test_canonical_json_is_sorted_and_terminated():

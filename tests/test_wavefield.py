@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ionoptics import (
     beam_from_mfd,
     propagate_abcd,
     rayleigh_length,
+    simulate_channel,
     width_at,
 )
 from ionoptics import wavefield
@@ -154,6 +156,100 @@ def test_centered_source_honours_offset():
     metrics = spot_metrics(field)
     assert metrics.centroid[0] == pytest.approx(10e-6, abs=5e-9)
     assert metrics.centroid[1] == pytest.approx(-4e-6, abs=5e-9)
+
+
+def gaussian_profile(x, amplitude, centre, radius):
+    return amplitude * np.exp(-2.0 * ((x - centre) / radius) ** 2)
+
+
+@pytest.fixture(scope="module")
+def compact_centre_profile(compact_pipeline):
+    """(x, |E|^2 on the row through the centroid, centroid x, moment
+    radius x) of the compact centre channel at its focus: what
+    spot_metrics hands _fit_profile."""
+    pipe = compact_pipeline
+    centre = int(np.argmin(np.abs(pipe["positions"])))
+    _, result = simulate_channel(
+        pipe["prescription"], pipe["array"], centre, pipe["scenario"].mirror,
+        grid=pipe["scenario"].grid, with_result=True,
+    )
+    field, metrics = result.field_at_focus, result.metrics
+    profile = wavefield.interp_row(field.samples, field.y, metrics.centroid[1], axis=0)
+    return field.x, profile, metrics.centroid[0], metrics.mfd_moment[0] / 2.0
+
+
+def test_fit_recovers_an_exact_gaussian():
+    x = (np.arange(512) - 256) * 0.1e-6
+    profile = gaussian_profile(x, 2.5, 0.37e-6, 3.1e-6)
+    radius = wavefield._fit_profile(x, profile, 0.0, 4.0e-6)
+    assert radius == pytest.approx(3.1e-6, rel=1e-12)
+
+
+def test_fit_holds_still_under_rounding_noise(compact_centre_profile):
+    x, profile, c0, w0 = compact_centre_profile
+    rng = np.random.default_rng(5)
+    radii = [
+        wavefield._fit_profile(x, profile * (1.0 + 1e-15 * rng.standard_normal(len(x))), c0, w0)
+        for _ in range(6)
+    ]
+    assert max(radii) / min(radii) - 1.0 <= 1e-9
+
+
+def test_fit_agrees_with_a_tight_minpack_fit(compact_centre_profile):
+    from scipy.optimize import curve_fit
+
+    x, profile, c0, w0 = compact_centre_profile
+
+    def jacobian(x, amplitude, centre, radius):
+        u = (x - centre) / radius
+        e = np.exp(-2.0 * u * u)
+        return np.stack([e, amplitude * e * 4.0 * u / radius,
+                         amplitude * e * 4.0 * u * u / radius], axis=1)
+
+    params, _ = curve_fit(
+        gaussian_profile, x, profile, p0=[profile.max(), c0, w0], jac=jacobian,
+        xtol=1e-15, ftol=1e-15, gtol=1e-15, maxfev=5000,
+    )
+    radius = wavefield._fit_profile(x, profile, c0, w0)
+    assert radius == pytest.approx(abs(params[2]), rel=1e-9)
+
+
+def test_fit_returns_none_on_degenerate_input():
+    x = (np.arange(256) - 128) * 0.1e-6
+    gaussian = gaussian_profile(x, 1.0, 0.0, 1e-6)
+    spike = np.zeros_like(x)
+    spike[128] = 1.0
+    cases = [
+        (np.zeros_like(x), 0.0, 1e-6),  # no power
+        (gaussian, 0.0, 0.0),  # w0 <= 0
+        (gaussian, 0.0, -1e-6),
+        (spike, 0.0, 0.1e-6),  # one sample: the fit narrows onto it
+        # the model underflows on every sample: a zero, singular normal matrix
+        (gaussian, 1e-3, 1e-6),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for profile, c0, w0 in cases:
+            assert wavefield._fit_profile(x, profile, c0, w0) is None
+
+
+def test_fit_returns_none_when_it_does_not_stop(monkeypatch):
+    x = (np.arange(512) - 256) * 0.1e-6
+    profile = gaussian_profile(x, 2.5, 0.37e-6, 3.1e-6)
+    assert wavefield._fit_profile(x, profile, 0.0, 4.0e-6) is not None
+    # from 30 % off, two trial points cannot bring the step down to _FIT_STEP_TOL
+    monkeypatch.setattr(wavefield, "_FIT_MAX_EVALS", 2)
+    assert wavefield._fit_profile(x, profile, 0.0, 4.0e-6) is None
+
+
+def test_spot_metrics_reports_the_moments_when_the_fit_fails():
+    # two spots on opposite corners: the centroid's row and column are dark
+    samples = np.zeros((64, 64), dtype=complex)
+    samples[10:13, 10:13] = samples[51:54, 51:54] = 1.0
+    metrics = spot_metrics(ScalarField(samples, 0.1e-6, WL))
+    assert metrics.fit_failed
+    assert metrics.mfd_moment[0] > 0 and metrics.mfd_moment[1] > 0
+    assert metrics.mfd_fit == metrics.mfd_moment
 
 
 def test_pitch_too_coarse_raises():
@@ -651,6 +747,9 @@ def test_sfld_roundtrip(tmp_path):
         np.float64
     ) + 1j * field.samples.imag.astype("<f4").astype(np.float64)
     np.testing.assert_array_equal(back.samples, expected)
+    # the payload is the interleaved float32 array, byte for byte
+    interleaved = np.stack([field.samples.real, field.samples.imag], axis=-1)
+    assert path.read_bytes()[wavefield.SFLD_HEADER_SIZE:] == interleaved.astype("<f4").tobytes()
 
 
 def test_csv_dump_matches_savetxt(tmp_path):
