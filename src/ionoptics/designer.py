@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -59,6 +59,7 @@ from .wavefield import (
     ThinLensPhase,
     WedgePhase,
     _intensity_stats,
+    _mirror_x,
     find_focus,
     interp_row,
     make_gaussian_field,
@@ -97,6 +98,12 @@ WAVE_VERIFY_TOL = 0.03
 
 CROSSTALK_FLOOR_DB = -200.0
 OFF_NORMAL_SLOPE = 0.02
+# crosstalk_matrix mirrors channels only when every waveguide pair
+# (i, n-1-i) mirrors within this fraction of the grid pitch ...
+MIRROR_POSITION_TOL = 1e-9
+# ... and every stack element is of a type that acts evenly in x. A wedge
+# deflects in y only, and every source tilts in y only.
+X_EVEN_ELEMENTS = (ThinLensPhase, CircAperture, WedgePhase)
 
 
 class SweepParameter(NamedTuple):
@@ -268,8 +275,10 @@ class CrosstalkReport:
     matrix_db[i][j] is the relative intensity (dB) that the beam
     addressing ion i delivers at ion j's position; the diagonal is 0 by
     definition. contributions lists the optical and waveguide-leakage
-    terms and their power sum for every ordered pair. centre_field is the
-    centre channel's field in the evaluation plane; reports omit it.
+    terms and their power sum for every ordered pair. mirror_of holds, per
+    channel, the partner whose fields it took mirrored in x, or None for a
+    propagated channel. centre_field is the centre channel's field in the
+    evaluation plane; reports omit it.
     """
 
     matrix_db: np.ndarray
@@ -279,6 +288,7 @@ class CrosstalkReport:
     evaluation_z: float
     alignment_scale: float
     alignment_residual: float
+    mirror_of: tuple
     centre_field: Optional[ScalarField] = None
 
 
@@ -642,6 +652,35 @@ def _error_prefix(prefix: str):
         raise
 
 
+def _mirror_partners(prescription, array, pitch: float, centre: int) -> list:
+    """crosstalk_matrix's mirror_of: per channel, the partner n-1-i whose
+    fields it takes mirrored in x, or None where it is propagated. Nothing
+    mirrors unless every |x_i + x_(n-1-i)| is at most MIRROR_POSITION_TOL
+    times the pitch and every element is an X_EVEN_ELEMENTS type; then the
+    centre channel and the lower index of every pair without it are
+    propagated, and for even n the centre's partner mirrors the centre."""
+    x = np.asarray(array.positions_m, dtype=float)
+    n = len(x)
+    symmetric = bool(np.all(np.abs(x + x[::-1]) <= MIRROR_POSITION_TOL * pitch)) and all(
+        isinstance(el, X_EVEN_ELEMENTS) for _, el in prescription.elements
+    )
+
+    def partner(i):
+        p = n - 1 - i
+        return p if symmetric and i not in (p, centre) and (p == centre or p < i) else None
+
+    return [partner(i) for i in range(n)]
+
+
+def _row_and_centroid(field: ScalarField, record: ChannelFocus, z_eval: float, y_row: float):
+    """A channel's |E|^2 on the row at y_row of the shared plane z_eval and
+    its x centroid there; a record taken in that plane holds the centroid."""
+    row = interp_row(field.samples, field.y, y_row, axis=0)
+    if record.z_focus == z_eval:
+        return row, record.centroid[0]
+    return row, _intensity_stats(field.samples, field.x, field.y)[1]
+
+
 def crosstalk_matrix(
     prescription: LensStackPrescription,
     array: WaveguideArraySpec,
@@ -656,26 +695,44 @@ def crosstalk_matrix(
     All channels are evaluated in one common plane, the x-focus of the
     centre channel (the ions sit in one plane above the chip). One pass
     takes the channels in turn, the centre channel first, and sends each
-    source through the stack once. The centre channel's focus search
-    (simulate_channel, within z_search) fixes the plane and the row's y,
-    and its focus field is its field there. Every other channel reaches
-    that plane in one inverse FFT from its stack-exit FreeSpacePlanes:
-    those of its own focus search with own_focus, else those of its exit
-    field. In the same step |E|^2 on two rows gives its row through the
-    centre spot; its centroid is that of its record where the record was
-    taken in that plane, else from the marginals of its |E|^2. Ion positions
-    are mapped into the plane by a least-squares scale fit of the
-    centroids, which absorbs the sub-percent magnification offset of the
-    realized stack; the fit residual is reported. A single ion has no fit:
-    its scale is the nominal |magnification| over the target. The optical
-    term for an ordered pair (i, j) is the beam-i intensity at ion j
-    relative to ion i on that row; the leakage term comes from the
+    propagated source through the stack once. The centre channel's focus
+    search (simulate_channel, within z_search) fixes the plane and the
+    row's y, and its focus field is its field there. Every other
+    propagated channel reaches that plane in one inverse FFT from its
+    stack-exit FreeSpacePlanes: those of its own focus search with
+    own_focus, else those of its exit field. In the same step |E|^2 on two
+    rows gives its row through the centre spot; its centroid is that of
+    its record where the record was taken in that plane, else from the
+    marginals of its |E|^2.
+
+    A chain in a harmonic trap, its pitch plan and an on-axis stack are
+    mirror-symmetric in x, and the pass checks that first: every pair
+    (i, n-1-i) of waveguides must mirror within MIRROR_POSITION_TOL of the
+    grid pitch, and every element be of an X_EVEN_ELEMENTS type. If so,
+    only the centre channel and the lower index of every other pair are
+    propagated. The other member of a pair (for even n, also the centre's
+    partner) takes its partner's fields mirrored in place on the grid's
+    periodic index map ix -> (nx - ix) % nx, as soon as the partner is
+    done with them (the centre field is mirrored back): its shared-plane
+    field goes through the same record, row and centroid steps, and its
+    own-focus record keeps its channel and waveguide position, takes its
+    partner's z_focus, beam_slope and focus_fit_residual, and takes its
+    spot metrics from the mirrored focus field. An array that fails the
+    check propagates every channel. mirror_of says which channels mirrored.
+
+    Ion positions are mapped into the plane by a least-squares scale fit
+    of the centroids, which absorbs the sub-percent magnification offset
+    of the realized stack; the fit residual is reported. A single ion has
+    no fit: its scale is the nominal |magnification| over the target. The
+    optical term for an ordered pair (i, j) is the beam-i intensity at ion
+    j relative to ion i on that row; the leakage term comes from the
     waveguide-array model with the two channels that address ions i and
     j; totals are power sums.
 
-    With own_focus channel_focus holds the records simulate_channel
-    returns; otherwise the other entries hold spot metrics taken in the
-    shared plane.
+    With own_focus channel_focus holds own-focus records, those
+    simulate_channel returns for the propagated channels; otherwise the
+    entries other than the centre's hold spot metrics taken in the shared
+    plane.
     """
     n = array.channel_count
     if len(crystal.positions_m) != n:
@@ -687,12 +744,16 @@ def crosstalk_matrix(
     source, exit_deg = _channel_source(prescription, array, mirror, grid)
     top = prescription.stack_height
     centre = int(np.argmin(np.abs(array.positions_m)))
+    mirror_of = _mirror_partners(prescription, array, grid[2], centre)
 
     focus_table = [None] * n
     rows = np.empty((n, int(grid[0])))
     centroids = np.empty(n)
-    for i in [centre] + [j for j in range(n) if j != centre]:
+    for i in [centre] + [j for j in range(n) if j != centre and mirror_of[j] is None]:
         x = float(array.positions_m[i])
+        # the channel that takes this one's fields mirrored, if any
+        image = n - 1 - i if mirror_of[n - 1 - i] == i else None
+        image_spot = None
         with _error_prefix(f"channel {i}: "):
             if i == centre or own_focus:
                 record, result = simulate_channel(
@@ -703,6 +764,10 @@ def crosstalk_matrix(
                     z_eval, y_row = record.z_focus, record.centroid[1]
                     field = centre_field = result.field_at_focus
                 else:
+                    if image is not None:
+                        # the image's spot; the focus field is not read again
+                        _mirror_x(result.field_at_focus.samples)
+                        image_spot = spot_metrics(result.field_at_focus)
                     planes = result.planes
                     del result  # drop the focus field before the shared plane
                     field = planes.plane(z_eval - top)
@@ -712,13 +777,23 @@ def crosstalk_matrix(
                     source(x, exit_deg), prescription.elements
                 )).plane(z_eval - top)
                 record = _focus_record(i, x, top, z_eval, spot_metrics(field))
-            rows[i] = interp_row(field.samples, field.y, y_row, axis=0)
-            # the centre's record, and every record taken in this plane, holds its centroid
-            centroids[i] = (
-                record.centroid[0] if i == centre or not own_focus
-                else _intensity_stats(field.samples, field.x, field.y)[1]
-            )
+            rows[i], centroids[i] = _row_and_centroid(field, record, z_eval, y_row)
         focus_table[i] = record
+        if image is not None:
+            x = float(array.positions_m[image])
+            with _error_prefix(f"channel {image}: "):
+                _mirror_x(field.samples)
+                if own_focus:
+                    # without image_spot the partner is the centre, whose
+                    # focus field is this field
+                    spot = spot_metrics(field) if image_spot is None else image_spot
+                    record = replace(record, **vars(spot), channel=image, waveguide_position=x)
+                else:
+                    record = _focus_record(image, x, top, z_eval, spot_metrics(field))
+                rows[image], centroids[image] = _row_and_centroid(field, record, z_eval, y_row)
+                if i == centre:
+                    _mirror_x(field.samples)  # the centre field is kept: mirror it back
+            focus_table[image] = record
         # nothing of this channel lives into the next channel's search
         result = planes = field = None
 
@@ -766,6 +841,7 @@ def crosstalk_matrix(
         evaluation_z=z_eval,
         alignment_scale=scale,
         alignment_residual=residual,
+        mirror_of=tuple(mirror_of),
         centre_field=centre_field,
     )
 

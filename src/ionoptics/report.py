@@ -33,7 +33,7 @@ from .errors import InvalidInputError
 from .picmodel import OutcouplingResult, TirMirrorSpec, tir_critical_angle
 from .wavefield import ThinLensPhase, WedgePhase
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 
 def to_plain(value):
@@ -186,6 +186,7 @@ def crosstalk_section(report: CrosstalkReport) -> dict:
         "evaluation_z_um": report.evaluation_z / UM,
         "alignment_scale": report.alignment_scale,
         "alignment_residual_um": report.alignment_residual / UM,
+        "mirror_of": list(report.mirror_of),
         "worst_nearest_neighbor_total_db": worst_total,
         "worst_nearest_neighbor_optical_db": worst_optical,
         "worst_leakage_db": worst_leak,

@@ -88,6 +88,8 @@ _EXP_UNDERFLOW = 750.0
 # fails after this many trial points
 _FIT_STEP_TOL = 1e-12
 _FIT_MAX_EVALS = 100
+# rows per block of the in-place x mirror: 1 MiB of temporary at nx = 1024
+_MIRROR_ROWS = 64
 
 
 def _check_grid(nx: int, ny: int, pitch: float):
@@ -481,6 +483,17 @@ def propagate_elements(field: ScalarField, elements: Sequence) -> ScalarField:
         field = apply_element(field, el)
         z_now = z_el
     return field
+
+
+def _mirror_x(samples: np.ndarray) -> None:
+    """Mirror a grid in x in place on its periodic index map
+    ix -> (nx - ix) % nx. That takes x to -x exactly for ix >= 1 and keeps
+    column 0 (x = -nx/2 pitch, its own image under the window's
+    periodicity). The columns are reversed a block of rows at a time, so no
+    second grid is live; a second call undoes the first."""
+    for r in range(0, samples.shape[0], _MIRROR_ROWS):
+        block = samples[r : r + _MIRROR_ROWS, 1:]
+        block[...] = block[:, ::-1]
 
 
 def _support_box(samples: np.ndarray) -> tuple[slice, slice]:

@@ -478,9 +478,45 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch):
     )
     assert code == 0
     assert dump.stat().st_size > 0
-    # the synthesis probe plus one source per channel
-    assert len(sources) == 4
+    # the synthesis probe, the centre channel and one source per mirror pair
+    assert len(sources) == 3
     assert steps and 0.0 not in steps
     # each off-centre channel reaches the shared plane from the spectrum
     # and guard moments of its own focus search: one inverse FFT
     assert 0 < len(transforms) <= 92
+
+
+def test_design_without_mirror_symmetry_propagates_every_channel(tmp_path, monkeypatch):
+    from ionoptics import cli, designer, load_scenario, simulate_channel, wavefield
+
+    sources, reports = [], []
+    make_source = wavefield.make_gaussian_field
+    plan = cli.pitch_plan
+    crosstalk = cli.crosstalk_matrix
+
+    def counted_source(*args, **kwargs):
+        sources.append(1)
+        return make_source(*args, **kwargs)
+
+    def kept_crosstalk(*args, **kwargs):
+        reports.append(crosstalk(*args, **kwargs))
+        return reports[-1]
+
+    for module in (designer, wavefield):
+        monkeypatch.setattr(module, "make_gaussian_field", counted_source)
+    # every waveguide 0.3 um off its mirror-symmetric place
+    monkeypatch.setattr(cli, "pitch_plan", lambda *args: plan(*args) + 0.3e-6)
+    monkeypatch.setattr(cli, "crosstalk_matrix", kept_crosstalk)
+    scenario = SCENARIO_DIR / "compact.json"
+    code = cli.main(["design", str(scenario), "--report", str(tmp_path / "design.json")])
+    assert code == 0
+    # the synthesis probe plus one source per channel
+    assert len(sources) == 4
+    report = reports[0]
+    assert report.mirror_of == (None, None, None)
+    loaded = load_scenario(str(scenario))
+    _, array, _, prescription, grid = cli._build_pipeline(loaded)
+    for channel, record in enumerate(report.channel_focus):
+        assert record == simulate_channel(
+            prescription, array, channel, loaded.mirror, grid=grid, z_search=loaded.z_search
+        )

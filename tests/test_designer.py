@@ -20,6 +20,7 @@ from ionoptics import (
     pitch_plan,
     simulate_channel,
     solve_crystal,
+    spot_metrics,
     synthesize_lens_stack,
     tolerance_sweep,
 )
@@ -319,7 +320,9 @@ def test_crosstalk_own_focus_records_match_simulate_channel(
 ):
     pipe = compact_pipeline
     report = compact_crosstalk[True][0]
-    assert report.channel_focus == tuple(compact_channels)
+    # channel 2 mirrors channel 0 (see the mirror-rule test)
+    assert report.mirror_of == (None, None, 0)
+    assert report.channel_focus[:2] == tuple(compact_channels[:2])
     centre = int(np.argmin(np.abs(pipe["positions"])))
     assert report.evaluation_z == compact_channels[centre].z_focus
     assert report.centre_field.nx == pipe["scenario"].grid[0]
@@ -331,15 +334,49 @@ def test_crosstalk_own_focus_records_match_simulate_channel(
     assert report.alignment_residual == shared.alignment_residual
     assert report.evaluation_z == shared.evaluation_z
     assert report.centre_field.samples.tobytes() == shared.centre_field.samples.tobytes()
+    assert shared.mirror_of == report.mirror_of
+
+
+def test_crosstalk_mirrored_record_follows_the_mirror_rule(compact_pipeline, compact_crosstalk):
+    # channel 0's focus, channel 2's index and position, and the spot
+    # metrics of channel 0's focus field taken through ix -> (nx - ix) % nx
+    pipe = compact_pipeline
+    record, result = simulate_channel(
+        pipe["prescription"], pipe["array"], 0, pipe["scenario"].mirror,
+        grid=pipe["scenario"].grid, with_result=True,
+    )
+    field = result.field_at_focus
+    mirrored = dataclasses.replace(
+        field, samples=field.samples[:, (-np.arange(field.nx)) % field.nx]
+    )
+    expected = dataclasses.replace(
+        record, **vars(spot_metrics(mirrored)), channel=2,
+        waveguide_position=float(pipe["positions"][2]),
+    )
+    report = compact_crosstalk[True][0]
+    assert report.channel_focus[2] == expected
+    matrix = report.matrix_db
+    assert np.max(np.abs(matrix - matrix[::-1, ::-1])) <= 1e-9
+
+
+def test_crosstalk_mirrored_record_agrees_with_its_own_propagation(
+    compact_crosstalk, compact_channels
+):
+    # the mirror is exact on the grid but for column 0 and rounding
+    mirrored, direct = compact_crosstalk[True][0].channel_focus[2], compact_channels[2]
+    assert mirrored.z_focus == pytest.approx(direct.z_focus, abs=1e-9)
+    for name in ("centroid", "mfd_fit", "mfd_moment"):
+        assert getattr(mirrored, name) == pytest.approx(getattr(direct, name), rel=1e-5), name
 
 
 def test_crosstalk_spot_metrics_only_for_shared_plane_records(
     compact_pipeline, compact_crosstalk
 ):
     # the centroids come from the crosstalk pass's own |E|^2; only a
-    # record taken in the shared plane needs the fitted spot metrics
+    # record taken in the shared plane needs the fitted spot metrics, and
+    # so does the mirrored channel's own-focus record (channel 2 of 3)
     n = compact_pipeline["array"].channel_count
-    assert compact_crosstalk[True][1] == 0
+    assert compact_crosstalk[True][1] == 1
     assert compact_crosstalk[False][1] == n - 1
 
 
@@ -444,6 +481,11 @@ def test_reference_crosstalk_frozen(reference_crosstalk):
     assert max(nn_total) == pytest.approx(-25.604, abs=0.2)
     leaks = [c["leakage_db"] for c in report.contributions]
     assert max(leaks) == pytest.approx(-33.196, abs=0.1)
+
+
+def test_reference_crosstalk_mirrors_the_upper_half(reference_crosstalk):
+    # the centre channel 4 and the lower index of every other pair propagate
+    assert reference_crosstalk["report"].mirror_of == (None,) * 5 + (4, 3, 2, 1, 0)
 
 
 def test_far_channels_are_dark(reference_crosstalk):

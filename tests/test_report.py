@@ -50,8 +50,8 @@ def minimal_report():
     }
 
 
-def test_schema_version_is_three():
-    assert REPORT_SCHEMA_VERSION == 3
+def test_schema_version_is_four():
+    assert REPORT_SCHEMA_VERSION == 4
 
 
 def test_canonical_json_is_sorted_and_terminated():
@@ -194,7 +194,7 @@ def crosstalk_report(contributions, n):
     return CrosstalkReport(
         matrix_db=np.zeros((n, n)), contributions=tuple(contributions),
         ion_positions=np.arange(n) * 5e-6, channel_focus=(), evaluation_z=1e-4,
-        alignment_scale=1.0, alignment_residual=0.0,
+        alignment_scale=1.0, alignment_residual=0.0, mirror_of=(None,) * n,
     )
 
 
