@@ -98,8 +98,10 @@ WAVE_VERIFY_TOL = 0.03
 
 CROSSTALK_FLOOR_DB = -200.0
 OFF_NORMAL_SLOPE = 0.02
-# crosstalk_matrix mirrors channels only when every waveguide pair
-# (i, n-1-i) mirrors within this fraction of the grid pitch ...
+# Offsets |x| within this fraction of the grid pitch tie, and a tie goes to
+# the lower index: that picks the centre channel (nearest the axis) and the
+# sweep channel (farthest out). crosstalk_matrix mirrors channels only when
+# every waveguide pair (i, n-1-i) mirrors within the same tolerance ...
 MIRROR_POSITION_TOL = 1e-9
 # ... and every stack element is of a type that acts evenly in x. A wedge
 # deflects in y only, and every source tilts in y only.
@@ -652,26 +654,6 @@ def _error_prefix(prefix: str):
         raise
 
 
-def _mirror_partners(prescription, array, pitch: float, centre: int) -> list:
-    """crosstalk_matrix's mirror_of: per channel, the partner n-1-i whose
-    fields it takes mirrored in x, or None where it is propagated. Nothing
-    mirrors unless every |x_i + x_(n-1-i)| is at most MIRROR_POSITION_TOL
-    times the pitch and every element is an X_EVEN_ELEMENTS type; then the
-    centre channel and the lower index of every pair without it are
-    propagated, and for even n the centre's partner mirrors the centre."""
-    x = np.asarray(array.positions_m, dtype=float)
-    n = len(x)
-    symmetric = bool(np.all(np.abs(x + x[::-1]) <= MIRROR_POSITION_TOL * pitch)) and all(
-        isinstance(el, X_EVEN_ELEMENTS) for _, el in prescription.elements
-    )
-
-    def partner(i):
-        p = n - 1 - i
-        return p if symmetric and i not in (p, centre) and (p == centre or p < i) else None
-
-    return [partner(i) for i in range(n)]
-
-
 def _row_and_centroid(field: ScalarField, record: ChannelFocus, z_eval: float, y_row: float):
     """A channel's |E|^2 on the row at y_row of the shared plane z_eval and
     its x centroid there; a record taken in that plane holds the centroid."""
@@ -693,27 +675,29 @@ def crosstalk_matrix(
     """Intensity crosstalk of every addressing beam at every ion.
 
     All channels are evaluated in one common plane, the x-focus of the
-    centre channel (the ions sit in one plane above the chip). One pass
-    takes the channels in turn, the centre channel first, and sends each
-    propagated source through the stack once. The centre channel's focus
-    search (simulate_channel, within z_search) fixes the plane and the
-    row's y, and its focus field is its field there. Every other
-    propagated channel reaches that plane in one inverse FFT from its
-    stack-exit FreeSpacePlanes: those of its own focus search with
-    own_focus, else those of its exit field. In the same step |E|^2 on two
-    rows gives its row through the centre spot; its centroid is that of
-    its record where the record was taken in that plane, else from the
-    marginals of its |E|^2.
+    centre channel (the ions sit in one plane above the chip): the lowest
+    index among the channels whose |x| lies within MIRROR_POSITION_TOL of
+    the grid pitch of the smallest. One pass takes the channels in turn,
+    the centre channel first, and sends each propagated source through
+    the stack once. The centre channel's focus search (simulate_channel,
+    within z_search) fixes the plane and the row's y, and its focus field
+    is its field there. Every other propagated channel reaches that plane
+    in one inverse FFT from its stack-exit FreeSpacePlanes: those of its
+    own focus search with own_focus, else those of its exit field. In the
+    same step |E|^2 on two rows gives its row through the centre spot; its
+    centroid is that of its record where the record was taken in that
+    plane, else from the marginals of its |E|^2.
 
     A chain in a harmonic trap, its pitch plan and an on-axis stack are
     mirror-symmetric in x, and the pass checks that first: every pair
     (i, n-1-i) of waveguides must mirror within MIRROR_POSITION_TOL of the
     grid pitch, and every element be of an X_EVEN_ELEMENTS type. If so,
-    only the centre channel and the lower index of every other pair are
-    propagated. The other member of a pair (for even n, also the centre's
-    partner) takes its partner's fields mirrored in place on the grid's
-    periodic index map ix -> (nx - ix) % nx, as soon as the partner is
-    done with them (the centre field is mirrored back): its shared-plane
+    every channel past the middle (i > n-1-i) mirrors its partner n-1-i,
+    and the rest are propagated; the centre channel is always among them:
+    it ties with its partner, and the tie goes to the lower index. A
+    mirrored channel takes its partner's fields mirrored in place on the
+    grid's periodic index map ix -> (nx - ix) % nx, as soon as the partner
+    is done with them (the centre field is mirrored back): its shared-plane
     field goes through the same record, row and centroid steps, and its
     own-focus record keeps its channel and waveguide position, takes its
     partner's z_focus, beam_slope and focus_fit_residual, and takes its
@@ -743,14 +727,20 @@ def crosstalk_matrix(
     ions = np.asarray(crystal.positions_m, dtype=float)
     source, exit_deg = _channel_source(prescription, array, mirror, grid)
     top = prescription.stack_height
-    centre = int(np.argmin(np.abs(array.positions_m)))
-    mirror_of = _mirror_partners(prescription, array, grid[2], centre)
+    positions = array.positions_m
+    tol = MIRROR_POSITION_TOL * grid[2]
+    offsets = np.abs(positions)
+    centre = int(np.flatnonzero(offsets <= offsets.min() + tol)[0])
+    symmetric = bool(np.all(np.abs(positions + positions[::-1]) <= tol)) and all(
+        isinstance(el, X_EVEN_ELEMENTS) for _, el in prescription.elements
+    )
+    mirror_of = [n - 1 - i if symmetric and i > n - 1 - i else None for i in range(n)]
 
     focus_table = [None] * n
     rows = np.empty((n, int(grid[0])))
     centroids = np.empty(n)
     for i in [centre] + [j for j in range(n) if j != centre and mirror_of[j] is None]:
-        x = float(array.positions_m[i])
+        x = float(positions[i])
         # the channel that takes this one's fields mirrored, if any
         image = n - 1 - i if mirror_of[n - 1 - i] == i else None
         image_spot = None
@@ -780,7 +770,7 @@ def crosstalk_matrix(
             rows[i], centroids[i] = _row_and_centroid(field, record, z_eval, y_row)
         focus_table[i] = record
         if image is not None:
-            x = float(array.positions_m[image])
+            x = float(positions[image])
             with _error_prefix(f"channel {image}: "):
                 _mirror_x(field.samples)
                 if own_focus:
@@ -861,16 +851,19 @@ def tolerance_sweep(
     offsets metres. prism_design_angle is the absolute exit angle the
     corrective wedge was built for (nominal: the mirror's actual exit
     angle); the remaining parameters are deltas with nominal 0. The
-    worst-case channel is the one with the largest transverse offset,
-    ties resolved toward the lower index. Every point's perturbed system
-    is built, or fails, before the first focus search.
+    worst-case channel is the lowest index among the channels whose |x|
+    lies within MIRROR_POSITION_TOL of the grid pitch of the largest, so
+    of a mirror pair it is the one crosstalk_matrix propagates, and the
+    baseline is the record design writes for it. Every point's perturbed
+    system is built, or fails, before the first focus search.
     """
     if preset is not None:
         perturbations = list(perturbations) + list(_sweep_preset(preset))
     if not perturbations:
         raise InvalidInputError("tolerance_sweep needs perturbations or a preset")
 
-    worst = int(np.argmax(np.abs(array.positions_m)))
+    offsets = np.abs(array.positions_m)
+    worst = int(np.flatnonzero(offsets >= offsets.max() - MIRROR_POSITION_TOL * grid[2])[0])
     source, exit_deg = _channel_source(prescription, array, mirror, grid)
     centre = float(array.positions_m[worst])
 

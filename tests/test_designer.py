@@ -369,6 +369,24 @@ def test_crosstalk_mirrored_record_agrees_with_its_own_propagation(
         assert getattr(mirrored, name) == pytest.approx(getattr(direct, name), rel=1e-5), name
 
 
+def test_crosstalk_mirror_ties_go_to_the_lower_index(compact_pipeline):
+    # channel 1 one ulp nearer the axis still ties with channel 0, so
+    # channel 0 is the centre and channel 1, past the middle, mirrors it
+    pipe = compact_pipeline
+    crystal = solve_crystal(dataclasses.replace(pipe["scenario"].trap, ion_count=2))
+    positions = pitch_plan(crystal, pipe["prescription"].targets.magnification)
+    positions[1] = math.nextafter(positions[1], 0.0)
+    assert abs(positions[1]) < abs(positions[0])
+    report = crosstalk_matrix(
+        pipe["prescription"],
+        dataclasses.replace(pipe["array"], positions_m=positions),
+        crystal,
+        pipe["scenario"].mirror,
+        grid=pipe["scenario"].grid,
+    )
+    assert report.mirror_of == (None, 0)
+
+
 def test_crosstalk_spot_metrics_only_for_shared_plane_records(
     compact_pipeline, compact_crosstalk
 ):
@@ -542,6 +560,24 @@ def test_sweep_zero_perturbation_is_identity(compact_pipeline):
     # the point carries the whole focus record, equal to the baseline's
     for field in dataclasses.fields(ChannelFocus):
         assert getattr(point, field.name) == getattr(report.baseline, field.name), field.name
+
+
+def test_sweep_ties_go_to_the_lower_index(compact_pipeline):
+    # channel 2 one ulp further out still ties with channel 0, which
+    # crosstalk_matrix propagates and the sweep therefore runs
+    pipe = compact_pipeline
+    positions = pipe["positions"].copy()
+    positions[2] = math.nextafter(-positions[0], math.inf)
+    assert abs(positions[2]) > abs(positions[0])
+    report = tolerance_sweep(
+        pipe["prescription"],
+        dataclasses.replace(pipe["array"], positions_m=positions),
+        pipe["scenario"].mirror,
+        [{"parameter": "source_tilt", "lo": 0.0, "hi": 0.0, "steps": 1}],
+        grid=pipe["scenario"].grid,
+    )
+    assert report.baseline.channel == 0
+    assert report.points[0].channel == 0
 
 
 def test_sweep_preset_prism_mismatch(compact_pipeline):

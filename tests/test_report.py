@@ -50,8 +50,8 @@ def minimal_report():
     }
 
 
-def test_schema_version_is_four():
-    assert REPORT_SCHEMA_VERSION == 4
+def test_schema_version_is_five():
+    assert REPORT_SCHEMA_VERSION == 5
 
 
 def test_canonical_json_is_sorted_and_terminated():
