@@ -11,6 +11,15 @@ exp(i kz d) with kz = sqrt(k^2 - kx^2 - ky^2) and evanescent components
 transfer function has unit modulus, so power is conserved and a
 z / -z round trip is the identity.
 
+Every 2-d FFT runs in _fft2, which skips the columns its caller knows
+are zero: the axis-0 pass runs in place on the nonzero column blocks
+only, then the axis-1 pass on the whole grid. A forward transform skips
+the columns outside the field's nonzero span (behind an aperture, most
+of them), and an inverse those outside the propagating band's two
+column blocks. The result is bit-identical to scipy.fft.fft2 and ifft2:
+pocketfft also runs axis 0 first, an all-zero column transforms to
+exact zeros, and the inverse's 1/(nx ny) scale is a power of two.
+
 Before propagating, the routine estimates where the beam will land from
 the first and second moments of intensity in both real and angular
 space, and refuses distances that would push the predicted 1/e^2
@@ -311,7 +320,7 @@ def _window_covariance(field: ScalarField, spectrum: np.ndarray, itot: float, ax
     h = (2j * math.pi * fx)[None, :] - (2.0 * math.pi * fy)[:, None]
     h *= spectrum
     e = field.samples.view(np.float64)
-    h = sfft.ifft2(h, workers=-1, overwrite_x=True).view(np.float64)
+    h = _fft2(h, True).view(np.float64)
     # column sums of Im(conj(E) h) = re h.imag - im h.real, row sums of Re(conj(E) h)
     im_columns = np.einsum("ij,ij->j", e[:, 0::2], h[:, 1::2])
     im_columns -= np.einsum("ij,ij->j", e[:, 1::2], h[:, 0::2])
@@ -390,12 +399,33 @@ def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
     _WindowGuard(field, spectrum).guard(*distances)
 
 
+def _fft2(samples: np.ndarray, inverse: bool, columns: Sequence[slice] = ()) -> np.ndarray:
+    """scipy.fft.fft2 of the C-contiguous grid `samples` (ifft2 if
+    `inverse`), which it overwrites. `columns` are disjoint slices that
+    hold every nonzero column; unless they cover the grid, the axis-0 pass
+    runs in place on their blocks alone, bit-identically (see the module
+    docstring). Every 2-d transform of the package runs here."""
+    nx = samples.shape[1]
+    widths = [len(range(nx)[c]) for c in columns]
+    if not columns or sum(widths) == nx:
+        transform = sfft.ifft2 if inverse else sfft.fft2
+        return transform(samples, workers=-1, overwrite_x=True)
+    transform = sfft.ifft if inverse else sfft.fft
+    for c, width in zip(columns, widths):
+        if width:
+            # pocketfft writes an overwrite_x transform of a complex view
+            # into the view itself
+            transform(samples[:, c], axis=0, workers=-1, overwrite_x=True)
+    return transform(samples, axis=1, workers=-1, overwrite_x=True)
+
+
 @functools.lru_cache(maxsize=1)
 def _kz_quadrant(nx: int, ny: int, pitch: float, k: float):
-    """Read-only kz and evanescent mask on the block [0..ay] x [0..ax] of
-    the FFT grid that bounds the propagating band (kx, ky >= 0, the
-    Nyquist index included). One entry suffices: a run propagates on one
-    grid at a time."""
+    """The propagating band's distinct kz values, and a read-only int32
+    table over the block [0..ay] x [0..ax] of the FFT grid that bounds the
+    band (kx, ky >= 0, the Nyquist index included): 0 for an evanescent
+    entry, else 1 + the index of the entry's kz among the values. One
+    cache entry suffices: a run propagates on one grid at a time."""
     kx = (2.0 * math.pi * sfft.fftfreq(nx, pitch))[None, : nx // 2 + 1]
     ky = (2.0 * math.pi * sfft.fftfreq(ny, pitch))[: ny // 2 + 1, None]
     kz_sq = k * k - kx * kx - ky * ky
@@ -403,10 +433,21 @@ def _kz_quadrant(nx: int, ny: int, pitch: float, k: float):
     ax = int(np.count_nonzero(kz_sq[0] > 0.0)) - 1
     ay = int(np.count_nonzero(kz_sq[:, 0] > 0.0)) - 1
     kz_sq = kz_sq[: ay + 1, : ax + 1]
-    evanescent = kz_sq <= 0.0
-    kz = np.sqrt(np.where(evanescent, 0.0, kz_sq))
-    kz.flags.writeable = evanescent.flags.writeable = False
-    return kz, evanescent
+    band = kz_sq > 0.0
+    kz, slots = np.unique(np.sqrt(kz_sq[band]), return_inverse=True)
+    index = np.zeros(kz_sq.shape, dtype=np.int32)
+    index[band] = slots + 1
+    kz.flags.writeable = index.flags.writeable = False
+    return kz, index
+
+
+def _band_blocks(n: int, q: int):
+    """Along an axis of n samples whose quadrant holds indices 0..q-1:
+    (grid slice, quadrant slice) of the quadrant's block and of its mirror
+    image. Index n - i mirrors index i (i >= 1); the Nyquist index n/2 is
+    its own mirror, so the mirrored block stops short of it."""
+    m = min(q, n // 2) - 1
+    return (slice(0, q), slice(None)), (slice(n - m, n), slice(m, 0, -1))
 
 
 def _transfer(field: ScalarField, distance: float, spectrum=None) -> np.ndarray:
@@ -415,23 +456,21 @@ def _transfer(field: ScalarField, distance: float, spectrum=None) -> np.ndarray:
 
     On an even grid fftfreq negates exactly, so kz[iy, ix] equals
     kz[iy, (nx - ix) % nx] and kz[(ny - iy) % ny, ix] bit for bit. The exp
-    is therefore taken only on the quadrant block that bounds the band
-    (_kz_quadrant), and its mirror images fill the other three blocks of
-    one zeroed grid; every value equals the full-grid formula's.
+    is therefore taken once per distinct kz of the quadrant block that
+    bounds the band (_kz_quadrant) and gathered onto that block, and its
+    mirror images fill the other three blocks of one zeroed grid; every
+    entry gets the exp of the same float, so every value equals the
+    full-grid formula's.
     """
     nx, ny = field.nx, field.ny
-    kz, evanescent = _kz_quadrant(nx, ny, field.pitch, field.wavenumber)
-    quadrant = np.multiply(kz, 1j * distance)
-    np.exp(quadrant, out=quadrant)
-    quadrant[evanescent] = 0.0
-    # index n - i mirrors index i (i >= 1); the Nyquist index n/2 is its
-    # own mirror, so the mirrored blocks stop short of it
-    qy, qx = kz.shape
-    my, mx = min(qy, ny // 2) - 1, min(qx, nx // 2) - 1
-    rows = ((slice(0, qy), slice(None)), (slice(ny - my, ny), slice(my, 0, -1)))
-    cols = ((slice(0, qx), slice(None)), (slice(nx - mx, nx), slice(mx, 0, -1)))
+    kz, index = _kz_quadrant(nx, ny, field.pitch, field.wavenumber)
+    phases = np.zeros(len(kz) + 1, dtype=np.complex128)  # slot 0: evanescent
+    np.multiply(kz, 1j * distance, out=phases[1:])
+    np.exp(phases[1:], out=phases[1:])
+    quadrant = phases[index]
+    qy, qx = index.shape
     out = np.zeros((ny, nx), dtype=np.complex128)
-    for (r, qr), (c, qc) in itertools.product(rows, cols):
+    for (r, qr), (c, qc) in itertools.product(_band_blocks(ny, qy), _band_blocks(nx, qx)):
         if spectrum is None:
             out[r, c] = quadrant[qr, qc]
         else:
@@ -446,17 +485,27 @@ class FreeSpacePlanes(_WindowGuard):
     pass of the window guard's moments (and of its covariance, only for a
     distance the Cauchy-Schwarz limit cannot clear); each plane then costs
     one transfer build and one inverse FFT. guard() is the window guard of
-    the field."""
+    the field.
+
+    Both transforms skip the columns they know are zero (_fft2): the
+    forward one runs its axis-0 pass on the field's nonzero column span
+    only, and each inverse on the band's two column blocks, which are all
+    that _transfer writes. Both stay bit-identical to full 2-d FFTs.
+    """
 
     def __init__(self, field: ScalarField):
-        super().__init__(field, sfft.fft2(field.samples, workers=-1))
+        # a copy: the transform overwrites its input, and the guard reads the field
+        samples = field.samples.copy()
+        super().__init__(field, _fft2(samples, False, [_nonzero_columns(samples)]))
+        qx = _kz_quadrant(field.nx, field.ny, field.pitch, field.wavenumber)[1].shape[1]
+        self._band_columns = [c for c, _ in _band_blocks(field.nx, qx)]
 
     def samples_at(self, distance: float) -> np.ndarray:
         """Samples `distance` downstream, without the guard."""
         if distance == 0.0:
             return self.field.samples.copy()
-        return sfft.ifft2(
-            _transfer(self.field, distance, self.spectrum), workers=-1, overwrite_x=True
+        return _fft2(
+            _transfer(self.field, distance, self.spectrum), True, self._band_columns
         )
 
     def plane(self, distance: float) -> ScalarField:
@@ -496,10 +545,14 @@ def _mirror_x(samples: np.ndarray) -> None:
         block[...] = block[:, ::-1]
 
 
+def _nonzero_columns(samples: np.ndarray) -> slice:
+    """The slice from the first to the last column that holds a nonzero sample."""
+    return _span(np.any(samples, axis=0))
+
+
 def _support_box(samples: np.ndarray) -> tuple[slice, slice]:
     """Row and column slices of the bounding box of the nonzero samples."""
-    nonzero = samples != 0
-    return _span(nonzero.any(axis=1)), _span(nonzero.any(axis=0))
+    return _span(np.any(samples, axis=1)), _nonzero_columns(samples)
 
 
 def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:

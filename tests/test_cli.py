@@ -449,16 +449,29 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch):
 
     from ionoptics import cli, designer, wavefield
 
-    sources, steps, transforms = [], [], {"fft2": 0, "ifft2": 0}
+    sources, steps = [], []
+    # 2-d transforms per direction, and those that ran pruned (no full
+    # scipy.fft.fft2 or ifft2 call)
+    transforms, pruned, full = {"fft2": 0, "ifft2": 0}, {"fft2": 0, "ifft2": 0}, []
     make_source = wavefield.make_gaussian_field
     propagate = wavefield.angular_spectrum_propagate
+    transform = wavefield._fft2
 
     for name in ("fft2", "ifft2"):
-        def counted_transform(*args, _name=name, _original=getattr(scipy.fft, name), **kwargs):
-            transforms[_name] += 1
+        def counted_full(*args, _original=getattr(scipy.fft, name), **kwargs):
+            full.append(1)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counted_transform)
+        monkeypatch.setattr(scipy.fft, name, counted_full)
+
+    def counted_transform(samples, inverse, *args):
+        name, before = "ifft2" if inverse else "fft2", len(full)
+        result = transform(samples, inverse, *args)
+        transforms[name] += 1
+        pruned[name] += len(full) == before
+        return result
+
+    monkeypatch.setattr(wavefield, "_fft2", counted_transform)
 
     def counted_source(*args, **kwargs):
         sources.append(1)
@@ -484,6 +497,10 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch):
     # each off-centre channel reaches the shared plane from the spectrum
     # and guard moments of its own focus search: one inverse FFT
     assert transforms == {"fft2": 11, "ifft2": 38}
+    # every inverse but the two covariances runs on the band's columns, and
+    # every forward transform but the four of full-width fields on the
+    # field's nonzero columns
+    assert pruned == {"fft2": 7, "ifft2": 36}
 
 
 def test_design_without_mirror_symmetry_propagates_every_channel(tmp_path, monkeypatch):

@@ -333,16 +333,27 @@ def test_find_focus_window_missing_the_waist(window):
 
 
 def count_transforms(monkeypatch):
-    """List that grows by one for every scipy.fft fft2 or ifft2 call."""
-    calls = []
+    """List that grows by one for every 2-d transform (wavefield._fft2
+    call): True where it ran pruned, that is without a full scipy.fft
+    fft2 or ifft2."""
+    calls, full = [], []
     for name in ("fft2", "ifft2"):
         original = getattr(scipy.fft, name)
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
+        def counted_full(*args, _original=original, **kwargs):
+            full.append(1)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counted)
+        monkeypatch.setattr(scipy.fft, name, counted_full)
+    helper = wavefield._fft2
+
+    def counted(*args, **kwargs):
+        before = len(full)
+        result = helper(*args, **kwargs)
+        calls.append(len(full) == before)
+        return result
+
+    monkeypatch.setattr(wavefield, "_fft2", counted)
     return calls
 
 
@@ -351,6 +362,9 @@ def test_find_focus_transform_count(monkeypatch):
     calls = count_transforms(monkeypatch)
     find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
     assert 0 < len(calls) <= 14
+    # the lens leaves the source's nonzero columns, the whole grid, so only
+    # the forward transform runs whole; every inverse runs on the band
+    assert calls == [False] + [True] * (len(calls) - 1)
 
 
 def test_find_focus_guards_from_one_moment_pass(monkeypatch):
@@ -380,6 +394,8 @@ def test_short_unclipped_step_needs_no_covariance(monkeypatch):
     calls = count_transforms(monkeypatch)
     angular_spectrum_propagate(field, 20e-6)
     assert len(calls) == 2
+    # the source reaches every column; the inverse runs on the band's
+    assert calls == [False, True]
 
 
 def test_find_focus_takes_the_covariance_in_one_transform(monkeypatch):
@@ -564,10 +580,12 @@ def direct_transfer(field, distance):
     return np.where(mask, np.exp(1j * kz * distance), 0.0)
 
 
-# square, non-square, and a pitch above lambda/2, where the band reaches
-# the Nyquist index, which is its own mirror image
+# square, non-square, a pitch above lambda/2, where the band reaches the
+# Nyquist index, which is its own mirror image, and the compact scenario's
+# grid, whose quadrant holds 96,100 entries but 39,330 distinct kz
 @pytest.mark.parametrize(
-    "nx, ny, pitch", [(128, 128, 0.25e-6), (256, 128, 0.22e-6), (64, 128, 0.4e-6)]
+    "nx, ny, pitch",
+    [(128, 128, 0.25e-6), (256, 128, 0.22e-6), (64, 128, 0.4e-6), (1024, 1024, 0.22e-6)],
 )
 @pytest.mark.parametrize("distance", [37.3e-6, -12.9e-6])
 def test_quadrant_transfer_times_spectrum_is_exact(nx, ny, pitch, distance):
@@ -576,12 +594,64 @@ def test_quadrant_transfer_times_spectrum_is_exact(nx, ny, pitch, distance):
         rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx)), pitch, WL
     )
     spectrum = FreeSpacePlanes(field).spectrum
-    kz = wavefield._kz_quadrant(nx, ny, pitch, field.wavenumber)[0]
-    reaches_nyquist = kz.shape == (ny // 2 + 1, nx // 2 + 1)
+    index = wavefield._kz_quadrant(nx, ny, pitch, field.wavenumber)[1]
+    reaches_nyquist = index.shape == (ny // 2 + 1, nx // 2 + 1)
     assert reaches_nyquist == (pitch > WL / 2)
     product = wavefield._transfer(field, distance, spectrum)
+    assert np.array_equal(wavefield._transfer(field, distance), direct_transfer(field, distance))
     assert np.array_equal(product, wavefield._transfer(field, distance) * spectrum)
     assert np.array_equal(product, direct_transfer(field, distance) * spectrum)
+
+
+def zero_outside(columns, ny, nx):
+    """A random complex ny x nx grid, zero outside the column slices `columns`."""
+    rng = np.random.default_rng(11)
+    grid = np.zeros((ny, nx), dtype=np.complex128)
+    for c in columns:
+        block = grid[:, c]
+        block[...] = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
+    return grid
+
+
+def band_columns(nx, q):
+    """The band's two column blocks on nx columns, q of them in its quadrant."""
+    return [c for c, _ in wavefield._band_blocks(nx, q)]
+
+
+# the band's blocks on square and non-square grids, one block reaching the
+# Nyquist column (the blocks then cover every column), a support span, a
+# single column, and a grid with no nonzero column
+@pytest.mark.parametrize(
+    "ny, nx, columns",
+    [
+        (128, 128, band_columns(128, 44)),
+        (64, 256, band_columns(256, 61)),
+        (256, 64, band_columns(64, 20)),
+        (128, 64, band_columns(64, 33)),
+        (128, 256, [slice(37, 169)]),
+        (64, 128, [slice(77, 78)]),
+        (64, 64, [slice(0, 0)]),
+    ],
+)
+@pytest.mark.parametrize("inverse", [False, True])
+def test_pruned_transform_is_bit_identical(ny, nx, columns, inverse):
+    grid = zero_outside(columns, ny, nx)
+    expected = (scipy.fft.ifft2 if inverse else scipy.fft.fft2)(grid)
+    result = wavefield._fft2(grid.copy(), inverse, columns)
+    assert np.array_equal(result.view(np.float64), expected.view(np.float64))
+
+
+@pytest.mark.parametrize("distance", [37.3e-6, -12.9e-6])
+def test_planes_behind_an_aperture_are_bit_identical(distance):
+    # the forward transform runs on the opening's columns and the inverse
+    # on the band's; both equal full 2-d transforms
+    field = make_gaussian_field(round_beam(), (0.0, 0.02), (256, 128, 0.22e-6))
+    field = apply_element(field, CircAperture(6e-6))
+    planes = FreeSpacePlanes(field)
+    spectrum = scipy.fft.fft2(field.samples)
+    assert np.array_equal(planes.spectrum.view(np.float64), spectrum.view(np.float64))
+    expected = scipy.fft.ifft2(wavefield._transfer(field, distance, spectrum))
+    assert np.array_equal(planes.samples_at(distance).view(np.float64), expected.view(np.float64))
 
 
 @pytest.mark.parametrize("tilt", [(0.0, 0.12), (0.0, -0.2), (0.07, 0.0)])
