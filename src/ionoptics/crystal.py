@@ -103,12 +103,20 @@ class IonCrystal:
 def length_scale(trap: TrapSpec) -> float:
     """Coulomb length scale l in metres for the given trap.
 
-    l = (q^2 e^2 / (4 pi eps0 m w^2))^(1/3) with w = 2 pi f.
+    l = (q^2 e^2 / (4 pi eps0 m w^2))^(1/3) with w = 2 pi f. A trap whose
+    m w^2 or l under- or overflows a float raises InvalidInputError.
     """
     q = trap.ion_charge * ELEMENTARY_CHARGE
     m = trap.ion_mass_amu * ATOMIC_MASS
     w = 2.0 * math.pi * trap.axial_frequency_hz
-    return (COULOMB_CONSTANT * q * q / (m * w * w)) ** (1.0 / 3.0)
+    stiffness = m * w * w
+    scale = (COULOMB_CONSTANT * q * q / stiffness) ** (1.0 / 3.0) if stiffness > 0 else 0.0
+    if not 0 < scale < math.inf:
+        raise InvalidInputError(
+            f"trap gives no finite, positive Coulomb length scale: m w^2 = "
+            f"{stiffness:.3e} kg/s^2, l = {scale:.3e} m"
+        )
+    return scale
 
 
 def force_residual(u: np.ndarray) -> np.ndarray:

@@ -52,7 +52,6 @@ from .picmodel import (
 )
 from .wavefield import (
     CircAperture,
-    FocusResult,
     FreeSpacePlanes,
     ScalarField,
     SpotMetrics,
@@ -601,18 +600,6 @@ def _channel_source(prescription, array, mirror, grid):
     return source, outcoupling_angle(mirror).exit_angle_deg
 
 
-def _run_channel(
-    channel: int, elements, source: Callable[[float, float], ScalarField],
-    x: float, tilt_deg: float, z_search, stack_top: float,
-) -> tuple[ChannelFocus, FocusResult]:
-    # no name here holds the source, so the stack loop can free it
-    result = find_focus(source(x, tilt_deg), list(elements), z_search)
-    focus = _focus_record(
-        channel, x, stack_top, result.z_focus, result.metrics, result
-    )
-    return focus, result
-
-
 def simulate_channel(
     prescription: LensStackPrescription,
     array: WaveguideArraySpec,
@@ -637,9 +624,11 @@ def simulate_channel(
     if z_search is None:
         z_search = _default_z_search(prescription)
     source, exit_deg = _channel_source(prescription, array, mirror, grid)
-    focus, result = _run_channel(
-        channel, prescription.elements, source, float(array.positions_m[channel]),
-        exit_deg, z_search, prescription.stack_height,
+    x = float(array.positions_m[channel])
+    # no name here holds the source, so the stack loop can free it
+    result = find_focus(source(x, exit_deg), list(prescription.elements), z_search)
+    focus = _focus_record(
+        channel, x, prescription.stack_height, result.z_focus, result.metrics, result
     )
     return (focus, result) if with_result else focus
 
@@ -811,7 +800,15 @@ def crosstalk_matrix(
         optical = max(optical, CROSSTALK_FLOOR_DB)
         leak = leakage_crosstalk(array, n - 1 - a, n - 1 - b)
         leak = max(leak, CROSSTALK_FLOOR_DB)
-        total = 10.0 * math.log10(10.0 ** (optical / 10.0) + 10.0 ** (leak / 10.0))
+        try:
+            total = 10.0 * math.log10(10.0 ** (optical / 10.0) + 10.0 ** (leak / 10.0))
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise InvalidInputError(
+                f"channels {n - 1 - a} and {n - 1 - b}: the crosstalk power sum of "
+                f"{optical:.4g} dB optical and {leak:.4g} dB leakage is not finite"
+            )
         matrix[a, b] = total
         contributions.append(
             {
@@ -888,13 +885,12 @@ def tolerance_sweep(
     baseline = simulate_channel(prescription, array, worst, mirror, grid, z_search)
 
     points = []
+    top = prescription.stack_height
     for parameter, value, elements, source_x, tilt_deg, residual in systems:
         with _error_prefix(f"sweep point {parameter}={value:g} failed: "):
-            # [0]: the focus result's fields must not outlive the search
-            focus = _run_channel(
-                worst, elements, source, source_x, tilt_deg,
-                z_search, prescription.stack_height,
-            )[0]
+            result = find_focus(source(source_x, tilt_deg), list(elements), z_search)
+            focus = _focus_record(worst, source_x, top, result.z_focus, result.metrics, result)
+            del result  # its fields must not outlive the search
         points.append(
             SweepPoint(
                 **vars(focus),

@@ -114,13 +114,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
         aperture_budget=t["aperture_budget_um"] * UM,
     )
 
-    m = data["mirror"]
-    mirror = TirMirrorSpec(
-        facet_angle_deg=m["facet_angle_deg"],
-        n_effective=m["n_effective"],
-        n_ambient=m.get("n_ambient", 1.0),
-        n_exit=m.get("n_exit", 1.0),
-    )
+    mirror = TirMirrorSpec(**data["mirror"])
 
     array_d = data.get("array", {})
     if "mode_mfd_um" in array_d:

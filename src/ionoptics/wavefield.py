@@ -236,9 +236,11 @@ def make_gaussian_field(
 
     x = (np.arange(nx) - nx // 2) * pitch - center[0]
     y = (np.arange(ny) - ny // 2) * pitch - center[1]
-    # the envelope is exactly 0 wherever one axis's term alone underflows exp
-    rows = _span((y / w0y) ** 2 < _EXP_UNDERFLOW)
-    cols = _span((x / w0x) ** 2 < _EXP_UNDERFLOW)
+    # the envelope is exactly 0 wherever one axis's term alone underflows exp;
+    # a term that overflows to inf is beyond it too
+    with np.errstate(over="ignore"):
+        rows = _span((y / w0y) ** 2 < _EXP_UNDERFLOW)
+        cols = _span((x / w0x) ** 2 < _EXP_UNDERFLOW)
     xb, yb = x[cols], y[rows]
     ik = 1j * (2.0 * math.pi / beam.wavelength)
     block = np.exp(-(xb[None, :] / w0x) ** 2 - (yb[:, None] / w0y) ** 2) * (
@@ -500,18 +502,13 @@ class FreeSpacePlanes(_WindowGuard):
         qx = _kz_quadrant(field.nx, field.ny, field.pitch, field.wavenumber)[1].shape[1]
         self._band_columns = [c for c, _ in _band_blocks(field.nx, qx)]
 
-    def samples_at(self, distance: float) -> np.ndarray:
-        """Samples `distance` downstream, without the guard."""
-        if distance == 0.0:
-            return self.field.samples.copy()
-        return _fft2(
-            _transfer(self.field, distance, self.spectrum), True, self._band_columns
-        )
-
     def plane(self, distance: float) -> ScalarField:
         """The guarded field `distance` downstream."""
         self.guard(distance)
-        return replace(self.field, samples=self.samples_at(distance))
+        samples = self.field.samples.copy() if distance == 0.0 else _fft2(
+            _transfer(self.field, distance, self.spectrum), True, self._band_columns
+        )
+        return replace(self.field, samples=samples)
 
 
 def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarField:
@@ -751,7 +748,7 @@ def find_focus(
 
     Every plane past the stack comes from one spectrum of the exit field,
     and at most one pass of the guard's moments, with its covariance taken
-    at most once, checks both window ends and the focus plane. The result
+    at most once, checks both window ends and every plane read. The result
     keeps the focus field and the exit field's planes.
     """
     z_min, z_max, steps = z_search
@@ -774,9 +771,9 @@ def find_focus(
     del source
     exit_field = propagate_elements(sources.pop(), elements)
 
-    # one spectrum and at most one pass of guard moments serve every plane; the
-    # predicted footprint is convex in z, so guarding both ends of the
-    # window covers the sampled planes between them
+    # one spectrum and at most one pass of guard moments serve every plane;
+    # guarding both window ends first fails a window the beam leaves before
+    # any inverse FFT, and plane() guards each plane read on the cached moments
     planes = FreeSpacePlanes(exit_field)
     planes.guard(z_min - z_exit, z_max - z_exit)
 
@@ -785,7 +782,7 @@ def find_focus(
     def variance_parabola(zs):
         for z in zs:
             _, _, cy, vx, _ = _intensity_stats(
-                planes.samples_at(z - z_exit), exit_field.x, exit_field.y
+                planes.plane(z - z_exit).samples, exit_field.x, exit_field.y
             )
             sampled.append((z, vx, cy))
         parabola = Polynomial.fit(zs, [vx for _, vx, _ in sampled[-3:]], 2)

@@ -138,6 +138,44 @@ def test_mirror_index_below_one_exits_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "change, stiffness",
+    [({"trap.ion_mass_amu": 1e-300}, "0.000e+00"), ({"trap.axial_frequency_hz": 1e200}, "inf")],
+)
+def test_trap_outside_float_range_exits_3(tmp_path, capsys, change, stiffness):
+    from ionoptics import cli
+
+    path = compact_variant(tmp_path, **change)
+    assert cli.main(["crystal", str(path)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "error in crystal: trap gives no finite, positive Coulomb length scale: "
+        f"m w^2 = {stiffness} kg/s^2, l = 0.000e+00 m\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"array.leakage_reference.db": 5000},
+        {"array.leakage_reference.pitch_um": 1e300},
+        # the decay rate per metre is inf, so is the leakage: no OverflowError
+        {"array.leakage_decay_per_um": 1e303, "array.leakage_reference.pitch_um": 20.0},
+    ],
+)
+def test_crosstalk_power_overflow_exits_3_with_one_line(tmp_path, capsys, change):
+    from ionoptics import cli
+
+    path = compact_variant(tmp_path, **change)
+    report_path = tmp_path / "r.json"
+    assert cli.main(["design", str(path), "--report", str(report_path)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    # the first pair is ion 0 lit by channel 2, with channel 1's leakage
+    assert err.startswith("error in design: channels 2 and 1: the crosstalk power sum of ")
+    assert err.endswith(" dB leakage is not finite\n")
+    assert err.count("\n") == 1
+    assert not report_path.exists()
+
+
 def test_missing_scenario_file_exits_2(tmp_path):
     result = run_cli("crystal", tmp_path / "absent.json")
     assert result.returncode == EXIT_PARSE
@@ -390,6 +428,16 @@ def test_sweep_unknown_param_exits_3_before_synthesis(tmp_path):
     ):
         assert name in result.stderr
     assert not list(tmp_path.glob("variant_sweep*"))
+
+
+def test_far_lateral_offset_exits_3_with_one_line(tmp_path):
+    # the source's span of rows and columns overflows; no NumPy warning is printed
+    path = compact_variant(tmp_path, sweeps=None)
+    result = run_cli("sweep", path, "--param", "lateral_offset:1e160:1e160:1", outdir=tmp_path)
+    assert result.returncode == EXIT_INVARIANT
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error in sweep: sweep point lateral_offset=1e+154 failed: ")
+    assert result.stderr.endswith("carries no power inside the sampled window\n")
 
 
 def test_malformed_param_exits_2(tmp_path):

@@ -1,5 +1,6 @@
 """Equilibrium positions of a harmonically confined ion chain."""
 
+import re
 import time
 
 import numpy as np
@@ -59,6 +60,32 @@ def test_length_scale_matches_closed_form():
         e**2 / (4.0 * np.pi * eps0 * t.ion_mass_amu * amu * omega**2)
     ) ** (1.0 / 3.0)
     assert length_scale(t) == pytest.approx(expected, rel=1e-9)
+
+
+def test_length_scale_keeps_the_closed_form_bits():
+    from ionoptics.constants import ATOMIC_MASS, COULOMB_CONSTANT, ELEMENTARY_CHARGE
+
+    for t in (trap(3), trap(10, axial_frequency_hz=2.5e6), trap(2, ion_charge=2)):
+        q = t.ion_charge * ELEMENTARY_CHARGE
+        m = t.ion_mass_amu * ATOMIC_MASS
+        w = 2.0 * np.pi * t.axial_frequency_hz
+        assert length_scale(t) == (COULOMB_CONSTANT * q * q / (m * w * w)) ** (1.0 / 3.0)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # m underflows to 0: the scale would divide by zero
+        ({"ion_mass_amu": 1e-300}, "m w^2 = 0.000e+00 kg/s^2, l = 0.000e+00 m"),
+        # w^2 overflows: every ion would sit at 0
+        ({"axial_frequency_hz": 1e200}, "m w^2 = inf kg/s^2, l = 0.000e+00 m"),
+        # q^2 overflows: the scale would be infinite
+        ({"ion_charge": 10**170}, "kg/s^2, l = inf m"),
+    ],
+)
+def test_length_scale_outside_float_range_rejected(overrides, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        length_scale(trap(2, **overrides))
 
 
 def test_reference_chain_gaps_frozen():

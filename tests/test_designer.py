@@ -404,7 +404,7 @@ def test_crosstalk_failure_names_channel(compact_pipeline, monkeypatch, own_focu
     def failing_channel(*args):
         raise ConvergenceError("x", residual=0.5)
 
-    monkeypatch.setattr(designer, "_run_channel", failing_channel)
+    monkeypatch.setattr(designer, "find_focus", failing_channel)
     pipe = compact_pipeline
     with pytest.raises(ConvergenceError) as info:
         crosstalk_matrix(
@@ -434,7 +434,7 @@ def fail_on_call(number, original):
 
 @pytest.mark.parametrize(
     "own_focus, name, number",
-    [(True, "_run_channel", 2), (False, "propagate_elements", 1)],
+    [(True, "find_focus", 2), (False, "propagate_elements", 1)],
 )
 def test_crosstalk_off_centre_failure_names_channel(
     compact_pipeline, monkeypatch, own_focus, name, number
@@ -616,7 +616,7 @@ def test_sweep_unknown_preset_lists_available(compact_pipeline):
 def test_sweep_unknown_parameter_lists_all_names(compact_pipeline, monkeypatch):
     pipe = compact_pipeline
     # the name is checked before any focus search
-    monkeypatch.setattr(designer, "_run_channel", None)
+    monkeypatch.setattr(designer, "find_focus", None)
     with pytest.raises(InvalidInputError) as info:
         tolerance_sweep(
             pipe["prescription"],
@@ -634,7 +634,7 @@ def test_sweep_unknown_parameter_lists_all_names(compact_pipeline, monkeypatch):
 
 def test_sweep_zero_steps_rejected_before_any_focus_search(compact_pipeline, monkeypatch):
     pipe = compact_pipeline
-    monkeypatch.setattr(designer, "_run_channel", None)
+    monkeypatch.setattr(designer, "find_focus", None)
     with pytest.raises(InvalidInputError, match="steps"):
         tolerance_sweep(
             pipe["prescription"],
@@ -649,7 +649,7 @@ def test_sweep_non_finite_bounds_rejected_before_any_focus_search(
     compact_pipeline, monkeypatch
 ):
     pipe = compact_pipeline
-    monkeypatch.setattr(designer, "_run_channel", None)
+    monkeypatch.setattr(designer, "find_focus", None)
     for lo, hi in ((math.nan, 1.0), (0.0, math.inf)):
         with pytest.raises(InvalidInputError, match="finite"):
             tolerance_sweep(
@@ -667,7 +667,7 @@ def test_sweep_stack_below_chip_fails_before_any_focus_search(
     # the wedge sits 2 um above the chip, so a -3 um z_offset cannot be built
     pipe = compact_pipeline
     calls = []
-    monkeypatch.setattr(designer, "_run_channel", lambda *args: calls.append(args))
+    monkeypatch.setattr(designer, "find_focus", lambda *args: calls.append(args))
     message = (
         "sweep point z_offset=-3e-06 failed: z_offset -3.000e-06 m pushes the "
         "stack below the chip plane"
@@ -687,14 +687,14 @@ def test_sweep_stack_below_chip_fails_before_any_focus_search(
 def test_sweep_single_step_builds_only_the_midpoint(compact_pipeline, monkeypatch):
     # z_offset -3:1:1 runs at its valid midpoint, -1 um, and nowhere else
     pipe = compact_pipeline
-    real_run_channel = designer._run_channel
+    real_find_focus = designer.find_focus
     elements = []
 
-    def recording_run_channel(*args):
+    def recording_find_focus(*args):
         elements.append(args[1])
-        return real_run_channel(*args)
+        return real_find_focus(*args)
 
-    monkeypatch.setattr(designer, "_run_channel", recording_run_channel)
+    monkeypatch.setattr(designer, "find_focus", recording_find_focus)
     report = tolerance_sweep(
         pipe["prescription"],
         pipe["array"],
@@ -736,16 +736,16 @@ def test_sweep_failure_keeps_exception_type_and_attributes(
     compact_pipeline, monkeypatch
 ):
     pipe = compact_pipeline
-    real_run_channel = designer._run_channel
+    real_find_focus = designer.find_focus
     calls = []
 
     def failing_point(*args):
         calls.append(args)
         if len(calls) == 1:  # the unperturbed baseline
-            return real_run_channel(*args)
+            return real_find_focus(*args)
         raise ConvergenceError("x", residual=0.5)
 
-    monkeypatch.setattr(designer, "_run_channel", failing_point)
+    monkeypatch.setattr(designer, "find_focus", failing_point)
     with pytest.raises(ConvergenceError, match="sweep point") as info:
         tolerance_sweep(
             pipe["prescription"],

@@ -149,6 +149,16 @@ def test_grid_halving_keeps_fitted_width():
     assert m_coarse.mfd_fit[1] == pytest.approx(m_fine.mfd_fit[1], rel=0.005)
 
 
+def test_source_far_off_the_window_fails_without_overflow_warning():
+    # the offset squared overflows to inf, which lies beyond the envelope's span
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="carries no power"):
+            make_gaussian_field(
+                round_beam(), (0.0, 0.0), (128, 128, 0.25e-6), center=(1e154, -1e160)
+            )
+
+
 def test_centered_source_honours_offset():
     field = make_gaussian_field(
         round_beam(), (0.0, 0.0), (512, 512, 0.25e-6), center=(10e-6, -4e-6)
@@ -407,6 +417,31 @@ def test_find_focus_takes_the_covariance_in_one_transform(monkeypatch):
     assert 0 < len(calls) <= 9
 
 
+def test_find_focus_guards_every_plane_it_reads(compact_pipeline, monkeypatch):
+    # every transfer build, in the stack and past it, is of a guarded distance
+    guarded, built = [], []
+    real_guard, real_transfer = wavefield._WindowGuard.guard, wavefield._transfer
+
+    def guard(self, *distances):
+        guarded.extend(distances)
+        return real_guard(self, *distances)
+
+    def transfer(field, distance, spectrum=None):
+        built.append(distance)
+        return real_transfer(field, distance, spectrum)
+
+    monkeypatch.setattr(wavefield._WindowGuard, "guard", guard)
+    monkeypatch.setattr(wavefield, "_transfer", transfer)
+    pipe = compact_pipeline
+    simulate_channel(
+        pipe["prescription"], pipe["array"], 1, pipe["scenario"].mirror,
+        grid=pipe["scenario"].grid,
+    )
+    # the stack's steps, six variance planes and the focus plane
+    assert len(built) == 10
+    assert [d for d in built if d not in guarded] == []
+
+
 def test_compact_design_transform_count(tmp_path, monkeypatch):
     from pathlib import Path
 
@@ -651,7 +686,8 @@ def test_planes_behind_an_aperture_are_bit_identical(distance):
     spectrum = scipy.fft.fft2(field.samples)
     assert np.array_equal(planes.spectrum.view(np.float64), spectrum.view(np.float64))
     expected = scipy.fft.ifft2(wavefield._transfer(field, distance, spectrum))
-    assert np.array_equal(planes.samples_at(distance).view(np.float64), expected.view(np.float64))
+    samples = planes.plane(distance).samples
+    assert np.array_equal(samples.view(np.float64), expected.view(np.float64))
 
 
 @pytest.mark.parametrize("tilt", [(0.0, 0.12), (0.0, -0.2), (0.07, 0.0)])
