@@ -99,12 +99,11 @@ CROSSTALK_FLOOR_DB = -200.0
 OFF_NORMAL_SLOPE = 0.02
 # Offsets |x| within this fraction of the grid pitch tie, and a tie goes to
 # the lower index: that picks the centre channel (nearest the axis) and the
-# sweep channel (farthest out). crosstalk_matrix mirrors channels only when
-# every waveguide pair (i, n-1-i) mirrors within the same tolerance ...
+# sweep channel (farthest out). crosstalk_matrix mirrors channels when every
+# waveguide pair (i, n-1-i) mirrors within the same tolerance: every stack
+# element type acts evenly in x (a wedge deflects in y only), and every
+# source tilts in y only.
 MIRROR_POSITION_TOL = 1e-9
-# ... and every stack element is of a type that acts evenly in x. A wedge
-# deflects in y only, and every source tilts in y only.
-X_EVEN_ELEMENTS = (ThinLensPhase, CircAperture, WedgePhase)
 
 
 class SweepParameter(NamedTuple):
@@ -182,6 +181,11 @@ def sweep_row_to_si(row: dict) -> dict:
     An unknown parameter raises InvalidInputError."""
     scale = UM if _sweep_parameter(row["parameter"]).unit == "um" else 1.0
     return {**row, "lo": row["lo"] * scale, "hi": row["hi"] * scale}
+
+
+def sweep_value_from_si(parameter: str, value: float) -> float:
+    """A sweep value back in its parameter's unit: the inverse of sweep_row_to_si."""
+    return value / UM if SWEEP_PARAMETERS[parameter].unit == "um" else value
 
 
 @dataclass(frozen=True)
@@ -678,10 +682,10 @@ def crosstalk_matrix(
     plane, else from the marginals of its |E|^2.
 
     A chain in a harmonic trap, its pitch plan and an on-axis stack are
-    mirror-symmetric in x, and the pass checks that first: every pair
-    (i, n-1-i) of waveguides must mirror within MIRROR_POSITION_TOL of the
-    grid pitch, and every element be of an X_EVEN_ELEMENTS type. If so,
-    every channel past the middle (i > n-1-i) mirrors its partner n-1-i,
+    mirror-symmetric in x. Every element type acts evenly in x, so the
+    pass checks the array first: every pair (i, n-1-i) of waveguides must
+    mirror within MIRROR_POSITION_TOL of the grid pitch. If so, every
+    channel past the middle (i > n-1-i) mirrors its partner n-1-i,
     and the rest are propagated; the centre channel is always among them:
     it ties with its partner, and the tie goes to the lower index. A
     mirrored channel takes its partner's fields mirrored in place on the
@@ -700,7 +704,8 @@ def crosstalk_matrix(
     optical term for an ordered pair (i, j) is the beam-i intensity at ion
     j relative to ion i on that row; the leakage term comes from the
     waveguide-array model with the two channels that address ions i and
-    j; totals are power sums.
+    j; totals are power sums. A leakage term whose power is not finite
+    fails before the first propagation.
 
     With own_focus channel_focus holds own-focus records, those
     simulate_channel returns for the propagated channels; otherwise the
@@ -714,15 +719,26 @@ def crosstalk_matrix(
             f"has {n} channels"
         )
     ions = np.asarray(crystal.positions_m, dtype=float)
+    # leakage needs the array alone: check it before any propagation, in the sums' order
+    leakage = {(a, b): max(leakage_crosstalk(array, n - 1 - a, n - 1 - b), CROSSTALK_FLOOR_DB)
+               for a, b in itertools.permutations(range(n), 2)}
+    for (a, b), leak in leakage.items():
+        try:
+            finite = math.isfinite(10.0 ** (leak / 10.0))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidInputError(
+                f"channels {n - 1 - a} and {n - 1 - b}: the crosstalk power sum of "
+                f"any optical term and {leak:.4g} dB leakage is not finite"
+            )
     source, exit_deg = _channel_source(prescription, array, mirror, grid)
     top = prescription.stack_height
     positions = array.positions_m
     tol = MIRROR_POSITION_TOL * grid[2]
     offsets = np.abs(positions)
     centre = int(np.flatnonzero(offsets <= offsets.min() + tol)[0])
-    symmetric = bool(np.all(np.abs(positions + positions[::-1]) <= tol)) and all(
-        isinstance(el, X_EVEN_ELEMENTS) for _, el in prescription.elements
-    )
+    symmetric = bool(np.all(np.abs(positions + positions[::-1]) <= tol))
     mirror_of = [n - 1 - i if symmetric and i > n - 1 - i else None for i in range(n)]
 
     focus_table = [None] * n
@@ -790,7 +806,7 @@ def crosstalk_matrix(
 
     matrix = np.zeros((n, n))
     contributions = []
-    for a, b in itertools.permutations(range(n), 2):
+    for (a, b), leak in leakage.items():
         row = rows[n - 1 - a]
         denom = float(np.interp(ion_x[a], centre_field.x, row))
         if denom <= 0:
@@ -798,8 +814,6 @@ def crosstalk_matrix(
         num = float(np.interp(ion_x[b], centre_field.x, row))
         optical = 10.0 * math.log10(max(num / denom, 1e-20))
         optical = max(optical, CROSSTALK_FLOOR_DB)
-        leak = leakage_crosstalk(array, n - 1 - a, n - 1 - b)
-        leak = max(leak, CROSSTALK_FLOOR_DB)
         try:
             total = 10.0 * math.log10(10.0 ** (optical / 10.0) + 10.0 ** (leak / 10.0))
         except OverflowError:
@@ -864,19 +878,21 @@ def tolerance_sweep(
     source, exit_deg = _channel_source(prescription, array, mirror, grid)
     centre = float(array.positions_m[worst])
 
-    # (parameter, value, elements, source x, source tilt, residual tilt)
+    # (failure prefix, parameter, value, elements, source x, tilt, residual tilt)
     systems = []
     for spec_row in perturbations:
         parameter = spec_row["parameter"]
-        perturb = _sweep_parameter(parameter).perturb
+        unit, perturb = _sweep_parameter(parameter)
         lo, hi, steps = spec_row["lo"], spec_row["hi"], int(spec_row["steps"])
         if steps < 1:
             raise InvalidInputError("sweep steps must be >= 1")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidInputError("sweep lo and hi must be finite")
         for value in [0.5 * (lo + hi)] if steps == 1 else np.linspace(lo, hi, steps):
-            with _error_prefix(f"sweep point {parameter}={value:g} failed: "):
-                systems.append((parameter, value) + perturb(
+            shown = sweep_value_from_si(parameter, value)
+            prefix = f"sweep point {parameter}={shown:g} {unit} failed: "
+            with _error_prefix(prefix):
+                systems.append((prefix, parameter, value) + perturb(
                     list(prescription.elements), centre, exit_deg, value
                 ))
 
@@ -886,8 +902,8 @@ def tolerance_sweep(
 
     points = []
     top = prescription.stack_height
-    for parameter, value, elements, source_x, tilt_deg, residual in systems:
-        with _error_prefix(f"sweep point {parameter}={value:g} failed: "):
+    for prefix, parameter, value, elements, source_x, tilt_deg, residual in systems:
+        with _error_prefix(prefix):
             result = find_focus(source(source_x, tilt_deg), list(elements), z_search)
             focus = _focus_record(worst, source_x, top, result.z_focus, result.metrics, result)
             del result  # its fields must not outlive the search

@@ -13,6 +13,7 @@ import datetime
 import functools
 import json
 import math
+import sys
 from importlib import resources
 
 import jsonschema
@@ -28,6 +29,7 @@ from .designer import (
     LensStackPrescription,
     SweepPoint,
     SweepReport,
+    sweep_value_from_si,
 )
 from .errors import InvalidInputError
 from .picmodel import OutcouplingResult, TirMirrorSpec, tir_critical_angle
@@ -36,47 +38,58 @@ from .wavefield import ThinLensPhase, WedgePhase
 REPORT_SCHEMA_VERSION = 5
 
 
-def to_plain(value):
-    """Recursively convert numpy containers and scalars to JSON types."""
-    if isinstance(value, dict):
-        return {str(k): to_plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [to_plain(v) for v in value.tolist()]
+def _location(path) -> str:
+    return "/".join(str(p) for p in path) or "(document root)"
+
+
+def _plain(value, path):
     if isinstance(value, np.floating):
         value = float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
+    elif isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()  # a Python scalar or nested lists
+    if isinstance(value, dict):
+        return {str(k): _plain(v, (*path, k)) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, (*path, i)) for i, v in enumerate(value)]
     if isinstance(value, float) and not math.isfinite(value):
-        raise InvalidInputError("reports must not contain NaN or infinity")
-    return value
+        got = value
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        got = "an integer beyond the float range"
+    else:
+        return value
+    raise InvalidInputError(f"at {_location(path)}: numbers must be finite, got {got}")
+
+
+def to_plain(value):
+    """Recursively convert numpy containers and scalars to JSON types; a number
+    that is not finite or beyond the float range raises, naming its path."""
+    return _plain(value, ())
 
 
 def canonical_json(data: dict) -> str:
     return json.dumps(to_plain(data), sort_keys=True, indent=2) + "\n"
 
 
-def report_schema() -> dict:
-    path = resources.files("ionoptics.schemas").joinpath("report.schema.json")
-    with path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_schema(name: str) -> dict:
+    """The packaged JSON schema of a document: "scenario" or "report"."""
+    path = resources.files("ionoptics.schemas").joinpath(f"{name}.schema.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 @functools.cache
-def _report_validator():
-    # what jsonschema.validate builds and checks on every call, once per process
-    schema = report_schema()
-    validator = jsonschema.validators.validator_for(schema)
-    validator.check_schema(schema)
-    return validator(schema)
+def _validator(name: str):
+    # the test suite, not each process, checks the schema against its metaschema
+    schema = load_schema(name)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
-def validate_report(data: dict) -> None:
-    """Raise InvalidInputError for the error jsonschema.validate would raise."""
-    exc = jsonschema.exceptions.best_match(_report_validator().iter_errors(to_plain(data)))
+def schema_error(name: str, document):
+    """jsonschema's best match among a plain document's errors, or None."""
+    return jsonschema.exceptions.best_match(_validator(name).iter_errors(document))
+
+
+def _check_report(plain) -> None:
+    exc = schema_error("report", plain)
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "report"
         raise InvalidInputError(
@@ -84,10 +97,16 @@ def validate_report(data: dict) -> None:
         ) from exc
 
 
+def validate_report(data: dict) -> None:
+    """Raise InvalidInputError for the error jsonschema.validate would raise."""
+    _check_report(to_plain(data))
+
+
 def write_report(data: dict, path) -> None:
-    validate_report(data)
+    text = canonical_json(data)
+    _check_report(json.loads(text))  # the document as written
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(data))
+        fh.write(text)
 
 
 def run_block(wall_time_s: float) -> dict:
@@ -201,12 +220,11 @@ SWEEP_POINT_FOCUS_KEYS = (
 
 
 def sweep_point_section(point: SweepPoint) -> dict:
-    unit = SWEEP_PARAMETERS[point.parameter].unit
     focus = channel_section(point)
     return {
         "parameter": point.parameter,
-        "value": point.value / UM if unit == "um" else point.value,
-        "value_unit": unit,
+        "value": sweep_value_from_si(point.parameter, point.value),
+        "value_unit": SWEEP_PARAMETERS[point.parameter].unit,
         **{key: focus[key] for key in SWEEP_POINT_FOCUS_KEYS},
         "dz_focus_um": point.dz_focus / UM,
         "dmfd_um": [v / UM for v in point.dmfd],

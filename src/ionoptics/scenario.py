@@ -10,22 +10,18 @@ that typos fail loudly instead of silently using defaults.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
-
-import jsonschema
 
 from .constants import UM
 from .crystal import TrapSpec
 from .designer import DesignTargets, sweep_row_to_si
 from .errors import InvalidInputError, ScenarioError
 from .picmodel import TirMirrorSpec
+from .report import _location, schema_error, to_plain
 from .wavefield import _check_grid
 
 
@@ -46,50 +42,14 @@ class Scenario:
     raw: dict
 
 
-def scenario_schema() -> dict:
-    path = resources.files("ionoptics.schemas").joinpath("scenario.schema.json")
-    with path.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-@functools.cache
-def _scenario_validator():
-    # what jsonschema.validate builds and checks on every call, once per process
-    schema = scenario_schema()
-    validator = jsonschema.validators.validator_for(schema)
-    validator.check_schema(schema)
-    return validator(schema)
-
-
-def _location(path) -> str:
-    return "/".join(str(p) for p in path) or "(document root)"
-
-
-def _check_finite(value, path=()):
-    """Raise ScenarioError for a number anywhere in decoded data that is
-    not finite or lies beyond the float range."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, (*path, key))
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            _check_finite(item, (*path, index))
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ScenarioError(
-            f"invalid scenario at {_location(path)}: numbers must be finite, got {value}"
-        )
-    elif isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ScenarioError(
-            f"invalid scenario at {_location(path)}: numbers must be finite, "
-            "got an integer beyond the float range"
-        )
-
-
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a decoded scenario document and convert units to SI.
     NaN, infinity and integers beyond the float range are rejected."""
-    _check_finite(data)
-    exc = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(data))
+    try:
+        to_plain(data)
+    except InvalidInputError as exc:
+        raise ScenarioError(f"invalid scenario {exc}") from exc
+    exc = schema_error("scenario", data)
     if exc is not None:
         raise ScenarioError(
             f"invalid scenario at {_location(exc.absolute_path)}: {exc.message}"

@@ -112,8 +112,8 @@ def _check_grid(nx: int, ny: int, pitch: float):
             f"grid {nx}x{ny} needs {nx * ny * 16 // 2**20} MiB per complex grid, over "
             f"the {_MAX_SAMPLES * 16 // 2**20} MiB limit ({_MAX_SAMPLES} samples)"
         )
-    if not pitch > 0:
-        raise InvalidInputError("pitch must be positive")
+    if not 0 < pitch < math.inf:
+        raise InvalidInputError("pitch must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -131,8 +131,10 @@ class ScalarField:
         if self.samples.ndim != 2:
             raise InvalidInputError("samples must be a 2-d array")
         _check_grid(self.nx, self.ny, self.pitch)
-        if not self.wavelength > 0:
-            raise InvalidInputError("wavelength must be positive")
+        if not 0 < self.wavelength < math.inf:
+            raise InvalidInputError("wavelength must be positive and finite")
+        if not 0 <= self.clipped_fraction <= 1:
+            raise InvalidInputError("clipped_fraction must lie in [0, 1]")
 
     @property
     def nx(self) -> int:
@@ -858,6 +860,8 @@ def read_field_sfld(path) -> ScalarField:
             f"field payload holds {len(payload)} bytes, not {nx}*{ny}*8"
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(ny, nx, 2)
+    if not np.isfinite(data).all():
+        raise InvalidInputError("field payload holds non-finite samples")
     samples = data[..., 0].astype(np.float64) + 1j * data[..., 1].astype(np.float64)
     return ScalarField(samples, pitch, wavelength, clipped_fraction=float(clipped))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ionoptics.report import report_schema, validate_report
+from ionoptics.report import load_schema, validate_report
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -387,7 +387,7 @@ def test_sweep_stack_below_chip_exits_3_without_output(tmp_path):
     path = compact_variant(tmp_path, sweeps=None)
     result = run_cli("sweep", path, "--param", "z_offset:-3:1:2", outdir=tmp_path)
     assert result.returncode == EXIT_INVARIANT
-    assert "sweep point z_offset=-3e-06 failed: " in result.stderr
+    assert "sweep point z_offset=-3 um failed: " in result.stderr
     assert "pushes the stack below the chip plane" in result.stderr
     assert not list(tmp_path.glob("variant_sweep*"))
 
@@ -436,7 +436,7 @@ def test_far_lateral_offset_exits_3_with_one_line(tmp_path):
     result = run_cli("sweep", path, "--param", "lateral_offset:1e160:1e160:1", outdir=tmp_path)
     assert result.returncode == EXIT_INVARIANT
     assert result.stderr.count("\n") == 1
-    assert result.stderr.startswith("error in sweep: sweep point lateral_offset=1e+154 failed: ")
+    assert result.stderr.startswith("error in sweep: sweep point lateral_offset=1e+160 um failed: ")
     assert result.stderr.endswith("carries no power inside the sampled window\n")
 
 
@@ -486,10 +486,14 @@ def test_sweep_csv_columns_match_docs():
 
 
 def test_reports_validate_against_packaged_schema(tmp_path):
-    # jsonschema must accept the schema itself
+    # jsonschema must accept each packaged schema itself; the program
+    # builds its validators without this check
     import jsonschema
 
-    jsonschema.Draft202012Validator.check_schema(report_schema())
+    for name in ("report", "scenario"):
+        schema = load_schema(name)
+        assert jsonschema.validators.validator_for(schema) is jsonschema.Draft202012Validator
+        jsonschema.Draft202012Validator.check_schema(schema)
 
 
 def test_design_propagates_each_channel_once(tmp_path, monkeypatch):

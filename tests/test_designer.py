@@ -478,6 +478,45 @@ def test_crosstalk_dark_row_names_its_channel(compact_pipeline, monkeypatch):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("reference", [(5e-6, 5000.0), (5e-6, math.nan)])
+def test_crosstalk_leakage_overflow_fails_before_any_focus_search(
+    compact_pipeline, monkeypatch, reference
+):
+    # the leakage terms depend on the array alone; the first pair is ion 0
+    # lit by channel 2, with channel 1's leakage
+    calls = []
+    monkeypatch.setattr(designer, "find_focus", lambda *args: calls.append(args))
+    pipe = compact_pipeline
+    array = dataclasses.replace(pipe["array"], leakage_reference=reference)
+    with pytest.raises(InvalidInputError, match=(
+        r"^channels 2 and 1: the crosstalk power sum of .* dB leakage is not finite$"
+    )):
+        crosstalk_matrix(
+            pipe["prescription"],
+            array,
+            pipe["crystal"],
+            pipe["scenario"].mirror,
+            grid=pipe["scenario"].grid,
+        )
+    assert calls == []
+
+
+def test_crosstalk_foreign_element_fails_on_the_centre_channel(compact_pipeline):
+    # every element type acts evenly in x; any other is rejected while the
+    # centre channel (1 of 3) propagates
+    pipe = compact_pipeline
+    prescription = pipe["prescription"]
+    elements = list(prescription.elements) + [(prescription.stack_height, object())]
+    with pytest.raises(InvalidInputError, match="^channel 1: unknown element type object$"):
+        crosstalk_matrix(
+            dataclasses.replace(prescription, elements=elements),
+            pipe["array"],
+            pipe["crystal"],
+            pipe["scenario"].mirror,
+            grid=pipe["scenario"].grid,
+        )
+
+
 def test_crosstalk_requires_matching_counts(compact_pipeline, reference_pipeline):
     with pytest.raises(InvalidInputError):
         crosstalk_matrix(
@@ -669,7 +708,7 @@ def test_sweep_stack_below_chip_fails_before_any_focus_search(
     calls = []
     monkeypatch.setattr(designer, "find_focus", lambda *args: calls.append(args))
     message = (
-        "sweep point z_offset=-3e-06 failed: z_offset -3.000e-06 m pushes the "
+        "sweep point z_offset=-3 um failed: z_offset -3.000e-06 m pushes the "
         "stack below the chip plane"
     )
     with pytest.raises(InvalidInputError, match=re.escape(message)):
@@ -682,6 +721,30 @@ def test_sweep_stack_below_chip_fails_before_any_focus_search(
             grid=pipe["scenario"].grid,
         )
     assert calls == []
+
+
+def test_sweep_failure_gives_the_value_in_its_own_unit(compact_pipeline, monkeypatch):
+    # a 35 degree wedge cannot be built; the message says degrees as --param does
+    pipe = compact_pipeline
+    monkeypatch.setattr(designer, "find_focus", None)
+    with pytest.raises(InvalidInputError, match=re.escape(
+        "sweep point prism_design_angle=35 deg failed: wedge tilt magnitude"
+    )):
+        tolerance_sweep(
+            pipe["prescription"],
+            pipe["array"],
+            pipe["scenario"].mirror,
+            [{"parameter": "prism_design_angle", "lo": 35.0, "hi": 35.0, "steps": 1}],
+            grid=pipe["scenario"].grid,
+        )
+
+
+@pytest.mark.parametrize("parameter", list(designer.SWEEP_PARAMETERS))
+def test_sweep_value_from_si_inverts_sweep_row_to_si(parameter):
+    row = {"parameter": parameter, "lo": -3.0, "hi": 0.25, "steps": 2}
+    si = designer.sweep_row_to_si(row)
+    for key in ("lo", "hi"):
+        assert designer.sweep_value_from_si(parameter, si[key]) == pytest.approx(row[key])
 
 
 def test_sweep_single_step_builds_only_the_midpoint(compact_pipeline, monkeypatch):

@@ -18,7 +18,7 @@ from ionoptics.report import (
     canonical_json,
     channel_section,
     crosstalk_section,
-    report_schema,
+    load_schema,
     run_block,
     sweep_point_section,
     sweep_section,
@@ -100,6 +100,46 @@ def test_to_plain_rejects_non_finite_numpy_scalars(value):
         canonical_json({"bad": [value]})
 
 
+@pytest.mark.parametrize("value, where, got", [
+    ({"a": [1.0, np.float32("nan")]}, "a/1", "got nan"),
+    ({"a": {"b": (0, -np.inf)}}, "a/b/1", "got -inf"),
+    ({"n": 10**400}, "n", "got an integer beyond the float range"),
+    (float("inf"), "(document root)", "got inf"),
+    ({"z": np.array(np.inf)}, "z", "got inf"),
+])
+def test_to_plain_names_the_path_of_a_non_finite_number(value, where, got):
+    message = f"at {where}: numbers must be finite, {got}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        to_plain(value)
+
+
+def test_to_plain_converts_zero_dimensional_and_long_double_arrays():
+    plain = to_plain({"zero_d": np.array(1.5), "long": np.array([np.longdouble(2.5)])})
+    assert plain == {"zero_d": 1.5, "long": [2.5]}
+    assert type(plain["zero_d"]) is float and type(plain["long"][0]) is float
+    json.dumps(plain)
+
+
+def test_parsing_and_validating_never_check_the_schemas(monkeypatch):
+    # the metaschema check runs once in the test suite, not in every process
+    import jsonschema
+
+    from ionoptics import report
+    from ionoptics.scenario import parse_scenario
+
+    def refuse(cls, schema, *args, **kwargs):
+        raise AssertionError("check_schema was called")
+
+    report._validator.cache_clear()
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema", classmethod(refuse))
+    try:
+        compact = Path(__file__).resolve().parents[1] / "scenarios" / "compact.json"
+        parse_scenario(json.loads(compact.read_text()))
+        validate_report(minimal_report())
+    finally:
+        report._validator.cache_clear()
+
+
 def test_minimal_report_validates():
     validate_report(minimal_report())
 
@@ -177,7 +217,7 @@ def property_names(schema):
 def test_every_report_key_is_documented():
     docs = (Path(__file__).resolve().parents[1] / "docs" / "REPORTS.md").read_text()
     missing = sorted(
-        name for name in set(property_names(report_schema()))
+        name for name in set(property_names(load_schema("report")))
         if not re.search(rf"\b{re.escape(name)}\b", docs)
     )
     assert missing == []
@@ -264,7 +304,7 @@ def object_schemas(schema, path=""):
 def test_every_report_object_but_the_scenario_is_closed():
     # an object schema without its keys lets any record through unchecked
     open_objects = [
-        path for path, schema in object_schemas(report_schema())
+        path for path, schema in object_schemas(load_schema("report"))
         if path != "/properties/scenario"
         and not (schema.get("additionalProperties") is False and schema.get("properties"))
     ]

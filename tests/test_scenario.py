@@ -116,9 +116,9 @@ def test_grid_must_be_powers_of_two(grid):
 
 def test_sweep_parameter_enum_matches_designer_table():
     from ionoptics.designer import SWEEP_PARAMETERS
-    from ionoptics.scenario import scenario_schema
+    from ionoptics.report import load_schema
 
-    sweep_row = scenario_schema()["properties"]["sweeps"]["items"]
+    sweep_row = load_schema("scenario")["properties"]["sweeps"]["items"]
     assert sweep_row["properties"]["parameter"]["enum"] == list(SWEEP_PARAMETERS)
 
 

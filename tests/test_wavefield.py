@@ -930,3 +930,37 @@ def test_sfld_rejects_another_medium_or_frame(tmp_path, index, origin):
     path.write_bytes(sfld_header(field, index, origin) + bytes(64 * 64 * 8))
     with pytest.raises(InvalidInputError, match="index and origin"):
         read_field_sfld(path)
+
+
+@pytest.mark.parametrize(
+    "clipped, pitch, wavelength, match",
+    [
+        (math.nan, 0.4e-6, WL, "clipped_fraction must lie in"),
+        (2.5, 0.4e-6, WL, "clipped_fraction must lie in"),
+        (-1.0, 0.4e-6, WL, "clipped_fraction must lie in"),
+        (0.0, math.inf, WL, "pitch must be positive and finite"),
+        (0.0, 0.4e-6, math.inf, "wavelength must be positive and finite"),
+    ],
+)
+def test_sfld_rejects_a_header_the_writer_never_writes(
+    tmp_path, clipped, pitch, wavelength, match
+):
+    path = tmp_path / "dump.sfld"
+    header = wavefield._SFLD_HEADER.pack(
+        wavefield.SFLD_MAGIC, 1, 64, 64, clipped, pitch, wavelength, 1.0, 0.0, 0.0,
+    ).ljust(wavefield.SFLD_HEADER_SIZE, b"\0")
+    path.write_bytes(header + bytes(64 * 64 * 8))
+    with pytest.raises(InvalidInputError, match=match):
+        read_field_sfld(path)
+
+
+def test_sfld_rejects_non_finite_samples(tmp_path):
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (64, 64, 0.4e-6))
+    path = tmp_path / "dump.sfld"
+    write_field_sfld(field, path)
+    raw = bytearray(path.read_bytes())
+    offset = wavefield.SFLD_HEADER_SIZE + 8 * (64 * 32 + 32) + 4  # im of the centre sample
+    raw[offset:offset + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(InvalidInputError, match="non-finite samples"):
+        read_field_sfld(path)
