@@ -11,8 +11,10 @@ Subcommands:
 Exit codes: 0 success, 2 scenario parse or validation error, 3 invariant
 violation (invalid field values, geometry, trapped rays), 4 infeasible
 design targets, 5 convergence failure, 6 propagation-window or sampling
-error or memory exhausted; an output that cannot be written exits 2,
-before any work if its directory is missing. The IONOPTICS_OUTDIR
+error (a tilt the grid cannot sample included) or memory exhausted; an
+output that cannot be written exits 2, before any work if its directory
+is missing. A malformed sweep request exits 2 before any work, whether
+its rows come from the scenario, --param or --preset. The IONOPTICS_OUTDIR
 environment variable sets the default output directory for reports;
 flags override it.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -33,10 +34,10 @@ from .constants import UM
 from .crystal import solve_crystal
 from .designer import (
     SWEEP_PRESETS,
-    _sweep_preset,
     crosstalk_matrix,
     pitch_plan,
     sweep_row_to_si,
+    sweep_rows,
     synthesize_lens_stack,
     tolerance_sweep,
 )
@@ -131,20 +132,15 @@ def _parse_grid(text: str):
 
 
 def _parse_param(text: str):
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ScenarioError(
-            f"bad param {text!r}: need name:lo:hi:steps (angles deg, offsets um)"
-        )
+    """One --param row name:lo:hi:steps (angles deg, offsets um), in SI."""
     try:
-        lo, hi, steps = float(parts[1]), float(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise ScenarioError(f"bad param {text!r}: {exc}") from exc
-    if steps < 1:
-        raise ScenarioError(f"bad param {text!r}: need steps >= 1 in name:lo:hi:steps")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ScenarioError(f"bad param {text!r}: need finite lo and hi in name:lo:hi:steps")
-    return sweep_row_to_si({"parameter": parts[0], "lo": lo, "hi": hi, "steps": steps})
+        name, lo, hi, steps = text.split(":")
+        row = {"parameter": name, "lo": float(lo), "hi": float(hi), "steps": int(steps)}
+        return sweep_row_to_si(sweep_rows([row])[0])
+    except (ValueError, InvalidInputError) as exc:
+        raise ScenarioError(
+            f"bad param {text!r}: {exc}; need name:lo:hi:steps (angles deg, offsets um)"
+        ) from exc
 
 
 def _build_pipeline(scenario: Scenario, grid_override=None):
@@ -251,15 +247,11 @@ def cmd_design(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
-    preset = () if args.preset is None else _sweep_preset(args.preset)
-    perturbations = list(scenario.sweeps) + [
-        _parse_param(p) for p in args.param or []
-    ] + list(preset)
-    if not perturbations:
-        raise ScenarioError(
-            "sweep needs scenario sweep definitions, --param, or --preset "
-            f"(available presets: {', '.join(sorted(SWEEP_PRESETS))})"
-        )
+    rows = list(scenario.sweeps) + [_parse_param(p) for p in args.param or []]
+    try:
+        rows = sweep_rows(rows, args.preset)
+    except InvalidInputError as exc:
+        raise ScenarioError(str(exc)) from exc
 
     json_path = _out_path(args.report, f"{scenario.name}_sweep_report.json")
     csv_path = _out_path(args.csv, f"{scenario.name}_sweep.csv")
@@ -269,7 +261,7 @@ def cmd_sweep(args) -> int:
         scenario, args.grid
     )
     result = tolerance_sweep(
-        prescription, array, scenario.mirror, perturbations,
+        prescription, array, scenario.mirror, rows,
         grid=grid, z_search=scenario.z_search,
     )
 

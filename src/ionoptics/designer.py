@@ -156,30 +156,37 @@ SWEEP_PRESETS = {
 }
 
 
-def _sweep_parameter(name: str) -> SweepParameter:
-    try:
-        return SWEEP_PARAMETERS[name]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown sweep parameter {name!r}; expected one of "
-            + ", ".join(SWEEP_PARAMETERS)
-        ) from None
-
-
-def _sweep_preset(name: str) -> tuple:
-    try:
-        return SWEEP_PRESETS[name]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown preset {name!r}; available: " + ", ".join(sorted(SWEEP_PRESETS))
-        ) from None
+def sweep_rows(rows: Sequence[dict], preset: Optional[str] = None) -> list:
+    """The {parameter, lo, hi, steps} rows of one sweep (SI, as
+    tolerance_sweep takes them) with the named preset's rows appended,
+    taken through sweep_row_to_si. InvalidInputError for an unknown preset
+    or parameter, steps < 1, a lo or hi that is not finite, or no rows."""
+    presets = ", ".join(sorted(SWEEP_PRESETS))
+    rows = list(rows)
+    if preset is not None:
+        if preset not in SWEEP_PRESETS:
+            raise InvalidInputError(f"unknown preset {preset!r}; available: {presets}")
+        rows += [sweep_row_to_si(row) for row in SWEEP_PRESETS[preset]]
+    if not rows:
+        raise InvalidInputError(f"a sweep needs rows or a preset (available presets: {presets})")
+    for row in rows:
+        if row["parameter"] not in SWEEP_PARAMETERS:
+            raise InvalidInputError(
+                f"unknown sweep parameter {row['parameter']!r}; expected one of "
+                + ", ".join(SWEEP_PARAMETERS)
+            )
+        if int(row["steps"]) < 1:
+            raise InvalidInputError("sweep steps must be >= 1")
+        if not (math.isfinite(row["lo"]) and math.isfinite(row["hi"])):
+            raise InvalidInputError("sweep lo and hi must be finite")
+    return rows
 
 
 def sweep_row_to_si(row: dict) -> dict:
     """A {parameter, lo, hi, steps} row with lo and hi taken from the
     parameter's unit to the sweep's: micrometres to metres, degrees kept.
-    An unknown parameter raises InvalidInputError."""
-    scale = UM if _sweep_parameter(row["parameter"]).unit == "um" else 1.0
+    The parameter must be a SWEEP_PARAMETERS name (sweep_rows checks it)."""
+    scale = UM if SWEEP_PARAMETERS[row["parameter"]].unit == "um" else 1.0
     return {**row, "lo": row["lo"] * scale, "hi": row["hi"] * scale}
 
 
@@ -386,19 +393,14 @@ def _wave_verify(f_list, z_list, targets: DesignTargets, v: float, magnification
     planes = FreeSpacePlanes(field)
 
     z_top = z_list[-1]
-    best = math.inf
-    best_edge = None
     z_planes = z_top + v + np.linspace(-0.12 * v, 0.12 * v, 13)
-    for idx, z_plane in enumerate(z_planes):
-        mfd = spot_metrics(planes.plane(z_plane - z_top)).mfd_fit[0]
-        if mfd < best:
-            best = mfd
-            best_edge = idx in (0, len(z_planes) - 1)
-    if best_edge:
+    widths = [spot_metrics(planes.plane(z - z_top)).mfd_fit[0] for z in z_planes]
+    best = int(np.argmin(widths))
+    if best in (0, len(widths) - 1):
         raise ConvergenceError(
             "wave cross-check found no waist near the predicted image plane"
         )
-    ratio = best / (2.0 * w0p)
+    ratio = widths[best] / (2.0 * w0p)
     if not math.isfinite(ratio) or abs(ratio / m_abs - 1.0) > WAVE_VERIFY_TOL:
         raise ConvergenceError(
             "wave cross-check disagrees with the ABCD prescription: "
@@ -647,12 +649,10 @@ def _error_prefix(prefix: str):
         raise
 
 
-def _row_and_centroid(field: ScalarField, record: ChannelFocus, z_eval: float, y_row: float):
-    """A channel's |E|^2 on the row at y_row of the shared plane z_eval and
-    its x centroid there; a record taken in that plane holds the centroid."""
+def _row_and_centroid(field: ScalarField, y_row: float):
+    """A channel's |E|^2 on the row at y_row of its shared-plane field and
+    its x centroid there, from the marginals as spot_metrics takes it."""
     row = interp_row(field.samples, field.y, y_row, axis=0)
-    if record.z_focus == z_eval:
-        return row, record.centroid[0]
     return row, _intensity_stats(field.samples, field.x, field.y)[1]
 
 
@@ -677,9 +677,8 @@ def crosstalk_matrix(
     is its field there. Every other propagated channel reaches that plane
     in one inverse FFT from its stack-exit FreeSpacePlanes: those of its
     own focus search with own_focus, else those of its exit field. In the
-    same step |E|^2 on two rows gives its row through the centre spot; its
-    centroid is that of its record where the record was taken in that
-    plane, else from the marginals of its |E|^2.
+    same step |E|^2 on two rows gives its row through the centre spot, and
+    the marginals of its |E|^2 its centroid.
 
     A chain in a harmonic trap, its pitch plan and an on-axis stack are
     mirror-symmetric in x. Every element type acts evenly in x, so the
@@ -772,7 +771,7 @@ def crosstalk_matrix(
                     source(x, exit_deg), prescription.elements
                 )).plane(z_eval - top)
                 record = _focus_record(i, x, top, z_eval, spot_metrics(field))
-            rows[i], centroids[i] = _row_and_centroid(field, record, z_eval, y_row)
+            rows[i], centroids[i] = _row_and_centroid(field, y_row)
         focus_table[i] = record
         if image is not None:
             x = float(positions[image])
@@ -785,7 +784,7 @@ def crosstalk_matrix(
                     record = replace(record, **vars(spot), channel=image, waveguide_position=x)
                 else:
                     record = _focus_record(image, x, top, z_eval, spot_metrics(field))
-                rows[image], centroids[image] = _row_and_centroid(field, record, z_eval, y_row)
+                rows[image], centroids[image] = _row_and_centroid(field, y_row)
                 if i == centre:
                     _mirror_x(field.samples)  # the centre field is kept: mirror it back
             focus_table[image] = record
@@ -866,13 +865,10 @@ def tolerance_sweep(
     lies within MIRROR_POSITION_TOL of the grid pitch of the largest, so
     of a mirror pair it is the one crosstalk_matrix propagates, and the
     baseline is the record design writes for it. Every point's perturbed
-    system is built, or fails, before the first focus search.
+    system is built, or fails, before the first focus search; sweep_rows
+    appends the preset's rows and checks every row first.
     """
-    if preset is not None:
-        perturbations = list(perturbations) + list(_sweep_preset(preset))
-    if not perturbations:
-        raise InvalidInputError("tolerance_sweep needs perturbations or a preset")
-
+    perturbations = sweep_rows(perturbations, preset)
     offsets = np.abs(array.positions_m)
     worst = int(np.flatnonzero(offsets >= offsets.max() - MIRROR_POSITION_TOL * grid[2])[0])
     source, exit_deg = _channel_source(prescription, array, mirror, grid)
@@ -882,12 +878,8 @@ def tolerance_sweep(
     systems = []
     for spec_row in perturbations:
         parameter = spec_row["parameter"]
-        unit, perturb = _sweep_parameter(parameter)
+        unit, perturb = SWEEP_PARAMETERS[parameter]
         lo, hi, steps = spec_row["lo"], spec_row["hi"], int(spec_row["steps"])
-        if steps < 1:
-            raise InvalidInputError("sweep steps must be >= 1")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidInputError("sweep lo and hi must be finite")
         for value in [0.5 * (lo + hi)] if steps == 1 else np.linspace(lo, hi, steps):
             shown = sweep_value_from_si(parameter, value)
             prefix = f"sweep point {parameter}={shown:g} {unit} failed: "

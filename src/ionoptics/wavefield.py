@@ -200,6 +200,13 @@ class CircAperture:
 PhaseElement = Union[ThinLensPhase, WedgePhase, CircAperture]
 
 
+def _check_tilt(tilt: float, wavelength: float, pitch: float):
+    """SamplingError for a tilt whose phase ramp the pitch aliases (Nyquist)."""
+    if abs(math.sin(tilt)) >= wavelength / (2.0 * pitch):
+        raise SamplingError(f"tilt {math.degrees(tilt):.4g} deg aliases on pitch {pitch:.3e} m; "
+                            f"need |sin(tilt)| < {wavelength / (2.0 * pitch):.4g}")
+
+
 def make_gaussian_field(
     beam: AstigmaticGaussian,
     tilt: tuple[float, float],
@@ -209,8 +216,9 @@ def make_gaussian_field(
     """Sample a tilted elliptical Gaussian at its waist, normalised to unit power.
 
     `grid` is (nx, ny, pitch). The pitch must resolve the smaller waist
-    with at least four samples and the window must span eight times the
-    larger waist, otherwise a SamplingError explains the required grid.
+    with four samples and each tilt's ramp (|sin| < wavelength / (2 pitch)),
+    and the window must span eight times the larger waist, otherwise a
+    SamplingError explains the required grid.
 
     Both exps are taken only on the span of rows and columns where the
     envelope can be nonzero; outside it the envelope underflows to 0.
@@ -235,6 +243,8 @@ def make_gaussian_field(
             f"window {min(nx, ny) * pitch:.3e} m too small for waist {w_max:.3e} m; "
             f"need width >= {8.0 * w_max:.3e} m"
         )
+    for t in tilt:
+        _check_tilt(t, beam.wavelength, pitch)
 
     x = (np.arange(nx) - nx // 2) * pitch - center[0]
     y = (np.arange(ny) - ny // 2) * pitch - center[1]
@@ -294,24 +304,22 @@ def _intensity_stats(samples: np.ndarray, x: np.ndarray, y: np.ndarray):
 
 
 def _window_moments(field: ScalarField, spectrum: np.ndarray):
-    """The guard's cheap pass, from |E|^2 and |spectrum|^2: the total
-    intensity and per axis (label, centroid, mean sin(theta), variance,
-    variance of sin(theta), samples)."""
-    itot, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y)
+    """The guard's cheap pass, from |E|^2 and |spectrum|^2: per axis (label,
+    centroid, mean sin(theta), variance, variance of sin(theta), samples)."""
+    _, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y)
     # angular moments of the whole spectrum, evanescent part included; sin(theta) = lambda f
     sin_x = field.wavelength * sfft.fftfreq(field.nx, field.pitch)
     sin_y = field.wavelength * sfft.fftfreq(field.ny, field.pitch)
     _, mean_sx, mean_sy, var_sx, var_sy = _intensity_stats(spectrum, sin_x, sin_y)
-    return itot, (
+    return (
         ("x", cx, mean_sx, vx, var_sx, field.nx),
         ("y", cy, mean_sy, vy, var_sy, field.ny),
     )
 
 
-def _window_covariance(field: ScalarField, spectrum: np.ndarray, itot: float, axes):
+def _window_covariance(field: ScalarField, spectrum: np.ndarray, axes):
     """x-theta and y-theta covariances from the local transverse momentum
-    density Im(conj(E) grad E) / k, given the cheap pass's total intensity
-    and axes.
+    density Im(conj(E) grad E) / k, given the cheap pass's axes.
 
     One inverse FFT gives h = dE/dx + i dE/dy. Im(conj(E) h) adds
     Re(conj(E) dE/dy) to the x density and -Re(conj(E) h) adds
@@ -331,7 +339,7 @@ def _window_covariance(field: ScalarField, spectrum: np.ndarray, itot: float, ax
     moment_x = float(im_columns @ field.x)
     moment_y = -float(np.einsum("ij,ij->i", e, h) @ field.y)
     (_, cx, mean_sx, *_), (_, cy, mean_sy, *_) = axes
-    k_itot = field.wavenumber * itot
+    k_itot = field.wavenumber * _power_sum(field.samples)
     return moment_x / k_itot - cx * mean_sx, moment_y / k_itot - cy * mean_sy
 
 
@@ -374,7 +382,7 @@ class _WindowGuard:
     def __init__(self, field: ScalarField, spectrum: np.ndarray):
         self.field = field
         self.spectrum = spectrum
-        self._itot = self._axes = self._covs = None
+        self._axes = self._covs = None
 
     def guard(self, *distances: float):
         """Raise PropagationWindowError if the beam would leave the safe
@@ -384,16 +392,14 @@ class _WindowGuard:
             if d == 0.0:
                 continue
             if self._axes is None:
-                self._itot, self._axes = _window_moments(self.field, self.spectrum)
+                self._axes = _window_moments(self.field, self.spectrum)
             limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), d)
                       for *_, v, v_s, _ in self._axes]
             extents = _extents(self.field, self._axes, limits, d)
             if all(extent * (1.0 + _BOUND_MARGIN) <= half for _, extent, half in extents):
                 continue
             if self._covs is None:
-                self._covs = _window_covariance(
-                    self.field, self.spectrum, self._itot, self._axes
-                )
+                self._covs = _window_covariance(self.field, self.spectrum, self._axes)
             _check_window(self.field, self._axes, self._covs, d)
 
 
@@ -565,7 +571,8 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     nonzero samples, such as the opening of the aperture before it;
     outside the box the product is zero anyway, so the result differs
     from the full-grid product at most in the sign of zeros. A wedge
-    multiplies by one phase column, since its ramp varies in y only. The
+    multiplies by one phase column, since its ramp varies in y only (a ramp
+    the pitch aliases raises SamplingError, as for a source). The
     lens phase is the outer product of one exp per axis, which equals the
     2-d exp of -i k (x^2 + y^2) / (2 f) to rounding.
     """
@@ -579,6 +586,7 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
         np.multiply(field.samples[rows, cols], phase, out=samples[rows, cols])
         return replace(field, samples=samples)
     if isinstance(element, WedgePhase):
+        _check_tilt(element.tilt_y, field.wavelength, field.pitch)
         ramp = np.exp(1j * k * (math.sin(element.tilt_y) * field.y))[:, None]
         return replace(field, samples=field.samples * ramp)
     if isinstance(element, CircAperture):

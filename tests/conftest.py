@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionoptics import cli, crosstalk_matrix, load_scenario, simulate_channel
+from ionoptics import cli, crosstalk_matrix, load_scenario, simulate_channel, wavefield
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -98,3 +98,20 @@ def compact_channels(compact_pipeline):
         )
         for channel in range(pipe["array"].channel_count)
     ]
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """List that grows by one (inverse, pruned) pair for every 2-d transform
+    (wavefield._fft2 call). pruned is _fft2's own rule: the call names
+    columns, and their widths sum to less than the grid width."""
+    calls = []
+    transform = wavefield._fft2
+
+    def counted(samples, inverse, columns=()):
+        width = sum(len(range(samples.shape[1])[c]) for c in columns)
+        calls.append((inverse, bool(columns) and width < samples.shape[1]))
+        return transform(samples, inverse, columns)
+
+    monkeypatch.setattr(wavefield, "_fft2", counted)
+    return calls

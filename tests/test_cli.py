@@ -360,14 +360,14 @@ def test_sweep_needs_work_exits_2(tmp_path):
     assert "prism-mismatch" in result.stderr
 
 
-def test_sweep_unknown_preset_exits_3(tmp_path):
+def test_sweep_unknown_preset_exits_2(tmp_path):
     path = compact_variant(tmp_path, sweeps=None)
     result = run_cli("sweep", path, "--preset", "bogus", outdir=tmp_path)
-    assert result.returncode == EXIT_INVARIANT
+    assert result.returncode == EXIT_PARSE
     assert "prism-mismatch" in result.stderr
 
 
-def test_sweep_unknown_preset_exits_before_synthesis(tmp_path, monkeypatch, capsys):
+def test_sweep_unknown_preset_exits_2_before_synthesis(tmp_path, monkeypatch, capsys):
     from ionoptics import cli
 
     def no_synthesis(*args, **kwargs):
@@ -379,8 +379,41 @@ def test_sweep_unknown_preset_exits_before_synthesis(tmp_path, monkeypatch, caps
         ["sweep", str(path), "--preset", "bogus",
          "--report", str(tmp_path / "s.json"), "--csv", str(tmp_path / "s.csv")]
     )
-    assert code == EXIT_INVARIANT
+    assert code == EXIT_PARSE
     assert capsys.readouterr().err.startswith("error in sweep: unknown preset 'bogus'")
+
+
+@pytest.mark.parametrize(
+    "changes, flags",
+    [
+        ({"sweeps": [{"parameter": "bogus", "lo": 0.0, "hi": 1.0, "steps": 2}]}, []),
+        ({"sweeps": [{"parameter": "source_tilt", "lo": 0.0, "hi": 1.0, "steps": 0}]}, []),
+        ({"sweeps": None}, ["--param", "bogus:0:1:2"]),
+        ({"sweeps": None}, ["--param", "source_tilt:0:1:0"]),
+        ({"sweeps": None}, ["--preset", "bogus"]),
+        ({"sweeps": None}, []),
+    ],
+    ids=["row-parameter", "row-steps", "param-name", "param-steps", "preset", "no-rows"],
+)
+def test_bad_sweep_request_exits_2_before_synthesis(
+    tmp_path, monkeypatch, capsys, changes, flags
+):
+    # every source of sweep rows is checked before the pipeline starts
+    from ionoptics import cli
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the sweep request was checked")
+
+    monkeypatch.setattr(cli, "synthesize_lens_stack", no_synthesis)
+    path = compact_variant(tmp_path, **changes)
+    report, table = tmp_path / "s.json", tmp_path / "s.csv"
+    code = cli.main(
+        ["sweep", str(path), *flags, "--report", str(report), "--csv", str(table)]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith("error in sweep: ") and err.count("\n") == 1
+    assert not report.exists() and not table.exists()
 
 
 def test_sweep_stack_below_chip_exits_3_without_output(tmp_path):
@@ -418,10 +451,10 @@ def test_sweep_param_writes_single_row_csv(tmp_path):
         assert point["value_unit"] == unit
 
 
-def test_sweep_unknown_param_exits_3_before_synthesis(tmp_path):
+def test_sweep_unknown_param_exits_2_before_synthesis(tmp_path):
     path = compact_variant(tmp_path, sweeps=None)
     result = run_cli("sweep", path, "--param", "bogus:0:1:2", outdir=tmp_path)
-    assert result.returncode == EXIT_INVARIANT
+    assert result.returncode == EXIT_PARSE
     assert "'bogus'" in result.stderr
     for name in (
         "prism_design_angle", "source_tilt", "lateral_offset", "z_offset", "chip_wedge"
@@ -496,34 +529,12 @@ def test_reports_validate_against_packaged_schema(tmp_path):
         jsonschema.Draft202012Validator.check_schema(schema)
 
 
-def test_design_propagates_each_channel_once(tmp_path, monkeypatch):
-    import scipy.fft
-
+def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
     from ionoptics import cli, designer, wavefield
 
     sources, steps = [], []
-    # 2-d transforms per direction, and those that ran pruned (no full
-    # scipy.fft.fft2 or ifft2 call)
-    transforms, pruned, full = {"fft2": 0, "ifft2": 0}, {"fft2": 0, "ifft2": 0}, []
     make_source = wavefield.make_gaussian_field
     propagate = wavefield.angular_spectrum_propagate
-    transform = wavefield._fft2
-
-    for name in ("fft2", "ifft2"):
-        def counted_full(*args, _original=getattr(scipy.fft, name), **kwargs):
-            full.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counted_full)
-
-    def counted_transform(samples, inverse, *args):
-        name, before = "ifft2" if inverse else "fft2", len(full)
-        result = transform(samples, inverse, *args)
-        transforms[name] += 1
-        pruned[name] += len(full) == before
-        return result
-
-    monkeypatch.setattr(wavefield, "_fft2", counted_transform)
 
     def counted_source(*args, **kwargs):
         sources.append(1)
@@ -546,6 +557,12 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch):
     # the synthesis probe, the centre channel and one source per mirror pair
     assert len(sources) == 3
     assert steps and 0.0 not in steps
+    # 2-d transforms per direction, and those that ran pruned
+    transforms, pruned = {"fft2": 0, "ifft2": 0}, {"fft2": 0, "ifft2": 0}
+    for inverse, ran_pruned in fft_calls:
+        name = "ifft2" if inverse else "fft2"
+        transforms[name] += 1
+        pruned[name] += ran_pruned
     # each off-centre channel reaches the shared plane from the spectrum
     # and guard moments of its own focus search: one inverse FFT
     assert transforms == {"fft2": 11, "ifft2": 38}

@@ -747,6 +747,18 @@ def test_sweep_value_from_si_inverts_sweep_row_to_si(parameter):
         assert designer.sweep_value_from_si(parameter, si[key]) == pytest.approx(row[key])
 
 
+def test_sweep_preset_rows_are_taken_to_si(monkeypatch):
+    # preset rows are in their parameter's unit, as --param is; rows passed in are SI
+    preset = {"parameter": "lateral_offset", "lo": -0.5, "hi": 2.0, "steps": 3}
+    monkeypatch.setitem(designer.SWEEP_PRESETS, "offset-um", (preset,))
+    given = {"parameter": "z_offset", "lo": 1e-6, "hi": 1e-6, "steps": 1}
+    rows = designer.sweep_rows([given], preset="offset-um")
+    assert rows[0] == given
+    assert rows[1]["parameter"] == "lateral_offset" and rows[1]["steps"] == 3
+    assert rows[1]["lo"] == pytest.approx(-0.5e-6, rel=1e-15)
+    assert rows[1]["hi"] == pytest.approx(2.0e-6, rel=1e-15)
+
+
 def test_sweep_single_step_builds_only_the_midpoint(compact_pipeline, monkeypatch):
     # z_offset -3:1:1 runs at its valid midpoint, -1 um, and nowhere else
     pipe = compact_pipeline
