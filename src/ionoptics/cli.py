@@ -13,10 +13,10 @@ violation (invalid field values, geometry, trapped rays), 4 infeasible
 design targets, 5 convergence failure, 6 propagation-window or sampling
 error (a tilt the grid cannot sample included) or memory exhausted; an
 output that cannot be written exits 2, before any work if its directory
-is missing. A malformed sweep request exits 2 before any work, whether
-its rows come from the scenario, --param or --preset. The IONOPTICS_OUTDIR
-environment variable sets the default output directory for reports;
-flags override it.
+is missing or if two outputs name the same file. A malformed sweep
+request exits 2 before any work, whether its rows come from the
+scenario, --param or --preset. The IONOPTICS_OUTDIR environment variable
+sets the default output directory for reports; flags override it.
 """
 
 from __future__ import annotations
@@ -112,10 +112,16 @@ def _out_path(flag_value, default_name: str) -> str:
 
 def _check_out_dirs(*paths):
     """Raise FileNotFoundError for an output path whose directory does not
-    exist; empty paths (outputs not asked for) pass."""
+    exist and ScenarioError for two outputs that resolve to one file;
+    empty paths (outputs not asked for) pass."""
+    named = {}
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory for output {path!r}")
+        resolved = os.path.realpath(path)
+        if resolved in named:
+            raise ScenarioError(f"outputs {named[resolved]!r} and {path!r} name the same file")
+        named[resolved] = path
 
 
 def _parse_grid(text: str):
@@ -212,7 +218,7 @@ def cmd_design(args) -> int:
 
     xt = crosstalk_matrix(
         prescription, array, crystal, scenario.mirror,
-        grid=grid, z_search=scenario.z_search, own_focus=True,
+        grid=grid, z_search=scenario.z_search,
     )
 
     data = _report_skeleton("design", scenario)

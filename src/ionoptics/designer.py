@@ -264,10 +264,7 @@ class ChannelFocus(SpotMetrics):
     """Focus metrics of one addressing channel: its SpotMetrics at z_focus.
 
     z_focus is measured from the chip plane; image_distance from the
-    stack top. When at_shared_plane is set the metrics were taken at the
-    common crosstalk evaluation plane instead of this channel's own
-    x-width minimum. focus_fit_residual is find_focus's fit_residual,
-    None for channels evaluated only at the shared plane.
+    stack top. focus_fit_residual is find_focus's fit_residual.
     """
 
     channel: int
@@ -276,8 +273,7 @@ class ChannelFocus(SpotMetrics):
     image_distance: float
     beam_slope: float
     off_normal: bool
-    at_shared_plane: bool = False
-    focus_fit_residual: Optional[float] = None
+    focus_fit_residual: float
 
 
 @dataclass(frozen=True)
@@ -573,21 +569,17 @@ def _default_z_search(prescription: LensStackPrescription):
     return (top + 0.5 * dist, top + 1.25 * dist, 33)
 
 
-def _focus_record(channel, position, stack_top, z, metrics, result=None) -> ChannelFocus:
-    """ChannelFocus of `channel` from its spot metrics at z. With `result`
-    (the channel's own focus search) it carries the beam slope and the fit
-    residual; without, it is a record taken at the shared plane."""
-    own = result is not None
+def _focus_record(channel, position, stack_top, result) -> ChannelFocus:
+    """ChannelFocus of `channel` from `result`, its find_focus search."""
     return ChannelFocus(
-        **vars(metrics),
+        **vars(result.metrics),
         channel=channel,
         waveguide_position=position,
-        z_focus=z,
-        image_distance=z - stack_top,
-        beam_slope=result.beam_slope if own else 0.0,
-        off_normal=own and abs(result.beam_slope) > OFF_NORMAL_SLOPE,
-        at_shared_plane=not own,
-        focus_fit_residual=result.fit_residual if own else None,
+        z_focus=result.z_focus,
+        image_distance=result.z_focus - stack_top,
+        beam_slope=result.beam_slope,
+        off_normal=abs(result.beam_slope) > OFF_NORMAL_SLOPE,
+        focus_fit_residual=result.fit_residual,
     )
 
 
@@ -633,9 +625,7 @@ def simulate_channel(
     x = float(array.positions_m[channel])
     # no name here holds the source, so the stack loop can free it
     result = find_focus(source(x, exit_deg), list(prescription.elements), z_search)
-    focus = _focus_record(
-        channel, x, prescription.stack_height, result.z_focus, result.metrics, result
-    )
+    focus = _focus_record(channel, x, prescription.stack_height, result)
     return (focus, result) if with_result else focus
 
 
@@ -650,8 +640,9 @@ def _error_prefix(prefix: str):
 
 
 def _row_and_centroid(field: ScalarField, y_row: float):
-    """A channel's |E|^2 on the row at y_row of its shared-plane field and
-    its x centroid there, from the marginals as spot_metrics takes it."""
+    """A channel's |E|^2 on the row at y_row of its field in the common
+    crosstalk plane and its x centroid there, from the marginals as
+    spot_metrics takes it."""
     row = interp_row(field.samples, field.y, y_row, axis=0)
     return row, _intensity_stats(field.samples, field.x, field.y)[1]
 
@@ -663,7 +654,6 @@ def crosstalk_matrix(
     mirror: TirMirrorSpec,
     grid,
     z_search=None,
-    own_focus: bool = False,
 ) -> CrosstalkReport:
     """Intensity crosstalk of every addressing beam at every ion.
 
@@ -671,14 +661,14 @@ def crosstalk_matrix(
     centre channel (the ions sit in one plane above the chip): the lowest
     index among the channels whose |x| lies within MIRROR_POSITION_TOL of
     the grid pitch of the smallest. One pass takes the channels in turn,
-    the centre channel first, and sends each propagated source through
-    the stack once. The centre channel's focus search (simulate_channel,
-    within z_search) fixes the plane and the row's y, and its focus field
-    is its field there. Every other propagated channel reaches that plane
-    in one inverse FFT from its stack-exit FreeSpacePlanes: those of its
-    own focus search with own_focus, else those of its exit field. In the
-    same step |E|^2 on two rows gives its row through the centre spot, and
-    the marginals of its |E|^2 its centroid.
+    the centre channel first, and runs each propagated channel's own focus
+    search (simulate_channel, within z_search), which sends its source
+    through the stack once; channel_focus holds the records it returns.
+    The centre channel's search fixes the plane and the row's y, and its
+    focus field is its field there. Every other propagated channel reaches
+    that plane in one inverse FFT from the stack-exit FreeSpacePlanes of
+    its own search. In the same step |E|^2 on two rows gives its row
+    through the centre spot, and the marginals of its |E|^2 its centroid.
 
     A chain in a harmonic trap, its pitch plan and an on-axis stack are
     mirror-symmetric in x. Every element type acts evenly in x, so the
@@ -689,12 +679,12 @@ def crosstalk_matrix(
     it ties with its partner, and the tie goes to the lower index. A
     mirrored channel takes its partner's fields mirrored in place on the
     grid's periodic index map ix -> (nx - ix) % nx, as soon as the partner
-    is done with them (the centre field is mirrored back): its shared-plane
-    field goes through the same record, row and centroid steps, and its
-    own-focus record keeps its channel and waveguide position, takes its
-    partner's z_focus, beam_slope and focus_fit_residual, and takes its
-    spot metrics from the mirrored focus field. An array that fails the
-    check propagates every channel. mirror_of says which channels mirrored.
+    is done with them (the centre field is mirrored back): its field in
+    the common plane goes through the same row and centroid steps, and its
+    record keeps its channel and waveguide position, takes its partner's
+    z_focus, beam_slope and focus_fit_residual, and takes its spot metrics
+    from the mirrored focus field. An array that fails the check
+    propagates every channel. mirror_of says which channels mirrored.
 
     Ion positions are mapped into the plane by a least-squares scale fit
     of the centroids, which absorbs the sub-percent magnification offset
@@ -705,11 +695,6 @@ def crosstalk_matrix(
     waveguide-array model with the two channels that address ions i and
     j; totals are power sums. A leakage term whose power is not finite
     fails before the first propagation.
-
-    With own_focus channel_focus holds own-focus records, those
-    simulate_channel returns for the propagated channels; otherwise the
-    entries other than the centre's hold spot metrics taken in the shared
-    plane.
     """
     n = array.channel_count
     if len(crystal.positions_m) != n:
@@ -731,7 +716,6 @@ def crosstalk_matrix(
                 f"channels {n - 1 - a} and {n - 1 - b}: the crosstalk power sum of "
                 f"any optical term and {leak:.4g} dB leakage is not finite"
             )
-    source, exit_deg = _channel_source(prescription, array, mirror, grid)
     top = prescription.stack_height
     positions = array.positions_m
     tol = MIRROR_POSITION_TOL * grid[2]
@@ -744,50 +728,40 @@ def crosstalk_matrix(
     rows = np.empty((n, int(grid[0])))
     centroids = np.empty(n)
     for i in [centre] + [j for j in range(n) if j != centre and mirror_of[j] is None]:
-        x = float(positions[i])
         # the channel that takes this one's fields mirrored, if any
         image = n - 1 - i if mirror_of[n - 1 - i] == i else None
         image_spot = None
         with _error_prefix(f"channel {i}: "):
-            if i == centre or own_focus:
-                record, result = simulate_channel(
-                    prescription, array, i, mirror, grid=grid, z_search=z_search,
-                    with_result=True,
-                )
-                if i == centre:
-                    z_eval, y_row = record.z_focus, record.centroid[1]
-                    field = centre_field = result.field_at_focus
-                else:
-                    if image is not None:
-                        # the image's spot; the focus field is not read again
-                        _mirror_x(result.field_at_focus.samples)
-                        image_spot = spot_metrics(result.field_at_focus)
-                    planes = result.planes
-                    del result  # drop the focus field before the shared plane
-                    field = planes.plane(z_eval - top)
+            record, result = simulate_channel(
+                prescription, array, i, mirror, grid=grid, z_search=z_search,
+                with_result=True,
+            )
+            if i == centre:
+                z_eval, y_row = record.z_focus, record.centroid[1]
+                field = centre_field = result.field_at_focus
             else:
-                # no name holds the source or its exit planes
-                field = FreeSpacePlanes(propagate_elements(
-                    source(x, exit_deg), prescription.elements
-                )).plane(z_eval - top)
-                record = _focus_record(i, x, top, z_eval, spot_metrics(field))
+                if image is not None:
+                    # the image's spot; the focus field is not read again
+                    _mirror_x(result.field_at_focus.samples)
+                    image_spot = spot_metrics(result.field_at_focus)
+                planes = result.planes
+                del result  # drop the focus field before the common plane
+                field = planes.plane(z_eval - top)
             rows[i], centroids[i] = _row_and_centroid(field, y_row)
         focus_table[i] = record
         if image is not None:
-            x = float(positions[image])
             with _error_prefix(f"channel {image}: "):
                 _mirror_x(field.samples)
-                if own_focus:
-                    # without image_spot the partner is the centre, whose
-                    # focus field is this field
-                    spot = spot_metrics(field) if image_spot is None else image_spot
-                    record = replace(record, **vars(spot), channel=image, waveguide_position=x)
-                else:
-                    record = _focus_record(image, x, top, z_eval, spot_metrics(field))
+                # without image_spot the partner is the centre, whose
+                # focus field is this field
+                spot = spot_metrics(field) if image_spot is None else image_spot
+                focus_table[image] = replace(
+                    record, **vars(spot), channel=image,
+                    waveguide_position=float(positions[image]),
+                )
                 rows[image], centroids[image] = _row_and_centroid(field, y_row)
                 if i == centre:
                     _mirror_x(field.samples)  # the centre field is kept: mirror it back
-            focus_table[image] = record
         # nothing of this channel lives into the next channel's search
         result = planes = field = None
 
@@ -857,13 +831,14 @@ def tolerance_sweep(
 ) -> SweepReport:
     """Re-simulate the worst-case channel over assembly-error grids.
 
-    Each perturbation is {parameter, lo, hi, steps}. Angles are degrees,
-    offsets metres. prism_design_angle is the absolute exit angle the
-    corrective wedge was built for (nominal: the mirror's actual exit
-    angle); the remaining parameters are deltas with nominal 0. The
-    worst-case channel is the lowest index among the channels whose |x|
-    lies within MIRROR_POSITION_TOL of the grid pitch of the largest, so
-    of a mirror pair it is the one crosstalk_matrix propagates, and the
+    Each perturbation is {parameter, lo, hi, steps}: steps evenly spaced
+    values from lo to hi, or the one value (lo + hi) / 2 when steps is 1.
+    Angles are degrees, offsets metres. prism_design_angle is the absolute
+    exit angle the corrective wedge was built for (nominal: the mirror's
+    actual exit angle); the remaining parameters are deltas with nominal
+    0. The worst-case channel is the lowest index among the channels whose
+    |x| lies within MIRROR_POSITION_TOL of the grid pitch of the largest,
+    so of a mirror pair it is the one crosstalk_matrix propagates, and the
     baseline is the record design writes for it. Every point's perturbed
     system is built, or fails, before the first focus search; sweep_rows
     appends the preset's rows and checks every row first.
@@ -897,7 +872,7 @@ def tolerance_sweep(
     for prefix, parameter, value, elements, source_x, tilt_deg, residual in systems:
         with _error_prefix(prefix):
             result = find_focus(source(source_x, tilt_deg), list(elements), z_search)
-            focus = _focus_record(worst, source_x, top, result.z_focus, result.metrics, result)
+            focus = _focus_record(worst, source_x, top, result)
             del result  # its fields must not outlive the search
         points.append(
             SweepPoint(

@@ -35,7 +35,7 @@ from .errors import InvalidInputError
 from .picmodel import OutcouplingResult, TirMirrorSpec, tir_critical_angle
 from .wavefield import ThinLensPhase, WedgePhase
 
-REPORT_SCHEMA_VERSION = 5
+REPORT_SCHEMA_VERSION = 6
 
 
 def _location(path) -> str:
@@ -183,7 +183,6 @@ def channel_section(focus: ChannelFocus) -> dict:
         "fit_failed": focus.fit_failed,
         "beam_slope_rad": focus.beam_slope,
         "off_normal": focus.off_normal,
-        "at_shared_plane": focus.at_shared_plane,
         "focus_fit_residual": focus.focus_fit_residual,
     }
 

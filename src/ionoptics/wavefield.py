@@ -775,6 +775,14 @@ def find_focus(
     z_exit = z_elements[-1] if z_elements else 0.0
     if z_min < z_exit:
         raise InvalidInputError("z_search must start past the last element")
+    # the refining step h: over 2 ulp of z_max, centre +- h differs from
+    # centre anywhere in the window, so the refining triple never collapses
+    h = 2.0 * (z_max - z_min) / (int(steps) - 1)
+    if not h > 2.0 * math.ulp(z_max):
+        raise InvalidInputError(
+            f"z_search steps {steps} give a refining step of {h:.3e} m, too fine "
+            f"to move z near {z_max:.3e} m"
+        )
 
     # the stack loop holds the source's only reference and frees it early
     sources = [source]
@@ -806,7 +814,6 @@ def find_focus(
         return parabola, vertex
 
     _, vertex = variance_parabola([z_min, 0.5 * (z_min + z_max), z_max])
-    h = 2.0 * (z_max - z_min) / (int(steps) - 1)
     centre = min(max(vertex, z_min + h), z_max - h)
     parabola, z_focus = variance_parabola([centre - h, centre, centre + h])
 
@@ -862,6 +869,7 @@ def read_field_sfld(path) -> ScalarField:
             raise InvalidInputError(
                 f"field dump index and origin {tuple(frame)} are not {_SFLD_FRAME}"
             )
+        _check_grid(nx, ny, pitch)  # before the payload is read into memory
         payload = fh.read()
     if len(payload) != nx * ny * 8:
         raise InvalidInputError(

@@ -315,6 +315,49 @@ def test_empty_z_search_window_exits_2_before_synthesis(tmp_path, monkeypatch, c
     assert not report_path.exists()
 
 
+def test_z_search_steps_too_fine_to_move_z_exits_3_with_one_line(tmp_path, capsys, recwarn):
+    from ionoptics import cli
+
+    # the refining step 2 (hi - lo) / (steps - 1) is far below one ulp of z
+    path = compact_variant(tmp_path, z_search_um={"lo": 250, "hi": 500, "steps": 2**62})
+    report_path = tmp_path / "r.json"
+    assert cli.main(["design", str(path), "--report", str(report_path)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("error in design: channel 1: z_search steps 4611686018427387904 ")
+    assert err.count("\n") == 1
+    assert not [w for w in recwarn if "RankWarning" in type(w.message).__name__]
+    assert not report_path.exists()
+
+
+def outputs_naming_one_file_exit_2(monkeypatch, capsys, argv, first, second):
+    """Run argv with synthesis forbidden; it must exit 2 naming both paths."""
+    from ionoptics import cli
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the outputs were checked")
+
+    monkeypatch.setattr(cli, "synthesize_lens_stack", no_synthesis)
+    assert cli.main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error in {argv[0]}: outputs {first!r} and {second!r} name the same file\n"
+    )
+
+
+def test_design_report_and_dump_naming_one_file_exit_2(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "p.csv")
+    argv = ["design", str(SCENARIO_DIR / "compact.json"), "--report", path, "--dump-field", path]
+    outputs_naming_one_file_exit_2(monkeypatch, capsys, argv, path, path)
+    assert not Path(path).exists()
+
+
+def test_sweep_report_and_csv_naming_one_file_exit_2(tmp_path, monkeypatch, capsys):
+    # two spellings of one path
+    report, table = str(tmp_path / "q"), f"{tmp_path}/./q"
+    argv = ["sweep", str(SCENARIO_DIR / "compact.json"), "--report", report, "--csv", table]
+    outputs_naming_one_file_exit_2(monkeypatch, capsys, argv, report, table)
+    assert not Path(report).exists()
+
+
 def test_design_report_and_csv_dump(tmp_path):
     report_path = tmp_path / "design.json"
     dump_path = tmp_path / "focus.csv"

@@ -290,51 +290,37 @@ def test_crosstalk_single_channel_is_silent(compact_pipeline):
 
 @pytest.fixture(scope="module")
 def compact_crosstalk(compact_pipeline):
-    """own_focus -> (compact crosstalk report, designer-level spot_metrics
-    calls it made)."""
+    """(compact crosstalk report, designer-level spot_metrics calls it made)."""
     pipe = compact_pipeline
-    runs = {}
-    for own_focus in (False, True):
-        calls = []
+    calls = []
 
-        def counted(field, _original=designer.spot_metrics):
-            calls.append(1)
-            return _original(field)
+    def counted(field, _original=designer.spot_metrics):
+        calls.append(1)
+        return _original(field)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(designer, "spot_metrics", counted)
-            report = crosstalk_matrix(
-                pipe["prescription"],
-                pipe["array"],
-                pipe["crystal"],
-                pipe["scenario"].mirror,
-                grid=pipe["scenario"].grid,
-                own_focus=own_focus,
-            )
-        runs[own_focus] = (report, len(calls))
-    return runs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(designer, "spot_metrics", counted)
+        report = crosstalk_matrix(
+            pipe["prescription"],
+            pipe["array"],
+            pipe["crystal"],
+            pipe["scenario"].mirror,
+            grid=pipe["scenario"].grid,
+        )
+    return report, len(calls)
 
 
 def test_crosstalk_own_focus_records_match_simulate_channel(
     compact_pipeline, compact_channels, compact_crosstalk
 ):
     pipe = compact_pipeline
-    report = compact_crosstalk[True][0]
+    report = compact_crosstalk[0]
     # channel 2 mirrors channel 0 (see the mirror-rule test)
     assert report.mirror_of == (None, None, 0)
     assert report.channel_focus[:2] == tuple(compact_channels[:2])
     centre = int(np.argmin(np.abs(pipe["positions"])))
     assert report.evaluation_z == compact_channels[centre].z_focus
     assert report.centre_field.nx == pipe["scenario"].grid[0]
-    # both modes reach the shared plane from the same exit planes, so the
-    # matrix and the alignment agree bit for bit
-    shared = compact_crosstalk[False][0]
-    assert report.matrix_db.tobytes() == shared.matrix_db.tobytes()
-    assert report.alignment_scale == shared.alignment_scale
-    assert report.alignment_residual == shared.alignment_residual
-    assert report.evaluation_z == shared.evaluation_z
-    assert report.centre_field.samples.tobytes() == shared.centre_field.samples.tobytes()
-    assert shared.mirror_of == report.mirror_of
 
 
 def test_crosstalk_mirrored_record_follows_the_mirror_rule(compact_pipeline, compact_crosstalk):
@@ -353,7 +339,7 @@ def test_crosstalk_mirrored_record_follows_the_mirror_rule(compact_pipeline, com
         record, **vars(spot_metrics(mirrored)), channel=2,
         waveguide_position=float(pipe["positions"][2]),
     )
-    report = compact_crosstalk[True][0]
+    report = compact_crosstalk[0]
     assert report.channel_focus[2] == expected
     matrix = report.matrix_db
     assert np.max(np.abs(matrix - matrix[::-1, ::-1])) <= 1e-9
@@ -363,7 +349,7 @@ def test_crosstalk_mirrored_record_agrees_with_its_own_propagation(
     compact_crosstalk, compact_channels
 ):
     # the mirror is exact on the grid but for column 0 and rounding
-    mirrored, direct = compact_crosstalk[True][0].channel_focus[2], compact_channels[2]
+    mirrored, direct = compact_crosstalk[0].channel_focus[2], compact_channels[2]
     assert mirrored.z_focus == pytest.approx(direct.z_focus, abs=1e-9)
     for name in ("centroid", "mfd_fit", "mfd_moment"):
         assert getattr(mirrored, name) == pytest.approx(getattr(direct, name), rel=1e-5), name
@@ -387,19 +373,14 @@ def test_crosstalk_mirror_ties_go_to_the_lower_index(compact_pipeline):
     assert report.mirror_of == (None, 0)
 
 
-def test_crosstalk_spot_metrics_only_for_shared_plane_records(
-    compact_pipeline, compact_crosstalk
-):
-    # the centroids come from the crosstalk pass's own |E|^2; only a
-    # record taken in the shared plane needs the fitted spot metrics, and
-    # so does the mirrored channel's own-focus record (channel 2 of 3)
-    n = compact_pipeline["array"].channel_count
-    assert compact_crosstalk[True][1] == 1
-    assert compact_crosstalk[False][1] == n - 1
+def test_crosstalk_spot_metrics_only_for_shared_plane_records(compact_crosstalk):
+    # the centroids come from the crosstalk pass's own |E|^2 and every
+    # propagated record from its focus search; only the mirrored channel's
+    # record (channel 2 of 3) needs the fitted spot metrics
+    assert compact_crosstalk[1] == 1
 
 
-@pytest.mark.parametrize("own_focus", [False, True])
-def test_crosstalk_failure_names_channel(compact_pipeline, monkeypatch, own_focus):
+def test_crosstalk_failure_names_channel(compact_pipeline, monkeypatch):
     # the centre channel (1 of 3) is evaluated first
     def failing_channel(*args):
         raise ConvergenceError("x", residual=0.5)
@@ -413,7 +394,6 @@ def test_crosstalk_failure_names_channel(compact_pipeline, monkeypatch, own_focu
             pipe["crystal"],
             pipe["scenario"].mirror,
             grid=pipe["scenario"].grid,
-            own_focus=own_focus,
         )
     assert str(info.value) == "channel 1: x"
     assert info.value.residual == 0.5
@@ -432,15 +412,9 @@ def fail_on_call(number, original):
     return wrapped
 
 
-@pytest.mark.parametrize(
-    "own_focus, name, number",
-    [(True, "find_focus", 2), (False, "propagate_elements", 1)],
-)
-def test_crosstalk_off_centre_failure_names_channel(
-    compact_pipeline, monkeypatch, own_focus, name, number
-):
+def test_crosstalk_off_centre_failure_names_channel(compact_pipeline, monkeypatch):
     # after the centre channel (1 of 3) come the others in order: 0 is next
-    monkeypatch.setattr(designer, name, fail_on_call(number, getattr(designer, name)))
+    monkeypatch.setattr(designer, "find_focus", fail_on_call(2, designer.find_focus))
     pipe = compact_pipeline
     with pytest.raises(ConvergenceError) as info:
         crosstalk_matrix(
@@ -449,7 +423,6 @@ def test_crosstalk_off_centre_failure_names_channel(
             pipe["crystal"],
             pipe["scenario"].mirror,
             grid=pipe["scenario"].grid,
-            own_focus=own_focus,
         )
     assert str(info.value) == "channel 0: x"
     assert info.value.residual == 0.5
@@ -833,7 +806,5 @@ def test_sweep_failure_keeps_exception_type_and_attributes(
 
 
 def test_focus_fit_residual_only_at_own_focus(compact_channels, reference_crosstalk):
-    for focus in compact_channels:
+    for focus in [*compact_channels, *reference_crosstalk["report"].channel_focus]:
         assert 0.0 <= focus.focus_fit_residual < 1.0
-    for focus in reference_crosstalk["report"].channel_focus:
-        assert (focus.focus_fit_residual is None) == focus.at_shared_plane

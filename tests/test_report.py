@@ -32,7 +32,7 @@ FOCUS = dict(
     channel=1, waveguide_position=2e-6, z_focus=3e-6, image_distance=4e-6,
     mfd_fit=(5e-6, 6e-6), mfd_moment=(7e-6, 8e-6), centroid=(9e-6, 1e-5),
     clipped_fraction=0.11, fit_failed=True, beam_slope=0.12, off_normal=True,
-    at_shared_plane=True, focus_fit_residual=0.13,
+    focus_fit_residual=0.13,
 )
 POINT = SweepPoint(
     **FOCUS, parameter="lateral_offset", value=0.5e-6, dz_focus=1e-7,
@@ -50,8 +50,8 @@ def minimal_report():
     }
 
 
-def test_schema_version_is_five():
-    assert REPORT_SCHEMA_VERSION == 5
+def test_schema_version_is_six():
+    assert REPORT_SCHEMA_VERSION == 6
 
 
 def test_canonical_json_is_sorted_and_terminated():

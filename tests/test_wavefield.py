@@ -307,16 +307,21 @@ def test_propagation_window_guard():
         angular_spectrum_propagate(field, 2e-3)
 
 
-def test_find_focus_validation():
+def test_find_focus_validation(fft_calls):
     field = make_gaussian_field(round_beam(), (0.0, 0.0), (256, 256, 0.25e-6))
     with pytest.raises(InvalidInputError):
         find_focus(field, [], z_search=(10e-6, 100e-6, 8))
+    # 2**62 steps over 250 um make the refining step about 1e-22 m, below
+    # one ulp of z near 500 um: centre +- h would collapse to one float
+    with pytest.raises(InvalidInputError, match="z_search steps 4611686018427387904 "):
+        find_focus(field, [], z_search=(250e-6, 500e-6, 2**62))
     with pytest.raises(InvalidInputError):
         find_focus(
             field,
             [(50e-6, ThinLensPhase(100e-6))],
             z_search=(10e-6, 100e-6, 33),
         )
+    assert fft_calls == []  # every check runs before the first transform
 
 
 def test_find_focus_needs_bracketing_minimum():
@@ -955,6 +960,17 @@ def test_sfld_rejects_a_header_the_writer_never_writes(
     ).ljust(wavefield.SFLD_HEADER_SIZE, b"\0")
     path.write_bytes(header + bytes(64 * 64 * 8))
     with pytest.raises(InvalidInputError, match=match):
+        read_field_sfld(path)
+
+
+def test_sfld_checks_the_grid_before_reading_the_payload(tmp_path):
+    # a header alone that declares 8192 x 8192 fails on the grid limit,
+    # before a gigabyte of payload could be read
+    path = tmp_path / "huge.sfld"
+    path.write_bytes(wavefield._SFLD_HEADER.pack(
+        wavefield.SFLD_MAGIC, 1, 8192, 8192, 0.0, 0.4e-6, WL, 1.0, 0.0, 0.0,
+    ).ljust(wavefield.SFLD_HEADER_SIZE, b"\0"))
+    with pytest.raises(InvalidInputError, match="over the 256 MiB limit"):
         read_field_sfld(path)
 
 
