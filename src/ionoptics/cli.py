@@ -12,11 +12,11 @@ Exit codes: 0 success, 2 scenario parse or validation error, 3 invariant
 violation (invalid field values, geometry, trapped rays), 4 infeasible
 design targets, 5 convergence failure, 6 propagation-window or sampling
 error (a tilt the grid cannot sample included) or memory exhausted; an
-output that cannot be written exits 2, before any work if its directory
-is missing or if two outputs name the same file. A malformed sweep
-request exits 2 before any work, whether its rows come from the
-scenario, --param or --preset. The IONOPTICS_OUTDIR environment variable
-sets the default output directory for reports; flags override it.
+output that cannot be written exits 2, before any work if it names a
+directory, its directory is missing or two outputs name one file. A
+malformed sweep request exits 2 before any work, whether its rows come
+from the scenario, --param or --preset. The environment variable
+IONOPTICS_OUTDIR sets the default output directory; flags override it.
 """
 
 from __future__ import annotations
@@ -111,11 +111,13 @@ def _out_path(flag_value, default_name: str) -> str:
 
 
 def _check_out_dirs(*paths):
-    """Raise FileNotFoundError for an output path whose directory does not
-    exist and ScenarioError for two outputs that resolve to one file;
-    empty paths (outputs not asked for) pass."""
+    """Raise IsADirectoryError for an output naming a directory (existing or
+    ending in a separator), FileNotFoundError for one whose directory is
+    missing, ScenarioError for two that resolve to one file; "" passes."""
     named = {}
     for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise IsADirectoryError(f"output {path!r} names a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory for output {path!r}")
         resolved = os.path.realpath(path)
@@ -363,8 +365,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (IonOpticsError, OSError, MemoryError) as exc:
-        hint = "; out of memory, try a smaller --grid" if isinstance(exc, MemoryError) else ""
-        print(f"error in {args.command}: {exc}{hint}", file=sys.stderr)
+        grid = ", try a smaller --grid" if hasattr(args, "grid") else ""  # design, sweep
+        hint = f"out of memory{grid}" if isinstance(exc, MemoryError) else ""
+        print(f"error in {args.command}: " + "; ".join(filter(None, [str(exc), hint])),
+              file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -563,39 +563,41 @@ def synthesize_lens_stack(
     )
 
 
-def _default_z_search(prescription: LensStackPrescription):
+def _launch(prescription, array, mirror, channel):
+    """A channel's nominal (elements, source x, tilt_deg): the stack, its
+    waveguide's offset on the chip and the mirror's exit angle, the y-z
+    tilt of its source. SWEEP_PARAMETERS perturbations take this triple."""
+    return (list(prescription.elements), float(array.positions_m[channel]),
+            outcoupling_angle(mirror).exit_angle_deg)
+
+
+def _search(prescription, array, grid, z_search, channel, launch):
+    """(ChannelFocus, FocusResult) of `channel` launched as `launch`, an
+    (elements, source x, tilt_deg) triple: the array's Gaussian mode at the
+    design wavelength, centred at x and tilted by tilt_deg in y-z, runs
+    through elements to find_focus within z_search (None: 0.5 to 1.25 image
+    distances past the stack top, 33 steps). waveguide_position is x."""
+    elements, x, tilt_deg = launch
     top = prescription.stack_height
-    dist = prescription.predicted_image_distance
-    return (top + 0.5 * dist, top + 1.25 * dist, 33)
-
-
-def _focus_record(channel, position, stack_top, result) -> ChannelFocus:
-    """ChannelFocus of `channel` from `result`, its find_focus search."""
+    if z_search is None:
+        dist = prescription.predicted_image_distance
+        z_search = (top + 0.5 * dist, top + 1.25 * dist, 33)
+    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
+    # no name here holds the source, so the stack loop can free it
+    result = find_focus(
+        make_gaussian_field(beam, tilt=(0.0, math.radians(tilt_deg)), grid=grid, center=(x, 0.0)),
+        list(elements), z_search,
+    )
     return ChannelFocus(
         **vars(result.metrics),
         channel=channel,
-        waveguide_position=position,
+        waveguide_position=x,
         z_focus=result.z_focus,
-        image_distance=result.z_focus - stack_top,
+        image_distance=result.z_focus - top,
         beam_slope=result.beam_slope,
         off_normal=abs(result.beam_slope) > OFF_NORMAL_SLOPE,
         focus_fit_residual=result.fit_residual,
-    )
-
-
-def _channel_source(prescription, array, mirror, grid):
-    """(source, exit_deg) of every channel. source(x, tilt_deg) is the
-    array's Gaussian mode at the design wavelength, centred at x on the chip
-    and tilted by tilt_deg in the y-z plane; the nominal tilt is exit_deg,
-    the mirror's exit angle."""
-    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
-
-    def source(x: float, tilt_deg: float) -> ScalarField:
-        return make_gaussian_field(
-            beam, tilt=(0.0, math.radians(tilt_deg)), grid=grid, center=(x, 0.0)
-        )
-
-    return source, outcoupling_angle(mirror).exit_angle_deg
+    ), result
 
 
 def simulate_channel(
@@ -610,22 +612,19 @@ def simulate_channel(
     """Wave-propagate one channel through the stack and find its focus.
 
     The source is the array's Gaussian mode at the channel's transverse
-    offset, tilted by the mirror's out-coupling exit angle; the returned
-    ChannelFocus holds the metrics at the x-width minimum past the stack.
-    With with_result the return value is (ChannelFocus, FocusResult), so
-    a caller can reuse the focus field and the exit field's planes.
+    offset, tilted by the mirror's out-coupling exit angle (_launch); the
+    returned ChannelFocus holds the metrics at the x-width minimum past the
+    stack (_search). With with_result the return value is (ChannelFocus,
+    FocusResult), so a caller can reuse the focus field and exit planes.
     """
     if not 0 <= channel < array.channel_count:
         raise InvalidInputError(
             f"channel {channel} out of range for {array.channel_count} waveguides"
         )
-    if z_search is None:
-        z_search = _default_z_search(prescription)
-    source, exit_deg = _channel_source(prescription, array, mirror, grid)
-    x = float(array.positions_m[channel])
-    # no name here holds the source, so the stack loop can free it
-    result = find_focus(source(x, exit_deg), list(prescription.elements), z_search)
-    focus = _focus_record(channel, x, prescription.stack_height, result)
+    focus, result = _search(
+        prescription, array, grid, z_search, channel,
+        _launch(prescription, array, mirror, channel),
+    )
     return (focus, result) if with_result else focus
 
 
@@ -839,17 +838,17 @@ def tolerance_sweep(
     0. The worst-case channel is the lowest index among the channels whose
     |x| lies within MIRROR_POSITION_TOL of the grid pitch of the largest,
     so of a mirror pair it is the one crosstalk_matrix propagates, and the
-    baseline is the record design writes for it. Every point's perturbed
-    system is built, or fails, before the first focus search; sweep_rows
+    baseline is the record design writes for it (simulate_channel). Each
+    point runs _search on a perturbed _launch; every point's system is
+    built, or fails, before the first focus search, and sweep_rows
     appends the preset's rows and checks every row first.
     """
     perturbations = sweep_rows(perturbations, preset)
     offsets = np.abs(array.positions_m)
     worst = int(np.flatnonzero(offsets >= offsets.max() - MIRROR_POSITION_TOL * grid[2])[0])
-    source, exit_deg = _channel_source(prescription, array, mirror, grid)
-    centre = float(array.positions_m[worst])
+    nominal = _launch(prescription, array, mirror, worst)
 
-    # (failure prefix, parameter, value, elements, source x, tilt, residual tilt)
+    # (failure prefix, parameter, value, (elements, source x, tilt, residual tilt))
     systems = []
     for spec_row in perturbations:
         parameter = spec_row["parameter"]
@@ -859,21 +858,15 @@ def tolerance_sweep(
             shown = sweep_value_from_si(parameter, value)
             prefix = f"sweep point {parameter}={shown:g} {unit} failed: "
             with _error_prefix(prefix):
-                systems.append((prefix, parameter, value) + perturb(
-                    list(prescription.elements), centre, exit_deg, value
-                ))
+                systems.append((prefix, parameter, value, perturb(*nominal, value)))
 
-    if z_search is None:
-        z_search = _default_z_search(prescription)
     baseline = simulate_channel(prescription, array, worst, mirror, grid, z_search)
 
     points = []
-    top = prescription.stack_height
-    for prefix, parameter, value, elements, source_x, tilt_deg, residual in systems:
+    for prefix, parameter, value, (*launch, residual) in systems:
         with _error_prefix(prefix):
-            result = find_focus(source(source_x, tilt_deg), list(elements), z_search)
-            focus = _focus_record(worst, source_x, top, result)
-            del result  # its fields must not outlive the search
+            # [0]: the search's FocusResult and its fields are freed here
+            focus = _search(prescription, array, grid, z_search, worst, launch)[0]
         points.append(
             SweepPoint(
                 **vars(focus),

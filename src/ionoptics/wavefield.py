@@ -528,8 +528,12 @@ def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarFie
 
 def propagate_elements(field: ScalarField, elements: Sequence) -> ScalarField:
     """Carry a source at z = 0 through (z, element) pairs with non-decreasing
-    z and return the field just past the last element. Zero-length steps,
-    such as between an aperture and the lens at its z, are skipped."""
+    z >= 0 (else InvalidInputError, before any transform) and return the
+    field just past the last element. Zero-length steps, such as between
+    an aperture and the lens at its z, are skipped."""
+    zs = [0.0] + [z for z, _ in elements]
+    if not all(a <= b for a, b in zip(zs, zs[1:])):
+        raise InvalidInputError("element positions must be non-decreasing and >= 0")
     z_now = 0.0
     for z_el, el in elements:
         if z_el != z_now:
@@ -748,13 +752,14 @@ def find_focus(
 ) -> FocusResult:
     """Propagate through positioned elements and locate the x-width minimum.
 
-    `elements` is a list of (z, element) with non-decreasing z >= 0; the
-    source sits at z = 0. Past the last element the x variance of the
-    intensity is quadratic in z (free space). The parabola through it at
-    z_min, the window middle and z_max (absolute coordinates) gives a
-    vertex a; the parabola at a and a +- 2 (z_max - z_min) / (steps - 1),
-    shifted into the window, gives the focus. FocusNotBracketedError is
-    raised unless both open upward with vertices inside the window.
+    `elements` is a list of (z, element) with non-decreasing z >= 0
+    (propagate_elements checks it before any transform); the source sits at
+    z = 0. Past the last element the x variance of the intensity is
+    quadratic in z (free space). The parabola through it at z_min, the
+    window middle and z_max (absolute coordinates) gives a vertex a; the
+    parabola at a and a +- 2 (z_max - z_min) / (steps - 1), shifted into the
+    window, gives the focus. FocusNotBracketedError is raised unless both
+    open upward with vertices inside the window.
 
     Every plane past the stack comes from one spectrum of the exit field,
     and at most one pass of the guard's moments, with its covariance taken
@@ -767,12 +772,7 @@ def find_focus(
     if not z_min < z_max:
         raise InvalidInputError("z_search window is empty")
 
-    z_elements = [z for z, _ in elements]
-    if any(z < 0 for z in z_elements) or any(
-        b - a < 0 for a, b in zip(z_elements, z_elements[1:])
-    ):
-        raise InvalidInputError("element positions must be non-decreasing and >= 0")
-    z_exit = z_elements[-1] if z_elements else 0.0
+    z_exit = elements[-1][0] if elements else 0.0
     if z_min < z_exit:
         raise InvalidInputError("z_search must start past the last element")
     # the refining step h: over 2 ulp of z_max, centre +- h differs from
@@ -870,11 +870,11 @@ def read_field_sfld(path) -> ScalarField:
                 f"field dump index and origin {tuple(frame)} are not {_SFLD_FRAME}"
             )
         _check_grid(nx, ny, pitch)  # before the payload is read into memory
-        payload = fh.read()
-    if len(payload) != nx * ny * 8:
-        raise InvalidInputError(
-            f"field payload holds {len(payload)} bytes, not {nx}*{ny}*8"
-        )
+        size = nx * ny * 8
+        payload = fh.read(size + 1)  # one byte past the grid tells a longer payload
+    if len(payload) != size:
+        held = f"more than {size}" if len(payload) > size else len(payload)
+        raise InvalidInputError(f"field payload holds {held} bytes, not {nx}*{ny}*8")
     data = np.frombuffer(payload, dtype="<f4").reshape(ny, nx, 2)
     if not np.isfinite(data).all():
         raise InvalidInputError("field payload holds non-finite samples")

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,19 @@ def test_memory_error_exits_6_with_one_line(tmp_path, monkeypatch, capsys):
         "error in design: Unable to allocate 64.0 GiB; out of memory, try a smaller --grid\n"
     )
     assert not report_path.exists()
+
+
+def test_crystal_memory_error_names_no_grid(monkeypatch, capsys):
+    # crystal has no --grid to suggest, and an empty message adds no segment
+    from ionoptics import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "solve_crystal", out_of_memory)
+    code = cli.main(["crystal", str(SCENARIO_DIR / "compact.json")])
+    assert code == EXIT_PROPAGATION
+    assert capsys.readouterr().err == "error in crystal: out of memory\n"
 
 
 def test_version():
@@ -356,6 +370,44 @@ def test_sweep_report_and_csv_naming_one_file_exit_2(tmp_path, monkeypatch, caps
     argv = ["sweep", str(SCENARIO_DIR / "compact.json"), "--report", report, "--csv", table]
     outputs_naming_one_file_exit_2(monkeypatch, capsys, argv, report, table)
     assert not Path(report).exists()
+
+
+def output_naming_a_directory_exits_2(monkeypatch, capsys, argv, path):
+    """Run argv with the crystal solve and synthesis forbidden; it must exit
+    2 naming the output path as a directory."""
+    from ionoptics import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the outputs were checked")
+
+    monkeypatch.setattr(cli, "solve_crystal", no_work)
+    monkeypatch.setattr(cli, "synthesize_lens_stack", no_work)
+    assert cli.main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error in {argv[0]}: output {path!r} names a directory\n"
+
+
+def test_design_report_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path)
+    argv = ["design", str(SCENARIO_DIR / "compact.json"), "--report", path]
+    output_naming_a_directory_exits_2(monkeypatch, capsys, argv, path)
+
+
+def test_design_dump_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "focus.sfld").mkdir()
+    path = str(tmp_path / "focus.sfld")
+    argv = ["design", str(SCENARIO_DIR / "compact.json"),
+            "--report", str(tmp_path / "r.json"), "--dump-field", path]
+    output_naming_a_directory_exits_2(monkeypatch, capsys, argv, path)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_sweep_csv_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys):
+    # a trailing separator names a directory even where none exists
+    path = str(tmp_path / "tables") + os.sep
+    argv = ["sweep", str(SCENARIO_DIR / "compact.json"),
+            "--report", str(tmp_path / "s.json"), "--csv", path]
+    output_naming_a_directory_exits_2(monkeypatch, capsys, argv, path)
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_design_report_and_csv_dump(tmp_path):

@@ -1,8 +1,10 @@
 """Lens-stack synthesis, channel simulation, crosstalk, tolerance sweeps."""
 
+import ast
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,7 +554,7 @@ def test_crosstalk_alignment_fit(reference_crosstalk):
 # ------------------------------------------------------------------- sweeps
 
 
-def test_sweep_zero_perturbation_is_identity(compact_pipeline):
+def test_sweep_zero_perturbation_is_identity(compact_pipeline, compact_channels):
     pipe = compact_pipeline
     report = tolerance_sweep(
         pipe["prescription"],
@@ -569,6 +571,8 @@ def test_sweep_zero_perturbation_is_identity(compact_pipeline):
     assert abs(point.dcentroid[1]) < 1e-12
     assert abs(point.dmfd[0]) < 1e-15
     assert report.baseline.channel == 0
+    # the baseline is the record design writes for channel 0
+    assert report.baseline == compact_channels[0]
     # the point carries the whole focus record, equal to the baseline's
     for field in dataclasses.fields(ChannelFocus):
         assert getattr(point, field.name) == getattr(report.baseline, field.name), field.name
@@ -803,6 +807,35 @@ def test_sweep_failure_keeps_exception_type_and_attributes(
             grid=pipe["scenario"].grid,
         )
     assert info.value.residual == 0.5
+
+
+def source_calls(tree):
+    """(callee, innermost enclosing function) of every find_focus and
+    make_gaussian_field call in `tree`, sorted."""
+    calls = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if callee in ("find_focus", "make_gaussian_field"):
+                    calls.append((callee, function))
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            visit(child, inner)
+
+    visit(tree, None)
+    return sorted(calls)
+
+
+def test_every_focus_search_launches_in_one_place():
+    # one function builds a channel's source and runs its focus search;
+    # the synthesis probe is the only other source
+    path = Path(designer.__file__)
+    assert source_calls(ast.parse(path.read_text(encoding="utf-8"))) == [
+        ("find_focus", "_search"),
+        ("make_gaussian_field", "_search"),
+        ("make_gaussian_field", "_wave_verify"),
+    ]
 
 
 def test_focus_fit_residual_only_at_own_focus(compact_channels, reference_crosstalk):

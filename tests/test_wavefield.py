@@ -839,6 +839,21 @@ def test_propagate_elements_skips_zero_steps(monkeypatch):
     assert out.clipped_fraction == by_hand.clipped_fraction
 
 
+@pytest.mark.parametrize(
+    "elements",
+    [[(20e-6, CircAperture(10e-6)), (5e-6, ThinLensPhase(50e-6))],
+     [(-10e-6, CircAperture(10e-6))]],
+    ids=["decreasing", "below-the-source"],
+)
+def test_propagate_elements_rejects_a_backward_step(elements, fft_calls):
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
+    with pytest.raises(
+        InvalidInputError, match="element positions must be non-decreasing and >= 0"
+    ):
+        propagate_elements(field, elements)
+    assert fft_calls == []  # the order is checked before the first transform
+
+
 def test_grid_above_the_sample_limit_rejected():
     with pytest.raises(InvalidInputError, match="1024 MiB per complex grid"):
         wavefield._check_grid(8192, 8192, 1e-7)
@@ -972,6 +987,24 @@ def test_sfld_checks_the_grid_before_reading_the_payload(tmp_path):
     ).ljust(wavefield.SFLD_HEADER_SIZE, b"\0"))
     with pytest.raises(InvalidInputError, match="over the 256 MiB limit"):
         read_field_sfld(path)
+
+
+def test_sfld_reads_at_most_one_byte_past_the_payload(tmp_path):
+    # 8 MiB of trailing bytes after a valid 64 x 64 dump are never read
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (64, 64, 0.4e-6))
+    path = tmp_path / "long.sfld"
+    write_field_sfld(field, path)
+    with open(path, "ab") as fh:
+        fh.write(bytes(8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError) as info:
+            read_field_sfld(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "field payload holds more than 32768 bytes, not 64*64*8"
+    assert peak < 1 << 20
 
 
 def test_sfld_rejects_non_finite_samples(tmp_path):
