@@ -21,3 +21,7 @@ COULOMB_CONSTANT = 1.0 / (4.0 * math.pi * VACUUM_PERMITTIVITY)
 
 UM = 1e-6
 """One micrometre in m: scenario files and reports give lengths in um."""
+
+MAX_ARRAY_BYTES = 256 * 2**20
+"""The largest array one input may make the toolkit allocate, in bytes: a
+complex grid, the crystal's n x n Jacobian or a sweep row's values."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ATOMIC_MASS, COULOMB_CONSTANT, ELEMENTARY_CHARGE
+from .constants import ATOMIC_MASS, COULOMB_CONSTANT, ELEMENTARY_CHARGE, MAX_ARRAY_BYTES
 from .errors import ConvergenceError, InvalidInputError
 
 __all__ = [
@@ -42,6 +42,9 @@ __all__ = [
 
 _TOLERANCE = 1e-12
 _MAX_ITERATIONS = 200
+# the most ions whose n x n float64 Newton Jacobian fits MAX_ARRAY_BYTES;
+# the scenario schema's trap.ion_count maximum equals it
+MAX_ION_COUNT = math.isqrt(MAX_ARRAY_BYTES // 8)
 
 
 @dataclass(frozen=True)
@@ -145,10 +148,17 @@ def equilibrium_positions(n: int) -> np.ndarray:
     spaced positions over [-n/2, n/2] scaled by 0.63. Backtracking halves
     the step until the residual norm decreases and the ordering stays
     strict. Raises ConvergenceError if the residual has not dropped below
-    _TOLERANCE (max norm) within _MAX_ITERATIONS iterations.
+    _TOLERANCE (max norm) within _MAX_ITERATIONS iterations, and
+    InvalidInputError unless n is an integer from 1 to MAX_ION_COUNT (5792),
+    the most whose n x n float64 Jacobian fits MAX_ARRAY_BYTES (256 MiB).
     """
-    if int(n) != n or n < 1:
-        raise InvalidInputError("ion count must be a positive integer")
+    if not (1 <= n < math.inf and int(n) == n):
+        raise InvalidInputError(f"ion count must be a positive integer, got {n}")
+    if n > MAX_ION_COUNT:
+        raise InvalidInputError(
+            f"ion count {n:g} needs an n x n Jacobian over the "
+            f"{MAX_ARRAY_BYTES // 2**20} MiB limit; at most {MAX_ION_COUNT} ions"
+        )
     n = int(n)
 
     u = 0.63 * np.linspace(-n / 2.0, n / 2.0, n)

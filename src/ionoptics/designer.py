@@ -21,12 +21,14 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .constants import UM
+from .constants import MAX_ARRAY_BYTES, UM
 from .crystal import IonCrystal
 from .errors import (
     ConvergenceError,
@@ -149,6 +151,10 @@ SWEEP_PARAMETERS = {
     "chip_wedge": SweepParameter("deg", _tilt_chip),
 }
 
+_SWEEP_KEYS = ("parameter", "lo", "hi", "steps")
+# the most values one sweep row may take: its float64 values fill MAX_ARRAY_BYTES
+MAX_SWEEP_STEPS = MAX_ARRAY_BYTES // 8
+
 # The shipped failure-analysis preset: the wedge was designed for a 7
 # degree exit tilt while the mirror actually out-couples much steeper.
 SWEEP_PRESETS = {
@@ -156,11 +162,34 @@ SWEEP_PRESETS = {
 }
 
 
+def _check_row(index: int, row) -> None:
+    """InvalidInputError, naming `index`, unless `row` is a {parameter, lo,
+    hi, steps} mapping with finite real lo and hi and an integer steps."""
+    where = f"sweep row {index}"
+    if not isinstance(row, dict):
+        raise InvalidInputError(
+            f"{where} is a {type(row).__name__}, not a mapping of " + ", ".join(_SWEEP_KEYS)
+        )
+    missing = [key for key in _SWEEP_KEYS if key not in row]
+    if missing:
+        raise InvalidInputError(f"{where} lacks " + ", ".join(missing))
+    for key in ("lo", "hi"):
+        if not (isinstance(row[key], numbers.Real) and abs(row[key]) <= sys.float_info.max):
+            raise InvalidInputError(f"{where} has {key} {row[key]!r}, not a finite real number")
+    steps = row["steps"]
+    integral = isinstance(steps, float) and steps.is_integer()
+    if not (integral or isinstance(steps, numbers.Integral)):
+        raise InvalidInputError(f"{where} has steps {steps!r}, not an integer")
+
+
 def sweep_rows(rows: Sequence[dict], preset: Optional[str] = None) -> list:
     """The {parameter, lo, hi, steps} rows of one sweep (SI, as
     tolerance_sweep takes them) with the named preset's rows appended,
-    taken through sweep_row_to_si. InvalidInputError for an unknown preset
-    or parameter, steps < 1, a lo or hi that is not finite, or no rows."""
+    taken through sweep_row_to_si. InvalidInputError for an unknown preset,
+    no rows, a row that is not a mapping, lacks a key, or has a lo
+    or hi that is not a finite real number or a steps that is not an
+    integer (naming the row's index), then for an unknown parameter or
+    steps outside 1 to MAX_SWEEP_STEPS."""
     presets = ", ".join(sorted(SWEEP_PRESETS))
     rows = list(rows)
     if preset is not None:
@@ -169,16 +198,17 @@ def sweep_rows(rows: Sequence[dict], preset: Optional[str] = None) -> list:
         rows += [sweep_row_to_si(row) for row in SWEEP_PRESETS[preset]]
     if not rows:
         raise InvalidInputError(f"a sweep needs rows or a preset (available presets: {presets})")
-    for row in rows:
+    for index, row in enumerate(rows):
+        _check_row(index, row)
         if row["parameter"] not in SWEEP_PARAMETERS:
             raise InvalidInputError(
                 f"unknown sweep parameter {row['parameter']!r}; expected one of "
                 + ", ".join(SWEEP_PARAMETERS)
             )
-        if int(row["steps"]) < 1:
-            raise InvalidInputError("sweep steps must be >= 1")
-        if not (math.isfinite(row["lo"]) and math.isfinite(row["hi"])):
-            raise InvalidInputError("sweep lo and hi must be finite")
+        if not 1 <= row["steps"] <= MAX_SWEEP_STEPS:
+            raise InvalidInputError(
+                f"sweep steps must be from 1 to {MAX_SWEEP_STEPS}, got {row['steps']}"
+            )
     return rows
 
 

@@ -87,10 +87,24 @@ def _axis(beam: AstigmaticGaussian, axis: str) -> BeamAxis:
     raise InvalidInputError("axis must be 'x' or 'y'")
 
 
+def _rayleigh(ax: BeamAxis, wavelength: float) -> float:
+    """z_R = pi w0^2 / lambda; InvalidInputError unless it is a positive,
+    finite float (a waist or wavelength whose z_R over- or underflows)."""
+    try:
+        zr = math.pi * ax.waist_radius**2 / wavelength
+    except OverflowError:
+        zr = math.inf
+    if not 0 < zr < math.inf:
+        raise InvalidInputError(
+            f"waist radius {ax.waist_radius:.3e} m at wavelength {wavelength:.3e} m "
+            f"gives no positive, finite Rayleigh range (z_R = {zr:.3e} m)"
+        )
+    return zr
+
+
 def rayleigh_length(beam: AstigmaticGaussian, axis: str) -> float:
     """z_R = pi w0^2 / lambda (vacuum) for the requested axis, in metres."""
-    ax = _axis(beam, axis)
-    return math.pi * ax.waist_radius**2 / beam.wavelength
+    return _rayleigh(_axis(beam, axis), beam.wavelength)
 
 
 @dataclass(frozen=True)
@@ -126,8 +140,7 @@ def chain_matrix(chain: Sequence) -> np.ndarray:
 
 
 def _q_reference(ax: BeamAxis, wavelength: float) -> complex:
-    zr = math.pi * ax.waist_radius**2 / wavelength
-    return complex(-ax.waist_position, zr)
+    return complex(-ax.waist_position, _rayleigh(ax, wavelength))
 
 
 def _transform_axis(ax: BeamAxis, wavelength: float, mat: np.ndarray) -> BeamAxis:
@@ -160,5 +173,5 @@ def propagate_abcd(beam: AstigmaticGaussian, chain: Sequence) -> AstigmaticGauss
 def width_at(beam: AstigmaticGaussian, axis: str, z: float) -> float:
     """1/e^2 intensity radius at position z relative to the reference plane."""
     ax = _axis(beam, axis)
-    zr = math.pi * ax.waist_radius**2 / beam.wavelength
+    zr = _rayleigh(ax, beam.wavelength)
     return ax.waist_radius * math.sqrt(1.0 + ((z - ax.waist_position) / zr) ** 2)

@@ -11,7 +11,6 @@ that typos fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +43,9 @@ class Scenario:
 
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a decoded scenario document and convert units to SI.
-    NaN, infinity and integers beyond the float range are rejected."""
+    NaN, infinity and integers beyond the float range are rejected naming
+    their JSON path; a document that is not an object fails on the
+    schema's root type."""
     try:
         to_plain(data)
     except InvalidInputError as exc:
@@ -116,19 +117,13 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     )
 
 
-def _finite_number(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ScenarioError(f"invalid scenario: numbers must be finite, got {text}")
-    return value
-
-
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file. NaN, Infinity and float
-    literals that overflow (1e400) are rejected while parsing."""
+    """Read a scenario file and return parse_scenario of its document, so a
+    file fails as its decoded dict does: NaN, Infinity and float literals
+    that overflow (1e400) are rejected naming their JSON path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -138,7 +133,5 @@ def load_scenario(path) -> Scenario:
             f"scenario is not valid JSON: {path}: line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario must be a JSON object: {path}")
     name_hint = os.path.splitext(os.path.basename(str(path)))[0]
     return parse_scenario(data, name_hint=name_hint)

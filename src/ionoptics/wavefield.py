@@ -47,6 +47,7 @@ import numpy as np
 import scipy.fft as sfft
 from numpy.polynomial import Polynomial
 
+from .constants import MAX_ARRAY_BYTES
 from .errors import (
     FocusNotBracketedError,
     InvalidGeometryError,
@@ -77,7 +78,7 @@ __all__ = [
 ]
 
 _MIN_GRID = 64
-_MAX_SAMPLES = 4096 * 4096  # 256 MiB per complex grid; reference.json runs 2048^2
+_MAX_SAMPLES = MAX_ARRAY_BYTES // 16  # 4096^2 complex128; reference.json runs 2048^2
 SFLD_MAGIC = b"SFLD"
 # magic, version, nx, ny, clipped_fraction, pitch, wavelength, then ambient
 # index, origin x and origin y, fixed at _SFLD_FRAME and checked on read
@@ -163,13 +164,17 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class ThinLensPhase:
-    """Ideal thin lens: multiplies by exp(-i k r^2 / (2 f)) about the axis."""
+    """Ideal thin lens: multiplies by exp(-i k r^2 / (2 f)) about the axis.
+    focal_length must be nonzero and not NaN; an infinite one is a flat
+    plate."""
 
     focal_length: float
 
     def __post_init__(self):
-        if self.focal_length == 0:
-            raise InvalidInputError("focal_length must be nonzero")
+        if self.focal_length == 0 or math.isnan(self.focal_length):
+            raise InvalidInputError(
+                f"focal_length must be nonzero and not NaN, got {self.focal_length}"
+            )
 
 
 @dataclass(frozen=True)
@@ -178,14 +183,17 @@ class WedgePhase:
 
     The phase ramp is exp(i k sin(tilt_y) y), so a wedge with tilt_y = -t
     cancels a source launched with tilt (0, +t). The out-couplers tilt
-    every beam in the y plane only, so no wedge needs an x tilt.
+    every beam in the y plane only, so no wedge needs an x tilt. |tilt_y|
+    must be below 30 degrees, so a NaN tilt is rejected.
     """
 
     tilt_y: float
 
     def __post_init__(self):
-        if abs(self.tilt_y) >= _TILT_LIMIT:
-            raise InvalidInputError("wedge tilt magnitude must stay below 30 degrees")
+        if not abs(self.tilt_y) < _TILT_LIMIT:
+            raise InvalidInputError(
+                f"wedge tilt magnitude must stay below 30 degrees, got {self.tilt_y} rad"
+            )
 
 
 @dataclass(frozen=True)
@@ -201,7 +209,10 @@ PhaseElement = Union[ThinLensPhase, WedgePhase, CircAperture]
 
 
 def _check_tilt(tilt: float, wavelength: float, pitch: float):
-    """SamplingError for a tilt whose phase ramp the pitch aliases (Nyquist)."""
+    """InvalidInputError for a tilt that is not finite, SamplingError for one
+    whose phase ramp the pitch aliases (Nyquist)."""
+    if not math.isfinite(tilt):
+        raise InvalidInputError(f"tilt must be finite, got {tilt}")
     if abs(math.sin(tilt)) >= wavelength / (2.0 * pitch):
         raise SamplingError(f"tilt {math.degrees(tilt):.4g} deg aliases on pitch {pitch:.3e} m; "
                             f"need |sin(tilt)| < {wavelength / (2.0 * pitch):.4g}")
@@ -218,7 +229,8 @@ def make_gaussian_field(
     `grid` is (nx, ny, pitch). The pitch must resolve the smaller waist
     with four samples and each tilt's ramp (|sin| < wavelength / (2 pitch)),
     and the window must span eight times the larger waist, otherwise a
-    SamplingError explains the required grid.
+    SamplingError explains the required grid. A tilt that is not finite
+    raises InvalidInputError.
 
     Both exps are taken only on the span of rows and columns where the
     envelope can be nonzero; outside it the envelope underflows to 0.

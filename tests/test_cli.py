@@ -487,8 +487,11 @@ def test_sweep_unknown_preset_exits_2_before_synthesis(tmp_path, monkeypatch, ca
         ({"sweeps": None}, ["--param", "source_tilt:0:1:0"]),
         ({"sweeps": None}, ["--preset", "bogus"]),
         ({"sweeps": None}, []),
+        ({"sweeps": [{"parameter": "z_offset", "lo": 0.0, "hi": 1.0, "steps": 1e300}]}, []),
+        ({"sweeps": None}, ["--param", "z_offset:0:1:10000000000000000000000"]),
     ],
-    ids=["row-parameter", "row-steps", "param-name", "param-steps", "preset", "no-rows"],
+    ids=["row-parameter", "row-steps", "param-name", "param-steps", "preset", "no-rows",
+         "row-steps-over-limit", "param-steps-over-limit"],
 )
 def test_bad_sweep_request_exits_2_before_synthesis(
     tmp_path, monkeypatch, capsys, changes, flags
@@ -601,6 +604,81 @@ def test_non_finite_scenario_number_exits_2(tmp_path, command, change):
     assert "finite" in result.stderr
     assert "Traceback" not in result.stderr
     assert not list(tmp_path.glob("variant_*"))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400", "array"])
+def test_a_scenario_file_fails_as_its_dict_does(tmp_path, literal):
+    # one check path: the file's message is the dict's, naming the JSON path
+    from ionoptics import ScenarioError, load_scenario, parse_scenario
+
+    data = json.loads((SCENARIO_DIR / "compact.json").read_text())
+    data["targets"]["image_distance_um"] = "LITERAL"
+    text = "[1, 2, 3]" if literal == "array" else json.dumps(data).replace('"LITERAL"', literal)
+    path = tmp_path / "variant.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as from_file:
+        load_scenario(path)
+    with pytest.raises(ScenarioError) as from_dict:
+        parse_scenario(json.loads(text))
+    message = str(from_file.value)
+    assert message == str(from_dict.value)
+    if literal != "array":
+        assert message.startswith(
+            "invalid scenario at targets/image_distance_um: numbers must be finite, got "
+        )
+    result = run_cli("design", path, outdir=tmp_path)
+    assert result.returncode == EXIT_PARSE
+    assert result.stderr == f"error in design: {message}\n"
+    assert not list(tmp_path.glob("variant_*"))
+
+
+def numeric_leaves(node, path=()):
+    """The path of every number in a decoded JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, child in children for leaf in numeric_leaves(child, (*path, key))]
+
+
+COMPACT_LEAVES = numeric_leaves(json.loads((SCENARIO_DIR / "compact.json").read_text()))
+
+
+class FocusReached(Exception):
+    """Raised in place of the first focus search."""
+
+
+@pytest.mark.parametrize("leaf", COMPACT_LEAVES, ids=lambda leaf: "/".join(map(str, leaf)))
+def test_an_outsized_number_fails_as_a_toolkit_error(tmp_path, monkeypatch, leaf):
+    # 1e300 in any one number of compact.json: loading, the pipeline's front
+    # half and the sweep's build (every point's system is built before the
+    # first focus search) reach the first focus search or raise a toolkit
+    # error, never a bare ValueError or OverflowError
+    from ionoptics import IonOpticsError, cli, designer, load_scenario
+
+    data = json.loads((SCENARIO_DIR / "compact.json").read_text())
+    section = data
+    for key in leaf[:-1]:
+        section = section[key]
+    section[leaf[-1]] = 1e300
+    path = tmp_path / "outsized.json"
+    path.write_text(json.dumps(data))
+
+    def focus_reached(*args):
+        raise FocusReached
+
+    monkeypatch.setattr(designer, "find_focus", focus_reached)
+    try:
+        scenario = load_scenario(path)
+        _, array, _, prescription, grid = cli._build_pipeline(scenario)
+        designer.tolerance_sweep(
+            prescription, array, scenario.mirror, scenario.sweeps,
+            grid=grid, z_search=scenario.z_search,
+        )
+    except (FocusReached, IonOpticsError, MemoryError):
+        pass
 
 
 def test_sweep_csv_columns_match_docs():

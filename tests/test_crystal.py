@@ -13,7 +13,8 @@ from ionoptics import (
     length_scale,
     solve_crystal,
 )
-from ionoptics.crystal import equilibrium_positions, force_residual
+from ionoptics.constants import MAX_ARRAY_BYTES
+from ionoptics.crystal import MAX_ION_COUNT, equilibrium_positions, force_residual
 
 CA40 = dict(ion_mass_amu=39.9626, ion_charge=1, axial_frequency_hz=700e3)
 
@@ -123,6 +124,14 @@ def test_invalid_inputs_rejected():
         solve_crystal(trap(2, ion_mass_amu=0.0))
     with pytest.raises(InvalidInputError):
         solve_crystal(trap(2, ion_charge=0))
+
+
+@pytest.mark.parametrize("n", [MAX_ION_COUNT + 1, 1e300])
+def test_ion_count_over_the_jacobian_budget_rejected(n):
+    # 1e300 reached np.linspace and failed with a bare ValueError
+    assert MAX_ION_COUNT**2 * 8 <= MAX_ARRAY_BYTES < (MAX_ION_COUNT + 1) ** 2 * 8
+    with pytest.raises(InvalidInputError, match=f"at most {MAX_ION_COUNT} ions$"):
+        equilibrium_positions(n)
 
 
 def test_fifty_ions_under_one_second():

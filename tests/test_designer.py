@@ -27,6 +27,8 @@ from ionoptics import (
     tolerance_sweep,
 )
 from ionoptics import designer
+from ionoptics.constants import MAX_ARRAY_BYTES
+from ionoptics.designer import MAX_SWEEP_STEPS, sweep_rows
 from ionoptics.report import crosstalk_section, prescription_section
 
 WL = 0.729e-6
@@ -714,6 +716,41 @@ def test_sweep_failure_gives_the_value_in_its_own_unit(compact_pipeline, monkeyp
             [{"parameter": "prism_design_angle", "lo": 35.0, "hi": 35.0, "steps": 1}],
             grid=pipe["scenario"].grid,
         )
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ({"parameter": "z_offset"}, "lacks lo, hi, steps"),
+        ({"parameter": "z_offset", "lo": "a", "hi": 1.0, "steps": 2},
+         "has lo 'a', not a finite real number"),
+        ({"parameter": "z_offset", "lo": 0.0, "hi": 1.0, "steps": "x"},
+         "has steps 'x', not an integer"),
+        ({"parameter": "z_offset", "lo": 0.0, "hi": 1.0, "steps": math.nan},
+         "has steps nan, not an integer"),
+        ("z_offset", "is a str, not a mapping of parameter, lo, hi, steps"),
+    ],
+    ids=["missing-key", "lo-not-a-number", "steps-not-a-number", "steps-nan", "bare-string"],
+)
+def test_malformed_sweep_row_names_its_index(row, problem):
+    # these escaped as KeyError, TypeError and ValueError; tolerance_sweep
+    # checks its rows before it reads any other argument
+    rows = [{"parameter": "source_tilt", "lo": 0.0, "hi": 1.0, "steps": 2}, row]
+    message = re.escape(f"sweep row 1 {problem}")
+    with pytest.raises(InvalidInputError, match=message):
+        sweep_rows(rows)
+    with pytest.raises(InvalidInputError, match=message):
+        tolerance_sweep(None, None, None, rows, grid=None)
+
+
+def test_sweep_steps_bounded_by_the_array_budget():
+    # 1e300 steps reached np.linspace after synthesis: a bare ValueError
+    assert MAX_SWEEP_STEPS * 8 == MAX_ARRAY_BYTES
+    row = {"parameter": "z_offset", "lo": 0.0, "hi": 1e-6, "steps": MAX_SWEEP_STEPS}
+    assert sweep_rows([row]) == [row]
+    for steps in (MAX_SWEEP_STEPS + 1, 1e300):
+        with pytest.raises(InvalidInputError, match=f"from 1 to {MAX_SWEEP_STEPS}, got"):
+            sweep_rows([{**row, "steps": steps}])
 
 
 @pytest.mark.parametrize("parameter", list(designer.SWEEP_PARAMETERS))

@@ -81,6 +81,18 @@ def test_telecentric_pair_magnification():
     assert m[1][0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_rayleigh_range_beyond_the_float_range_rejected():
+    # a 1e300 um mode overflowed w0**2 with a bare OverflowError
+    wide = beam_from_mfd(2.45e-6, 1e294, WL)
+    for call in (
+        lambda: rayleigh_length(wide, "y"),
+        lambda: width_at(wide, "y", 1e-4),
+        lambda: propagate_abcd(wide, [FreeSpace(1e-4)]),
+    ):
+        with pytest.raises(InvalidInputError, match="no positive, finite Rayleigh range"):
+            call()
+
+
 def test_invalid_elements_rejected():
     with pytest.raises(InvalidInputError):
         ThinLens(0.0)

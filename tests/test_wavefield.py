@@ -301,6 +301,25 @@ def test_wedge_the_pitch_aliases_raises():
         apply_element(field, WedgePhase(-math.asin(1.01 * SAMPLED_SIN)))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_source_tilt_rejected(bad):
+    # checked before math.sin: inf raised a bare ValueError, nan gave a NaN field
+    with pytest.raises(InvalidInputError, match="tilt must be finite"):
+        make_gaussian_field(round_beam(20e-6), (bad, 0.0), COARSE_GRID)
+
+
+def test_nan_wedge_rejected():
+    with pytest.raises(InvalidInputError, match="below 30 degrees, got nan rad"):
+        WedgePhase(math.nan)
+
+
+def test_nan_lens_rejected_and_an_infinite_one_is_a_flat_plate():
+    with pytest.raises(InvalidInputError, match="not NaN, got nan"):
+        ThinLensPhase(math.nan)
+    field = make_gaussian_field(round_beam(20e-6), (0.0, 0.0), COARSE_GRID)
+    assert np.array_equal(apply_element(field, ThinLensPhase(math.inf)).samples, field.samples)
+
+
 def test_propagation_window_guard():
     field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
     with pytest.raises(PropagationWindowError):
