@@ -71,11 +71,12 @@ class TrapSpec:
     def __post_init__(self):
         if not self.ion_mass_amu > 0:
             raise InvalidInputError("ion_mass_amu must be positive")
-        if int(self.ion_charge) != self.ion_charge or self.ion_charge < 1:
+        # NaN and infinities fail the range tests before int() sees them
+        if not 1 <= self.ion_charge < math.inf or int(self.ion_charge) != self.ion_charge:
             raise InvalidInputError("ion_charge must be a positive integer")
         if not self.axial_frequency_hz > 0:
             raise InvalidInputError("axial_frequency_hz must be positive")
-        if int(self.ion_count) != self.ion_count or self.ion_count < 1:
+        if not 1 <= self.ion_count < math.inf or int(self.ion_count) != self.ion_count:
             raise InvalidInputError("ion_count must be a positive integer")
 
 

@@ -164,7 +164,8 @@ SWEEP_PRESETS = {
 
 def _check_row(index: int, row) -> None:
     """InvalidInputError, naming `index`, unless `row` is a {parameter, lo,
-    hi, steps} mapping with finite real lo and hi and an integer steps."""
+    hi, steps} mapping with a string parameter, finite real lo and hi and
+    an integer steps."""
     where = f"sweep row {index}"
     if not isinstance(row, dict):
         raise InvalidInputError(
@@ -173,6 +174,8 @@ def _check_row(index: int, row) -> None:
     missing = [key for key in _SWEEP_KEYS if key not in row]
     if missing:
         raise InvalidInputError(f"{where} lacks " + ", ".join(missing))
+    if not isinstance(row["parameter"], str):
+        raise InvalidInputError(f"{where} has parameter {row['parameter']!r}, not a string")
     for key in ("lo", "hi"):
         if not (isinstance(row[key], numbers.Real) and abs(row[key]) <= sys.float_info.max):
             raise InvalidInputError(f"{where} has {key} {row[key]!r}, not a finite real number")
@@ -186,10 +189,10 @@ def sweep_rows(rows: Sequence[dict], preset: Optional[str] = None) -> list:
     """The {parameter, lo, hi, steps} rows of one sweep (SI, as
     tolerance_sweep takes them) with the named preset's rows appended,
     taken through sweep_row_to_si. InvalidInputError for an unknown preset,
-    no rows, a row that is not a mapping, lacks a key, or has a lo
-    or hi that is not a finite real number or a steps that is not an
-    integer (naming the row's index), then for an unknown parameter or
-    steps outside 1 to MAX_SWEEP_STEPS."""
+    no rows, a row that is not a mapping, lacks a key, or has a
+    parameter that is not a string, a lo or hi that is not a finite real
+    number or a steps that is not an integer (naming the row's index),
+    then for an unknown parameter or steps outside 1 to MAX_SWEEP_STEPS."""
     presets = ", ".join(sorted(SWEEP_PRESETS))
     rows = list(rows)
     if preset is not None:
@@ -606,17 +609,23 @@ def _search(prescription, array, grid, z_search, channel, launch):
     (elements, source x, tilt_deg) triple: the array's Gaussian mode at the
     design wavelength, centred at x and tilted by tilt_deg in y-z, runs
     through elements to find_focus within z_search (None: 0.5 to 1.25 image
-    distances past the stack top, 33 steps). waveguide_position is x."""
+    distances past the stack top, 33 steps). waveguide_position is x.
+
+    Every search, a sweep point's too, centres find_focus's first triple
+    on the nominal ABCD image plane, predicted_image_distance past the
+    stack top. The wave focus lies close to it (on the shipped scenarios
+    within two refining steps), so one triple usually finds it, and a zero
+    perturbation repeats the baseline's search exactly."""
     elements, x, tilt_deg = launch
     top = prescription.stack_height
+    dist = prescription.predicted_image_distance
     if z_search is None:
-        dist = prescription.predicted_image_distance
         z_search = (top + 0.5 * dist, top + 1.25 * dist, 33)
     beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
     # no name here holds the source, so the stack loop can free it
     result = find_focus(
         make_gaussian_field(beam, tilt=(0.0, math.radians(tilt_deg)), grid=grid, center=(x, 0.0)),
-        list(elements), z_search,
+        list(elements), z_search, top + dist,
     )
     return ChannelFocus(
         **vars(result.metrics),
@@ -849,6 +858,22 @@ def crosstalk_matrix(
     )
 
 
+def _sweep_systems(perturbations, nominal):
+    """(failure prefix, parameter, value, (elements, source x, tilt,
+    residual tilt)) of every sweep point in order, each built from the
+    `nominal` launch when it is reached; a failure carries its prefix."""
+    for spec_row in perturbations:
+        parameter = spec_row["parameter"]
+        unit, perturb = SWEEP_PARAMETERS[parameter]
+        lo, hi, steps = spec_row["lo"], spec_row["hi"], int(spec_row["steps"])
+        for value in [0.5 * (lo + hi)] if steps == 1 else np.linspace(lo, hi, steps):
+            shown = sweep_value_from_si(parameter, value)
+            prefix = f"sweep point {parameter}={shown:g} {unit} failed: "
+            with _error_prefix(prefix):
+                system = perturb(*nominal, value)
+            yield prefix, parameter, value, system
+
+
 def tolerance_sweep(
     prescription: LensStackPrescription,
     array: WaveguideArraySpec,
@@ -869,31 +894,23 @@ def tolerance_sweep(
     |x| lies within MIRROR_POSITION_TOL of the grid pitch of the largest,
     so of a mirror pair it is the one crosstalk_matrix propagates, and the
     baseline is the record design writes for it (simulate_channel). Each
-    point runs _search on a perturbed _launch; every point's system is
-    built, or fails, before the first focus search, and sweep_rows
-    appends the preset's rows and checks every row first.
+    point runs _search on a perturbed _launch. sweep_rows appends the
+    preset's rows and checks every row first; then every point's system
+    is built, or fails, and is dropped, all before the first focus
+    search, and each is built again at its own search, so no more than
+    one point's system is held at a time.
     """
     perturbations = sweep_rows(perturbations, preset)
     offsets = np.abs(array.positions_m)
     worst = int(np.flatnonzero(offsets >= offsets.max() - MIRROR_POSITION_TOL * grid[2])[0])
     nominal = _launch(prescription, array, mirror, worst)
-
-    # (failure prefix, parameter, value, (elements, source x, tilt, residual tilt))
-    systems = []
-    for spec_row in perturbations:
-        parameter = spec_row["parameter"]
-        unit, perturb = SWEEP_PARAMETERS[parameter]
-        lo, hi, steps = spec_row["lo"], spec_row["hi"], int(spec_row["steps"])
-        for value in [0.5 * (lo + hi)] if steps == 1 else np.linspace(lo, hi, steps):
-            shown = sweep_value_from_si(parameter, value)
-            prefix = f"sweep point {parameter}={shown:g} {unit} failed: "
-            with _error_prefix(prefix):
-                systems.append((prefix, parameter, value, perturb(*nominal, value)))
+    for _ in _sweep_systems(perturbations, nominal):
+        pass
 
     baseline = simulate_channel(prescription, array, worst, mirror, grid, z_search)
 
     points = []
-    for prefix, parameter, value, (*launch, residual) in systems:
+    for prefix, parameter, value, (*launch, residual) in _sweep_systems(perturbations, nominal):
         with _error_prefix(prefix):
             # [0]: the search's FocusResult and its fields are freed here
             focus = _search(prescription, array, grid, z_search, worst, launch)[0]

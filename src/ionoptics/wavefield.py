@@ -11,7 +11,7 @@ exp(i kz d) with kz = sqrt(k^2 - kx^2 - ky^2) and evanescent components
 transfer function has unit modulus, so power is conserved and a
 z / -z round trip is the identity.
 
-Every 2-d FFT runs in _fft2, which skips the columns its caller knows
+Every FFT runs in _fft2, which skips the columns its caller knows
 are zero: the axis-0 pass runs in place on the nonzero column blocks
 only, then the axis-1 pass on the whole grid. A forward transform skips
 the columns outside the field's nonzero span (behind an aperture, most
@@ -19,6 +19,14 @@ of them), and an inverse those outside the propagating band's two
 column blocks. The result is bit-identical to scipy.fft.fft2 and ifft2:
 pocketfft also runs axis 0 first, an all-zero column transforms to
 exact zeros, and the inverse's 1/(nx ny) scale is a power of two.
+
+A plane read only for its x variance skips the axis-0 pass altogether.
+By Parseval along y, the column sums of |E|^2 are those of |G|^2 over
+ny, where G is the axis-1 inverse transform of the propagated spectrum;
+its rows outside the propagating band are zero, so the transfer product
+is built on the band's rows and only they are transformed
+(FreeSpacePlanes.x_variance; Matsushima & Shimobaba, Opt. Express 17,
+19662, 2009, for the band-limited angular spectrum).
 
 Before propagating, the routine estimates where the beam will land from
 the first and second moments of intensity in both real and angular
@@ -41,7 +49,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.fft as sfft
@@ -290,12 +298,19 @@ def _span(mask: np.ndarray) -> slice:
     return slice(int(mask.argmax()), len(mask) - int(mask[::-1].argmax()))
 
 
-def _marginals(samples: np.ndarray):
-    """Column and row sums (ix, iy) of |samples|^2 (C-contiguous), from two
-    einsum reads of its float64 view: no |E|^2 grid, one thread, no BLAS."""
+def _column_sums(samples: np.ndarray) -> np.ndarray:
+    """Column sums of |samples|^2 (C-contiguous), from one einsum read of
+    its float64 view: no |E|^2 grid, one thread, no BLAS."""
     v = samples.view(np.float64)
     ix = np.einsum("ij,ij->j", v, v)
-    return ix[0::2] + ix[1::2], np.einsum("ij,ij->i", v, v)
+    return ix[0::2] + ix[1::2]
+
+
+def _marginals(samples: np.ndarray):
+    """Column and row sums (ix, iy) of |samples|^2 (C-contiguous), from two
+    einsum reads of its float64 view."""
+    v = samples.view(np.float64)
+    return _column_sums(samples), np.einsum("ij,ij->i", v, v)
 
 
 def _power_sum(samples: np.ndarray) -> float:
@@ -396,6 +411,13 @@ class _WindowGuard:
         self.spectrum = spectrum
         self._axes = self._covs = None
 
+    def moments(self):
+        """The cheap pass's per-axis (label, centroid, mean sin(theta),
+        variance, variance of sin(theta), samples), computed once."""
+        if self._axes is None:
+            self._axes = _window_moments(self.field, self.spectrum)
+        return self._axes
+
     def guard(self, *distances: float):
         """Raise PropagationWindowError if the beam would leave the safe
         window at any of `distances`. A zero distance is the identity and
@@ -403,16 +425,15 @@ class _WindowGuard:
         for d in distances:
             if d == 0.0:
                 continue
-            if self._axes is None:
-                self._axes = _window_moments(self.field, self.spectrum)
+            axes = self.moments()
             limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), d)
-                      for *_, v, v_s, _ in self._axes]
-            extents = _extents(self.field, self._axes, limits, d)
+                      for *_, v, v_s, _ in axes]
+            extents = _extents(self.field, axes, limits, d)
             if all(extent * (1.0 + _BOUND_MARGIN) <= half for _, extent, half in extents):
                 continue
             if self._covs is None:
-                self._covs = _window_covariance(self.field, self.spectrum, self._axes)
-            _check_window(self.field, self._axes, self._covs, d)
+                self._covs = _window_covariance(self.field, self.spectrum, axes)
+            _check_window(self.field, axes, self._covs, d)
 
 
 def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
@@ -421,12 +442,18 @@ def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
     _WindowGuard(field, spectrum).guard(*distances)
 
 
+# the `columns` of an _fft2 call that wants the axis-1 pass alone
+_AXIS_1_ONLY = (slice(0, 0),)
+
+
 def _fft2(samples: np.ndarray, inverse: bool, columns: Sequence[slice] = ()) -> np.ndarray:
     """scipy.fft.fft2 of the C-contiguous grid `samples` (ifft2 if
     `inverse`), which it overwrites. `columns` are disjoint slices that
-    hold every nonzero column; unless they cover the grid, the axis-0 pass
-    runs in place on their blocks alone, bit-identically (see the module
-    docstring). Every 2-d transform of the package runs here."""
+    hold every column the axis-0 pass must transform, for a 2-d transform
+    every nonzero column; unless they cover the grid, that pass runs in
+    place on their blocks alone, bit-identically (see the module
+    docstring). _AXIS_1_ONLY names none, so only the axis-1 pass runs.
+    Every transform of the package runs here."""
     nx = samples.shape[1]
     widths = [len(range(nx)[c]) for c in columns]
     if not columns or sum(widths) == nx:
@@ -472,9 +499,12 @@ def _band_blocks(n: int, q: int):
     return (slice(0, q), slice(None)), (slice(n - m, n), slice(m, 0, -1))
 
 
-def _transfer(field: ScalarField, distance: float, spectrum=None) -> np.ndarray:
+def _transfer(field: ScalarField, distance: float, spectrum=None,
+              band_rows: bool = False) -> np.ndarray:
     """Band-limited transfer exp(i kz d) on the FFT grid, zero outside the
     propagating band; with `spectrum`, the product transfer * spectrum.
+    With `band_rows`, only the rows of the band's two row blocks, stacked
+    in that order: every other row is zero.
 
     On an even grid fftfreq negates exactly, so kz[iy, ix] equals
     kz[iy, (nx - ix) % nx] and kz[(ny - iy) % ny, ix] bit for bit. The exp
@@ -491,28 +521,40 @@ def _transfer(field: ScalarField, distance: float, spectrum=None) -> np.ndarray:
     np.exp(phases[1:], out=phases[1:])
     quadrant = phases[index]
     qy, qx = index.shape
-    out = np.zeros((ny, nx), dtype=np.complex128)
-    for (r, qr), (c, qc) in itertools.product(_band_blocks(ny, qy), _band_blocks(nx, qx)):
+    row_blocks = _band_blocks(ny, qy)
+    # the rows of `out` each block fills: in place, or stacked from row 0
+    targets = [r for r, _ in row_blocks]
+    if band_rows:
+        first, mirrored = targets
+        targets = [first, slice(first.stop, first.stop + mirrored.stop - mirrored.start)]
+    out = np.zeros((targets[1].stop, nx), dtype=np.complex128)
+    for ((r, qr), t), (c, qc) in itertools.product(
+        zip(row_blocks, targets), _band_blocks(nx, qx)
+    ):
         if spectrum is None:
-            out[r, c] = quadrant[qr, qc]
+            out[t, c] = quadrant[qr, qc]
         else:
             # keep this operand order: NumPy's complex multiply may round
             # differently with the operands swapped, and reports must not move
-            np.multiply(quadrant[qr, qc], spectrum[r, c], out=out[r, c])
+            np.multiply(quadrant[qr, qc], spectrum[r, c], out=out[t, c])
     return out
 
 
 class FreeSpacePlanes(_WindowGuard):
     """Free-space planes of one field, from one forward FFT and at most one
     pass of the window guard's moments (and of its covariance, only for a
-    distance the Cauchy-Schwarz limit cannot clear); each plane then costs
-    one transfer build and one inverse FFT. guard() is the window guard of
-    the field.
+    distance the Cauchy-Schwarz limit cannot clear). guard() is the window
+    guard of the field, and every plane read is guarded first.
 
-    Both transforms skip the columns they know are zero (_fft2): the
-    forward one runs its axis-0 pass on the field's nonzero column span
-    only, and each inverse on the band's two column blocks, which are all
-    that _transfer writes. Both stay bit-identical to full 2-d FFTs.
+    plane() costs one transfer build and one inverse FFT. Both transforms
+    skip the columns they know are zero (_fft2): the forward one runs its
+    axis-0 pass on the field's nonzero column span only, and each inverse
+    on the band's two column blocks, which are all that _transfer writes.
+    Both stay bit-identical to full 2-d FFTs.
+
+    x_variance() reads only the x variance of a plane: the transfer
+    product on the band's rows and their axis-1 inverse pass, about 0.3 of
+    a full 2-d transform (see the module docstring).
     """
 
     def __init__(self, field: ScalarField):
@@ -529,6 +571,23 @@ class FreeSpacePlanes(_WindowGuard):
             _transfer(self.field, distance, self.spectrum), True, self._band_columns
         )
         return replace(self.field, samples=samples)
+
+    def x_variance(self, distance: float) -> float:
+        """The x variance of |E|^2 of the guarded field `distance`
+        downstream; equal to that of plane(distance) to rounding. By
+        Parseval along y its column sums are those of the band rows' axis-1
+        inverse transform, up to the factor ny the variance drops."""
+        self.guard(distance)
+        if distance == 0.0:
+            return self.moments()[0][3]
+        rows = _transfer(self.field, distance, self.spectrum, band_rows=True)
+        ix = _column_sums(_fft2(rows, True, _AXIS_1_ONLY))
+        total = float(ix.sum())
+        if total <= 0:
+            raise InvalidInputError("field has no power in the propagating band")
+        x = self.field.x
+        cx = float(ix @ x) / total
+        return float(ix @ (x - cx) ** 2) / total
 
 
 def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarField:
@@ -742,12 +801,12 @@ def spot_metrics(field: ScalarField) -> SpotMetrics:
 
 @dataclass(frozen=True)
 class FocusResult:
-    """beam_slope is dy/dz of the intensity centroid past the last element;
-    fit_residual is the largest deviation of the sampled x variances from
-    the final parabola, over the smallest of them. planes holds the exit
-    field (planes.field, at the last element's z) with its spectrum and at
-    most one pass of the guard's moments, so any later plane costs one
-    inverse FFT."""
+    """beam_slope is dy/dz of the intensity centroid from the exit field
+    (planes.field, at the last element's z) to the focus plane;
+    fit_residual is the largest deviation of the sampled x variances and
+    the focus plane's from the final parabola, over the smallest of them.
+    planes holds the exit field with its spectrum and at most one pass of
+    the guard's moments, so any later plane costs one inverse FFT."""
 
     z_focus: float
     metrics: SpotMetrics
@@ -761,34 +820,43 @@ def find_focus(
     source: ScalarField,
     elements: Sequence[tuple[float, PhaseElement]],
     z_search: tuple[float, float, int],
+    centre: Optional[float] = None,
 ) -> FocusResult:
     """Propagate through positioned elements and locate the x-width minimum.
 
     `elements` is a list of (z, element) with non-decreasing z >= 0
     (propagate_elements checks it before any transform); the source sits at
-    z = 0. Past the last element the x variance of the intensity is
-    quadratic in z (free space). The parabola through it at z_min, the
-    window middle and z_max (absolute coordinates) gives a vertex a; the
-    parabola at a and a +- 2 (z_max - z_min) / (steps - 1), shifted into the
-    window, gives the focus. FocusNotBracketedError is raised unless both
-    open upward with vertices inside the window.
+    z = 0, and the window (z_min, z_max, steps) must start past the last
+    element. Past it the x variance of the intensity is quadratic in z
+    (free space), so a parabola through three planes finds its minimum.
+    The first triple is centre +- h, with the refining step
+    h = 2 (z_max - z_min) / (steps - 1) and `centre` (absolute; None: the
+    window middle) clamped into [z_min + h, z_max - h]. Its vertex is the
+    focus if it lies within 2 h of the centre; otherwise one more triple,
+    centred on that vertex the same way, gives the focus.
+    FocusNotBracketedError is raised unless every triple's parabola opens
+    upward with its vertex inside the window.
 
     Every plane past the stack comes from one spectrum of the exit field,
     and at most one pass of the guard's moments, with its covariance taken
-    at most once, checks both window ends and every plane read. The result
-    keeps the focus field and the exit field's planes.
+    at most once, checks both window ends and every plane read. The
+    triples read x variances only (FreeSpacePlanes.x_variance); the focus
+    plane is read whole for the spot metrics. The result keeps the focus
+    field and the exit field's planes.
     """
     z_min, z_max, steps = z_search
     if steps < 16:
         raise InvalidInputError("z_search needs at least 16 steps")
     if not z_min < z_max:
         raise InvalidInputError("z_search window is empty")
+    if centre is not None and not math.isfinite(centre):
+        raise InvalidInputError(f"focus search centre must be finite, got {centre}")
 
     z_exit = elements[-1][0] if elements else 0.0
-    if z_min < z_exit:
+    if not z_min > z_exit:
         raise InvalidInputError("z_search must start past the last element")
     # the refining step h: over 2 ulp of z_max, centre +- h differs from
-    # centre anywhere in the window, so the refining triple never collapses
+    # centre anywhere in the window, so a triple never collapses
     h = 2.0 * (z_max - z_min) / (int(steps) - 1)
     if not h > 2.0 * math.ulp(z_max):
         raise InvalidInputError(
@@ -803,19 +871,18 @@ def find_focus(
 
     # one spectrum and at most one pass of guard moments serve every plane;
     # guarding both window ends first fails a window the beam leaves before
-    # any inverse FFT, and plane() guards each plane read on the cached moments
+    # any inverse FFT, and every read guards its plane on the cached moments
     planes = FreeSpacePlanes(exit_field)
     planes.guard(z_min - z_exit, z_max - z_exit)
 
-    sampled = []  # (z, x variance, centroid y) of every sampled plane
+    sampled = []  # (z, x variance) of every plane read
 
-    def variance_parabola(zs):
-        for z in zs:
-            _, _, cy, vx, _ = _intensity_stats(
-                planes.plane(z - z_exit).samples, exit_field.x, exit_field.y
-            )
-            sampled.append((z, vx, cy))
-        parabola = Polynomial.fit(zs, [vx for _, vx, _ in sampled[-3:]], 2)
+    def variance_parabola(around):
+        middle = min(max(around, z_min + h), z_max - h)
+        zs = [middle - h, middle, middle + h]
+        variances = [planes.x_variance(z - z_exit) for z in zs]
+        sampled.extend(zip(zs, variances))
+        parabola = Polynomial.fit(zs, variances, 2)
         opens_up = parabola.deriv(2)(0.0) > 0
         vertex = float(parabola.deriv().roots()[0]) if opens_up else math.nan
         if not z_min <= vertex <= z_max:
@@ -823,22 +890,28 @@ def find_focus(
                 "the x variance has no minimum inside the search window "
                 f"[{z_min:.3e}, {z_max:.3e}] m"
             )
-        return parabola, vertex
+        return middle, parabola, vertex
 
-    _, vertex = variance_parabola([z_min, 0.5 * (z_min + z_max), z_max])
-    centre = min(max(vertex, z_min + h), z_max - h)
-    parabola, z_focus = variance_parabola([centre - h, centre, centre + h])
-
-    z, variance, centroid_y = np.array(sampled).T
-    fit_residual = float(np.max(np.abs(variance - parabola(z))) / np.min(variance))
+    middle, parabola, z_focus = variance_parabola(
+        0.5 * (z_min + z_max) if centre is None else centre
+    )
+    if abs(z_focus - middle) > 2.0 * h:
+        _, parabola, z_focus = variance_parabola(z_focus)
 
     focus_field = planes.plane(z_focus - z_exit)
+    metrics = spot_metrics(focus_field)
+    # mfd_moment is four standard deviations of the intensity
+    sampled.append((z_focus, (0.25 * metrics.mfd_moment[0]) ** 2))
+    z, variance = np.array(sampled).T
+    fit_residual = float(np.max(np.abs(variance - parabola(z))) / np.min(variance))
+
+    exit_cy = planes.moments()[1][1]
     return FocusResult(
         z_focus=z_focus,
-        metrics=spot_metrics(focus_field),
+        metrics=metrics,
         field_at_focus=focus_field,
         planes=planes,
-        beam_slope=float(np.polyfit(z, centroid_y, 1)[0]),
+        beam_slope=(metrics.centroid[1] - exit_cy) / (z_focus - z_exit),
         fit_residual=fit_residual,
     )
 

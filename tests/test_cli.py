@@ -720,6 +720,13 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
     for module in (designer, wavefield):
         monkeypatch.setattr(module, "make_gaussian_field", counted_source)
     monkeypatch.setattr(wavefield, "angular_spectrum_propagate", counted_step)
+    x_only, transform = [], wavefield._fft2  # fft_calls' counting _fft2
+
+    def counted_transform(samples, inverse, columns=()):
+        x_only.append(columns == wavefield._AXIS_1_ONLY)
+        return transform(samples, inverse, columns)
+
+    monkeypatch.setattr(wavefield, "_fft2", counted_transform)
     dump = tmp_path / "centre.sfld"
     code = cli.main(
         ["design", str(SCENARIO_DIR / "compact.json"),
@@ -738,11 +745,14 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
         pruned[name] += ran_pruned
     # each off-centre channel reaches the shared plane from the spectrum
     # and guard moments of its own focus search: one inverse FFT
-    assert transforms == {"fft2": 11, "ifft2": 38}
-    # every inverse but the two covariances runs on the band's columns, and
-    # every forward transform but the four of full-width fields on the
-    # field's nonzero columns
-    assert pruned == {"fft2": 7, "ifft2": 36}
+    assert transforms == {"fft2": 11, "ifft2": 32}
+    # each of the two focus searches reads three planes for their x
+    # variance only: the axis-1 pass on the band's rows
+    assert sum(x_only) == 6
+    # every inverse but the two covariances runs on the band's columns or
+    # rows, and every forward transform but the four of full-width fields
+    # on the field's nonzero columns
+    assert pruned == {"fft2": 7, "ifft2": 30}
 
 
 def test_design_without_mirror_symmetry_propagates_every_channel(tmp_path, monkeypatch):

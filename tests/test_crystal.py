@@ -1,5 +1,6 @@
 """Equilibrium positions of a harmonically confined ion chain."""
 
+import math
 import re
 import time
 
@@ -124,6 +125,14 @@ def test_invalid_inputs_rejected():
         solve_crystal(trap(2, ion_mass_amu=0.0))
     with pytest.raises(InvalidInputError):
         solve_crystal(trap(2, ion_charge=0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("key", ["ion_count", "ion_charge"])
+def test_non_finite_counts_rejected(key, bad):
+    # int() of them escaped as a bare OverflowError or ValueError
+    with pytest.raises(InvalidInputError, match=f"{key} must be a positive integer"):
+        trap(2, **{key: bad})
 
 
 @pytest.mark.parametrize("n", [MAX_ION_COUNT + 1, 1e300])

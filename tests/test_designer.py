@@ -743,6 +743,43 @@ def test_malformed_sweep_row_names_its_index(row, problem):
         tolerance_sweep(None, None, None, rows, grid=None)
 
 
+def test_sweep_row_parameter_must_be_a_string():
+    # a list parameter escaped as a bare TypeError (unhashable type)
+    rows = [{"parameter": "source_tilt", "lo": 0.0, "hi": 1.0, "steps": 2},
+            {"parameter": ["z_offset"], "lo": 0.0, "hi": 1.0, "steps": 2}]
+    message = re.escape("sweep row 1 has parameter ['z_offset'], not a string")
+    with pytest.raises(InvalidInputError, match=message):
+        sweep_rows(rows)
+    with pytest.raises(InvalidInputError, match=message):
+        tolerance_sweep(None, None, None, rows, grid=None)
+
+
+def test_sweep_holds_no_point_systems_before_its_searches(compact_pipeline, monkeypatch):
+    # every point is checked before the first search, but its system is
+    # dropped: kept, 10^5 z_offset points held about 79 MB at the baseline
+    import tracemalloc
+
+    class Searched(Exception):
+        pass
+
+    def no_search(*args):
+        raise Searched
+
+    monkeypatch.setattr(designer, "_search", no_search)
+    pipe = compact_pipeline
+    rows = [{"parameter": "z_offset", "lo": -1e-6, "hi": 1e-6, "steps": 10**5}]
+    tracemalloc.start()
+    try:
+        with pytest.raises(Searched):
+            tolerance_sweep(pipe["prescription"], pipe["array"], pipe["scenario"].mirror,
+                            rows, grid=pipe["scenario"].grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the row's 0.8 MB of float64 values, and little more
+    assert peak < 4 * 2**20
+
+
 def test_sweep_steps_bounded_by_the_array_budget():
     # 1e300 steps reached np.linspace after synthesis: a bare ValueError
     assert MAX_SWEEP_STEPS * 8 == MAX_ARRAY_BYTES

@@ -50,8 +50,8 @@ def minimal_report():
     }
 
 
-def test_schema_version_is_six():
-    assert REPORT_SCHEMA_VERSION == 6
+def test_schema_version_is_seven():
+    assert REPORT_SCHEMA_VERSION == 7
 
 
 def test_canonical_json_is_sorted_and_terminated():

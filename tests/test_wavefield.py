@@ -455,9 +455,9 @@ def test_find_focus_guards_every_plane_it_reads(compact_pipeline, monkeypatch):
         guarded.extend(distances)
         return real_guard(self, *distances)
 
-    def transfer(field, distance, spectrum=None):
+    def transfer(field, distance, *args, **kwargs):
         built.append(distance)
-        return real_transfer(field, distance, spectrum)
+        return real_transfer(field, distance, *args, **kwargs)
 
     monkeypatch.setattr(wavefield._WindowGuard, "guard", guard)
     monkeypatch.setattr(wavefield, "_transfer", transfer)
@@ -466,9 +466,169 @@ def test_find_focus_guards_every_plane_it_reads(compact_pipeline, monkeypatch):
         pipe["prescription"], pipe["array"], 1, pipe["scenario"].mirror,
         grid=pipe["scenario"].grid,
     )
-    # the stack's steps, six variance planes and the focus plane
-    assert len(built) == 10
+    # the stack's steps, three x-variance planes and the focus plane
+    assert len(built) == 7
     assert [d for d in built if d not in guarded] == []
+
+
+def compact_exit_planes(pipe, channel):
+    """(FreeSpacePlanes of the channel's field at the stack top, ABCD image
+    distance past it) of compact.json."""
+    from ionoptics import designer
+
+    prescription, array = pipe["prescription"], pipe["array"]
+    elements, x, tilt_deg = designer._launch(
+        prescription, array, pipe["scenario"].mirror, channel
+    )
+    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
+    source = make_gaussian_field(
+        beam, (0.0, math.radians(tilt_deg)), pipe["scenario"].grid, center=(x, 0.0)
+    )
+    exit_field = propagate_elements(source, elements)
+    return FreeSpacePlanes(exit_field), prescription.predicted_image_distance
+
+
+def full_plane_variance(planes, distance):
+    field = planes.plane(distance)
+    return wavefield._intensity_stats(field.samples, field.x, field.y)[3]
+
+
+def test_x_variance_equals_the_full_planes(compact_pipeline):
+    planes, dist = compact_exit_planes(compact_pipeline, 0)
+    unclipped = FreeSpacePlanes(
+        make_gaussian_field(round_beam(), (0.0, 0.02), (256, 256, 0.25e-6))
+    )
+    cases = [(planes, d) for d in (0.5 * dist, dist, 1.25 * dist)]
+    cases += [(unclipped, d) for d in (-20e-6, 35e-6, 80e-6)]
+    for reader, distance in cases:
+        assert reader.x_variance(distance) == pytest.approx(
+            full_plane_variance(reader, distance), rel=1e-13, abs=0.0
+        )
+
+
+def test_x_variance_runs_no_axis_0_pass(compact_pipeline, monkeypatch):
+    # one axis-1 inverse pass over the band's rows alone
+    planes, dist = compact_exit_planes(compact_pipeline, 0)
+    passes = []
+    transform = scipy.fft.ifft
+
+    def counted(samples, *args, axis=-1, **kwargs):
+        passes.append((samples.shape, axis))
+        return transform(samples, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "ifft", counted)
+    planes.x_variance(dist)
+    nx, ny = planes.field.nx, planes.field.ny
+    [(shape, axis)] = passes
+    assert axis == 1 and shape[1] == nx and 0 < shape[0] < ny
+
+
+def plane_reads(monkeypatch):
+    """Lists of (FreeSpacePlanes, distance) of every x_variance and every
+    plane() call from now on."""
+    x_only, whole = [], []
+    x_variance, plane = FreeSpacePlanes.x_variance, FreeSpacePlanes.plane
+
+    def counted_x_variance(self, distance):
+        x_only.append((self, distance))
+        return x_variance(self, distance)
+
+    def counted_plane(self, distance):
+        whole.append((self, distance))
+        return plane(self, distance)
+
+    monkeypatch.setattr(FreeSpacePlanes, "x_variance", counted_x_variance)
+    monkeypatch.setattr(FreeSpacePlanes, "plane", counted_plane)
+    return x_only, whole
+
+
+def test_compact_search_reads_three_variance_planes(compact_pipeline, monkeypatch):
+    # the search's first triple is centred on the ABCD image plane, within
+    # two refining steps of the wave focus
+    pipe = compact_pipeline
+    x_only, whole = plane_reads(monkeypatch)
+    _, result = simulate_channel(
+        pipe["prescription"], pipe["array"], 1, pipe["scenario"].mirror,
+        grid=pipe["scenario"].grid, with_result=True,
+    )
+    assert len(x_only) == 3 and all(planes is result.planes for planes, _ in x_only)
+    assert [d for planes, d in whole if planes is result.planes] == [
+        result.z_focus - pipe["prescription"].stack_height
+    ]
+
+
+def test_prism_mismatch_search_takes_a_second_triple(compact_pipeline, monkeypatch):
+    from ionoptics import designer
+
+    pipe = compact_pipeline
+    prescription, array = pipe["prescription"], pipe["array"]
+    launch = designer._launch(prescription, array, pipe["scenario"].mirror, 0)
+    launch = designer.SWEEP_PARAMETERS["prism_design_angle"].perturb(*launch, 7.0)[:3]
+    x_only, whole = plane_reads(monkeypatch)
+    _, result = designer._search(
+        prescription, array, pipe["scenario"].grid, None, 0, launch
+    )
+    assert len(x_only) == 6 and all(planes is result.planes for planes, _ in x_only)
+    assert len([d for planes, d in whole if planes is result.planes]) == 1
+
+
+def test_find_focus_clamps_its_centre_into_the_window(monkeypatch):
+    field, elements, z_waist = lens_focus(8e-6, 100e-6)
+    z_search = (0.5 * z_waist, 1.5 * z_waist, 33)
+    h = 2.0 * z_waist / 32
+    default = find_focus(field, elements, z_search)
+    x_only, _ = plane_reads(monkeypatch)
+    result = find_focus(field, elements, z_search, 10.0 * z_waist)
+    # the first triple ends at z_max; its vertex, at the waist, lies far
+    # beyond 2 h of it, so a second triple is centred there
+    distances = [d for _, d in x_only]
+    assert distances[:3] == pytest.approx([1.5 * z_waist - 2 * h, 1.5 * z_waist - h,
+                                           1.5 * z_waist], rel=1e-15)
+    assert len(distances) == 6
+    assert result.z_focus == pytest.approx(default.z_focus, rel=1e-9)
+
+
+def test_find_focus_recentres_at_most_once(monkeypatch):
+    # a quartic x variance moves each vertex a third of the way to its
+    # minimum, so the second vertex also lies beyond 2 h of its triple's
+    # centre; the search still stops there
+    field, elements, z_waist = lens_focus(8e-6, 100e-6)
+    z_min, z_max = 0.5 * z_waist, 1.5 * z_waist
+    h = 2.0 * (z_max - z_min) / 32
+    bottom = z_min + 2.0 * h
+    reads = []
+
+    def variance(z):
+        return ((z - bottom) / h) ** 4 + 1.0
+
+    def quartic(self, distance):
+        reads.append(distance)
+        return variance(distance)
+
+    monkeypatch.setattr(FreeSpacePlanes, "x_variance", quartic)
+    result = find_focus(field, elements, (z_min, z_max, 33), z_min + 12.0 * h)
+    assert len(reads) == 6
+
+    def vertex(zs):
+        a, b, _ = np.polyfit(zs, [variance(z) for z in zs], 2)
+        return -b / (2.0 * a)
+
+    first, second = vertex(reads[0:3]), vertex(reads[3:6])
+    assert abs(first - reads[1]) > 2.0 * h and reads[4] == pytest.approx(first, rel=1e-12)
+    assert abs(second - reads[4]) > 2.0 * h
+    assert result.z_focus == pytest.approx(second, rel=1e-9)
+
+
+def test_find_focus_rejects_a_bad_centre_and_a_window_at_the_exit(fft_calls):
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (256, 256, 0.25e-6))
+    for centre in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="centre must be finite"):
+            find_focus(field, [(5e-6, ThinLensPhase(100e-6))], (10e-6, 100e-6, 33), centre)
+    # a window starting at the last element would put the exit field on a
+    # focus with no distance to take a centroid slope over
+    with pytest.raises(InvalidInputError, match="start past the last element"):
+        find_focus(field, [(10e-6, ThinLensPhase(100e-6))], (10e-6, 100e-6, 33))
+    assert fft_calls == []
 
 
 def test_compact_design_transform_count(tmp_path, fft_calls):
