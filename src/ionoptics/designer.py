@@ -165,7 +165,7 @@ SWEEP_PRESETS = {
 def _check_row(index: int, row) -> None:
     """InvalidInputError, naming `index`, unless `row` is a {parameter, lo,
     hi, steps} mapping with a string parameter, finite real lo and hi and
-    an integer steps."""
+    an integer steps, none of them a bool."""
     where = f"sweep row {index}"
     if not isinstance(row, dict):
         raise InvalidInputError(
@@ -177,11 +177,14 @@ def _check_row(index: int, row) -> None:
     if not isinstance(row["parameter"], str):
         raise InvalidInputError(f"{where} has parameter {row['parameter']!r}, not a string")
     for key in ("lo", "hi"):
-        if not (isinstance(row[key], numbers.Real) and abs(row[key]) <= sys.float_info.max):
-            raise InvalidInputError(f"{where} has {key} {row[key]!r}, not a finite real number")
+        value = row[key]
+        if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+        ):
+            raise InvalidInputError(f"{where} has {key} {value!r}, not a finite real number")
     steps = row["steps"]
     integral = isinstance(steps, float) and steps.is_integer()
-    if not (integral or isinstance(steps, numbers.Integral)):
+    if isinstance(steps, bool) or not (integral or isinstance(steps, numbers.Integral)):
         raise InvalidInputError(f"{where} has steps {steps!r}, not an integer")
 
 
@@ -191,7 +194,8 @@ def sweep_rows(rows: Sequence[dict], preset: Optional[str] = None) -> list:
     taken through sweep_row_to_si. InvalidInputError for an unknown preset,
     no rows, a row that is not a mapping, lacks a key, or has a
     parameter that is not a string, a lo or hi that is not a finite real
-    number or a steps that is not an integer (naming the row's index),
+    number or a steps that is not an integer, a bool being neither
+    (naming the row's index),
     then for an unknown parameter or steps outside 1 to MAX_SWEEP_STEPS."""
     presets = ", ".join(sorted(SWEEP_PRESETS))
     rows = list(rows)
@@ -655,11 +659,10 @@ def simulate_channel(
     returned ChannelFocus holds the metrics at the x-width minimum past the
     stack (_search). With with_result the return value is (ChannelFocus,
     FocusResult), so a caller can reuse the focus field and exit planes.
+    A channel that WaveguideArraySpec.check_channel rejects raises
+    InvalidInputError before any work.
     """
-    if not 0 <= channel < array.channel_count:
-        raise InvalidInputError(
-            f"channel {channel} out of range for {array.channel_count} waveguides"
-        )
+    array.check_channel(channel)
     focus, result = _search(
         prescription, array, grid, z_search, channel,
         _launch(prescription, array, mirror, channel),

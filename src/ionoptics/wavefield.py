@@ -11,22 +11,24 @@ exp(i kz d) with kz = sqrt(k^2 - kx^2 - ky^2) and evanescent components
 transfer function has unit modulus, so power is conserved and a
 z / -z round trip is the identity.
 
-Every FFT runs in _fft2, which skips the columns its caller knows
-are zero: the axis-0 pass runs in place on the nonzero column blocks
-only, then the axis-1 pass on the whole grid. A forward transform skips
-the columns outside the field's nonzero span (behind an aperture, most
-of them), and an inverse those outside the propagating band's two
-column blocks. The result is bit-identical to scipy.fft.fft2 and ifft2:
-pocketfft also runs axis 0 first, an all-zero column transforms to
-exact zeros, and the inverse's 1/(nx ny) scale is a power of two.
+Every FFT runs in _fft2. Given no columns it is the full 2-d transform;
+given column blocks, its axis-0 pass runs in place on exactly those
+blocks, then the axis-1 pass on the whole grid. One rule names them:
+the columns that can hold a nonzero sample. A forward transform names
+the field's nonzero column span (behind an aperture, a small part of
+the grid), and an inverse the propagating band's two column blocks.
+The result is bit-identical to scipy.fft.fft2 and ifft2: pocketfft also
+runs axis 0 first, an all-zero column transforms to exact zeros, and the
+inverse's 1/(nx ny) scale is a power of two. A lens keeps to the same
+rule: it multiplies every row of the field's nonzero column span.
 
-A plane read only for its x variance skips the axis-0 pass altogether.
-By Parseval along y, the column sums of |E|^2 are those of |G|^2 over
-ny, where G is the axis-1 inverse transform of the propagated spectrum;
-its rows outside the propagating band are zero, so the transfer product
-is built on the band's rows and only they are transformed
-(FreeSpacePlanes.x_variance; Matsushima & Shimobaba, Opt. Express 17,
-19662, 2009, for the band-limited angular spectrum).
+A plane read only for its x variance names no column block, so only
+the axis-1 pass runs. By Parseval along y, the column sums of |E|^2 are
+those of |G|^2 over ny, where G is the axis-1 inverse transform of the
+propagated spectrum; its rows outside the propagating band are zero, so
+the transfer product is built on the band's rows and only they are
+transformed (FreeSpacePlanes.x_variance; Matsushima & Shimobaba, Opt.
+Express 17, 19662, 2009, for the band-limited angular spectrum).
 
 Before propagating, the routine estimates where the beam will land from
 the first and second moments of intensity in both real and angular
@@ -442,29 +444,24 @@ def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
     _WindowGuard(field, spectrum).guard(*distances)
 
 
-# the `columns` of an _fft2 call that wants the axis-1 pass alone
-_AXIS_1_ONLY = (slice(0, 0),)
-
-
-def _fft2(samples: np.ndarray, inverse: bool, columns: Sequence[slice] = ()) -> np.ndarray:
-    """scipy.fft.fft2 of the C-contiguous grid `samples` (ifft2 if
-    `inverse`), which it overwrites. `columns` are disjoint slices that
-    hold every column the axis-0 pass must transform, for a 2-d transform
-    every nonzero column; unless they cover the grid, that pass runs in
-    place on their blocks alone, bit-identically (see the module
-    docstring). _AXIS_1_ONLY names none, so only the axis-1 pass runs.
-    Every transform of the package runs here."""
-    nx = samples.shape[1]
-    widths = [len(range(nx)[c]) for c in columns]
-    if not columns or sum(widths) == nx:
+def _fft2(samples: np.ndarray, inverse: bool,
+          columns: Optional[Sequence[slice]] = None) -> np.ndarray:
+    """The 2-d FFT of the C-contiguous grid `samples` (inverse if
+    `inverse`), which it overwrites. With `columns` None it is
+    scipy.fft.fft2 (ifft2). Otherwise `columns` are disjoint slices that
+    name exactly the column blocks the axis-0 pass transforms, in place,
+    before the axis-1 pass on the whole grid: naming every nonzero column
+    gives the 2-d transform bit-identically (see the module docstring), and
+    an empty sequence leaves the axis-1 pass alone. Every transform of the
+    package runs here."""
+    if columns is None:
         transform = sfft.ifft2 if inverse else sfft.fft2
         return transform(samples, workers=-1, overwrite_x=True)
     transform = sfft.ifft if inverse else sfft.fft
-    for c, width in zip(columns, widths):
-        if width:
-            # pocketfft writes an overwrite_x transform of a complex view
-            # into the view itself
-            transform(samples[:, c], axis=0, workers=-1, overwrite_x=True)
+    for c in columns:
+        # pocketfft writes an overwrite_x transform of a complex view into
+        # the view itself
+        transform(samples[:, c], axis=0, workers=-1, overwrite_x=True)
     return transform(samples, axis=1, workers=-1, overwrite_x=True)
 
 
@@ -547,14 +544,15 @@ class FreeSpacePlanes(_WindowGuard):
     guard of the field, and every plane read is guarded first.
 
     plane() costs one transfer build and one inverse FFT. Both transforms
-    skip the columns they know are zero (_fft2): the forward one runs its
+    name the columns that can be nonzero (_fft2): the forward one runs its
     axis-0 pass on the field's nonzero column span only, and each inverse
     on the band's two column blocks, which are all that _transfer writes.
     Both stay bit-identical to full 2-d FFTs.
 
     x_variance() reads only the x variance of a plane: the transfer
-    product on the band's rows and their axis-1 inverse pass, about 0.3 of
-    a full 2-d transform (see the module docstring).
+    product on the band's rows and their axis-1 inverse pass (_fft2 with
+    no column block), about 0.3 of a full 2-d transform (see the module
+    docstring).
     """
 
     def __init__(self, field: ScalarField):
@@ -581,7 +579,7 @@ class FreeSpacePlanes(_WindowGuard):
         if distance == 0.0:
             return self.moments()[0][3]
         rows = _transfer(self.field, distance, self.spectrum, band_rows=True)
-        ix = _column_sums(_fft2(rows, True, _AXIS_1_ONLY))
+        ix = _column_sums(_fft2(rows, True, ()))
         total = float(ix.sum())
         if total <= 0:
             raise InvalidInputError("field has no power in the propagating band")
@@ -630,11 +628,6 @@ def _nonzero_columns(samples: np.ndarray) -> slice:
     return _span(np.any(samples, axis=0))
 
 
-def _support_box(samples: np.ndarray) -> tuple[slice, slice]:
-    """Row and column slices of the bounding box of the nonzero samples."""
-    return _span(np.any(samples, axis=1)), _nonzero_columns(samples)
-
-
 def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     """Apply a thin element in place at the field's plane.
 
@@ -642,23 +635,28 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     power into the returned field's cumulative clipped_fraction. The
     opening's mask is built only on its bounding box.
 
-    A lens takes its phase only on the bounding box of the field's
-    nonzero samples, such as the opening of the aperture before it;
-    outside the box the product is zero anyway, so the result differs
-    from the full-grid product at most in the sign of zeros. A wedge
-    multiplies by one phase column, since its ramp varies in y only (a ramp
-    the pitch aliases raises SamplingError, as for a source). The
-    lens phase is the outer product of one exp per axis, which equals the
-    2-d exp of -i k (x^2 + y^2) / (2 f) to rounding.
+    A lens takes its phase only on the field's nonzero column span, such
+    as the opening of the aperture before it, over every row: the columns
+    a forward transform names (_fft2). Outside the span the product is
+    zero anyway, so the result differs from the full-grid product at most
+    in the sign of zeros. The lens phase is the outer product of one exp
+    per axis, which equals the 2-d exp of -i k (x^2 + y^2) / (2 f) to
+    rounding. A wedge multiplies by one phase column, since its ramp
+    varies in y only (a ramp the pitch aliases raises SamplingError, as
+    for a source).
     """
     k = field.wavenumber
     if isinstance(element, ThinLensPhase):
-        rows, cols = _support_box(field.samples)
-        xb, yb = field.x[cols], field.y[rows]
+        cols = _nonzero_columns(field.samples)
+        xb, y = field.x[cols], field.y
         ik_2f = -1j * k / (2.0 * element.focal_length)
-        phase = np.exp(ik_2f * (yb * yb))[:, None] * np.exp(ik_2f * (xb * xb))[None, :]
+        # the phase is built in the output's span and the samples multiply
+        # it in place, samples first: no span-sized temporary
         samples = np.zeros_like(field.samples)
-        np.multiply(field.samples[rows, cols], phase, out=samples[rows, cols])
+        phase = samples[:, cols]
+        np.multiply(np.exp(ik_2f * (y * y))[:, None], np.exp(ik_2f * (xb * xb))[None, :],
+                    out=phase)
+        np.multiply(field.samples[:, cols], phase, out=phase)
         return replace(field, samples=samples)
     if isinstance(element, WedgePhase):
         _check_tilt(element.tilt_y, field.wavelength, field.pitch)

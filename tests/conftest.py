@@ -103,14 +103,15 @@ def compact_channels(compact_pipeline):
 @pytest.fixture
 def fft_calls(monkeypatch):
     """List that grows by one (inverse, pruned) pair for every 2-d transform
-    (wavefield._fft2 call). pruned is _fft2's own rule: the call names
-    columns, and their widths sum to less than the grid width."""
+    (wavefield._fft2 call). pruned: the call names column blocks (columns
+    is not None), and their widths sum to less than the grid width."""
     calls = []
     transform = wavefield._fft2
 
-    def counted(samples, inverse, columns=()):
-        width = sum(len(range(samples.shape[1])[c]) for c in columns)
-        calls.append((inverse, bool(columns) and width < samples.shape[1]))
+    def counted(samples, inverse, columns=None):
+        nx = samples.shape[1]
+        pruned = columns is not None and sum(len(range(nx)[c]) for c in columns) < nx
+        calls.append((inverse, pruned))
         return transform(samples, inverse, columns)
 
     monkeypatch.setattr(wavefield, "_fft2", counted)

@@ -722,8 +722,8 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
     monkeypatch.setattr(wavefield, "angular_spectrum_propagate", counted_step)
     x_only, transform = [], wavefield._fft2  # fft_calls' counting _fft2
 
-    def counted_transform(samples, inverse, columns=()):
-        x_only.append(columns == wavefield._AXIS_1_ONLY)
+    def counted_transform(samples, inverse, columns=None):
+        x_only.append(columns is not None and len(columns) == 0)
         return transform(samples, inverse, columns)
 
     monkeypatch.setattr(wavefield, "_fft2", counted_transform)
@@ -753,6 +753,32 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
     # rows, and every forward transform but the four of full-width fields
     # on the field's nonzero columns
     assert pruned == {"fft2": 7, "ifft2": 30}
+
+
+def test_compact_design_peaks_under_four_and_a_half_grids(tmp_path):
+    # live complex grids at the peak, inside _transfer during an
+    # off-centre channel's search: the centre channel's field, the exit
+    # field, its spectrum and the plane being built. One more grid held
+    # across a search, such as find_focus keeping its source or
+    # crosstalk_matrix keeping a channel's planes into the next search,
+    # crosses the bound
+    import tracemalloc
+
+    from ionoptics import cli, load_scenario
+
+    scenario = SCENARIO_DIR / "compact.json"
+    nx, ny, _ = load_scenario(str(scenario)).grid
+    tracemalloc.start()
+    try:
+        code = cli.main(
+            ["design", str(scenario), "--report", str(tmp_path / "design.json"),
+             "--dump-field", str(tmp_path / "centre.sfld")]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 4.5 * nx * ny * 16
 
 
 def test_design_without_mirror_symmetry_propagates_every_channel(tmp_path, monkeypatch):

@@ -729,8 +729,13 @@ def test_sweep_failure_gives_the_value_in_its_own_unit(compact_pipeline, monkeyp
         ({"parameter": "z_offset", "lo": 0.0, "hi": 1.0, "steps": math.nan},
          "has steps nan, not an integer"),
         ("z_offset", "is a str, not a mapping of parameter, lo, hi, steps"),
+        ({"parameter": "z_offset", "lo": True, "hi": 1.0, "steps": 2},
+         "has lo True, not a finite real number"),
+        ({"parameter": "z_offset", "lo": 0.0, "hi": 1.0, "steps": True},
+         "has steps True, not an integer"),
     ],
-    ids=["missing-key", "lo-not-a-number", "steps-not-a-number", "steps-nan", "bare-string"],
+    ids=["missing-key", "lo-not-a-number", "steps-not-a-number", "steps-nan", "bare-string",
+         "lo-bool", "steps-bool"],
 )
 def test_malformed_sweep_row_names_its_index(row, problem):
     # these escaped as KeyError, TypeError and ValueError; tolerance_sweep

@@ -1,6 +1,7 @@
 """Photonic chip out-coupling geometry and evanescent leakage."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ionoptics import (
     WaveguideArraySpec,
     leakage_crosstalk,
     outcoupling_angle,
+    simulate_channel,
     tir_critical_angle,
 )
 
@@ -124,3 +126,26 @@ def test_facet_angle_range_enforced():
         TirMirrorSpec(facet_angle_deg=0.0, n_effective=1.466)
     with pytest.raises(InvalidInputError):
         TirMirrorSpec(facet_angle_deg=95.0, n_effective=1.466)
+
+
+@pytest.mark.parametrize("name", ["n_effective", "n_ambient", "n_exit"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_indices_must_be_finite(name, value):
+    # an infinite n_exit gave an exit angle of 0, an infinite n_effective NaN
+    indices = {"n_effective": 1.466, "n_ambient": 1.0, "n_exit": 1.0, name: value}
+    with pytest.raises(InvalidInputError, match=f"{name} must be finite and >= 1"):
+        TirMirrorSpec(facet_angle_deg=45.0, **indices)
+
+
+@pytest.mark.parametrize("index", [1.5, True, "1", -1, 3], ids=repr)
+def test_channel_index_must_be_an_integer_in_range(index):
+    # these escaped as IndexError and TypeError, or went unnamed
+    arr = array([0.0, 5.0, 10.0])
+    message = re.escape(f"channel {index!r} is not an integer from 0 to 2 for 3 waveguides")
+    with pytest.raises(InvalidInputError, match=message):
+        leakage_crosstalk(arr, index, 0)
+    with pytest.raises(InvalidInputError, match=message):
+        leakage_crosstalk(arr, 0, index)
+    # the index is checked before the prescription, mirror or grid is read
+    with pytest.raises(InvalidInputError, match=message):
+        simulate_channel(None, arr, index, MIRROR, None)
