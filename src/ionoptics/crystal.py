@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ATOMIC_MASS, COULOMB_CONSTANT, ELEMENTARY_CHARGE, MAX_ARRAY_BYTES
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, check_count, check_real
 
 __all__ = [
     "TrapSpec",
@@ -69,15 +69,10 @@ class TrapSpec:
     ion_count: int
 
     def __post_init__(self):
-        if not self.ion_mass_amu > 0:
-            raise InvalidInputError("ion_mass_amu must be positive")
-        # NaN and infinities fail the range tests before int() sees them
-        if not 1 <= self.ion_charge < math.inf or int(self.ion_charge) != self.ion_charge:
-            raise InvalidInputError("ion_charge must be a positive integer")
-        if not self.axial_frequency_hz > 0:
-            raise InvalidInputError("axial_frequency_hz must be positive")
-        if not 1 <= self.ion_count < math.inf or int(self.ion_count) != self.ion_count:
-            raise InvalidInputError("ion_count must be a positive integer")
+        check_real("ion_mass_amu", self.ion_mass_amu, 0)
+        check_count("ion_charge", self.ion_charge)
+        check_real("axial_frequency_hz", self.axial_frequency_hz, 0)
+        check_count("ion_count", self.ion_count)
 
 
 @dataclass(frozen=True)
@@ -153,8 +148,7 @@ def equilibrium_positions(n: int) -> np.ndarray:
     InvalidInputError unless n is an integer from 1 to MAX_ION_COUNT (5792),
     the most whose n x n float64 Jacobian fits MAX_ARRAY_BYTES (256 MiB).
     """
-    if not (1 <= n < math.inf and int(n) == n):
-        raise InvalidInputError(f"ion count must be a positive integer, got {n}")
+    check_count("ion count", n)
     if n > MAX_ION_COUNT:
         raise InvalidInputError(
             f"ion count {n:g} needs an n x n Jacobian over the "

@@ -35,6 +35,7 @@ from .errors import (
     InfeasibleDesignError,
     InvalidInputError,
     IonOpticsError,
+    check_real,
 )
 from .gaussbeam import (
     AstigmaticGaussian,
@@ -59,6 +60,7 @@ from .wavefield import (
     SpotMetrics,
     ThinLensPhase,
     WedgePhase,
+    _check_grid,
     _intensity_stats,
     _mirror_x,
     find_focus,
@@ -252,20 +254,12 @@ class DesignTargets:
     aperture_budget: float
 
     def __post_init__(self):
-        if not self.magnification > 0:
-            raise InvalidInputError("magnification must be positive")
-        if not 0 < self.numerical_aperture < 1:
-            raise InvalidInputError("numerical_aperture must lie in (0, 1)")
-        if not self.image_distance > 0:
-            raise InvalidInputError("image_distance must be positive")
-        if not (self.source_mfd[0] > 0 and self.source_mfd[1] > 0):
-            raise InvalidInputError("source_mfd must be positive")
-        if not self.wavelength > 0:
-            raise InvalidInputError("wavelength must be positive")
-        if not self.max_stack_height > 0:
-            raise InvalidInputError("max_stack_height must be positive")
-        if not self.aperture_budget > 0:
-            raise InvalidInputError("aperture_budget must be positive")
+        check_real("numerical_aperture", self.numerical_aperture, 0, 1)
+        for i, mfd in enumerate(self.source_mfd):
+            check_real(f"source_mfd[{i}]", mfd, 0)
+        for name in ("magnification", "image_distance", "wavelength",
+                     "max_stack_height", "aperture_budget"):
+            check_real(name, getattr(self, name), 0)
 
 
 @dataclass(frozen=True)
@@ -367,8 +361,7 @@ def pitch_plan(crystal: IonCrystal, magnification: float) -> np.ndarray:
     position_i = ion_position_i / magnification, so the plan scales
     inversely with magnification and returns ion gaps / magnification.
     """
-    if not magnification > 0:
-        raise InvalidInputError("magnification must be positive")
+    check_real("magnification", magnification, 0)
     return np.asarray(crystal.positions_m, dtype=float) / magnification
 
 
@@ -463,8 +456,8 @@ def synthesize_lens_stack(
     source_tilt (degrees) sizes the corrective wedge; chief_reach
     (metres) is the outermost waveguide offset the apertures must admit.
     """
-    if chief_reach < 0:
-        raise InvalidInputError("chief_reach must be >= 0")
+    check_real("source_tilt", source_tilt)
+    check_real("chief_reach", chief_reach, 0, closed=True)
 
     wavelength = targets.wavelength
     source = beam_from_mfd(targets.source_mfd[0], targets.source_mfd[1], wavelength)
@@ -737,6 +730,7 @@ def crosstalk_matrix(
     j; totals are power sums. A leakage term whose power is not finite
     fails before the first propagation.
     """
+    _check_grid(*grid)
     n = array.channel_count
     if len(crystal.positions_m) != n:
         raise InvalidInputError(
@@ -904,6 +898,7 @@ def tolerance_sweep(
     one point's system is held at a time.
     """
     perturbations = sweep_rows(perturbations, preset)
+    _check_grid(*grid)
     offsets = np.abs(array.positions_m)
     worst = int(np.flatnonzero(offsets >= offsets.max() - MIRROR_POSITION_TOL * grid[2])[0])
     nominal = _launch(prescription, array, mirror, worst)

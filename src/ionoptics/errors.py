@@ -1,8 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the checkers every numeric input goes through.
 
 Every error raised by the toolkit derives from IonOpticsError so callers
 can catch one base class. The CLI maps subclasses to distinct exit codes.
 """
+
+import math
+import numbers
+import sys
 
 
 class IonOpticsError(Exception):
@@ -11,6 +15,30 @@ class IonOpticsError(Exception):
 
 class InvalidInputError(IonOpticsError):
     """An argument violates a documented precondition."""
+
+
+def check_real(name: str, value, low=-math.inf, high=math.inf, closed=False):
+    """`value` if it is a finite real number, not a bool, in (low, high), or
+    in [low, high] if `closed`; else InvalidInputError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max
+            or not (low <= value <= high if closed else low < value < high)):
+        ends = "[]" if closed else "()"
+        domain = ("be finite" if (low, high) == (-math.inf, math.inf)
+                  else f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}" if high < math.inf
+                  else f"be finite and >= {low:g}" if closed
+                  else "be positive and finite" if low == 0 else f"be finite and > {low:g}")
+        raise InvalidInputError(f"{name} must {domain}, got {value!r}")
+    return value
+
+
+def check_count(name: str, value):
+    """`value` if it is a positive integer, an int or an integral float within
+    the float range but not a bool; else InvalidInputError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 1 <= value <= sys.float_info.max or not float(value).is_integer()):
+        raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 class ScenarioError(IonOpticsError):

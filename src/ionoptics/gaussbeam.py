@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularConfigurationError
+from .errors import InvalidInputError, SingularConfigurationError, check_real
 
 __all__ = [
     "BeamAxis",
@@ -53,8 +53,8 @@ class BeamAxis:
     waist_position: float = 0.0
 
     def __post_init__(self):
-        if not self.waist_radius > 0:
-            raise InvalidInputError("waist_radius must be positive")
+        check_real("waist_radius", self.waist_radius, 0)
+        check_real("waist_position", self.waist_position)
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,11 @@ class AstigmaticGaussian:
     y: BeamAxis
 
     def __post_init__(self):
-        if not self.wavelength > 0:
-            raise InvalidInputError("wavelength must be positive")
+        check_real("wavelength", self.wavelength, 0)
 
 
 def beam_from_mfd(mfd_x: float, mfd_y: float, wavelength: float) -> AstigmaticGaussian:
     """Construct a beam at its waist from mode-field diameters (2 w0)."""
-    if not (mfd_x > 0 and mfd_y > 0):
-        raise InvalidInputError("mode-field diameters must be positive")
     return AstigmaticGaussian(
         wavelength=wavelength,
         x=BeamAxis(0.5 * mfd_x),
@@ -113,6 +110,9 @@ class FreeSpace:
 
     length: float
 
+    def __post_init__(self):
+        check_real("length", self.length)
+
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[1.0, self.length], [0.0, 1.0]])
@@ -120,11 +120,16 @@ class FreeSpace:
 
 @dataclass(frozen=True)
 class ThinLens:
+    """focal_length must be nonzero and not NaN; an infinite one is a flat
+    plate."""
+
     focal_length: float
 
     def __post_init__(self):
-        if self.focal_length == 0:
-            raise InvalidInputError("focal_length must be nonzero")
+        if self.focal_length == 0 or math.isnan(self.focal_length):
+            raise InvalidInputError(
+                f"focal_length must be nonzero and not NaN, got {self.focal_length}"
+            )
 
     @property
     def matrix(self) -> np.ndarray:
@@ -172,6 +177,7 @@ def propagate_abcd(beam: AstigmaticGaussian, chain: Sequence) -> AstigmaticGauss
 
 def width_at(beam: AstigmaticGaussian, axis: str, z: float) -> float:
     """1/e^2 intensity radius at position z relative to the reference plane."""
+    check_real("z", z)
     ax = _axis(beam, axis)
     zr = _rayleigh(ax, beam.wavelength)
     return ax.waist_radius * math.sqrt(1.0 + ((z - ax.waist_position) / zr) ** 2)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NoTirError, TrappedRayError
+from .errors import InvalidInputError, NoTirError, TrappedRayError, check_real
 
 __all__ = [
     "TirMirrorSpec",
@@ -62,12 +62,9 @@ class TirMirrorSpec:
     n_exit: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.facet_angle_deg < 90.0):
-            raise InvalidInputError("facet_angle_deg must lie in (0, 90)")
+        check_real("facet_angle_deg", self.facet_angle_deg, 0, 90)
         for name in ("n_effective", "n_ambient", "n_exit"):
-            value = getattr(self, name)
-            if not 1.0 <= value < math.inf:
-                raise InvalidInputError(f"{name} must be finite and >= 1, got {value}")
+            check_real(name, getattr(self, name), 1, closed=True)
 
 
 @dataclass(frozen=True)
@@ -91,18 +88,19 @@ class WaveguideArraySpec:
     leakage_reference: tuple[float, float] = (5.0e-6, -30.0)
 
     def __post_init__(self):
+        if np.ndim(self.positions_m) != 1 or len(self.positions_m) < 1:
+            raise InvalidInputError("positions_m must be a non-empty 1-d array")
+        for i, p in enumerate(self.positions_m):
+            check_real(f"positions_m[{i}]", p)
         pos = np.asarray(self.positions_m, dtype=float)
         object.__setattr__(self, "positions_m", pos)
-        if pos.ndim != 1 or len(pos) < 1:
-            raise InvalidInputError("positions_m must be a non-empty 1-d array")
         if len(pos) > 1 and not np.all(np.diff(pos) > 0):
             raise InvalidInputError("positions_m must be strictly increasing")
-        if not (self.mode_mfd_m[0] > 0 and self.mode_mfd_m[1] > 0):
-            raise InvalidInputError("mode_mfd_m must be positive")
-        if not self.leakage_decay_per_m > 0:
-            raise InvalidInputError("leakage_decay_per_m must be positive")
-        if not self.leakage_reference[0] > 0:
-            raise InvalidInputError("leakage reference pitch must be positive")
+        for i, mfd in enumerate(self.mode_mfd_m):
+            check_real(f"mode_mfd_m[{i}]", mfd, 0)
+        check_real("leakage_decay_per_m", self.leakage_decay_per_m, 0)
+        check_real("leakage_reference[0]", self.leakage_reference[0], 0)
+        check_real("leakage_reference[1]", self.leakage_reference[1])
 
     @property
     def channel_count(self) -> int:

@@ -64,8 +64,10 @@ from .errors import (
     InvalidInputError,
     PropagationWindowError,
     SamplingError,
+    check_count,
+    check_real,
 )
-from .gaussbeam import AstigmaticGaussian
+from .gaussbeam import AstigmaticGaussian, ThinLens
 
 __all__ = [
     "ScalarField",
@@ -123,8 +125,7 @@ def _check_grid(nx: int, ny: int, pitch: float):
             f"grid {nx}x{ny} needs {nx * ny * 16 // 2**20} MiB per complex grid, over "
             f"the {_MAX_SAMPLES * 16 // 2**20} MiB limit ({_MAX_SAMPLES} samples)"
         )
-    if not 0 < pitch < math.inf:
-        raise InvalidInputError("pitch must be positive and finite")
+    check_real("pitch", pitch, 0)
 
 
 @dataclass(eq=False)
@@ -142,10 +143,8 @@ class ScalarField:
         if self.samples.ndim != 2:
             raise InvalidInputError("samples must be a 2-d array")
         _check_grid(self.nx, self.ny, self.pitch)
-        if not 0 < self.wavelength < math.inf:
-            raise InvalidInputError("wavelength must be positive and finite")
-        if not 0 <= self.clipped_fraction <= 1:
-            raise InvalidInputError("clipped_fraction must lie in [0, 1]")
+        check_real("wavelength", self.wavelength, 0)
+        check_real("clipped_fraction", self.clipped_fraction, 0, 1, closed=True)
 
     @property
     def nx(self) -> int:
@@ -173,18 +172,10 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class ThinLensPhase:
+class ThinLensPhase(ThinLens):
     """Ideal thin lens: multiplies by exp(-i k r^2 / (2 f)) about the axis.
-    focal_length must be nonzero and not NaN; an infinite one is a flat
-    plate."""
-
-    focal_length: float
-
-    def __post_init__(self):
-        if self.focal_length == 0 or math.isnan(self.focal_length):
-            raise InvalidInputError(
-                f"focal_length must be nonzero and not NaN, got {self.focal_length}"
-            )
+    focal_length must be nonzero and not NaN (ThinLens); an infinite one is
+    a flat plate."""
 
 
 @dataclass(frozen=True)
@@ -211,8 +202,7 @@ class CircAperture:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidInputError("aperture radius must be positive")
+        check_real("radius", self.radius, 0)
 
 
 PhaseElement = Union[ThinLensPhase, WedgePhase, CircAperture]
@@ -221,8 +211,7 @@ PhaseElement = Union[ThinLensPhase, WedgePhase, CircAperture]
 def _check_tilt(tilt: float, wavelength: float, pitch: float):
     """InvalidInputError for a tilt that is not finite, SamplingError for one
     whose phase ramp the pitch aliases (Nyquist)."""
-    if not math.isfinite(tilt):
-        raise InvalidInputError(f"tilt must be finite, got {tilt}")
+    check_real("tilt", tilt)
     if abs(math.sin(tilt)) >= wavelength / (2.0 * pitch):
         raise SamplingError(f"tilt {math.degrees(tilt):.4g} deg aliases on pitch {pitch:.3e} m; "
                             f"need |sin(tilt)| < {wavelength / (2.0 * pitch):.4g}")
@@ -239,8 +228,8 @@ def make_gaussian_field(
     `grid` is (nx, ny, pitch). The pitch must resolve the smaller waist
     with four samples and each tilt's ramp (|sin| < wavelength / (2 pitch)),
     and the window must span eight times the larger waist, otherwise a
-    SamplingError explains the required grid. A tilt that is not finite
-    raises InvalidInputError.
+    SamplingError explains the required grid. A tilt or center member
+    that is not finite raises InvalidInputError.
 
     Both exps are taken only on the span of rows and columns where the
     envelope can be nonzero; outside it the envelope underflows to 0.
@@ -267,6 +256,8 @@ def make_gaussian_field(
         )
     for t in tilt:
         _check_tilt(t, beam.wavelength, pitch)
+    for c in center:
+        check_real("center", c)
 
     x = (np.arange(nx) - nx // 2) * pitch - center[0]
     y = (np.arange(ny) - ny // 2) * pitch - center[1]
@@ -422,9 +413,10 @@ class _WindowGuard:
 
     def guard(self, *distances: float):
         """Raise PropagationWindowError if the beam would leave the safe
-        window at any of `distances`. A zero distance is the identity and
-        passes."""
+        window at any of `distances` (InvalidInputError if one is not
+        finite). A zero distance is the identity and passes."""
         for d in distances:
+            check_real("propagation distance", d)
             if d == 0.0:
                 continue
             axes = self.moments()
@@ -843,12 +835,14 @@ def find_focus(
     field and the exit field's planes.
     """
     z_min, z_max, steps = z_search
-    if steps < 16:
+    check_real("z_search[0]", z_min)
+    check_real("z_search[1]", z_max)
+    if check_count("z_search steps", steps) < 16:
         raise InvalidInputError("z_search needs at least 16 steps")
     if not z_min < z_max:
         raise InvalidInputError("z_search window is empty")
-    if centre is not None and not math.isfinite(centre):
-        raise InvalidInputError(f"focus search centre must be finite, got {centre}")
+    if centre is not None:
+        check_real("focus search centre", centre)
 
     z_exit = elements[-1][0] if elements else 0.0
     if not z_min > z_exit:

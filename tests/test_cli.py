@@ -172,7 +172,7 @@ def test_trap_outside_float_range_exits_3(tmp_path, capsys, change, stiffness):
     [
         {"array.leakage_reference.db": 5000},
         {"array.leakage_reference.pitch_um": 1e300},
-        # the decay rate per metre is inf, so is the leakage: no OverflowError
+        # the decay rate per metre is inf: the array is rejected when it is built
         {"array.leakage_decay_per_um": 1e303, "array.leakage_reference.pitch_um": 20.0},
     ],
 )
@@ -183,9 +183,12 @@ def test_crosstalk_power_overflow_exits_3_with_one_line(tmp_path, capsys, change
     report_path = tmp_path / "r.json"
     assert cli.main(["design", str(path), "--report", str(report_path)]) == EXIT_INVARIANT
     err = capsys.readouterr().err
-    # the first pair is ion 0 lit by channel 2, with channel 1's leakage
-    assert err.startswith("error in design: channels 2 and 1: the crosstalk power sum of ")
-    assert err.endswith(" dB leakage is not finite\n")
+    if "array.leakage_decay_per_um" in change:
+        assert err == "error in design: leakage_decay_per_m must be positive and finite, got inf\n"
+    else:
+        # the first pair is ion 0 lit by channel 2, with channel 1's leakage
+        assert err.startswith("error in design: channels 2 and 1: the crosstalk power sum of ")
+        assert err.endswith(" dB leakage is not finite\n")
     assert err.count("\n") == 1
     assert not report_path.exists()
 

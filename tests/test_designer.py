@@ -460,17 +460,17 @@ def test_crosstalk_leakage_overflow_fails_before_any_focus_search(
     compact_pipeline, monkeypatch, reference
 ):
     # the leakage terms depend on the array alone; the first pair is ion 0
-    # lit by channel 2, with channel 1's leakage
+    # lit by channel 2, with channel 1's leakage. A NaN dB fails earlier,
+    # when the array is built.
     calls = []
     monkeypatch.setattr(designer, "find_focus", lambda *args: calls.append(args))
     pipe = compact_pipeline
-    array = dataclasses.replace(pipe["array"], leakage_reference=reference)
-    with pytest.raises(InvalidInputError, match=(
-        r"^channels 2 and 1: the crosstalk power sum of .* dB leakage is not finite$"
-    )):
+    message = (r"^leakage_reference\[1\] must be finite, got nan$" if math.isnan(reference[1])
+               else r"^channels 2 and 1: the crosstalk power sum of .* dB leakage is not finite$")
+    with pytest.raises(InvalidInputError, match=message):
         crosstalk_matrix(
             pipe["prescription"],
-            array,
+            dataclasses.replace(pipe["array"], leakage_reference=reference),
             pipe["crystal"],
             pipe["scenario"].mirror,
             grid=pipe["scenario"].grid,
@@ -746,6 +746,26 @@ def test_malformed_sweep_row_names_its_index(row, problem):
         sweep_rows(rows)
     with pytest.raises(InvalidInputError, match=message):
         tolerance_sweep(None, None, None, rows, grid=None)
+
+
+@pytest.mark.parametrize("pitch", [math.nan, -0.22e-6], ids=["nan", "negative"])
+def test_crosstalk_and_sweep_reject_a_bad_grid_before_any_search(
+    compact_pipeline, monkeypatch, pitch
+):
+    # a NaN or negative pitch emptied the mirror tie mask: a bare IndexError
+    calls = []
+    monkeypatch.setattr(designer, "find_focus", lambda *args: calls.append(args))
+    pipe = compact_pipeline
+    grid = (1024, 1024, pitch)
+    message = f"^pitch must be positive and finite, got {pitch}$"
+    with pytest.raises(InvalidInputError, match=message):
+        crosstalk_matrix(pipe["prescription"], pipe["array"], pipe["crystal"],
+                         pipe["scenario"].mirror, grid=grid)
+    with pytest.raises(InvalidInputError, match=message):
+        tolerance_sweep(pipe["prescription"], pipe["array"], pipe["scenario"].mirror,
+                        [{"parameter": "source_tilt", "lo": 0.0, "hi": 1.0, "steps": 2}],
+                        grid=grid)
+    assert calls == []
 
 
 def test_sweep_row_parameter_must_be_a_string():

@@ -326,6 +326,20 @@ def test_propagation_window_guard():
         angular_spectrum_propagate(field, 2e-3)
 
 
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf], ids=repr)
+def test_non_finite_distance_rejected(distance):
+    # every guard comparison is false for NaN and inf makes the predicted
+    # variance NaN, so both reached _transfer and gave an all-NaN field;
+    # -inf failed as a PropagationWindowError
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
+    planes = FreeSpacePlanes(field)
+    message = f"^propagation distance must be finite, got {distance}$"
+    for read in (lambda d: angular_spectrum_propagate(field, d), planes.plane,
+                 planes.x_variance, lambda d: wavefield._window_guard(field, planes.spectrum, d)):
+        with pytest.raises(InvalidInputError, match=message):
+            read(distance)
+
+
 def test_find_focus_validation(fft_calls):
     field = make_gaussian_field(round_beam(), (0.0, 0.0), (256, 256, 0.25e-6))
     with pytest.raises(InvalidInputError):
