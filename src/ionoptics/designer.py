@@ -61,6 +61,7 @@ from .wavefield import (
     ThinLensPhase,
     WedgePhase,
     _check_grid,
+    _check_positions,
     _intensity_stats,
     _mirror_x,
     find_focus,
@@ -285,9 +286,7 @@ class LensStackPrescription:
     targets: DesignTargets
 
     def __post_init__(self):
-        zs = [z for z, _ in self.elements]
-        if any(b < a for a, b in zip(zs, zs[1:])):
-            raise InvalidInputError("element positions must be non-decreasing")
+        _check_positions(self.elements)
 
 
 @dataclass(frozen=True)

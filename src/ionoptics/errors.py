@@ -17,12 +17,16 @@ class InvalidInputError(IonOpticsError):
     """An argument violates a documented precondition."""
 
 
+def is_finite_real(value) -> bool:
+    """Whether `value` is a real number within the float range, not a bool."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max)
+
+
 def check_real(name: str, value, low=-math.inf, high=math.inf, closed=False):
     """`value` if it is a finite real number, not a bool, in (low, high), or
     in [low, high] if `closed`; else InvalidInputError naming it."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max
-            or not (low <= value <= high if closed else low < value < high)):
+    if not is_finite_real(value) or not (low <= value <= high if closed else low < value < high):
         ends = "[]" if closed else "()"
         domain = ("be finite" if (low, high) == (-math.inf, math.inf)
                   else f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}" if high < math.inf

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularConfigurationError, check_real
+from .errors import InvalidInputError, SingularConfigurationError, check_real, is_finite_real
 
 __all__ = [
     "BeamAxis",
@@ -120,15 +120,17 @@ class FreeSpace:
 
 @dataclass(frozen=True)
 class ThinLens:
-    """focal_length must be nonzero and not NaN; an infinite one is a flat
-    plate."""
+    """focal_length must be a nonzero real number within the float range,
+    not a bool, or an infinite float, which is a flat plate."""
 
     focal_length: float
 
     def __post_init__(self):
-        if self.focal_length == 0 or math.isnan(self.focal_length):
+        f = self.focal_length
+        if not (is_finite_real(f) and f != 0 or isinstance(f, float) and math.isinf(f)):
             raise InvalidInputError(
-                f"focal_length must be nonzero and not NaN, got {self.focal_length}"
+                "focal_length must be nonzero and within the float range, or an infinite "
+                f"float, not a bool and not NaN, got {f}"
             )
 
     @property

@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -66,6 +67,7 @@ from .errors import (
     SamplingError,
     check_count,
     check_real,
+    is_finite_real,
 )
 from .gaussbeam import AstigmaticGaussian, ThinLens
 
@@ -116,7 +118,8 @@ _MIRROR_ROWS = 64
 
 def _check_grid(nx: int, ny: int, pitch: float):
     for n in (nx, ny):
-        if n < _MIN_GRID or (n & (n - 1)) != 0:
+        if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                or n < _MIN_GRID or (n & (n - 1)) != 0):
             raise InvalidInputError(
                 f"grid dimensions must be powers of two >= {_MIN_GRID}, got {nx}x{ny}"
             )
@@ -174,8 +177,7 @@ class ScalarField:
 @dataclass(frozen=True)
 class ThinLensPhase(ThinLens):
     """Ideal thin lens: multiplies by exp(-i k r^2 / (2 f)) about the axis.
-    focal_length must be nonzero and not NaN (ThinLens); an infinite one is
-    a flat plate."""
+    focal_length keeps ThinLens's rule: an infinite one is a flat plate."""
 
 
 @dataclass(frozen=True)
@@ -184,14 +186,14 @@ class WedgePhase:
 
     The phase ramp is exp(i k sin(tilt_y) y), so a wedge with tilt_y = -t
     cancels a source launched with tilt (0, +t). The out-couplers tilt
-    every beam in the y plane only, so no wedge needs an x tilt. |tilt_y|
-    must be below 30 degrees, so a NaN tilt is rejected.
+    every beam in the y plane only, so no wedge needs an x tilt. tilt_y
+    must be a real number below 30 degrees in magnitude, not NaN or a bool.
     """
 
     tilt_y: float
 
     def __post_init__(self):
-        if not abs(self.tilt_y) < _TILT_LIMIT:
+        if not (is_finite_real(self.tilt_y) and abs(self.tilt_y) < _TILT_LIMIT):
             raise InvalidInputError(
                 f"wedge tilt magnitude must stay below 30 degrees, got {self.tilt_y} rad"
             )
@@ -299,47 +301,34 @@ def _column_sums(samples: np.ndarray) -> np.ndarray:
     return ix[0::2] + ix[1::2]
 
 
-def _marginals(samples: np.ndarray):
-    """Column and row sums (ix, iy) of |samples|^2 (C-contiguous), from two
-    einsum reads of its float64 view."""
-    v = samples.view(np.float64)
-    return _column_sums(samples), np.einsum("ij,ij->i", v, v)
-
-
 def _power_sum(samples: np.ndarray) -> float:
     """The sum of |samples|^2, from one read of the float64 view."""
     v = samples.view(np.float64)
     return float(np.einsum("ij,ij->i", v, v).sum())
 
 
+def _centroid_variance(weights: np.ndarray, coords: np.ndarray, total: float):
+    """(centroid, variance) of `coords` under the marginal `weights` of sum `total`."""
+    c = float(weights @ coords) / total
+    return c, float(weights @ (coords - c) ** 2) / total
+
+
 def _intensity_stats(samples: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """(total, cx, cy, vx, vy) of |samples|^2, from its marginals."""
-    ix, iy = _marginals(samples)
+    """(total, cx, cy, vx, vy) of |samples|^2 (C-contiguous), from two einsum
+    reads of its float64 view; total is _power_sum's sum, bit for bit."""
+    v = samples.view(np.float64)
+    iy = np.einsum("ij,ij->i", v, v)
     total = float(iy.sum())
     if total <= 0:
         raise InvalidInputError("field has no power")
-    cx = float(ix @ x) / total
-    cy = float(iy @ y) / total
-    return total, cx, cy, float(ix @ (x - cx) ** 2) / total, float(iy @ (y - cy) ** 2) / total
+    cx, vx = _centroid_variance(_column_sums(samples), x, total)
+    cy, vy = _centroid_variance(iy, y, total)
+    return total, cx, cy, vx, vy
 
 
-def _window_moments(field: ScalarField, spectrum: np.ndarray):
-    """The guard's cheap pass, from |E|^2 and |spectrum|^2: per axis (label,
-    centroid, mean sin(theta), variance, variance of sin(theta), samples)."""
-    _, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y)
-    # angular moments of the whole spectrum, evanescent part included; sin(theta) = lambda f
-    sin_x = field.wavelength * sfft.fftfreq(field.nx, field.pitch)
-    sin_y = field.wavelength * sfft.fftfreq(field.ny, field.pitch)
-    _, mean_sx, mean_sy, var_sx, var_sy = _intensity_stats(spectrum, sin_x, sin_y)
-    return (
-        ("x", cx, mean_sx, vx, var_sx, field.nx),
-        ("y", cy, mean_sy, vy, var_sy, field.ny),
-    )
-
-
-def _window_covariance(field: ScalarField, spectrum: np.ndarray, axes):
+def _window_covariance(field: ScalarField, spectrum: np.ndarray, axes, total: float):
     """x-theta and y-theta covariances from the local transverse momentum
-    density Im(conj(E) grad E) / k, given the cheap pass's axes.
+    density Im(conj(E) grad E) / k, given the cheap pass's axes and sum `total`.
 
     One inverse FFT gives h = dE/dx + i dE/dy. Im(conj(E) h) adds
     Re(conj(E) dE/dy) to the x density and -Re(conj(E) h) adds
@@ -359,7 +348,7 @@ def _window_covariance(field: ScalarField, spectrum: np.ndarray, axes):
     moment_x = float(im_columns @ field.x)
     moment_y = -float(np.einsum("ij,ij->i", e, h) @ field.y)
     (_, cx, mean_sx, *_), (_, cy, mean_sy, *_) = axes
-    k_itot = field.wavenumber * _power_sum(field.samples)
+    k_itot = field.wavenumber * total
     return moment_x / k_itot - cx * mean_sx, moment_y / k_itot - cy * mean_sy
 
 
@@ -397,18 +386,28 @@ class _WindowGuard:
     momentum Hermitian, so |cov| <= sqrt(var var_s), and no covariance can
     give a larger footprint. The relative margin absorbs the rounding of
     the moments, so only a distance the limit cannot clear needs the exact
-    covariance. Each is computed at most once."""
+    covariance. Each is computed at most once, and the cheap pass keeps the
+    field's power sum, which the covariance reads."""
 
     def __init__(self, field: ScalarField, spectrum: np.ndarray):
         self.field = field
         self.spectrum = spectrum
-        self._axes = self._covs = None
+        self._axes = self._covs = self._total = None
 
     def moments(self):
         """The cheap pass's per-axis (label, centroid, mean sin(theta),
         variance, variance of sin(theta), samples), computed once."""
         if self._axes is None:
-            self._axes = _window_moments(self.field, self.spectrum)
+            field = self.field
+            self._total, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y)
+            # angular moments of the whole spectrum, evanescent part too; sin(theta) = lambda f
+            sin_x = field.wavelength * sfft.fftfreq(field.nx, field.pitch)
+            sin_y = field.wavelength * sfft.fftfreq(field.ny, field.pitch)
+            _, mean_sx, mean_sy, var_sx, var_sy = _intensity_stats(self.spectrum, sin_x, sin_y)
+            self._axes = (
+                ("x", cx, mean_sx, vx, var_sx, field.nx),
+                ("y", cy, mean_sy, vy, var_sy, field.ny),
+            )
         return self._axes
 
     def guard(self, *distances: float):
@@ -426,7 +425,7 @@ class _WindowGuard:
             if all(extent * (1.0 + _BOUND_MARGIN) <= half for _, extent, half in extents):
                 continue
             if self._covs is None:
-                self._covs = _window_covariance(self.field, self.spectrum, axes)
+                self._covs = _window_covariance(self.field, self.spectrum, axes, self._total)
             _check_window(self.field, axes, self._covs, d)
 
 
@@ -531,9 +530,10 @@ def _transfer(field: ScalarField, distance: float, spectrum=None,
 
 class FreeSpacePlanes(_WindowGuard):
     """Free-space planes of one field, from one forward FFT and at most one
-    pass of the window guard's moments (and of its covariance, only for a
-    distance the Cauchy-Schwarz limit cannot clear). guard() is the window
-    guard of the field, and every plane read is guarded first.
+    pass of the window guard's moments, which keeps the power sum its
+    covariance reads (taken only for a distance the Cauchy-Schwarz limit
+    cannot clear). guard() is the window guard of the field, and every
+    plane read is guarded first.
 
     plane() costs one transfer build and one inverse FFT. Both transforms
     name the columns that can be nonzero (_fft2): the forward one runs its
@@ -575,9 +575,7 @@ class FreeSpacePlanes(_WindowGuard):
         total = float(ix.sum())
         if total <= 0:
             raise InvalidInputError("field has no power in the propagating band")
-        x = self.field.x
-        cx = float(ix @ x) / total
-        return float(ix @ (x - cx) ** 2) / total
+        return _centroid_variance(ix, self.field.x, total)[1]
 
 
 def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarField:
@@ -587,14 +585,20 @@ def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarFie
     return FreeSpacePlanes(field).plane(distance)
 
 
+def _check_positions(elements: Sequence) -> float:
+    """The last z of (z, element) pairs (0.0 for none), which must be non-decreasing and >= 0."""
+    zs = [0.0] + [z for z, _ in elements]
+    if not all(a <= b for a, b in zip(zs, zs[1:])):
+        raise InvalidInputError("element positions must be non-decreasing and >= 0")
+    return zs[-1]
+
+
 def propagate_elements(field: ScalarField, elements: Sequence) -> ScalarField:
     """Carry a source at z = 0 through (z, element) pairs with non-decreasing
     z >= 0 (else InvalidInputError, before any transform) and return the
     field just past the last element. Zero-length steps, such as between
     an aperture and the lens at its z, are skipped."""
-    zs = [0.0] + [z for z, _ in elements]
-    if not all(a <= b for a, b in zip(zs, zs[1:])):
-        raise InvalidInputError("element positions must be non-decreasing and >= 0")
+    _check_positions(elements)
     z_now = 0.0
     for z_el, el in elements:
         if z_el != z_now:
@@ -796,7 +800,8 @@ class FocusResult:
     fit_residual is the largest deviation of the sampled x variances and
     the focus plane's from the final parabola, over the smallest of them.
     planes holds the exit field with its spectrum and at most one pass of
-    the guard's moments, so any later plane costs one inverse FFT."""
+    the guard's moments, with the power sum its covariance reads, so any
+    later plane costs one inverse FFT."""
 
     z_focus: float
     metrics: SpotMetrics
@@ -815,7 +820,7 @@ def find_focus(
     """Propagate through positioned elements and locate the x-width minimum.
 
     `elements` is a list of (z, element) with non-decreasing z >= 0
-    (propagate_elements checks it before any transform); the source sits at
+    (checked before any transform); the source sits at
     z = 0, and the window (z_min, z_max, steps) must start past the last
     element. Past it the x variance of the intensity is quadratic in z
     (free space), so a parabola through three planes finds its minimum.
@@ -844,7 +849,7 @@ def find_focus(
     if centre is not None:
         check_real("focus search centre", centre)
 
-    z_exit = elements[-1][0] if elements else 0.0
+    z_exit = _check_positions(elements)
     if not z_min > z_exit:
         raise InvalidInputError("z_search must start past the last element")
     # the refining step h: over 2 ulp of z_max, centre +- h differs from

@@ -11,6 +11,7 @@ import pytest
 
 from ionoptics import (
     ChannelFocus,
+    CircAperture,
     ConvergenceError,
     DesignTargets,
     InfeasibleDesignError,
@@ -476,6 +477,17 @@ def test_crosstalk_leakage_overflow_fails_before_any_focus_search(
             grid=pipe["scenario"].grid,
         )
     assert calls == []
+
+
+@pytest.mark.parametrize("z", [math.nan, -1e-6], ids=["nan", "below-the-chip"])
+def test_prescription_takes_the_element_position_rule(compact_pipeline, z):
+    # the rule propagate_elements applies: a NaN position passed `b < a`
+    prescription = compact_pipeline["prescription"]
+    elements = ((z, CircAperture(5e-6)),) + prescription.elements
+    with pytest.raises(
+        InvalidInputError, match="^element positions must be non-decreasing and >= 0$"
+    ):
+        dataclasses.replace(prescription, elements=elements)
 
 
 def test_crosstalk_foreign_element_fails_on_the_centre_channel(compact_pipeline):

@@ -1,7 +1,8 @@
 """The number contract: every numeric field of the library's input classes,
 and every numeric argument of its entry points, rejects a value that is not
 finite, a bool, an integer beyond the float range and, where a count is
-expected, a fraction, with an InvalidInputError that names it.
+expected, a fraction, with an InvalidInputError that names it. A grid count
+must be an int (64.0 fails), and a focal length may be infinite.
 
 The fields are walked with dataclasses.fields, tuple and array members one
 at a time. No case reaches synthesis or a propagation, so the whole walk
@@ -27,6 +28,7 @@ from ionoptics import (
     TirMirrorSpec,
     TrapSpec,
     WaveguideArraySpec,
+    WedgePhase,
     equilibrium_positions,
     find_focus,
     make_gaussian_field,
@@ -55,6 +57,7 @@ INSTANCES = [
     FreeSpace(10e-6),
     FIELD,
     CircAperture(5e-6),
+    ThinLensPhase(40e-6),
 ]
 
 
@@ -101,6 +104,9 @@ ARGUMENT_CASES = [
     *[(f"make_gaussian_field.tilt[{i}]",
        lambda bad, i=i: make_gaussian_field(BEAM, swap((0.0, 0.0), i, bad), GRID),
        "tilt", False) for i in (0, 1)],
+    *[(f"make_gaussian_field.grid[{i}]",
+       lambda bad, i=i: make_gaussian_field(BEAM, (0.0, 0.0), swap(GRID, i, bad)),
+       "grid dimensions", True) for i in (0, 1)],
     *[(f"make_gaussian_field.center[{i}]",
        lambda bad, i=i: make_gaussian_field(BEAM, (0.0, 0.0), GRID, swap((0.0, 0.0), i, bad)),
        "center", False) for i in (0, 1)],
@@ -112,11 +118,21 @@ ARGUMENT_CASES = [
     ("_window_guard.distance",
      lambda bad: wavefield._window_guard(FIELD, sfft.fft2(FIELD.samples), bad),
      "propagation distance", False),
+    # the message names the magnitude, as a failed sweep point reports it
+    ("WedgePhase.tilt_y", WedgePhase, "wedge tilt magnitude", False),
 ]
 
 CASES = list(field_cases()) + ARGUMENT_CASES
 BAD = [("inf", math.inf), ("-inf", -math.inf), ("nan", math.nan), ("True", True),
        ("10**400", 10**400)]
+COUNT_BAD = BAD + [("2.5", 2.5)]
+# inputs with a rule of their own: a grid count must be an int, an infinite
+# focal length is a flat plate, and the lens and the wedge check the type
+CASE_BAD = {
+    **{f"make_gaussian_field.grid[{i}]": COUNT_BAD + [("64.0", 64.0)] for i in (0, 1)},
+    "ThinLensPhase.focal_length": [b for b in BAD if "inf" not in b[0]] + [("'a'", "a")],
+    "WedgePhase.tilt_y": BAD + [("'a'", "a"), ("False", False)],
+}
 
 
 @pytest.mark.parametrize(
@@ -124,7 +140,7 @@ BAD = [("inf", math.inf), ("-inf", -math.inf), ("nan", math.nan), ("True", True)
     [
         pytest.param(build, name, value, id=f"{case}-{label}")
         for case, build, name, count in CASES
-        for label, value in BAD + ([("2.5", 2.5)] if count else [])
+        for label, value in CASE_BAD.get(case, COUNT_BAD if count else BAD)
     ],
 )
 def test_every_numeric_input_rejects_a_bad_number_naming_it(build, name, bad, fft_calls):
@@ -138,11 +154,11 @@ def test_the_walk_covers_every_class_and_entry_point():
     covered = {case.split(".")[0] for case, *_ in CASES}
     assert covered == {
         "TrapSpec", "DesignTargets", "TirMirrorSpec", "WaveguideArraySpec", "BeamAxis",
-        "AstigmaticGaussian", "FreeSpace", "ScalarField", "CircAperture",
+        "AstigmaticGaussian", "FreeSpace", "ScalarField", "CircAperture", "ThinLensPhase",
         "equilibrium_positions", "pitch_plan", "synthesize_lens_stack", "width_at",
-        "make_gaussian_field", "find_focus", "_window_guard",
+        "make_gaussian_field", "find_focus", "_window_guard", "WedgePhase",
     }
-    assert len(CASES) == 46
+    assert len(CASES) == 50
 
 
 @pytest.mark.parametrize(

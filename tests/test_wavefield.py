@@ -441,6 +441,31 @@ def test_find_focus_guards_far_window_end():
         find_focus(field, elements, z_search=(0.5 * z_waist, 12.0 * z_waist, 33))
 
 
+def test_covariance_reads_the_power_of_the_moment_pass(monkeypatch):
+    # the cheap pass keeps the field's power sum, so the covariance takes
+    # no second read of the grid for it; the Cauchy-Schwarz limit cannot
+    # clear this converging beam at the lens's focal length
+    field, elements, _ = lens_focus(16e-6, 100e-6)
+    planes = FreeSpacePlanes(propagate_elements(field, elements))
+    reads = []
+    power_sum = wavefield._power_sum
+    monkeypatch.setattr(wavefield, "_power_sum", lambda s: reads.append(s.shape) or power_sum(s))
+    planes.guard(100e-6)
+    assert planes._covs is not None
+    assert reads == []
+
+
+def test_zero_distance_is_the_identity_without_an_inverse_transform(fft_calls):
+    field = make_gaussian_field(round_beam(), (0.0, 0.02), (128, 128, 0.25e-6))
+    assert np.array_equal(angular_spectrum_propagate(field, 0.0).samples, field.samples)
+    assert fft_calls == []
+    planes = FreeSpacePlanes(field)
+    assert np.array_equal(planes.plane(0.0).samples, field.samples)
+    vx = wavefield._intensity_stats(field.samples, field.x, field.y)[3]
+    assert planes.x_variance(0.0) == vx
+    assert [inverse for inverse, _ in fft_calls] == [False]  # the spectrum alone
+
+
 def test_short_unclipped_step_needs_no_covariance(fft_calls):
     # the bound clears the step: one forward and one inverse FFT
     field = make_gaussian_field(round_beam(), (0.0, 0.02), (128, 128, 0.25e-6))
@@ -696,8 +721,10 @@ def test_one_transform_covariance_matches_two(ny, nx):
             0.25e-6, WL,
         )
         spectrum = scipy.fft.fft2(field.samples)
-        axes = wavefield._window_moments(field, spectrum)
-        covs = wavefield._window_covariance(field, spectrum, axes)
+        axes = wavefield._WindowGuard(field, spectrum).moments()
+        covs = wavefield._window_covariance(
+            field, spectrum, axes, wavefield._power_sum(field.samples)
+        )
         for cov, exact in zip(covs, two_transform_moments(field, spectrum)):
             _, _, _, var, cov_exact, var_s, _ = exact
             assert abs(cov - cov_exact) <= 1e-12 * math.sqrt(var * var_s)
@@ -927,7 +954,8 @@ def test_general_tilt_agrees_to_rounding():
 
 
 # random fields, some zero outside a support box and some holding -0.0:
-# the einsum marginals and power total agree with sums of the |E|^2 grid
+# the einsum column sums, power total and row moments agree with sums of
+# the |E|^2 grid
 @settings(max_examples=60, deadline=None)
 @given(
     ny=st.sampled_from([64, 128, 256]),
@@ -950,11 +978,22 @@ def test_marginals_match_the_intensity_grid(ny, nx, seed, box, negative_zeros):
         samples.real[outside | (rng.random((ny, nx)) < 0.1)] = -0.0
         samples.imag[rng.random((ny, nx)) < 0.1] = -0.0
     intensity = np.abs(samples) ** 2
-    ix, iy = wavefield._marginals(samples)
+    ix = wavefield._column_sums(samples)
     np.testing.assert_allclose(ix, intensity.sum(axis=0), rtol=1e-14, atol=0)
-    np.testing.assert_allclose(iy, intensity.sum(axis=1), rtol=1e-14, atol=0)
     total = float(intensity.sum())
     assert abs(wavefield._power_sum(samples) - total) <= 1e-14 * total
+    # the row sums, through the total and y moments _intensity_stats takes of them
+    x, y = np.arange(nx) - nx / 2, np.arange(ny) - ny / 2
+    if total == 0.0:
+        with pytest.raises(InvalidInputError, match="^field has no power$"):
+            wavefield._intensity_stats(samples, x, y)
+        return
+    stats_total, _, cy, _, vy = wavefield._intensity_stats(samples, x, y)
+    assert stats_total == wavefield._power_sum(samples)
+    iy = intensity.sum(axis=1)
+    cy_grid = float(iy @ y) / total
+    assert abs(cy - cy_grid) <= 1e-13 * ny
+    assert abs(vy - float(iy @ (y - cy_grid) ** 2) / total) <= 1e-13 * ny**2
 
 
 def test_window_moments_build_no_intensity_grid():
@@ -962,7 +1001,7 @@ def test_window_moments_build_no_intensity_grid():
     spectrum = scipy.fft.fft2(field.samples)
     tracemalloc.start()
     try:
-        wavefield._window_moments(field, spectrum)
+        wavefield._WindowGuard(field, spectrum).moments()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1035,15 +1074,19 @@ def test_propagate_elements_skips_zero_steps(monkeypatch):
 @pytest.mark.parametrize(
     "elements",
     [[(20e-6, CircAperture(10e-6)), (5e-6, ThinLensPhase(50e-6))],
-     [(-10e-6, CircAperture(10e-6))]],
-    ids=["decreasing", "below-the-source"],
+     [(-10e-6, CircAperture(10e-6))],
+     [(math.nan, CircAperture(5e-6))]],
+    ids=["decreasing", "below-the-source", "nan"],
 )
 def test_propagate_elements_rejects_a_backward_step(elements, fft_calls):
+    # find_focus checks the positions before it reads the last one
     field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
-    with pytest.raises(
-        InvalidInputError, match="element positions must be non-decreasing and >= 0"
-    ):
-        propagate_elements(field, elements)
+    for propagate in (lambda: propagate_elements(field, elements),
+                      lambda: find_focus(field, elements, (10e-6, 20e-6, 33))):
+        with pytest.raises(
+            InvalidInputError, match="element positions must be non-decreasing and >= 0"
+        ):
+            propagate()
     assert fft_calls == []  # the order is checked before the first transform
 
 
