@@ -36,7 +36,6 @@ from .designer import (
     SWEEP_PRESETS,
     crosstalk_matrix,
     pitch_plan,
-    sweep_row_to_si,
     sweep_rows,
     synthesize_lens_stack,
     tolerance_sweep,
@@ -140,11 +139,11 @@ def _parse_grid(text: str):
 
 
 def _parse_param(text: str):
-    """One --param row name:lo:hi:steps (angles deg, offsets um), in SI."""
+    """One --param row name:lo:hi:steps (angles deg, offsets um), checked."""
     try:
         name, lo, hi, steps = text.split(":")
         row = {"parameter": name, "lo": float(lo), "hi": float(hi), "steps": int(steps)}
-        return sweep_row_to_si(sweep_rows([row])[0])
+        return sweep_rows([row])[0]
     except (ValueError, InvalidInputError) as exc:
         raise ScenarioError(
             f"bad param {text!r}: {exc}; need name:lo:hi:steps (angles deg, offsets um)"

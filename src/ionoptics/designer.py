@@ -13,7 +13,8 @@ Waveguide channels are offset along x; the out-coupled beams tilt in
 the y-z plane, and the wedge (first stack element) removes that tilt.
 Channel i of the physical array images onto ion N-1-i because a
 two-lens relay inverts. Lengths are metres and angles degrees at this
-module's boundary; wave-optics element tilts are radians internally.
+module's boundary, but for sweep rows, which are in their parameter's
+unit; wave-optics element tilts are radians internally.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import contextlib
 import itertools
 import math
 import numbers
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -36,6 +36,7 @@ from .errors import (
     InvalidInputError,
     IonOpticsError,
     check_real,
+    is_finite_real,
 )
 from .gaussbeam import (
     AstigmaticGaussian,
@@ -113,10 +114,10 @@ MIRROR_POSITION_TOL = 1e-9
 
 class SweepParameter(NamedTuple):
     """An assembly error a tolerance sweep can vary. unit ("deg" or "um")
-    is that of lo and hi in scenario files and --param and of value in
-    reports. perturb(elements, centre, exit_deg, value) returns the
-    perturbed element list, source centre (m), source tilt (deg) and the
-    tilt the wedge leaves uncorrected (deg); lengths are metres here."""
+    is that of lo, hi and value in every sweep row and point. perturb(
+    elements, centre, exit_deg, value) returns the perturbed element list,
+    source centre (m), source tilt (deg) and the tilt the wedge leaves
+    uncorrected (deg); here value and lengths are SI (_sweep_systems)."""
 
     unit: str
     perturb: Callable
@@ -167,8 +168,8 @@ SWEEP_PRESETS = {
 
 def _check_row(index: int, row) -> None:
     """InvalidInputError, naming `index`, unless `row` is a {parameter, lo,
-    hi, steps} mapping with a string parameter, finite real lo and hi and
-    an integer steps, none of them a bool."""
+    hi, steps} mapping with a string parameter, finite real lo and hi with
+    finite hi - lo and lo + hi, and an integer steps, none of them a bool."""
     where = f"sweep row {index}"
     if not isinstance(row, dict):
         raise InvalidInputError(
@@ -180,11 +181,12 @@ def _check_row(index: int, row) -> None:
     if not isinstance(row["parameter"], str):
         raise InvalidInputError(f"{where} has parameter {row['parameter']!r}, not a string")
     for key in ("lo", "hi"):
-        value = row[key]
-        if isinstance(value, bool) or not (
-            isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-        ):
-            raise InvalidInputError(f"{where} has {key} {value!r}, not a finite real number")
+        if not is_finite_real(row[key]):
+            raise InvalidInputError(f"{where} has {key} {row[key]!r}, not a finite real number")
+    lo, hi = float(row["lo"]), float(row["hi"])
+    if not (math.isfinite(hi - lo) and math.isfinite(lo + hi)):
+        raise InvalidInputError(f"{where} has lo {lo!r} and hi {hi!r}, "
+                                "whose span or midpoint overflows")
     steps = row["steps"]
     integral = isinstance(steps, float) and steps.is_integer()
     if isinstance(steps, bool) or not (integral or isinstance(steps, numbers.Integral)):
@@ -192,20 +194,20 @@ def _check_row(index: int, row) -> None:
 
 
 def sweep_rows(rows: Sequence[dict], preset: Optional[str] = None) -> list:
-    """The {parameter, lo, hi, steps} rows of one sweep (SI, as
-    tolerance_sweep takes them) with the named preset's rows appended,
-    taken through sweep_row_to_si. InvalidInputError for an unknown preset,
-    no rows, a row that is not a mapping, lacks a key, or has a
-    parameter that is not a string, a lo or hi that is not a finite real
-    number or a steps that is not an integer, a bool being neither
-    (naming the row's index),
-    then for an unknown parameter or steps outside 1 to MAX_SWEEP_STEPS."""
+    """The {parameter, lo, hi, steps} rows of one sweep, each in its
+    parameter's SWEEP_PARAMETERS unit, with copies of the named preset's
+    rows appended. InvalidInputError for an unknown preset, no rows, a row
+    that is not a mapping, lacks a key, or has a parameter that is not a
+    string, a lo or hi that is not a finite real number, a span or
+    midpoint that overflows, or a steps that is not an integer, a bool
+    being neither (naming the row's index), then for an unknown parameter
+    or steps outside 1 to MAX_SWEEP_STEPS."""
     presets = ", ".join(sorted(SWEEP_PRESETS))
     rows = list(rows)
     if preset is not None:
         if preset not in SWEEP_PRESETS:
             raise InvalidInputError(f"unknown preset {preset!r}; available: {presets}")
-        rows += [sweep_row_to_si(row) for row in SWEEP_PRESETS[preset]]
+        rows += [dict(row) for row in SWEEP_PRESETS[preset]]
     if not rows:
         raise InvalidInputError(f"a sweep needs rows or a preset (available presets: {presets})")
     for index, row in enumerate(rows):
@@ -220,19 +222,6 @@ def sweep_rows(rows: Sequence[dict], preset: Optional[str] = None) -> list:
                 f"sweep steps must be from 1 to {MAX_SWEEP_STEPS}, got {row['steps']}"
             )
     return rows
-
-
-def sweep_row_to_si(row: dict) -> dict:
-    """A {parameter, lo, hi, steps} row with lo and hi taken from the
-    parameter's unit to the sweep's: micrometres to metres, degrees kept.
-    The parameter must be a SWEEP_PARAMETERS name (sweep_rows checks it)."""
-    scale = UM if SWEEP_PARAMETERS[row["parameter"]].unit == "um" else 1.0
-    return {**row, "lo": row["lo"] * scale, "hi": row["hi"] * scale}
-
-
-def sweep_value_from_si(parameter: str, value: float) -> float:
-    """A sweep value back in its parameter's unit: the inverse of sweep_row_to_si."""
-    return value / UM if SWEEP_PARAMETERS[parameter].unit == "um" else value
 
 
 @dataclass(frozen=True)
@@ -333,9 +322,9 @@ class CrosstalkReport:
 @dataclass(frozen=True, kw_only=True)
 class SweepPoint(ChannelFocus):
     """One perturbation grid point of a tolerance sweep: the swept
-    channel's focus record at that point, the parameter value, and the
-    deltas of z_focus, mfd_fit and centroid against the unperturbed
-    baseline."""
+    channel's focus record at that point, the parameter value in its
+    SWEEP_PARAMETERS unit, and the deltas of z_focus, mfd_fit and centroid
+    (metres) against the unperturbed baseline."""
 
     parameter: str
     value: float
@@ -857,16 +846,16 @@ def crosstalk_matrix(
 def _sweep_systems(perturbations, nominal):
     """(failure prefix, parameter, value, (elements, source x, tilt,
     residual tilt)) of every sweep point in order, each built from the
-    `nominal` launch when it is reached; a failure carries its prefix."""
+    `nominal` launch, with value taken to SI, when it is reached; a
+    failure carries its prefix."""
     for spec_row in perturbations:
         parameter = spec_row["parameter"]
         unit, perturb = SWEEP_PARAMETERS[parameter]
         lo, hi, steps = spec_row["lo"], spec_row["hi"], int(spec_row["steps"])
         for value in [0.5 * (lo + hi)] if steps == 1 else np.linspace(lo, hi, steps):
-            shown = sweep_value_from_si(parameter, value)
-            prefix = f"sweep point {parameter}={shown:g} {unit} failed: "
+            prefix = f"sweep point {parameter}={value:g} {unit} failed: "
             with _error_prefix(prefix):
-                system = perturb(*nominal, value)
+                system = perturb(*nominal, value * (UM if unit == "um" else 1.0))
             yield prefix, parameter, value, system
 
 
@@ -882,14 +871,16 @@ def tolerance_sweep(
     """Re-simulate the worst-case channel over assembly-error grids.
 
     Each perturbation is {parameter, lo, hi, steps}: steps evenly spaced
-    values from lo to hi, or the one value (lo + hi) / 2 when steps is 1.
-    Angles are degrees, offsets metres. prism_design_angle is the absolute
-    exit angle the corrective wedge was built for (nominal: the mirror's
-    actual exit angle); the remaining parameters are deltas with nominal
-    0. The worst-case channel is the lowest index among the channels whose
-    |x| lies within MIRROR_POSITION_TOL of the grid pitch of the largest,
-    so of a mirror pair it is the one crosstalk_matrix propagates, and the
-    baseline is the record design writes for it (simulate_channel). Each
+    values from lo to hi, or the one value (lo + hi) / 2 when steps is 1,
+    in the parameter's SWEEP_PARAMETERS unit: angles degrees, offsets
+    micrometres, as in scenario files, --param and the report.
+    prism_design_angle is the absolute exit angle the corrective wedge was
+    built for (nominal: the mirror's actual exit angle); the remaining
+    parameters are deltas with nominal 0. The worst-case channel is the
+    lowest index among the channels whose |x| lies within
+    MIRROR_POSITION_TOL of the grid pitch of the largest, so of a mirror
+    pair it is the one crosstalk_matrix propagates, and the baseline is
+    the record design writes for it (simulate_channel). Each
     point runs _search on a perturbed _launch. sweep_rows appends the
     preset's rows and checks every row first; then every point's system
     is built, or fails, and is dropped, all before the first focus

@@ -29,13 +29,12 @@ from .designer import (
     LensStackPrescription,
     SweepPoint,
     SweepReport,
-    sweep_value_from_si,
 )
 from .errors import InvalidInputError
 from .picmodel import OutcouplingResult, TirMirrorSpec, tir_critical_angle
 from .wavefield import ThinLensPhase, WedgePhase
 
-REPORT_SCHEMA_VERSION = 7
+REPORT_SCHEMA_VERSION = 8
 
 
 def _location(path) -> str:
@@ -222,7 +221,7 @@ def sweep_point_section(point: SweepPoint) -> dict:
     focus = channel_section(point)
     return {
         "parameter": point.parameter,
-        "value": sweep_value_from_si(point.parameter, point.value),
+        "value": point.value,
         "value_unit": SWEEP_PARAMETERS[point.parameter].unit,
         **{key: focus[key] for key in SWEEP_POINT_FOCUS_KEYS},
         "dz_focus_um": point.dz_focus / UM,

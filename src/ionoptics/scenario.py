@@ -4,8 +4,9 @@ A scenario bundles the trap (ion species, axial frequency, ion count),
 the imaging targets, the out-coupling mirror, optional waveguide-array
 overrides, the wave-simulation grid, and optional tolerance sweeps.
 Lengths are micrometres, angles degrees and frequencies hertz in the
-file; everything is converted to SI here. Unknown keys are rejected so
-that typos fail loudly instead of silently using defaults.
+file; everything but the sweep rows, which keep their parameter's unit,
+is converted to SI here. Unknown keys are rejected so that typos fail
+loudly instead of silently using defaults.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 from .constants import UM
 from .crystal import TrapSpec
-from .designer import DesignTargets, sweep_row_to_si
+from .designer import DesignTargets
 from .errors import InvalidInputError, ScenarioError
 from .picmodel import TirMirrorSpec
 from .report import _location, schema_error, to_plain
@@ -26,7 +27,9 @@ from .wavefield import _check_grid
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated, SI-converted scenario ready for the pipeline."""
+    """Validated scenario ready for the pipeline, in SI but for `sweeps`:
+    copies of the file's {parameter, lo, hi, steps} rows, each in its
+    parameter's unit (designer.SWEEP_PARAMETERS), as the file gives them."""
 
     name: str
     trap: TrapSpec
@@ -42,7 +45,7 @@ class Scenario:
 
 
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
-    """Validate a decoded scenario document and convert units to SI.
+    """Validate a decoded scenario document and convert units as Scenario says.
     NaN, infinity and integers beyond the float range are rejected naming
     their JSON path; a document that is not an object fails on the
     schema's root type."""
@@ -100,8 +103,6 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
             raise ScenarioError("invalid scenario at z_search_um: lo must be below hi")
         z_search = (zs["lo"] * UM, zs["hi"] * UM, int(zs["steps"]))
 
-    sweeps = [sweep_row_to_si(row) for row in data.get("sweeps", ())]
-
     return Scenario(
         name=data.get("name", name_hint),
         trap=trap,
@@ -112,7 +113,8 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
         leakage_reference=leakage_reference,
         grid=grid,
         z_search=z_search,
-        sweeps=tuple(sweeps),
+        # copies: `raw` holds the file's own rows and is echoed into every report
+        sweeps=tuple(dict(row) for row in data.get("sweeps", ())),
         raw=data,
     )
 

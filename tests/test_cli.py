@@ -492,9 +492,12 @@ def test_sweep_unknown_preset_exits_2_before_synthesis(tmp_path, monkeypatch, ca
         ({"sweeps": None}, []),
         ({"sweeps": [{"parameter": "z_offset", "lo": 0.0, "hi": 1.0, "steps": 1e300}]}, []),
         ({"sweeps": None}, ["--param", "z_offset:0:1:10000000000000000000000"]),
+        ({"sweeps": None}, ["--param", "source_tilt:1e308:-1e308:3"]),
+        ({"sweeps": [{"parameter": "z_offset", "lo": 1e308, "hi": 1e308, "steps": 1}]}, []),
     ],
     ids=["row-parameter", "row-steps", "param-name", "param-steps", "preset", "no-rows",
-         "row-steps-over-limit", "param-steps-over-limit"],
+         "row-steps-over-limit", "param-steps-over-limit", "param-span-overflows",
+         "row-midpoint-overflows"],
 )
 def test_bad_sweep_request_exits_2_before_synthesis(
     tmp_path, monkeypatch, capsys, changes, flags
@@ -527,9 +530,10 @@ def test_sweep_stack_below_chip_exits_3_without_output(tmp_path):
 
 
 def test_sweep_param_writes_single_row_csv(tmp_path):
-    # angles stay degrees; offsets are micrometres on the command line
+    # angles stay degrees; offsets are micrometres on the command line and
+    # in the report, which echoes the requested value exactly
     for param, value, unit in (
-        ("source_tilt:0:0:1", 0.0, "deg"), ("lateral_offset:0.5:0.5:1", 0.5, "um")
+        ("source_tilt:0:0:1", 0.0, "deg"), ("lateral_offset:0.97:0.97:1", 0.97, "um")
     ):
         outdir = tmp_path / unit
         outdir.mkdir()
@@ -548,7 +552,7 @@ def test_sweep_param_writes_single_row_csv(tmp_path):
         validate_report(report)
         assert len(report["sweep"]["points"]) == 1
         point = report["sweep"]["points"][0]
-        assert point["value"] == pytest.approx(value, abs=1e-12)
+        assert point["value"] == value
         assert point["value_unit"] == unit
 
 

@@ -28,7 +28,7 @@ from ionoptics import (
     tolerance_sweep,
 )
 from ionoptics import designer
-from ionoptics.constants import MAX_ARRAY_BYTES
+from ionoptics.constants import MAX_ARRAY_BYTES, UM
 from ionoptics.designer import MAX_SWEEP_STEPS, sweep_rows
 from ionoptics.report import crosstalk_section, prescription_section
 
@@ -708,7 +708,7 @@ def test_sweep_stack_below_chip_fails_before_any_focus_search(
             pipe["array"],
             pipe["scenario"].mirror,
             [{"parameter": "source_tilt", "lo": -1.0, "hi": 1.0, "steps": 3},
-             {"parameter": "z_offset", "lo": -3e-6, "hi": 1e-6, "steps": 2}],
+             {"parameter": "z_offset", "lo": -3.0, "hi": 1.0, "steps": 2}],
             grid=pipe["scenario"].grid,
         )
     assert calls == []
@@ -745,9 +745,15 @@ def test_sweep_failure_gives_the_value_in_its_own_unit(compact_pipeline, monkeyp
          "has lo True, not a finite real number"),
         ({"parameter": "z_offset", "lo": 0.0, "hi": 1.0, "steps": True},
          "has steps True, not an integer"),
+        # hi - lo overflows: np.linspace(-1e308, 1e308, 2) is [nan, 1e308]
+        ({"parameter": "source_tilt", "lo": 1e308, "hi": -1e308, "steps": 3},
+         "has lo 1e+308 and hi -1e+308, whose span or midpoint overflows"),
+        # the one-step midpoint 0.5 * (lo + hi) is inf
+        ({"parameter": "z_offset", "lo": 1e308, "hi": 1e308, "steps": 1},
+         "has lo 1e+308 and hi 1e+308, whose span or midpoint overflows"),
     ],
     ids=["missing-key", "lo-not-a-number", "steps-not-a-number", "steps-nan", "bare-string",
-         "lo-bool", "steps-bool"],
+         "lo-bool", "steps-bool", "span-overflows", "midpoint-overflows"],
 )
 def test_malformed_sweep_row_names_its_index(row, problem):
     # these escaped as KeyError, TypeError and ValueError; tolerance_sweep
@@ -827,28 +833,50 @@ def test_sweep_steps_bounded_by_the_array_budget():
             sweep_rows([{**row, "steps": steps}])
 
 
-@pytest.mark.parametrize("parameter", list(designer.SWEEP_PARAMETERS))
-def test_sweep_value_from_si_inverts_sweep_row_to_si(parameter):
-    row = {"parameter": parameter, "lo": -3.0, "hi": 0.25, "steps": 2}
-    si = designer.sweep_row_to_si(row)
-    for key in ("lo", "hi"):
-        assert designer.sweep_value_from_si(parameter, si[key]) == pytest.approx(row[key])
-
-
-def test_sweep_preset_rows_are_taken_to_si(monkeypatch):
-    # preset rows are in their parameter's unit, as --param is; rows passed in are SI
+def test_sweep_preset_rows_come_back_as_given(monkeypatch):
+    # every row, preset or passed in, is in its parameter's unit, as --param is
     preset = {"parameter": "lateral_offset", "lo": -0.5, "hi": 2.0, "steps": 3}
     monkeypatch.setitem(designer.SWEEP_PRESETS, "offset-um", (preset,))
-    given = {"parameter": "z_offset", "lo": 1e-6, "hi": 1e-6, "steps": 1}
+    given = {"parameter": "z_offset", "lo": 1.0, "hi": 1.0, "steps": 1}
     rows = designer.sweep_rows([given], preset="offset-um")
-    assert rows[0] == given
-    assert rows[1]["parameter"] == "lateral_offset" and rows[1]["steps"] == 3
-    assert rows[1]["lo"] == pytest.approx(-0.5e-6, rel=1e-15)
-    assert rows[1]["hi"] == pytest.approx(2.0e-6, rel=1e-15)
+    assert rows == [given, preset]
+    assert rows[1] is not preset
+
+
+def test_mutating_a_returned_preset_row_leaves_the_preset_alone():
+    # SWEEP_PRESETS holds module-level dicts; sweep_rows hands out copies
+    shipped = [dict(row) for row in SWEEP_PRESETS["prism-mismatch"]]
+    rows = sweep_rows((), preset="prism-mismatch")
+    rows[0]["lo"] = rows[0]["hi"] = 99.0
+    assert [dict(row) for row in SWEEP_PRESETS["prism-mismatch"]] == shipped
+    assert sweep_rows((), preset="prism-mismatch") == shipped
+
+
+def test_sweep_scales_a_micrometre_value_once(compact_pipeline, monkeypatch):
+    # a 0.97 um lateral_offset moves the source by exactly 0.97 * UM; taken
+    # to metres and back, the row's 0.97 would not survive (0.97e-6 / UM)
+    class Searched(Exception):
+        pass
+
+    def no_search(*args):
+        raise Searched
+
+    pipe = compact_pipeline
+    centres = []
+    monkeypatch.setattr(designer, "simulate_channel", lambda *args: None)
+    monkeypatch.setattr(designer, "make_gaussian_field",
+                        lambda beam, tilt, grid, center: centres.append(center))
+    monkeypatch.setattr(designer, "find_focus", no_search)
+    with pytest.raises(Searched):
+        tolerance_sweep(pipe["prescription"], pipe["array"], pipe["scenario"].mirror,
+                        [{"parameter": "lateral_offset", "lo": 0.97, "hi": 0.97, "steps": 1}],
+                        grid=pipe["scenario"].grid)
+    assert centres == [(pipe["array"].positions_m[0] + 0.97 * UM, 0.0)]
+    assert 0.97e-6 / UM != 0.97
 
 
 def test_sweep_single_step_builds_only_the_midpoint(compact_pipeline, monkeypatch):
-    # z_offset -3:1:1 runs at its valid midpoint, -1 um, and nowhere else
+    # z_offset -3:1:1 (um) runs at its valid midpoint, -1 um, and nowhere else
     pipe = compact_pipeline
     real_find_focus = designer.find_focus
     elements = []
@@ -862,10 +890,10 @@ def test_sweep_single_step_builds_only_the_midpoint(compact_pipeline, monkeypatc
         pipe["prescription"],
         pipe["array"],
         pipe["scenario"].mirror,
-        [{"parameter": "z_offset", "lo": -3e-6, "hi": 1e-6, "steps": 1}],
+        [{"parameter": "z_offset", "lo": -3.0, "hi": 1.0, "steps": 1}],
         grid=pipe["scenario"].grid,
     )
-    assert [p.value for p in report.points] == [pytest.approx(-1e-6, abs=1e-18)]
+    assert [p.value for p in report.points] == [-1.0]
     nominal = [z for z, _ in pipe["prescription"].elements]
     assert [z for z, _ in elements[0]] == nominal
     assert [z for z, _ in elements[1]] == pytest.approx([z - 1e-6 for z in nominal])
@@ -890,7 +918,7 @@ def test_sweep_failure_names_point(compact_pipeline):
             pipe["prescription"],
             pipe["array"],
             pipe["scenario"].mirror,
-            [{"parameter": "lateral_offset", "lo": 2e-4, "hi": 2e-4, "steps": 1}],
+            [{"parameter": "lateral_offset", "lo": 200.0, "hi": 200.0, "steps": 1}],
             grid=pipe["scenario"].grid,
         )
 

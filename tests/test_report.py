@@ -35,7 +35,7 @@ FOCUS = dict(
     focus_fit_residual=0.13,
 )
 POINT = SweepPoint(
-    **FOCUS, parameter="lateral_offset", value=0.5e-6, dz_focus=1e-7,
+    **FOCUS, parameter="lateral_offset", value=0.5, dz_focus=1e-7,
     dmfd=(2e-8, 3e-8), dcentroid=(4e-8, 5e-8), residual_tilt_deg=0.25,
 )
 
@@ -50,8 +50,8 @@ def minimal_report():
     }
 
 
-def test_schema_version_is_seven():
-    assert REPORT_SCHEMA_VERSION == 7
+def test_schema_version_is_eight():
+    assert REPORT_SCHEMA_VERSION == 8
 
 
 def test_canonical_json_is_sorted_and_terminated():
@@ -259,7 +259,7 @@ def test_sweep_point_focus_keys_are_the_channel_record_keys():
     assert set(section) & set(channel) == set(SWEEP_POINT_FOCUS_KEYS)
     for key in SWEEP_POINT_FOCUS_KEYS:
         assert section[key] == channel[key], key
-    assert section["value"] == pytest.approx(0.5)
+    assert section["value"] == 0.5
     assert section["value_unit"] == "um"
 
 

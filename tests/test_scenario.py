@@ -84,18 +84,18 @@ def test_out_of_range_value():
         parse_scenario(bad)
 
 
-def test_sweep_offsets_convert_to_metres():
-    data = variant(
-        sweeps=[
-            {"parameter": "lateral_offset", "lo": -0.5, "hi": 0.5, "steps": 3},
-            {"parameter": "source_tilt", "lo": -1.0, "hi": 1.0, "steps": 3},
-        ]
-    )
+def test_sweep_rows_keep_the_file_units():
+    # offsets stay micrometres and angles degrees, as every sweep row is
+    rows = [
+        {"parameter": "lateral_offset", "lo": -0.5, "hi": 0.5, "steps": 3},
+        {"parameter": "source_tilt", "lo": -1.0, "hi": 1.0, "steps": 3},
+    ]
+    data = variant(sweeps=rows)
     s = parse_scenario(data)
-    assert s.sweeps[0]["lo"] == pytest.approx(-0.5e-6)
-    assert s.sweeps[0]["hi"] == pytest.approx(0.5e-6)
-    # angles stay in degrees
-    assert s.sweeps[1]["lo"] == pytest.approx(-1.0)
+    assert list(s.sweeps) == rows
+    # copies: the file's rows are echoed into every report through `raw`
+    s.sweeps[0]["lo"] = 7.0
+    assert s.raw["sweeps"] == rows
 
 
 def test_unknown_sweep_parameter_rejected():
@@ -120,6 +120,18 @@ def test_sweep_parameter_enum_matches_designer_table():
 
     sweep_row = load_schema("scenario")["properties"]["sweeps"]["items"]
     assert sweep_row["properties"]["parameter"]["enum"] == list(SWEEP_PARAMETERS)
+
+
+def test_report_value_units_match_designer_table():
+    # a sweep point's value_unit is its parameter's unit, and _sweep_systems
+    # scales exactly two units: um to metres, deg as it is
+    from ionoptics.designer import SWEEP_PARAMETERS
+    from ionoptics.report import load_schema
+
+    units = {parameter.unit for parameter in SWEEP_PARAMETERS.values()}
+    point = load_schema("report")["properties"]["sweep"]["properties"]["points"]["items"]
+    assert set(point["properties"]["value_unit"]["enum"]) == units
+    assert units <= {"um", "deg"}
 
 
 def test_z_search_parsed():

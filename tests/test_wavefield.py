@@ -421,13 +421,14 @@ def test_find_focus_transform_count(fft_calls):
 
 
 def test_find_focus_guards_from_one_moment_pass(fft_calls):
-    # one forward FFT, at most one for the guard's covariance (both window
-    # ends and the focus plane share one pass of the moments), six fit
-    # planes and the focus plane
-    field, elements, z_waist = lens_focus(8e-6, 100e-6)
-    find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
-    calls = pruned(fft_calls)
-    assert 0 < len(calls) <= 10
+    # the wider source's window ends need the guard's covariance: one
+    # forward FFT, one for the covariance (both window ends and the focus
+    # plane share one pass of the moments), three fit planes and the focus
+    # plane (the 8 um source clears its window without the covariance)
+    field, elements, z_waist = lens_focus(16e-6, 100e-6)
+    result = find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
+    assert result.planes._covs is not None
+    assert len(fft_calls) == 6
 
 
 def test_find_focus_guards_far_window_end():
@@ -477,12 +478,12 @@ def test_short_unclipped_step_needs_no_covariance(fft_calls):
 
 
 def test_find_focus_takes_the_covariance_in_one_transform(fft_calls):
-    # one forward FFT, one for the covariance the window ends need, six
-    # fit planes and the focus plane
-    field, elements, z_waist = lens_focus(8e-6, 100e-6)
-    find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
-    calls = pruned(fft_calls)
-    assert 0 < len(calls) <= 9
+    # one forward FFT, one whole inverse for the covariance the window ends
+    # need, then three fit planes and the focus plane on the band
+    field, elements, z_waist = lens_focus(16e-6, 100e-6)
+    result = find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
+    assert result.planes._covs is not None
+    assert fft_calls == [(False, False), (True, False)] + [(True, True)] * 4
 
 
 def test_find_focus_guards_every_plane_it_reads(compact_pipeline, monkeypatch):
