@@ -66,6 +66,7 @@ from .wavefield import (
     _intensity_stats,
     _mirror_x,
     find_focus,
+    gaussian_planes,
     interp_row,
     make_gaussian_field,
     propagate_elements,
@@ -592,9 +593,11 @@ def _launch(prescription, array, mirror, channel):
 def _search(prescription, array, grid, z_search, channel, launch):
     """(ChannelFocus, FocusResult) of `channel` launched as `launch`, an
     (elements, source x, tilt_deg) triple: the array's Gaussian mode at the
-    design wavelength, centred at x and tilted by tilt_deg in y-z, runs
-    through elements to find_focus within z_search (None: 0.5 to 1.25 image
-    distances past the stack top, 33 steps). waveguide_position is x.
+    design wavelength, centred at x and tilted by tilt_deg in y-z, enters
+    as its FreeSpacePlanes (gaussian_planes: the spectrum of a product
+    field, from one 1-d transform per axis) and runs through elements to
+    find_focus within z_search (None: 0.5 to 1.25 image distances past the
+    stack top, 33 steps). waveguide_position is x.
 
     Every search, a sweep point's too, centres find_focus's first triple
     on the nominal ABCD image plane, predicted_image_distance past the
@@ -607,9 +610,9 @@ def _search(prescription, array, grid, z_search, channel, launch):
     if z_search is None:
         z_search = (top + 0.5 * dist, top + 1.25 * dist, 33)
     beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
-    # no name here holds the source, so the stack loop can free it
+    # no name here holds the source's planes, so the stack loop can free them
     result = find_focus(
-        make_gaussian_field(beam, tilt=(0.0, math.radians(tilt_deg)), grid=grid, center=(x, 0.0)),
+        gaussian_planes(beam, tilt=(0.0, math.radians(tilt_deg)), grid=grid, center=(x, 0.0)),
         list(elements), z_search, top + dist,
     )
     return ChannelFocus(

@@ -34,7 +34,7 @@ from .errors import InvalidInputError
 from .picmodel import OutcouplingResult, TirMirrorSpec, tir_critical_angle
 from .wavefield import ThinLensPhase, WedgePhase
 
-REPORT_SCHEMA_VERSION = 8
+REPORT_SCHEMA_VERSION = 9
 
 
 def _location(path) -> str:

@@ -13,14 +13,17 @@ z / -z round trip is the identity.
 
 Every FFT runs in _fft2. Given no columns it is the full 2-d transform;
 given column blocks, its axis-0 pass runs in place on exactly those
-blocks, then the axis-1 pass on the whole grid. One rule names them:
-the columns that can hold a nonzero sample. A forward transform names
-the field's nonzero column span (behind an aperture, a small part of
-the grid), and an inverse the propagating band's two column blocks.
-The result is bit-identical to scipy.fft.fft2 and ifft2: pocketfft also
-runs axis 0 first, an all-zero column transforms to exact zeros, and the
-inverse's 1/(nx ny) scale is a power of two. A lens keeps to the same
-rule: it multiplies every row of the field's nonzero column span.
+blocks, then the axis-1 pass on the rows it is given (all by default).
+One rule names the columns: those that can hold a nonzero sample. A
+forward transform names the field's nonzero column span (behind an
+aperture, a small part of the grid), and an inverse the propagating
+band's two column blocks. The result is bit-identical to scipy.fft.fft2
+and ifft2: pocketfft also runs axis 0 first, an all-zero column
+transforms to exact zeros, and the inverse's 1/(nx ny) scale is a power
+of two. Each row of the axis-1 pass is transformed on its own, so a row
+subset is bit-identical to those rows of the whole transform. A lens
+keeps to the column rule: it multiplies every row of the field's
+nonzero column span, or only the opening's box of the aperture at its z.
 
 A plane read only for its x variance names no column block, so only
 the axis-1 pass runs. By Parseval along y, the column sums of |E|^2 are
@@ -29,6 +32,15 @@ propagated spectrum; its rows outside the propagating band are zero, so
 the transfer product is built on the band's rows and only they are
 transformed (FreeSpacePlanes.x_variance; Matsushima & Shimobaba, Opt.
 Express 17, 19662, 2009, for the band-limited angular spectrum).
+
+A channel launch runs no x-axis pass it does not need
+(propagate_elements). The source is a product of an x and a y profile,
+so its spectrum is the outer product of two 1-d transforms, one pass of
+a row and one of a column (gaussian_planes). Free space is diagonal in
+(ky, kx) and a wedge in (y, kx), so a step that ends at a wedge runs
+the axis-0 inverse pass alone, the ramp and the axis-0 forward pass,
+and the next guard's real-space moments come by Parseval. A step that
+ends at an aperture runs its axis-1 pass on the opening's rows only.
 
 Before propagating, the routine estimates where the beam will land from
 the first and second moments of intensity in both real and angular
@@ -80,6 +92,7 @@ __all__ = [
     "make_gaussian_field",
     "angular_spectrum_propagate",
     "FreeSpacePlanes",
+    "gaussian_planes",
     "propagate_elements",
     "apply_element",
     "spot_metrics",
@@ -106,8 +119,6 @@ _WINDOW_FACTOR = 2.0
 # Cauchy-Schwarz limit over the rounding of the moments it is computed from
 _BOUND_MARGIN = 1e-9
 _TILT_LIMIT = math.radians(30.0)
-# np.exp of a float64 below -745.2 is exactly 0
-_EXP_UNDERFLOW = 750.0
 # the spot fit stops at a step below this in units of (peak, w0, w0), or
 # fails after this many trial points
 _FIT_STEP_TOL = 1e-12
@@ -131,10 +142,34 @@ def _check_grid(nx: int, ny: int, pitch: float):
     check_real("pitch", pitch, 0)
 
 
+class _Grid:
+    """Coordinates and wavenumber of a centred grid with nx, ny, pitch,
+    wavelength and clipped_fraction, and fields on it."""
+
+    @property
+    def x(self) -> np.ndarray:
+        return (np.arange(self.nx) - self.nx // 2) * self.pitch
+
+    @property
+    def y(self) -> np.ndarray:
+        return (np.arange(self.ny) - self.ny // 2) * self.pitch
+
+    @property
+    def wavenumber(self) -> float:
+        return 2.0 * math.pi / self.wavelength
+
+    def _with_samples(self, samples: np.ndarray, clipped_fraction=None) -> "ScalarField":
+        if clipped_fraction is None:
+            clipped_fraction = self.clipped_fraction
+        return ScalarField(samples, self.pitch, self.wavelength, clipped_fraction)
+
+
 @dataclass(eq=False)
-class ScalarField:
+class ScalarField(_Grid):
     """Sampled complex field. Treat instances as immutable; operations
-    return new fields."""
+    return new fields. Samples that are not complex numbers raise
+    InvalidInputError; a NaN or infinite one fails at the first intensity
+    sum that reads it (the window guard, spot_metrics)."""
 
     samples: np.ndarray
     pitch: float
@@ -142,7 +177,10 @@ class ScalarField:
     clipped_fraction: float = 0.0
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
+        try:
+            self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"samples must be complex numbers: {exc}") from None
         if self.samples.ndim != 2:
             raise InvalidInputError("samples must be a 2-d array")
         _check_grid(self.nx, self.ny, self.pitch)
@@ -158,20 +196,20 @@ class ScalarField:
         return self.samples.shape[0]
 
     @property
-    def x(self) -> np.ndarray:
-        return (np.arange(self.nx) - self.nx // 2) * self.pitch
-
-    @property
-    def y(self) -> np.ndarray:
-        return (np.arange(self.ny) - self.ny // 2) * self.pitch
-
-    @property
     def power(self) -> float:
         return _power_sum(self.samples) * self.pitch**2
 
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
+
+@dataclass(frozen=True)
+class _Frame(_Grid):
+    """What a ScalarField holds besides its samples: the grid and beam of
+    planes whose field is built only when read."""
+
+    nx: int
+    ny: int
+    pitch: float
+    wavelength: float
+    clipped_fraction: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -219,28 +257,14 @@ def _check_tilt(tilt: float, wavelength: float, pitch: float):
                             f"need |sin(tilt)| < {wavelength / (2.0 * pitch):.4g}")
 
 
-def make_gaussian_field(
+def _gaussian_profiles(
     beam: AstigmaticGaussian,
     tilt: tuple[float, float],
     grid: tuple[int, int, float],
-    center: tuple[float, float] = (0.0, 0.0),
-) -> ScalarField:
-    """Sample a tilted elliptical Gaussian at its waist, normalised to unit power.
-
-    `grid` is (nx, ny, pitch). The pitch must resolve the smaller waist
-    with four samples and each tilt's ramp (|sin| < wavelength / (2 pitch)),
-    and the window must span eight times the larger waist, otherwise a
-    SamplingError explains the required grid. A tilt or center member
-    that is not finite raises InvalidInputError.
-
-    Both exps are taken only on the span of rows and columns where the
-    envelope can be nonzero; outside it the envelope underflows to 0.
-    The tilt ramp is the product of one exp per axis. A zero tilt
-    component makes its factor exactly 1, so a tilt with one zero
-    component, as every channel source has, gives the same bits as the
-    2-d exp of the summed phase; other tilts agree to rounding.
-    """
-
+    center: tuple[float, float],
+):
+    """The (x, y) profiles of make_gaussian_field, each normalised to unit
+    power along its axis, after make_gaussian_field's checks."""
     nx, ny, pitch = grid
     _check_grid(nx, ny, pitch)
     w0x, w0y = beam.x.waist_radius, beam.y.waist_radius
@@ -261,29 +285,47 @@ def make_gaussian_field(
     for c in center:
         check_real("center", c)
 
-    x = (np.arange(nx) - nx // 2) * pitch - center[0]
-    y = (np.arange(ny) - ny // 2) * pitch - center[1]
-    # the envelope is exactly 0 wherever one axis's term alone underflows exp;
-    # a term that overflows to inf is beyond it too
-    with np.errstate(over="ignore"):
-        rows = _span((y / w0y) ** 2 < _EXP_UNDERFLOW)
-        cols = _span((x / w0x) ** 2 < _EXP_UNDERFLOW)
-    xb, yb = x[cols], y[rows]
     ik = 1j * (2.0 * math.pi / beam.wavelength)
-    block = np.exp(-(xb[None, :] / w0x) ** 2 - (yb[:, None] / w0y) ** 2) * (
-        np.exp(ik * (math.sin(tilt[1]) * yb))[:, None]
-        * np.exp(ik * (math.sin(tilt[0]) * xb))[None, :]
-    )
-    norm = math.sqrt(_power_sum(block) * pitch**2)
-    if norm == 0.0:
+    profiles = []
+    for n, w0, t, c in ((nx, w0x, tilt[0], center[0]), (ny, w0y, tilt[1], center[1])):
+        u = (np.arange(n) - n // 2) * pitch - c
+        # far off the window u / w0 may overflow; exp(-inf) is 0 like any
+        # envelope beyond exp's underflow
+        with np.errstate(over="ignore"):
+            profile = np.exp(-((u / w0) ** 2)) * np.exp(ik * (math.sin(t) * u))
+        profiles.append(profile)
+    norms = [math.sqrt(_power_sum(p[None, :]) * pitch) for p in profiles]
+    if 0.0 in norms:
         raise InvalidInputError(
             f"beam centered at ({center[0]:.3e}, {center[1]:.3e}) m carries no "
             "power inside the sampled window"
         )
-    block /= norm
-    samples = np.zeros((ny, nx), dtype=np.complex128)
-    samples[rows, cols] = block
-    return ScalarField(samples, pitch, beam.wavelength)
+    return [p / norm for p, norm in zip(profiles, norms)]
+
+
+def make_gaussian_field(
+    beam: AstigmaticGaussian,
+    tilt: tuple[float, float],
+    grid: tuple[int, int, float],
+    center: tuple[float, float] = (0.0, 0.0),
+) -> ScalarField:
+    """Sample a tilted elliptical Gaussian at its waist, normalised to unit power.
+
+    `grid` is (nx, ny, pitch). The pitch must resolve the smaller waist
+    with four samples and each tilt's ramp (|sin| < wavelength / (2 pitch)),
+    and the window must span eight times the larger waist, otherwise a
+    SamplingError explains the required grid. A tilt or center member
+    that is not finite raises InvalidInputError.
+
+    The envelope and the tilt ramp are products of one factor per axis, so
+    the field is the outer product of an x and a y profile, each the exp of
+    its axis's envelope times the exp of its ramp, normalised to unit power
+    along its axis. It equals the 2-d exp of the summed exponents to
+    rounding. gaussian_planes takes the same profiles to the spectrum
+    without building the field.
+    """
+    profile_x, profile_y = _gaussian_profiles(beam, tilt, grid, center)
+    return ScalarField(np.multiply.outer(profile_y, profile_x), grid[2], beam.wavelength)
 
 
 def _span(mask: np.ndarray) -> slice:
@@ -291,6 +333,13 @@ def _span(mask: np.ndarray) -> slice:
     if not mask.any():
         return slice(0, 0)
     return slice(int(mask.argmax()), len(mask) - int(mask[::-1].argmax()))
+
+
+def _row_sums(samples: np.ndarray) -> np.ndarray:
+    """Row sums of |samples|^2 (C-contiguous), from one einsum read of its
+    float64 view."""
+    v = samples.view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
 
 
 def _column_sums(samples: np.ndarray) -> np.ndarray:
@@ -303,8 +352,18 @@ def _column_sums(samples: np.ndarray) -> np.ndarray:
 
 def _power_sum(samples: np.ndarray) -> float:
     """The sum of |samples|^2, from one read of the float64 view."""
-    v = samples.view(np.float64)
-    return float(np.einsum("ij,ij->i", v, v).sum())
+    return float(_row_sums(samples).sum())
+
+
+def _check_power(total: float, empty: str) -> float:
+    """`total`, a sum of |E|^2; InvalidInputError if it is not finite (a
+    NaN or infinite sample, or one whose square overflows), and with the
+    message `empty` if it is not positive."""
+    if not math.isfinite(total):
+        raise InvalidInputError(f"field power {total} is not finite")
+    if total <= 0:
+        raise InvalidInputError(empty)
+    return total
 
 
 def _centroid_variance(weights: np.ndarray, coords: np.ndarray, total: float):
@@ -315,15 +374,22 @@ def _centroid_variance(weights: np.ndarray, coords: np.ndarray, total: float):
 
 def _intensity_stats(samples: np.ndarray, x: np.ndarray, y: np.ndarray):
     """(total, cx, cy, vx, vy) of |samples|^2 (C-contiguous), from two einsum
-    reads of its float64 view; total is _power_sum's sum, bit for bit."""
-    v = samples.view(np.float64)
-    iy = np.einsum("ij,ij->i", v, v)
-    total = float(iy.sum())
-    if total <= 0:
-        raise InvalidInputError("field has no power")
+    reads of its float64 view; total is _power_sum's sum, bit for bit. A
+    total that is not finite or not positive raises InvalidInputError."""
+    iy = _row_sums(samples)
+    total = _check_power(float(iy.sum()), "field has no power")
     cx, vx = _centroid_variance(_column_sums(samples), x, total)
     cy, vy = _centroid_variance(iy, y, total)
     return total, cx, cy, vx, vy
+
+
+def _marginal_stats(ix: np.ndarray, iy: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """(cx, cy, vx, vy) as _intensity_stats gives them, from an x and a y
+    marginal of |E|^2 known only up to a positive scale each (by Parseval
+    or from the profiles of a product field)."""
+    cx, vx = _centroid_variance(ix, x, float(ix.sum()))
+    cy, vy = _centroid_variance(iy, y, float(iy.sum()))
+    return cx, cy, vx, vy
 
 
 def _window_covariance(field: ScalarField, spectrum: np.ndarray, axes, total: float):
@@ -387,26 +453,41 @@ class _WindowGuard:
     give a larger footprint. The relative margin absorbs the rounding of
     the moments, so only a distance the limit cannot clear needs the exact
     covariance. Each is computed at most once, and the cheap pass keeps the
-    field's power sum, which the covariance reads."""
+    field's power sum, which the covariance reads.
 
-    def __init__(self, field: ScalarField, spectrum: np.ndarray):
-        self.field = field
-        self.spectrum = spectrum
+    frame is the field's grid: the field itself, or a _Frame for planes
+    made without their field (gaussian_planes, FreeSpacePlanes._wedge),
+    which take its _intensity_stats as `stats` and build() the field only
+    when it is read: for the covariance, a zero distance or a caller."""
+
+    def __init__(self, field: Optional[ScalarField], spectrum: np.ndarray,
+                 frame: Optional[_Grid] = None, stats=None, build=None):
+        self._field, self.spectrum = field, spectrum
+        self.frame = field if frame is None else frame
+        self._stats, self._build = stats, build
         self._axes = self._covs = self._total = None
+
+    @property
+    def field(self) -> ScalarField:
+        """The field, built on its first read if the planes were made without it."""
+        if self._field is None:
+            self._field, self._build = self._build(), None
+        return self._field
 
     def moments(self):
         """The cheap pass's per-axis (label, centroid, mean sin(theta),
         variance, variance of sin(theta), samples), computed once."""
         if self._axes is None:
-            field = self.field
-            self._total, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y)
+            frame = self.frame
+            stats = self._stats or _intensity_stats(self.field.samples, frame.x, frame.y)
+            self._total, cx, cy, vx, vy = stats
             # angular moments of the whole spectrum, evanescent part too; sin(theta) = lambda f
-            sin_x = field.wavelength * sfft.fftfreq(field.nx, field.pitch)
-            sin_y = field.wavelength * sfft.fftfreq(field.ny, field.pitch)
+            sin_x = frame.wavelength * sfft.fftfreq(frame.nx, frame.pitch)
+            sin_y = frame.wavelength * sfft.fftfreq(frame.ny, frame.pitch)
             _, mean_sx, mean_sy, var_sx, var_sy = _intensity_stats(self.spectrum, sin_x, sin_y)
             self._axes = (
-                ("x", cx, mean_sx, vx, var_sx, field.nx),
-                ("y", cy, mean_sy, vy, var_sy, field.ny),
+                ("x", cx, mean_sx, vx, var_sx, frame.nx),
+                ("y", cy, mean_sy, vy, var_sy, frame.ny),
             )
         return self._axes
 
@@ -421,12 +502,12 @@ class _WindowGuard:
             axes = self.moments()
             limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), d)
                       for *_, v, v_s, _ in axes]
-            extents = _extents(self.field, axes, limits, d)
+            extents = _extents(self.frame, axes, limits, d)
             if all(extent * (1.0 + _BOUND_MARGIN) <= half for _, extent, half in extents):
                 continue
             if self._covs is None:
                 self._covs = _window_covariance(self.field, self.spectrum, axes, self._total)
-            _check_window(self.field, axes, self._covs, d)
+            _check_window(self.frame, axes, self._covs, d)
 
 
 def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
@@ -436,15 +517,18 @@ def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
 
 
 def _fft2(samples: np.ndarray, inverse: bool,
-          columns: Optional[Sequence[slice]] = None) -> np.ndarray:
+          columns: Optional[Sequence[slice]] = None,
+          rows: Optional[Sequence[slice]] = None) -> np.ndarray:
     """The 2-d FFT of the C-contiguous grid `samples` (inverse if
-    `inverse`), which it overwrites. With `columns` None it is
-    scipy.fft.fft2 (ifft2). Otherwise `columns` are disjoint slices that
-    name exactly the column blocks the axis-0 pass transforms, in place,
-    before the axis-1 pass on the whole grid: naming every nonzero column
-    gives the 2-d transform bit-identically (see the module docstring), and
-    an empty sequence leaves the axis-1 pass alone. Every transform of the
-    package runs here."""
+    `inverse`), which it overwrites, or the passes of it that the caller
+    names. With `columns` None it is scipy.fft.fft2 (ifft2). Otherwise
+    `columns` are disjoint slices that name exactly the column blocks the
+    axis-0 pass transforms, in place, and `rows` (None: every row) the row
+    blocks the axis-1 pass then transforms, in place. Naming every nonzero
+    column and every row gives the 2-d transform bit-identically (see the
+    module docstring); an empty `columns` leaves the axis-1 pass alone, an
+    empty `rows` the axis-0 pass alone, and a row the axis-1 pass skips
+    keeps its axis-0 values. Every transform of the package runs here."""
     if columns is None:
         transform = sfft.ifft2 if inverse else sfft.fft2
         return transform(samples, workers=-1, overwrite_x=True)
@@ -453,7 +537,11 @@ def _fft2(samples: np.ndarray, inverse: bool,
         # pocketfft writes an overwrite_x transform of a complex view into
         # the view itself
         transform(samples[:, c], axis=0, workers=-1, overwrite_x=True)
-    return transform(samples, axis=1, workers=-1, overwrite_x=True)
+    if rows is None:
+        return transform(samples, axis=1, workers=-1, overwrite_x=True)
+    for r in rows:
+        transform(samples[r], axis=1, workers=-1, overwrite_x=True)
+    return samples
 
 
 @functools.lru_cache(maxsize=1)
@@ -528,39 +616,50 @@ def _transfer(field: ScalarField, distance: float, spectrum=None,
     return out
 
 
+def _band(frame: _Grid, axis: int) -> list:
+    """The propagating band's two blocks of rows (axis 0) or columns (axis
+    1) on the grid of `frame`: outside them _transfer writes only zeros."""
+    q = _kz_quadrant(frame.nx, frame.ny, frame.pitch, frame.wavenumber)[1].shape[axis]
+    return [s for s, _ in _band_blocks((frame.ny, frame.nx)[axis], q)]
+
+
 class FreeSpacePlanes(_WindowGuard):
-    """Free-space planes of one field, from one forward FFT and at most one
+    """Free-space planes of one field, from one spectrum and at most one
     pass of the window guard's moments, which keeps the power sum its
     covariance reads (taken only for a distance the Cauchy-Schwarz limit
     cannot clear). guard() is the window guard of the field, and every
     plane read is guarded first.
 
-    plane() costs one transfer build and one inverse FFT. Both transforms
-    name the columns that can be nonzero (_fft2): the forward one runs its
-    axis-0 pass on the field's nonzero column span only, and each inverse
-    on the band's two column blocks, which are all that _transfer writes.
-    Both stay bit-identical to full 2-d FFTs.
+    FreeSpacePlanes(field) takes the spectrum in one forward FFT on the
+    field's nonzero column span (_fft2). gaussian_planes and _wedge pass
+    a spectrum, the field's frame, the moments' real-space half and its
+    builder in place of the field (_WindowGuard).
 
-    x_variance() reads only the x variance of a plane: the transfer
-    product on the band's rows and their axis-1 inverse pass (_fft2 with
-    no column block), about 0.3 of a full 2-d transform (see the module
-    docstring).
+    plane() costs one transfer build and one inverse FFT, whose axis-0
+    pass runs on the band's two column blocks, all that _transfer writes;
+    it stays bit-identical to a full 2-d FFT. x_variance() reads only the
+    x variance of a plane: the transfer product on the band's rows and
+    their axis-1 inverse pass (_fft2 with no column block), about 0.3 of a
+    full 2-d transform (see the module docstring). The stack loop
+    (propagate_elements) steps to a wedge (_wedge) or an aperture
+    (_aperture) with no x-axis pass it does not need.
     """
 
-    def __init__(self, field: ScalarField):
-        # a copy: the transform overwrites its input, and the guard reads the field
-        samples = field.samples.copy()
-        super().__init__(field, _fft2(samples, False, [_nonzero_columns(samples)]))
-        qx = _kz_quadrant(field.nx, field.ny, field.pitch, field.wavenumber)[1].shape[1]
-        self._band_columns = [c for c, _ in _band_blocks(field.nx, qx)]
+    def __init__(self, field: Optional[ScalarField], spectrum=None, frame=None,
+                 stats=None, build=None):
+        if spectrum is None:
+            # a copy: the transform overwrites its input, and the guard reads the field
+            samples = field.samples.copy()
+            spectrum = _fft2(samples, False, [_nonzero_columns(samples)])
+        super().__init__(field, spectrum, frame, stats, build)
 
     def plane(self, distance: float) -> ScalarField:
         """The guarded field `distance` downstream."""
         self.guard(distance)
         samples = self.field.samples.copy() if distance == 0.0 else _fft2(
-            _transfer(self.field, distance, self.spectrum), True, self._band_columns
+            _transfer(self.frame, distance, self.spectrum), True, _band(self.frame, 1)
         )
-        return replace(self.field, samples=samples)
+        return self.frame._with_samples(samples)
 
     def x_variance(self, distance: float) -> float:
         """The x variance of |E|^2 of the guarded field `distance`
@@ -570,12 +669,86 @@ class FreeSpacePlanes(_WindowGuard):
         self.guard(distance)
         if distance == 0.0:
             return self.moments()[0][3]
-        rows = _transfer(self.field, distance, self.spectrum, band_rows=True)
+        rows = _transfer(self.frame, distance, self.spectrum, band_rows=True)
         ix = _column_sums(_fft2(rows, True, ()))
-        total = float(ix.sum())
-        if total <= 0:
-            raise InvalidInputError("field has no power in the propagating band")
-        return _centroid_variance(ix, self.field.x, total)[1]
+        total = _check_power(float(ix.sum()), "field has no power in the propagating band")
+        return _centroid_variance(ix, self.frame.x, total)[1]
+
+    def _wedge(self, distance: float, wedge: WedgePhase) -> "FreeSpacePlanes":
+        """The planes just past `wedge`, `distance` downstream.
+
+        Free space is diagonal in (ky, kx) and the wedge in (y, kx): the
+        transfer product's axis-0 inverse pass on the band's column blocks
+        takes it to (y, kx), the ramp multiplies those blocks, and the
+        axis-0 forward pass brings them back, with no axis-1 pass. The
+        moments' real-space half comes by Parseval, which the ramp leaves
+        alone: the y marginal from the row sums of the (y, kx) array, the
+        x marginal from the axis-1 inverse pass of the product's band rows,
+        as x_variance takes it. A ramp the pitch aliases raises
+        SamplingError after the guard and before any pass."""
+        frame = self.frame
+        self.guard(distance)
+        _check_tilt(wedge.tilt_y, frame.wavelength, frame.pitch)
+        samples = _transfer(frame, distance, self.spectrum)
+        ix = _column_sums(_fft2(np.concatenate([samples[r] for r in _band(frame, 0)]), True, ()))
+        columns = _band(frame, 1)
+        _fft2(samples, True, columns, ())
+        iy = _row_sums(samples)
+        # by Parseval along x, sum_x |E|^2 = sum_kx |M|^2 / nx on every row
+        total = _check_power(float(iy.sum()) / frame.nx,
+                             "field has no power in the propagating band")
+        ramp = _wedge_ramp(frame, wedge)
+        for c in columns:
+            np.multiply(samples[:, c], ramp, out=samples[:, c])
+        _fft2(samples, False, columns, ())
+        return FreeSpacePlanes(
+            None, samples, frame, (total, *_marginal_stats(ix, iy, frame.x, frame.y)),
+            lambda: frame._with_samples(_fft2(samples.copy(), True, columns)),
+        )
+
+    def _aperture(self, distance: float, aperture: CircAperture):
+        """(field just past `aperture`, `distance` downstream; the
+        opening's (rows, columns)). The plane's axis-1 inverse pass runs on
+        the opening's rows only, which are bit-identical to those of
+        plane(distance); the power before clipping comes by Parseval from
+        the transfer product."""
+        frame = self.frame
+        self.guard(distance)
+        opening = _opening(frame, aperture)
+        samples = _transfer(frame, distance, self.spectrum)
+        before = _power_sum(samples) / (frame.nx * frame.ny)
+        _fft2(samples, True, _band(frame, 1), opening[:1])
+        return _clip(frame, samples, opening, before), opening[:2]
+
+
+def gaussian_planes(
+    beam: AstigmaticGaussian,
+    tilt: tuple[float, float],
+    grid: tuple[int, int, float],
+    center: tuple[float, float] = (0.0, 0.0),
+) -> FreeSpacePlanes:
+    """The FreeSpacePlanes of make_gaussian_field(beam, tilt, grid, center),
+    with its checks and messages, without building the field.
+
+    The field is the outer product of an x and a y profile, so its 2-d DFT
+    is the outer product of theirs: one axis-1 pass of the x profile as a
+    row and one axis-0 pass of the y profile as a column (_fft2). The
+    real-space moments come from the profiles. The field is built only if
+    it is read, such as for the covariance of a step the Cauchy-Schwarz
+    limit cannot clear. Both agree with the field's FreeSpacePlanes to
+    rounding.
+    """
+    profile_x, profile_y = _gaussian_profiles(beam, tilt, grid, center)
+    frame = _Frame(grid[0], grid[1], grid[2], beam.wavelength)
+    spectrum = (_fft2(profile_y[:, None].copy(), False, [slice(None)], ())
+                * _fft2(profile_x[None, :].copy(), False, ()))
+    ix = profile_x.real**2 + profile_x.imag**2
+    iy = profile_y.real**2 + profile_y.imag**2
+    stats = (float(ix.sum()) * float(iy.sum()), *_marginal_stats(ix, iy, frame.x, frame.y))
+    return FreeSpacePlanes(
+        None, spectrum, frame, stats,
+        lambda: frame._with_samples(np.multiply.outer(profile_y, profile_x)),
+    )
 
 
 def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarField:
@@ -586,26 +759,66 @@ def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarFie
 
 
 def _check_positions(elements: Sequence) -> float:
-    """The last z of (z, element) pairs (0.0 for none), which must be non-decreasing and >= 0."""
-    zs = [0.0] + [z for z, _ in elements]
+    """The last z of (z, element) pairs (0.0 for none), which must be
+    non-decreasing and >= 0; an entry that is not a pair with a real z
+    raises InvalidInputError naming it."""
+    zs = [0.0]
+    for entry in elements:
+        try:
+            z, _ = entry
+        except (TypeError, ValueError):
+            z = None
+        if isinstance(z, bool) or not isinstance(z, numbers.Real):
+            raise InvalidInputError(
+                f"elements must be (z, element) pairs with a real z, got {entry!r}"
+            )
+        zs.append(z)
     if not all(a <= b for a, b in zip(zs, zs[1:])):
         raise InvalidInputError("element positions must be non-decreasing and >= 0")
     return zs[-1]
 
 
-def propagate_elements(field: ScalarField, elements: Sequence) -> ScalarField:
-    """Carry a source at z = 0 through (z, element) pairs with non-decreasing
-    z >= 0 (else InvalidInputError, before any transform) and return the
-    field just past the last element. Zero-length steps, such as between
-    an aperture and the lens at its z, are skipped."""
+def propagate_elements(
+    source: Union[ScalarField, FreeSpacePlanes], elements: Sequence
+) -> ScalarField:
+    """Carry a source at z = 0, a field or its FreeSpacePlanes, through
+    (z, element) pairs with non-decreasing z >= 0 (else InvalidInputError,
+    before any transform) and return the field just past the last element.
+
+    One loop takes the elements in turn; a field is wrapped in its
+    FreeSpacePlanes at its first step. A step that ends at a wedge stays
+    in the spectrum (FreeSpacePlanes._wedge), and one that ends at an
+    aperture builds only the opening's rows (FreeSpacePlanes._aperture);
+    a lens at that aperture's z multiplies only the opening's box. A step
+    that ends at a lens goes through angular_spectrum_propagate, or
+    plane() of planes. Zero-length steps, such as between an aperture and
+    the lens at its z, are skipped; an element at the z of planes builds
+    their field first."""
     _check_positions(elements)
-    z_now = 0.0
+    # the loop holds the source's only reference and frees it at its first step
+    state, box, z_now = source, None, 0.0
+    del source
     for z_el, el in elements:
-        if z_el != z_now:
-            field = angular_spectrum_propagate(field, z_el - z_now)
-        field = apply_element(field, el)
-        z_now = z_el
-    return field
+        distance, z_now = z_el - z_now, z_el
+        if distance != 0.0 and isinstance(el, (WedgePhase, CircAperture)):
+            if not isinstance(state, FreeSpacePlanes):
+                state = FreeSpacePlanes(state)
+            if isinstance(el, WedgePhase):
+                state, box = state._wedge(distance, el), None
+            else:
+                state, box = state._aperture(distance, el)
+            continue
+        if distance != 0.0:
+            state = (state.plane(distance) if isinstance(state, FreeSpacePlanes)
+                     else angular_spectrum_propagate(state, distance))
+            box = None
+        elif isinstance(state, FreeSpacePlanes):
+            state = state.field
+        if box is not None and isinstance(el, ThinLensPhase):
+            state = _lens(state, el, *box)
+        else:
+            state, box = apply_element(state, el), None
+    return state.field if isinstance(state, FreeSpacePlanes) else state
 
 
 def _mirror_x(samples: np.ndarray) -> None:
@@ -622,6 +835,58 @@ def _mirror_x(samples: np.ndarray) -> None:
 def _nonzero_columns(samples: np.ndarray) -> slice:
     """The slice from the first to the last column that holds a nonzero sample."""
     return _span(np.any(samples, axis=0))
+
+
+def _wedge_ramp(frame: _Grid, wedge: WedgePhase) -> np.ndarray:
+    """The wedge's phase column exp(i k sin(tilt_y) y), shape (ny, 1)."""
+    return np.exp(1j * frame.wavenumber * (math.sin(wedge.tilt_y) * frame.y))[:, None]
+
+
+def _lens(field: ScalarField, lens: ThinLensPhase, rows: slice, cols: slice) -> ScalarField:
+    """`field` through `lens`, whose phase is taken only on the box
+    (rows, cols) of the field: every sample outside it must be zero. The
+    phase is built in the output's box and the samples multiply it in
+    place, samples first: no box-sized temporary."""
+    xb, yb = field.x[cols], field.y[rows]
+    ik_2f = -1j * field.wavenumber / (2.0 * lens.focal_length)
+    samples = np.zeros_like(field.samples)
+    phase = samples[rows, cols]
+    np.multiply(np.exp(ik_2f * (yb * yb))[:, None], np.exp(ik_2f * (xb * xb))[None, :],
+                out=phase)
+    np.multiply(field.samples[rows, cols], phase, out=phase)
+    return replace(field, samples=samples)
+
+
+def _opening(frame: _Grid, aperture: CircAperture):
+    """(rows, cols, inside) of the aperture's opening on the grid: the
+    bounding box of its samples and their mask on it. InvalidGeometryError
+    if it holds no sample."""
+    x, y = frame.x, frame.y
+    r_sq = aperture.radius**2
+    # x^2 + y^2 <= r^2 implies x^2 <= r^2 also in floating point, so
+    # the box holds every sample of the opening
+    rows, cols = _span(y * y <= r_sq), _span(x * x <= r_sq)
+    xg, yg = x[None, cols], y[rows, None]
+    inside = xg * xg + yg * yg <= r_sq
+    if not inside.any():
+        raise InvalidGeometryError("aperture lies entirely outside the grid")
+    return rows, cols, inside
+
+
+def _clip(frame: _Grid, samples: np.ndarray, opening, before: float) -> ScalarField:
+    """The field on `frame` that keeps `samples` inside the `opening`
+    (_opening) and is zero elsewhere, made in place: only the opening's
+    box of `samples` is read. The power removed from `before`, the sum of
+    |E|^2 of the unclipped plane, folds into the frame's cumulative
+    clipped_fraction."""
+    rows, cols, inside = opening
+    box = samples[rows, cols]
+    box[~inside] = 0.0
+    samples[: rows.start] = samples[rows.stop :] = 0.0
+    samples[rows, : cols.start] = samples[rows, cols.stop :] = 0.0
+    step = 0.0 if before <= 0 else max(0.0, 1.0 - _power_sum(box) / before)
+    cumulative = frame.clipped_fraction + (1.0 - frame.clipped_fraction) * step
+    return frame._with_samples(samples, cumulative)
 
 
 def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
@@ -641,40 +906,14 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     varies in y only (a ramp the pitch aliases raises SamplingError, as
     for a source).
     """
-    k = field.wavenumber
     if isinstance(element, ThinLensPhase):
-        cols = _nonzero_columns(field.samples)
-        xb, y = field.x[cols], field.y
-        ik_2f = -1j * k / (2.0 * element.focal_length)
-        # the phase is built in the output's span and the samples multiply
-        # it in place, samples first: no span-sized temporary
-        samples = np.zeros_like(field.samples)
-        phase = samples[:, cols]
-        np.multiply(np.exp(ik_2f * (y * y))[:, None], np.exp(ik_2f * (xb * xb))[None, :],
-                    out=phase)
-        np.multiply(field.samples[:, cols], phase, out=phase)
-        return replace(field, samples=samples)
+        return _lens(field, element, slice(None), _nonzero_columns(field.samples))
     if isinstance(element, WedgePhase):
         _check_tilt(element.tilt_y, field.wavelength, field.pitch)
-        ramp = np.exp(1j * k * (math.sin(element.tilt_y) * field.y))[:, None]
-        return replace(field, samples=field.samples * ramp)
+        return replace(field, samples=field.samples * _wedge_ramp(field, element))
     if isinstance(element, CircAperture):
-        x, y = field.x, field.y
-        r_sq = element.radius**2
-        # x^2 + y^2 <= r^2 implies x^2 <= r^2 also in floating point, so
-        # the box holds every sample of the opening
-        rows, cols = _span(y * y <= r_sq), _span(x * x <= r_sq)
-        xg, yg = x[None, cols], y[rows, None]
-        inside = xg * xg + yg * yg <= r_sq
-        if not inside.any():
-            raise InvalidGeometryError("aperture lies entirely outside the grid")
-        before = _power_sum(field.samples)
-        kept = np.where(inside, field.samples[rows, cols], 0.0)
-        out = np.zeros_like(field.samples)
-        out[rows, cols] = kept
-        step = 0.0 if before <= 0 else max(0.0, 1.0 - _power_sum(kept) / before)
-        cumulative = field.clipped_fraction + (1.0 - field.clipped_fraction) * step
-        return replace(field, samples=out, clipped_fraction=cumulative)
+        return _clip(field, field.samples.copy(), _opening(field, element),
+                     _power_sum(field.samples))
     raise InvalidInputError(f"unknown element type {type(element).__name__}")
 
 
@@ -812,7 +1051,7 @@ class FocusResult:
 
 
 def find_focus(
-    source: ScalarField,
+    source: Union[ScalarField, FreeSpacePlanes],
     elements: Sequence[tuple[float, PhaseElement]],
     z_search: tuple[float, float, int],
     centre: Optional[float] = None,
@@ -820,8 +1059,8 @@ def find_focus(
     """Propagate through positioned elements and locate the x-width minimum.
 
     `elements` is a list of (z, element) with non-decreasing z >= 0
-    (checked before any transform); the source sits at
-    z = 0, and the window (z_min, z_max, steps) must start past the last
+    (checked before any transform); the source, a field or its
+    FreeSpacePlanes (propagate_elements), sits at z = 0, and the window (z_min, z_max, steps) must start past the last
     element. Past it the x variance of the intensity is quadratic in z
     (free space), so a parabola through three planes finds its minimum.
     The first triple is centre +- h, with the refining step

@@ -103,16 +103,19 @@ def compact_channels(compact_pipeline):
 @pytest.fixture
 def fft_calls(monkeypatch):
     """List that grows by one (inverse, pruned) pair for every 2-d transform
-    (wavefield._fft2 call). pruned: the call names column blocks (columns
-    is not None), and their widths sum to less than the grid width."""
+    or pass of one (wavefield._fft2 call). pruned: the call names column
+    blocks (columns is not None), and their widths sum to less than the
+    grid width or it names the rows of its axis-1 pass (rows is not None)."""
     calls = []
     transform = wavefield._fft2
 
-    def counted(samples, inverse, columns=None):
+    def counted(samples, inverse, columns=None, rows=None):
         nx = samples.shape[1]
-        pruned = columns is not None and sum(len(range(nx)[c]) for c in columns) < nx
+        pruned = columns is not None and (
+            sum(len(range(nx)[c]) for c in columns) < nx or rows is not None
+        )
         calls.append((inverse, pruned))
-        return transform(samples, inverse, columns)
+        return transform(samples, inverse, columns, rows)
 
     monkeypatch.setattr(wavefield, "_fft2", counted)
     return calls

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, dumps, overrides."""
 
 import argparse
+import collections
 import csv
 import json
 import os
@@ -710,28 +711,36 @@ def test_reports_validate_against_packaged_schema(tmp_path):
 
 
 def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
-    from ionoptics import cli, designer, wavefield
+    from ionoptics import cli, wavefield
 
     sources, steps = [], []
-    make_source = wavefield.make_gaussian_field
+    profiles = wavefield._gaussian_profiles
     propagate = wavefield.angular_spectrum_propagate
 
     def counted_source(*args, **kwargs):
         sources.append(1)
-        return make_source(*args, **kwargs)
+        return profiles(*args, **kwargs)
 
     def counted_step(field, distance):
         steps.append(distance)
         return propagate(field, distance)
 
-    for module in (designer, wavefield):
-        monkeypatch.setattr(module, "make_gaussian_field", counted_source)
+    monkeypatch.setattr(wavefield, "_gaussian_profiles", counted_source)
     monkeypatch.setattr(wavefield, "angular_spectrum_propagate", counted_step)
-    x_only, transform = [], wavefield._fft2  # fft_calls' counting _fft2
+    forms, transform = collections.Counter(), wavefield._fft2  # fft_calls' counting _fft2
 
-    def counted_transform(samples, inverse, columns=None):
-        x_only.append(columns is not None and len(columns) == 0)
-        return transform(samples, inverse, columns)
+    def counted_transform(samples, inverse, columns=None, rows=None):
+        if columns is None:
+            form = "whole"
+        elif not columns:
+            form = "axis 1"
+        elif rows is None:
+            form = "2-d"
+        else:
+            form = "some rows" if rows else "axis 0"
+        # a 1-d profile's transform is a pass of a one-row or one-column grid
+        forms["ifft" if inverse else "fft", form, 1 in samples.shape] += 1
+        return transform(samples, inverse, columns, rows)
 
     monkeypatch.setattr(wavefield, "_fft2", counted_transform)
     dump = tmp_path / "centre.sfld"
@@ -743,23 +752,36 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
     assert dump.stat().st_size > 0
     # the synthesis probe, the centre channel and one source per mirror pair
     assert len(sources) == 3
+    # only the probe's steps end at a lens
     assert steps and 0.0 not in steps
-    # 2-d transforms per direction, and those that ran pruned
-    transforms, pruned = {"fft2": 0, "ifft2": 0}, {"fft2": 0, "ifft2": 0}
-    for inverse, ran_pruned in fft_calls:
-        name = "ifft2" if inverse else "fft2"
-        transforms[name] += 1
-        pruned[name] += ran_pruned
-    # each off-centre channel reaches the shared plane from the spectrum
-    # and guard moments of its own focus search: one inverse FFT
-    assert transforms == {"fft2": 11, "ifft2": 32}
-    # each of the two focus searches reads three planes for their x
-    # variance only: the axis-1 pass on the band's rows
-    assert sum(x_only) == 6
-    # every inverse but the two covariances runs on the band's columns or
-    # rows, and every forward transform but the four of full-width fields
-    # on the field's nonzero columns
-    assert pruned == {"fft2": 7, "ifft2": 30}
+    assert forms == {
+        # the probe's three spectra, and in each of the two channel searches
+        # the spectra past its two lenses: none of a source or past a wedge
+        ("fft", "2-d", False): 7,
+        # each channel source enters as one pass of a row and one of a column
+        ("fft", "axis 1", True): 2,
+        ("fft", "axis 0", True): 2,
+        # a wedge acts between axis-0 passes on the band's column blocks
+        ("ifft", "axis 0", False): 2,
+        ("fft", "axis 0", False): 2,
+        # the x marginal past each wedge, and each search's three planes
+        # read for their x variance only: the axis-1 pass on the band's rows
+        ("ifft", "axis 1", False): 8,
+        # each aperture plane: its axis-1 pass on the opening's rows
+        ("ifft", "some rows", False): 4,
+        # the probe's 2 steps and 13 scan planes, each search's focus plane
+        # and the off-centre channel's shared plane, reached from the
+        # spectrum of its own search
+        ("ifft", "2-d", False): 18,
+        # the two covariances of the guard
+        ("ifft", "whole", False): 2,
+    }
+    # every inverse but the two covariances runs on part of the grid
+    assert [pruned for inverse, pruned in fft_calls if inverse].count(False) == 2
+    # and every forward one but the probe's two past its lenses, whose
+    # fields span the grid: the four past the searches' lenses run on the
+    # field's nonzero columns
+    assert [pruned for inverse, pruned in fft_calls if not inverse].count(False) == 2
 
 
 def test_compact_design_peaks_under_four_and_a_half_grids(tmp_path):
@@ -789,23 +811,23 @@ def test_compact_design_peaks_under_four_and_a_half_grids(tmp_path):
 
 
 def test_design_without_mirror_symmetry_propagates_every_channel(tmp_path, monkeypatch):
-    from ionoptics import cli, designer, load_scenario, simulate_channel, wavefield
+    from ionoptics import cli, load_scenario, simulate_channel, wavefield
 
     sources, reports = [], []
-    make_source = wavefield.make_gaussian_field
+    profiles = wavefield._gaussian_profiles
     plan = cli.pitch_plan
     crosstalk = cli.crosstalk_matrix
 
     def counted_source(*args, **kwargs):
         sources.append(1)
-        return make_source(*args, **kwargs)
+        return profiles(*args, **kwargs)
 
     def kept_crosstalk(*args, **kwargs):
         reports.append(crosstalk(*args, **kwargs))
         return reports[-1]
 
-    for module in (designer, wavefield):
-        monkeypatch.setattr(module, "make_gaussian_field", counted_source)
+    # the synthesis probe's field and every channel's planes take the profiles
+    monkeypatch.setattr(wavefield, "_gaussian_profiles", counted_source)
     # every waveguide 0.3 um off its mirror-symmetric place
     monkeypatch.setattr(cli, "pitch_plan", lambda *args: plan(*args) + 0.3e-6)
     monkeypatch.setattr(cli, "crosstalk_matrix", kept_crosstalk)

@@ -864,7 +864,7 @@ def test_sweep_scales_a_micrometre_value_once(compact_pipeline, monkeypatch):
     pipe = compact_pipeline
     centres = []
     monkeypatch.setattr(designer, "simulate_channel", lambda *args: None)
-    monkeypatch.setattr(designer, "make_gaussian_field",
+    monkeypatch.setattr(designer, "gaussian_planes",
                         lambda beam, tilt, grid, center: centres.append(center))
     monkeypatch.setattr(designer, "find_focus", no_search)
     with pytest.raises(Searched):
@@ -949,15 +949,15 @@ def test_sweep_failure_keeps_exception_type_and_attributes(
 
 
 def source_calls(tree):
-    """(callee, innermost enclosing function) of every find_focus and
-    make_gaussian_field call in `tree`, sorted."""
+    """(callee, innermost enclosing function) of every find_focus,
+    gaussian_planes and make_gaussian_field call in `tree`, sorted."""
     calls = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 callee = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if callee in ("find_focus", "make_gaussian_field"):
+                if callee in ("find_focus", "gaussian_planes", "make_gaussian_field"):
                     calls.append((callee, function))
             inner = child.name if isinstance(child, ast.FunctionDef) else function
             visit(child, inner)
@@ -967,12 +967,12 @@ def source_calls(tree):
 
 
 def test_every_focus_search_launches_in_one_place():
-    # one function builds a channel's source and runs its focus search;
-    # the synthesis probe is the only other source
+    # one function builds a channel's source planes and runs its focus
+    # search; the synthesis probe is the only source built as a field
     path = Path(designer.__file__)
     assert source_calls(ast.parse(path.read_text(encoding="utf-8"))) == [
         ("find_focus", "_search"),
-        ("make_gaussian_field", "_search"),
+        ("gaussian_planes", "_search"),
         ("make_gaussian_field", "_wave_verify"),
     ]
 

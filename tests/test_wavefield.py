@@ -35,6 +35,7 @@ from ionoptics.wavefield import (
     angular_spectrum_propagate,
     apply_element,
     find_focus,
+    gaussian_planes,
     make_gaussian_field,
     propagate_elements,
     read_field_sfld,
@@ -935,7 +936,12 @@ def test_tilt_ramps_equal_the_2d_phase(tilt):
     expected /= math.sqrt(np.sum(np.abs(expected) ** 2) * pitch**2)
     assert not expected[0].any() and not expected[:, 0].any()
     field = make_gaussian_field(beam, tilt, (nx, ny, pitch), center=center)
-    assert np.array_equal(field.samples, expected)
+    # the outer product of the two profiles is the 2-d exp to rounding
+    profile_x, profile_y = wavefield._gaussian_profiles(beam, tilt, (nx, ny, pitch), center)
+    assert np.array_equal(field.samples, np.multiply.outer(profile_y, profile_x))
+    peak = np.abs(expected).max()
+    assert np.abs(field.samples - expected).max() <= 1e-15 * peak
+    assert not field.samples[0].any() and not field.samples[:, 0].any()
 
     ramp = np.exp(1j * k * (math.sin(tilt[1]) * field.y[:, None]))
     wedged = apply_element(field, WedgePhase(tilt[1]))
@@ -1055,40 +1061,234 @@ def test_propagate_elements_skips_zero_steps(monkeypatch):
     field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
     elements = [(0.0, CircAperture(8e-6)), (20e-6, CircAperture(6e-6)),
                 (20e-6, ThinLensPhase(100e-6))]
-    steps = []
-    propagate = wavefield.angular_spectrum_propagate
+    built = []
+    transfer = wavefield._transfer
 
-    def recorded(f, distance):
-        steps.append(distance)
-        return propagate(f, distance)
+    def recorded(f, distance, *args, **kwargs):
+        built.append(distance)
+        return transfer(f, distance, *args, **kwargs)
 
-    monkeypatch.setattr(wavefield, "angular_spectrum_propagate", recorded)
+    monkeypatch.setattr(wavefield, "_transfer", recorded)
     out = propagate_elements(field, elements)
-    assert steps == [20e-6]
+    # one step, which ends at an aperture: only the opening's rows are built
+    assert built == [20e-6]
     by_hand = apply_element(field, CircAperture(8e-6))
-    by_hand = apply_element(propagate(by_hand, 20e-6), CircAperture(6e-6))
+    by_hand = apply_element(FreeSpacePlanes(by_hand).plane(20e-6), CircAperture(6e-6))
     by_hand = apply_element(by_hand, ThinLensPhase(100e-6))
     assert np.array_equal(out.samples, by_hand.samples)
-    assert out.clipped_fraction == by_hand.clipped_fraction
+    # the power before the cut comes by Parseval from the spectrum
+    assert out.clipped_fraction == pytest.approx(by_hand.clipped_fraction, rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
-    "elements",
-    [[(20e-6, CircAperture(10e-6)), (5e-6, ThinLensPhase(50e-6))],
-     [(-10e-6, CircAperture(10e-6))],
-     [(math.nan, CircAperture(5e-6))]],
-    ids=["decreasing", "below-the-source", "nan"],
+    "elements, message",
+    [([(20e-6, CircAperture(10e-6)), (5e-6, ThinLensPhase(50e-6))], "non-decreasing"),
+     ([(-10e-6, CircAperture(10e-6))], "non-decreasing"),
+     ([(math.nan, CircAperture(5e-6))], "non-decreasing"),
+     ([CircAperture(5e-6)], "pairs"),
+     ([(5e-6, CircAperture(5e-6), 0)], "pairs"),
+     ([("5e-6", CircAperture(5e-6))], "pairs")],
+    ids=["decreasing", "below-the-source", "nan", "bare-element", "triple", "text-z"],
 )
-def test_propagate_elements_rejects_a_backward_step(elements, fft_calls):
+def test_propagate_elements_rejects_a_backward_step(elements, message, fft_calls):
     # find_focus checks the positions before it reads the last one
     field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
+    match = {
+        "non-decreasing": "^element positions must be non-decreasing and >= 0$",
+        "pairs": r"^elements must be \(z, element\) pairs with a real z, got ",
+    }[message]
     for propagate in (lambda: propagate_elements(field, elements),
                       lambda: find_focus(field, elements, (10e-6, 20e-6, 33))):
-        with pytest.raises(
-            InvalidInputError, match="element positions must be non-decreasing and >= 0"
-        ):
+        with pytest.raises(InvalidInputError, match=match):
             propagate()
     assert fft_calls == []  # the order is checked before the first transform
+
+
+def real_space_path(source, elements):
+    """The field just past `elements` the long way: the source field, a
+    whole plane for every step and apply_element at every element."""
+    field, z_now = source, 0.0
+    for z, element in elements:
+        if z != z_now:
+            field = FreeSpacePlanes(field).plane(z - z_now)
+        field, z_now = apply_element(field, element), z
+    return field
+
+
+def compact_launch(pipe, channel, chip_wedge_deg=None):
+    """((beam, tilt, grid, center) of a compact.json channel's source, its
+    elements up to the first aperture), with a chip wedge if given."""
+    from ionoptics import designer
+
+    elements, x, tilt_deg = designer._launch(
+        pipe["prescription"], pipe["array"], pipe["scenario"].mirror, channel
+    )
+    if chip_wedge_deg is not None:
+        elements, x, tilt_deg, _ = designer.SWEEP_PARAMETERS["chip_wedge"].perturb(
+            elements, x, tilt_deg, chip_wedge_deg
+        )
+    first = next(i for i, (_, el) in enumerate(elements) if isinstance(el, CircAperture))
+    beam = beam_from_mfd(*pipe["array"].mode_mfd_m, pipe["prescription"].targets.wavelength)
+    source = (beam, (0.0, math.radians(tilt_deg)), pipe["scenario"].grid, (x, 0.0))
+    return source, elements[: first + 1]
+
+
+@pytest.mark.parametrize("wedges", [1, 2], ids=["one-wedge", "chip-wedge"])
+def test_launch_equals_the_real_space_path(compact_pipeline, wedges):
+    # an off-axis channel to its first aperture: the source's spectrum from
+    # its profiles, each wedge between axis-0 passes and the opening's rows
+    source, elements = compact_launch(compact_pipeline, 0, 0.2 if wedges == 2 else None)
+    assert source[3][0] != 0.0
+    assert sum(isinstance(el, WedgePhase) for _, el in elements) == wedges
+    launched = propagate_elements(gaussian_planes(*source), elements)
+    by_hand = real_space_path(make_gaussian_field(*source), elements)
+    peak = np.abs(by_hand.samples).max()
+    assert np.abs(launched.samples - by_hand.samples).max() <= 1e-14 * peak
+    assert launched.clipped_fraction == pytest.approx(by_hand.clipped_fraction, rel=0, abs=1e-15)
+
+
+def test_planes_past_a_wedge_hold_the_moments_of_their_field(compact_pipeline):
+    source, elements = compact_launch(compact_pipeline, 0, 0.2)
+    planes, z_now = gaussian_planes(*source), 0.0
+    for z, wedge in [(z, el) for z, el in elements if isinstance(el, WedgePhase)]:
+        planes = planes._wedge(z - z_now, wedge)
+        z_now = z
+        (_, cx, _, vx, _, _), (_, cy, _, vy, _, _) = planes.moments()
+        assert planes._field is None  # the moments build no field
+        field = planes.field
+        total, *stats = wavefield._intensity_stats(field.samples, field.x, field.y)
+        assert planes._total == pytest.approx(total, rel=1e-12)
+        width = math.sqrt(min(vx, vy))
+        for got, want in zip((cx, cy), stats[:2]):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * width)
+        for got, want in zip((vx, vy), stats[2:]):
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("distance", [28e-6, 32e-6], ids=["passes", "leaves-the-window"])
+def test_step_past_a_wedge_takes_the_covariance(distance):
+    # the Cauchy-Schwarz limit clears neither step; the covariance clears
+    # the first, and both paths give the second step's message
+    beam = round_beam(2e-6)
+    source = (beam, (0.0, 0.15), (128, 128, 0.25e-6), (1e-6, 0.0))
+    wedge = WedgePhase(-0.15)
+    planes = gaussian_planes(*source)._wedge(2e-6, wedge)
+    by_hand = FreeSpacePlanes(
+        apply_element(FreeSpacePlanes(make_gaussian_field(*source)).plane(2e-6), wedge)
+    )
+    axes = planes.moments()
+    limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), distance) for *_, v, v_s, _ in axes]
+    assert any(extent > half for _, extent, half in
+               wavefield._extents(planes.frame, axes, limits, distance))
+    outcomes = []
+    for reader in (planes, by_hand):
+        try:
+            reader.guard(distance)
+            outcomes.append(None)
+        except PropagationWindowError as exc:
+            outcomes.append(str(exc))
+        assert reader._covs is not None
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (distance == 28e-6)
+
+
+def test_aperture_plane_keeps_the_rows_of_the_whole_plane():
+    field = make_gaussian_field(
+        round_beam(), (0.0, 0.02), (256, 128, 0.22e-6), center=(1e-6, 0.5e-6)
+    )
+    planes, aperture = FreeSpacePlanes(field), CircAperture(6e-6)
+    clipped, (rows, cols) = planes._aperture(30e-6, aperture)
+    whole = planes.plane(30e-6)
+    assert np.array_equal(clipped.samples[rows].view(np.float64),
+                          apply_element(whole, aperture).samples[rows].view(np.float64))
+    inside = clipped.samples[rows, cols] != 0
+    assert inside.any()
+    assert np.array_equal(clipped.samples[rows, cols][inside].view(np.float64),
+                          whole.samples[rows, cols][inside].view(np.float64))
+    assert not clipped.samples[: rows.start].any() and not clipped.samples[rows.stop :].any()
+    assert clipped.clipped_fraction == pytest.approx(
+        apply_element(whole, aperture).clipped_fraction, rel=0, abs=1e-15
+    )
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_transform_passes_are_those_of_the_2d_transform(inverse):
+    # the axis-0 pass alone, and the axis-1 pass on some rows: bit for bit
+    # the rows of the 2-d transform
+    ny, nx = 128, 64
+    columns = band_columns(nx, 20)
+    grid = zero_outside(columns, ny, nx)
+    whole = (scipy.fft.ifft2 if inverse else scipy.fft.fft2)(grid)
+    axis_0 = (scipy.fft.ifft if inverse else scipy.fft.fft)(grid, axis=0)
+    assert np.array_equal(wavefield._fft2(grid.copy(), inverse, columns, ()).view(np.float64),
+                          axis_0.view(np.float64))
+    rows = [slice(3, 40), slice(90, 91)]
+    result = wavefield._fft2(grid.copy(), inverse, columns, rows)
+    for r in rows:
+        assert np.array_equal(result[r].view(np.float64), whole[r].view(np.float64))
+    assert np.array_equal(result[40:90].view(np.float64), axis_0[40:90].view(np.float64))
+
+
+def test_gaussian_planes_are_the_planes_of_the_field():
+    source = (beam_from_mfd(2.45e-6, 5.2e-6, WL), (0.0, 0.1), (256, 128, 0.22e-6),
+              (1.5e-6, -0.5e-6))
+    planes, field = gaussian_planes(*source), make_gaussian_field(*source)
+    built = FreeSpacePlanes(field)
+    peak = np.abs(built.spectrum).max()
+    assert np.abs(planes.spectrum - built.spectrum).max() <= 1e-14 * peak
+    for got, want in zip(planes.moments(), built.moments()):
+        label, c, mean_s, var, var_s, n = want
+        assert got[0] == label and got[5] == n
+        assert got[1] == pytest.approx(c, rel=1e-12, abs=1e-12 * math.sqrt(var))
+        assert got[2] == pytest.approx(mean_s, rel=1e-12, abs=1e-12 * math.sqrt(var_s))
+        assert got[3:5] == pytest.approx((var, var_s), rel=1e-12)
+    # a short step clears the Cauchy-Schwarz limit: no field is built
+    planes.plane(5e-6)
+    assert planes._field is None
+    assert np.array_equal(planes.field.samples, field.samples)
+
+
+def test_aliasing_wedge_fails_before_any_pass(fft_calls):
+    # a pitch of 1 um aliases a ramp with |sin| >= 0.3645
+    source = (round_beam(10e-6), (0.0, 0.0), (128, 128, 1e-6))
+    planes = gaussian_planes(*source)
+    del fft_calls[:]
+    with pytest.raises(SamplingError, match="aliases on pitch") as launched:
+        propagate_elements(planes, [(5e-6, WedgePhase(0.4))])
+    assert fft_calls == []
+    with pytest.raises(SamplingError) as by_hand:
+        apply_element(make_gaussian_field(*source), WedgePhase(0.4))
+    assert str(launched.value) == str(by_hand.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_non_finite_power_fails_as_invalid_input(bad):
+    # NaN comparisons are false, so a NaN field passed every guard; its
+    # spot metrics raised a bare ValueError
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
+    samples = field.samples.copy()
+    samples[64, 64] = bad
+    broken = ScalarField(samples, field.pitch, field.wavelength)
+    message = r"^field power (nan|inf) is not finite$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=message):
+            spot_metrics(broken)
+        with pytest.raises(InvalidInputError, match=message):
+            angular_spectrum_propagate(broken, 10e-6)
+    planes = FreeSpacePlanes(field)
+    planes.guard(10e-6)
+    planes.spectrum[1, 1] = bad
+    with pytest.raises(InvalidInputError, match=message):
+        planes.x_variance(10e-6)
+
+
+@pytest.mark.parametrize("samples", [np.full((64, 64), "x", dtype=object),
+                                     np.full((64, 64), {}, dtype=object)],
+                         ids=["text", "mapping"])
+def test_samples_that_are_not_numbers_fail_as_invalid_input(samples):
+    with pytest.raises(InvalidInputError, match="^samples must be complex numbers: "):
+        ScalarField(samples, 0.25e-6, WL)
 
 
 def test_grid_above_the_sample_limit_rejected():
