@@ -61,15 +61,16 @@ from .wavefield import (
     SpotMetrics,
     ThinLensPhase,
     WedgePhase,
-    _check_grid,
+    _check_grid_tuple,
     _check_positions,
     _intensity_stats,
     _mirror_x,
+    angular_spectrum_propagate,
+    apply_element,
     find_focus,
     gaussian_planes,
     interp_row,
     make_gaussian_field,
-    propagate_elements,
     spot_metrics,
 )
 
@@ -384,12 +385,13 @@ def _achieved_imaging(f_list, z_list):
 def _wave_verify(f_list, z_list, targets: DesignTargets, v: float, magnification: float):
     """Cross-check the ABCD prescription against scalar wave propagation.
 
-    A paraxial probe Gaussian is imaged through the powered surfaces
-    (no apertures) and the waist measured at the wave focus must match
-    the ABCD magnification within 3 percent. The focus is located by a
-    fine fitted-width scan around the ABCD image plane (v past the top
-    lens), which also tolerates the small non-paraxial focal shift; every
-    scan plane comes from the spectrum of the one lens-exit field.
+    A paraxial probe Gaussian is imaged through the powered surfaces (no
+    apertures), a field step and a lens phase at a time, and the waist
+    measured at the wave focus must match the ABCD magnification within
+    3 percent. The focus is located by a fine fitted-width scan around
+    the ABCD image plane (v past the top lens), which also tolerates the
+    small non-paraxial focal shift; every scan plane comes from the
+    spectrum of the one lens-exit field.
     """
     w0p = 2.5e-6
     m_abs = abs(magnification)
@@ -402,9 +404,8 @@ def _wave_verify(f_list, z_list, targets: DesignTargets, v: float, magnification
         nx *= 2
 
     field = make_gaussian_field(beam, tilt=(0.0, 0.0), grid=(nx, nx, pitch))
-    field = propagate_elements(
-        field, [(z, ThinLensPhase(f)) for f, z in zip(f_list, z_list)]
-    )
+    for f, z, z_prev in zip(f_list, z_list, [0.0, *z_list]):
+        field = apply_element(angular_spectrum_propagate(field, z - z_prev), ThinLensPhase(f))
     planes = FreeSpacePlanes(field)
 
     z_top = z_list[-1]
@@ -721,7 +722,7 @@ def crosstalk_matrix(
     j; totals are power sums. A leakage term whose power is not finite
     fails before the first propagation.
     """
-    _check_grid(*grid)
+    _check_grid_tuple(grid)
     n = array.channel_count
     if len(crystal.positions_m) != n:
         raise InvalidInputError(
@@ -891,7 +892,7 @@ def tolerance_sweep(
     one point's system is held at a time.
     """
     perturbations = sweep_rows(perturbations, preset)
-    _check_grid(*grid)
+    _check_grid_tuple(grid)
     offsets = np.abs(array.positions_m)
     worst = int(np.flatnonzero(offsets >= offsets.max() - MIRROR_POSITION_TOL * grid[2])[0])
     nominal = _launch(prescription, array, mirror, worst)

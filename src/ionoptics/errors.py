@@ -45,6 +45,18 @@ def check_count(name: str, value):
     return value
 
 
+def check_members(name: str, value, n: int) -> tuple:
+    """The members of `value` as a tuple if it has exactly n; else
+    InvalidInputError naming it."""
+    try:
+        members = tuple(value)
+    except TypeError:
+        members = ()
+    if len(members) != n:
+        raise InvalidInputError(f"{name} must have {n} members, got {value!r}")
+    return members
+
+
 class ScenarioError(IonOpticsError):
     """A scenario file failed to parse or validate."""
 

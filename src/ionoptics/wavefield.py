@@ -33,14 +33,17 @@ the transfer product is built on the band's rows and only they are
 transformed (FreeSpacePlanes.x_variance; Matsushima & Shimobaba, Opt.
 Express 17, 19662, 2009, for the band-limited angular spectrum).
 
-A channel launch runs no x-axis pass it does not need
-(propagate_elements). The source is a product of an x and a y profile,
-so its spectrum is the outer product of two 1-d transforms, one pass of
-a row and one of a column (gaussian_planes). Free space is diagonal in
-(ky, kx) and a wedge in (y, kx), so a step that ends at a wedge runs
-the axis-0 inverse pass alone, the ramp and the axis-0 forward pass,
-and the next guard's real-space moments come by Parseval. A step that
-ends at an aperture runs its axis-1 pass on the opening's rows only.
+One class propagates: FreeSpacePlanes, a field's spectrum and window
+guard. Every step of the stack loop (propagate_elements) starts from
+planes and runs no x-axis pass it does not need. The source is a
+product of an x and a y profile, so its spectrum is the outer product
+of two 1-d transforms, one pass of a row and one of a column
+(gaussian_planes). Free space is diagonal in (ky, kx) and a wedge in
+(y, kx), so a step that ends at a wedge runs the axis-0 inverse pass
+alone, the ramp and the axis-0 forward pass, and the next guard's
+real-space moments come by Parseval. A step that ends at an aperture
+runs its axis-1 pass on the opening's rows only; one that ends at a
+lens builds its whole plane.
 
 Before propagating, the routine estimates where the beam will land from
 the first and second moments of intensity in both real and angular
@@ -78,6 +81,7 @@ from .errors import (
     PropagationWindowError,
     SamplingError,
     check_count,
+    check_members,
     check_real,
     is_finite_real,
 )
@@ -142,6 +146,14 @@ def _check_grid(nx: int, ny: int, pitch: float):
     check_real("pitch", pitch, 0)
 
 
+def _check_grid_tuple(grid) -> tuple:
+    """`grid` as (nx, ny, pitch) after _check_grid; InvalidInputError
+    unless it has those three members."""
+    nx, ny, pitch = check_members("grid", grid, 3)
+    _check_grid(nx, ny, pitch)
+    return nx, ny, pitch
+
+
 class _Grid:
     """Coordinates and wavenumber of a centred grid with nx, ny, pitch,
     wavelength and clipped_fraction, and fields on it."""
@@ -177,8 +189,14 @@ class ScalarField(_Grid):
     clipped_fraction: float = 0.0
 
     def __post_init__(self):
+        samples = np.asarray(self.samples)
+        # NumPy would take None for NaN; a numeric array skips this pass
+        if samples.dtype.hasobject:
+            for value in samples.flat:
+                if not isinstance(value, numbers.Number):
+                    raise InvalidInputError(f"samples must be complex numbers: got {value!r}")
         try:
-            self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
+            self.samples = np.ascontiguousarray(samples, dtype=np.complex128)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"samples must be complex numbers: {exc}") from None
         if self.samples.ndim != 2:
@@ -265,8 +283,8 @@ def _gaussian_profiles(
 ):
     """The (x, y) profiles of make_gaussian_field, each normalised to unit
     power along its axis, after make_gaussian_field's checks."""
-    nx, ny, pitch = grid
-    _check_grid(nx, ny, pitch)
+    nx, ny, pitch = _check_grid_tuple(grid)
+    tilt, center = check_members("tilt", tilt, 2), check_members("center", center, 2)
     w0x, w0y = beam.x.waist_radius, beam.y.waist_radius
 
     w_min, w_max = min(w0x, w0y), max(w0x, w0y)
@@ -445,77 +463,6 @@ def _check_window(field: ScalarField, axes, covs, d: float):
             )
 
 
-class _WindowGuard:
-    """The wrap-around guard of one field and its spectrum. A distance is
-    first decided with the exact check's footprint (_extents) at the
-    covariance's Cauchy-Schwarz limit: on the grid x is diagonal and the spectral
-    momentum Hermitian, so |cov| <= sqrt(var var_s), and no covariance can
-    give a larger footprint. The relative margin absorbs the rounding of
-    the moments, so only a distance the limit cannot clear needs the exact
-    covariance. Each is computed at most once, and the cheap pass keeps the
-    field's power sum, which the covariance reads.
-
-    frame is the field's grid: the field itself, or a _Frame for planes
-    made without their field (gaussian_planes, FreeSpacePlanes._wedge),
-    which take its _intensity_stats as `stats` and build() the field only
-    when it is read: for the covariance, a zero distance or a caller."""
-
-    def __init__(self, field: Optional[ScalarField], spectrum: np.ndarray,
-                 frame: Optional[_Grid] = None, stats=None, build=None):
-        self._field, self.spectrum = field, spectrum
-        self.frame = field if frame is None else frame
-        self._stats, self._build = stats, build
-        self._axes = self._covs = self._total = None
-
-    @property
-    def field(self) -> ScalarField:
-        """The field, built on its first read if the planes were made without it."""
-        if self._field is None:
-            self._field, self._build = self._build(), None
-        return self._field
-
-    def moments(self):
-        """The cheap pass's per-axis (label, centroid, mean sin(theta),
-        variance, variance of sin(theta), samples), computed once."""
-        if self._axes is None:
-            frame = self.frame
-            stats = self._stats or _intensity_stats(self.field.samples, frame.x, frame.y)
-            self._total, cx, cy, vx, vy = stats
-            # angular moments of the whole spectrum, evanescent part too; sin(theta) = lambda f
-            sin_x = frame.wavelength * sfft.fftfreq(frame.nx, frame.pitch)
-            sin_y = frame.wavelength * sfft.fftfreq(frame.ny, frame.pitch)
-            _, mean_sx, mean_sy, var_sx, var_sy = _intensity_stats(self.spectrum, sin_x, sin_y)
-            self._axes = (
-                ("x", cx, mean_sx, vx, var_sx, frame.nx),
-                ("y", cy, mean_sy, vy, var_sy, frame.ny),
-            )
-        return self._axes
-
-    def guard(self, *distances: float):
-        """Raise PropagationWindowError if the beam would leave the safe
-        window at any of `distances` (InvalidInputError if one is not
-        finite). A zero distance is the identity and passes."""
-        for d in distances:
-            check_real("propagation distance", d)
-            if d == 0.0:
-                continue
-            axes = self.moments()
-            limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), d)
-                      for *_, v, v_s, _ in axes]
-            extents = _extents(self.frame, axes, limits, d)
-            if all(extent * (1.0 + _BOUND_MARGIN) <= half for _, extent, half in extents):
-                continue
-            if self._covs is None:
-                self._covs = _window_covariance(self.field, self.spectrum, axes, self._total)
-            _check_window(self.frame, axes, self._covs, d)
-
-
-def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
-    """Raise PropagationWindowError if the beam would leave the safe window
-    at any of `distances`. A zero distance is the identity and passes."""
-    _WindowGuard(field, spectrum).guard(*distances)
-
-
 def _fft2(samples: np.ndarray, inverse: bool,
           columns: Optional[Sequence[slice]] = None,
           rows: Optional[Sequence[slice]] = None) -> np.ndarray:
@@ -623,35 +570,91 @@ def _band(frame: _Grid, axis: int) -> list:
     return [s for s, _ in _band_blocks((frame.ny, frame.nx)[axis], q)]
 
 
-class FreeSpacePlanes(_WindowGuard):
-    """Free-space planes of one field, from one spectrum and at most one
-    pass of the window guard's moments, which keeps the power sum its
-    covariance reads (taken only for a distance the Cauchy-Schwarz limit
-    cannot clear). guard() is the window guard of the field, and every
-    plane read is guarded first.
+def _x_marginal(band_rows: np.ndarray) -> np.ndarray:
+    """ny times the column sums of |E|^2 of a plane whose transfer product
+    is zero outside `band_rows` (stacked, overwritten): by Parseval along
+    y, those of the band rows' axis-1 inverse pass alone."""
+    return _column_sums(_fft2(band_rows, True, ()))
 
-    FreeSpacePlanes(field) takes the spectrum in one forward FFT on the
-    field's nonzero column span (_fft2). gaussian_planes and _wedge pass
-    a spectrum, the field's frame, the moments' real-space half and its
-    builder in place of the field (_WindowGuard).
+
+class FreeSpacePlanes:
+    """Free-space planes of one field from its spectrum, each read behind
+    the field's wrap-around guard. FreeSpacePlanes(field) takes the
+    spectrum in one forward FFT on the field's nonzero column span
+    (_fft2); gaussian_planes and _wedge pass it with the field's _Frame,
+    its _intensity_stats and a builder, and the field is built only when
+    read: for the covariance, a zero distance or a caller.
+
+    guard() decides a distance first with the exact check's footprint
+    (_extents) at the covariance's Cauchy-Schwarz limit: on the grid x is
+    diagonal and the spectral momentum Hermitian, so |cov| <= sqrt(var
+    var_s), and no covariance can give a larger footprint. The relative
+    margin absorbs the rounding of the moments, so only a distance the
+    limit cannot clear needs the exact covariance. The moments take one
+    pass, which keeps the power sum the covariance reads; each is
+    computed at most once.
 
     plane() costs one transfer build and one inverse FFT, whose axis-0
     pass runs on the band's two column blocks, all that _transfer writes;
     it stays bit-identical to a full 2-d FFT. x_variance() reads only the
-    x variance of a plane: the transfer product on the band's rows and
-    their axis-1 inverse pass (_fft2 with no column block), about 0.3 of a
-    full 2-d transform (see the module docstring). The stack loop
-    (propagate_elements) steps to a wedge (_wedge) or an aperture
-    (_aperture) with no x-axis pass it does not need.
+    x variance of a plane, from the band rows (_x_marginal): about 0.3 of
+    a full 2-d transform. Each step of the stack loop (propagate_elements)
+    starts from planes and ends at a wedge (_wedge), an aperture
+    (_aperture) or plane().
     """
 
-    def __init__(self, field: Optional[ScalarField], spectrum=None, frame=None,
-                 stats=None, build=None):
+    def __init__(self, field: Optional[ScalarField], spectrum=None,
+                 frame: Optional[_Grid] = None, stats=None, build=None):
         if spectrum is None:
             # a copy: the transform overwrites its input, and the guard reads the field
             samples = field.samples.copy()
             spectrum = _fft2(samples, False, [_nonzero_columns(samples)])
-        super().__init__(field, spectrum, frame, stats, build)
+        self._field, self.spectrum = field, spectrum
+        self.frame = field if frame is None else frame
+        self._stats, self._build = stats, build
+        self._axes = self._covs = self._total = None
+
+    @property
+    def field(self) -> ScalarField:
+        """The field, built on its first read if the planes were made without it."""
+        if self._field is None:
+            self._field, self._build = self._build(), None
+        return self._field
+
+    def moments(self):
+        """The cheap pass's per-axis (label, centroid, mean sin(theta),
+        variance, variance of sin(theta), samples), computed once."""
+        if self._axes is None:
+            frame = self.frame
+            stats = self._stats or _intensity_stats(self.field.samples, frame.x, frame.y)
+            self._total, cx, cy, vx, vy = stats
+            # angular moments of the whole spectrum, evanescent part too; sin(theta) = lambda f
+            sin_x = frame.wavelength * sfft.fftfreq(frame.nx, frame.pitch)
+            sin_y = frame.wavelength * sfft.fftfreq(frame.ny, frame.pitch)
+            _, mean_sx, mean_sy, var_sx, var_sy = _intensity_stats(self.spectrum, sin_x, sin_y)
+            self._axes = (
+                ("x", cx, mean_sx, vx, var_sx, frame.nx),
+                ("y", cy, mean_sy, vy, var_sy, frame.ny),
+            )
+        return self._axes
+
+    def guard(self, *distances: float):
+        """Raise PropagationWindowError if the beam would leave the safe
+        window at any of `distances` (InvalidInputError if one is not
+        finite). A zero distance is the identity and passes."""
+        for d in distances:
+            check_real("propagation distance", d)
+            if d == 0.0:
+                continue
+            axes = self.moments()
+            limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), d)
+                      for *_, v, v_s, _ in axes]
+            extents = _extents(self.frame, axes, limits, d)
+            if all(extent * (1.0 + _BOUND_MARGIN) <= half for _, extent, half in extents):
+                continue
+            if self._covs is None:
+                self._covs = _window_covariance(self.field, self.spectrum, axes, self._total)
+            _check_window(self.frame, axes, self._covs, d)
 
     def plane(self, distance: float) -> ScalarField:
         """The guarded field `distance` downstream."""
@@ -663,14 +666,13 @@ class FreeSpacePlanes(_WindowGuard):
 
     def x_variance(self, distance: float) -> float:
         """The x variance of |E|^2 of the guarded field `distance`
-        downstream; equal to that of plane(distance) to rounding. By
-        Parseval along y its column sums are those of the band rows' axis-1
-        inverse transform, up to the factor ny the variance drops."""
+        downstream; equal to that of plane(distance) to rounding. Its x
+        marginal comes from the band rows alone (_x_marginal), up to the
+        factor ny the variance drops."""
         self.guard(distance)
         if distance == 0.0:
             return self.moments()[0][3]
-        rows = _transfer(self.frame, distance, self.spectrum, band_rows=True)
-        ix = _column_sums(_fft2(rows, True, ()))
+        ix = _x_marginal(_transfer(self.frame, distance, self.spectrum, band_rows=True))
         total = _check_power(float(ix.sum()), "field has no power in the propagating band")
         return _centroid_variance(ix, self.frame.x, total)[1]
 
@@ -683,14 +685,14 @@ class FreeSpacePlanes(_WindowGuard):
         axis-0 forward pass brings them back, with no axis-1 pass. The
         moments' real-space half comes by Parseval, which the ramp leaves
         alone: the y marginal from the row sums of the (y, kx) array, the
-        x marginal from the axis-1 inverse pass of the product's band rows,
-        as x_variance takes it. A ramp the pitch aliases raises
+        x marginal from the product's band rows (_x_marginal), as
+        x_variance takes it. A ramp the pitch aliases raises
         SamplingError after the guard and before any pass."""
         frame = self.frame
         self.guard(distance)
         _check_tilt(wedge.tilt_y, frame.wavelength, frame.pitch)
         samples = _transfer(frame, distance, self.spectrum)
-        ix = _column_sums(_fft2(np.concatenate([samples[r] for r in _band(frame, 0)]), True, ()))
+        ix = _x_marginal(np.concatenate([samples[r] for r in _band(frame, 0)]))
         columns = _band(frame, 1)
         _fft2(samples, True, columns, ())
         iy = _row_sums(samples)
@@ -719,6 +721,12 @@ class FreeSpacePlanes(_WindowGuard):
         before = _power_sum(samples) / (frame.nx * frame.ny)
         _fft2(samples, True, _band(frame, 1), opening[:1])
         return _clip(frame, samples, opening, before), opening[:2]
+
+
+def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
+    """Raise PropagationWindowError if the beam would leave the safe window
+    at any of `distances`. A zero distance is the identity and passes."""
+    FreeSpacePlanes(field, spectrum).guard(*distances)
 
 
 def gaussian_planes(
@@ -760,18 +768,20 @@ def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarFie
 
 def _check_positions(elements: Sequence) -> float:
     """The last z of (z, element) pairs (0.0 for none), which must be
-    non-decreasing and >= 0; an entry that is not a pair with a real z
-    raises InvalidInputError naming it."""
+    non-decreasing and >= 0; an entry that is not a pair with a real z, or
+    whose element is not a PhaseElement, raises InvalidInputError naming it."""
     zs = [0.0]
     for entry in elements:
         try:
-            z, _ = entry
+            z, element = entry
         except (TypeError, ValueError):
-            z = None
+            z = element = None
         if isinstance(z, bool) or not isinstance(z, numbers.Real):
             raise InvalidInputError(
                 f"elements must be (z, element) pairs with a real z, got {entry!r}"
             )
+        if not isinstance(element, PhaseElement):
+            raise InvalidInputError(f"unknown element type {type(element).__name__}")
         zs.append(z)
     if not all(a <= b for a, b in zip(zs, zs[1:])):
         raise InvalidInputError("element positions must be non-decreasing and >= 0")
@@ -782,36 +792,35 @@ def propagate_elements(
     source: Union[ScalarField, FreeSpacePlanes], elements: Sequence
 ) -> ScalarField:
     """Carry a source at z = 0, a field or its FreeSpacePlanes, through
-    (z, element) pairs with non-decreasing z >= 0 (else InvalidInputError,
-    before any transform) and return the field just past the last element.
+    (z, element) pairs with non-decreasing z >= 0 of PhaseElements (else
+    InvalidInputError, before any transform) and return the field just
+    past the last element.
 
-    One loop takes the elements in turn; a field is wrapped in its
-    FreeSpacePlanes at its first step. A step that ends at a wedge stays
-    in the spectrum (FreeSpacePlanes._wedge), and one that ends at an
-    aperture builds only the opening's rows (FreeSpacePlanes._aperture);
-    a lens at that aperture's z multiplies only the opening's box. A step
-    that ends at a lens goes through angular_spectrum_propagate, or
-    plane() of planes. Zero-length steps, such as between an aperture and
-    the lens at its z, are skipped; an element at the z of planes builds
-    their field first."""
+    One loop takes the elements in turn, and every step starts from
+    planes: a field is wrapped in its FreeSpacePlanes. A step that ends at
+    a wedge stays in the spectrum (FreeSpacePlanes._wedge), one that ends
+    at an aperture builds only the opening's rows (FreeSpacePlanes.
+    _aperture), and one that ends at a lens builds its plane (plane(),
+    which angular_spectrum_propagate runs too). A lens at an aperture's z
+    multiplies only the opening's box. Zero-length steps, such as between
+    an aperture and the lens at its z, are skipped; an element at the z
+    of planes builds their field first."""
     _check_positions(elements)
     # the loop holds the source's only reference and frees it at its first step
     state, box, z_now = source, None, 0.0
     del source
     for z_el, el in elements:
         distance, z_now = z_el - z_now, z_el
-        if distance != 0.0 and isinstance(el, (WedgePhase, CircAperture)):
+        if distance != 0.0:
             if not isinstance(state, FreeSpacePlanes):
                 state = FreeSpacePlanes(state)
             if isinstance(el, WedgePhase):
                 state, box = state._wedge(distance, el), None
-            else:
+                continue
+            if isinstance(el, CircAperture):
                 state, box = state._aperture(distance, el)
-            continue
-        if distance != 0.0:
-            state = (state.plane(distance) if isinstance(state, FreeSpacePlanes)
-                     else angular_spectrum_propagate(state, distance))
-            box = None
+                continue
+            state, box = state.plane(distance), None
         elif isinstance(state, FreeSpacePlanes):
             state = state.field
         if box is not None and isinstance(el, ThinLensPhase):
@@ -1038,9 +1047,9 @@ class FocusResult:
     (planes.field, at the last element's z) to the focus plane;
     fit_residual is the largest deviation of the sampled x variances and
     the focus plane's from the final parabola, over the smallest of them.
-    planes holds the exit field with its spectrum and at most one pass of
-    the guard's moments, with the power sum its covariance reads, so any
-    later plane costs one inverse FFT."""
+    planes is the exit field's FreeSpacePlanes: its spectrum and its
+    guard, whose moments and covariance are each taken at most once, so
+    any later plane costs one transfer build and one inverse FFT."""
 
     z_focus: float
     metrics: SpotMetrics
@@ -1060,8 +1069,9 @@ def find_focus(
 
     `elements` is a list of (z, element) with non-decreasing z >= 0
     (checked before any transform); the source, a field or its
-    FreeSpacePlanes (propagate_elements), sits at z = 0, and the window (z_min, z_max, steps) must start past the last
-    element. Past it the x variance of the intensity is quadratic in z
+    FreeSpacePlanes, sits at z = 0 and crosses them on planes
+    (propagate_elements), and the window (z_min, z_max, steps) must
+    start past the last element. Past it the x variance of the intensity is quadratic in z
     (free space), so a parabola through three planes finds its minimum.
     The first triple is centre +- h, with the refining step
     h = 2 (z_max - z_min) / (steps - 1) and `centre` (absolute; None: the
@@ -1071,14 +1081,14 @@ def find_focus(
     FocusNotBracketedError is raised unless every triple's parabola opens
     upward with its vertex inside the window.
 
-    Every plane past the stack comes from one spectrum of the exit field,
-    and at most one pass of the guard's moments, with its covariance taken
-    at most once, checks both window ends and every plane read. The
+    Every plane past the stack comes from the exit field's one
+    FreeSpacePlanes, whose guard, with its moments and covariance each
+    taken at most once, checks both window ends and every plane read. The
     triples read x variances only (FreeSpacePlanes.x_variance); the focus
     plane is read whole for the spot metrics. The result keeps the focus
     field and the exit field's planes.
     """
-    z_min, z_max, steps = z_search
+    z_min, z_max, steps = check_members("z_search", z_search, 3)
     check_real("z_search[0]", z_min)
     check_real("z_search[1]", z_max)
     if check_count("z_search steps", steps) < 16:

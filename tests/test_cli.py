@@ -711,7 +711,7 @@ def test_reports_validate_against_packaged_schema(tmp_path):
 
 
 def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
-    from ionoptics import cli, wavefield
+    from ionoptics import cli, designer, wavefield
 
     sources, steps = [], []
     profiles = wavefield._gaussian_profiles
@@ -727,6 +727,7 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
 
     monkeypatch.setattr(wavefield, "_gaussian_profiles", counted_source)
     monkeypatch.setattr(wavefield, "angular_spectrum_propagate", counted_step)
+    monkeypatch.setattr(designer, "angular_spectrum_propagate", counted_step)
     forms, transform = collections.Counter(), wavefield._fft2  # fft_calls' counting _fft2
 
     def counted_transform(samples, inverse, columns=None, rows=None):

@@ -1,6 +1,7 @@
 """Lens-stack synthesis, channel simulation, crosstalk, tolerance sweeps."""
 
 import ast
+import copy
 import dataclasses
 import math
 import re
@@ -496,14 +497,34 @@ def test_crosstalk_foreign_element_fails_on_the_centre_channel(compact_pipeline)
     pipe = compact_pipeline
     prescription = pipe["prescription"]
     elements = list(prescription.elements) + [(prescription.stack_height, object())]
+    # a prescription takes the element-list rule, so it rejects one where it comes in
+    with pytest.raises(InvalidInputError, match="^unknown element type object$"):
+        dataclasses.replace(prescription, elements=elements)
+    forged = copy.copy(prescription)
+    object.__setattr__(forged, "elements", tuple(elements))
     with pytest.raises(InvalidInputError, match="^channel 1: unknown element type object$"):
         crosstalk_matrix(
-            dataclasses.replace(prescription, elements=elements),
+            forged,
             pipe["array"],
             pipe["crystal"],
             pipe["scenario"].mirror,
             grid=pipe["scenario"].grid,
         )
+
+
+@pytest.mark.parametrize("entry", ["crosstalk_matrix", "tolerance_sweep"])
+def test_a_grid_of_two_members_fails_naming_it(compact_pipeline, entry, fft_calls):
+    pipe = compact_pipeline
+    grid = pipe["scenario"].grid[:2]
+    with pytest.raises(InvalidInputError, match="^grid must have 3 members, got "):
+        if entry == "crosstalk_matrix":
+            crosstalk_matrix(pipe["prescription"], pipe["array"], pipe["crystal"],
+                             pipe["scenario"].mirror, grid=grid)
+        else:
+            tolerance_sweep(pipe["prescription"], pipe["array"], pipe["scenario"].mirror,
+                            [{"parameter": "source_tilt", "lo": 0.0, "hi": 0.0, "steps": 1}],
+                            grid=grid)
+    assert fft_calls == []
 
 
 def test_crosstalk_requires_matching_counts(compact_pipeline, reference_pipeline):

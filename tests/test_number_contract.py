@@ -162,6 +162,26 @@ def test_the_walk_covers_every_class_and_entry_point():
 
 
 @pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: make_gaussian_field(BEAM, (0.0, 0.0), GRID[:2]), "grid"),
+        (lambda: make_gaussian_field(BEAM, (0.0, 0.0), 64), "grid"),
+        (lambda: wavefield.gaussian_planes(BEAM, (0.0, 0.0), GRID[:2]), "grid"),
+        (lambda: make_gaussian_field(BEAM, (0.0,), GRID), "tilt"),
+        (lambda: make_gaussian_field(BEAM, (0.0, 0.0, 0.1), GRID), "tilt"),
+        (lambda: make_gaussian_field(BEAM, (0.0, 0.0), GRID, (0.0, 0.0, 1e-6)), "center"),
+        (lambda: find_focus(FIELD, [], (100e-6, 200e-6)), "z_search"),
+    ],
+    ids=["grid-pair", "grid-int", "planes-grid-pair", "tilt-single", "tilt-triple",
+         "center-triple", "z-search-pair"],
+)
+def test_a_tuple_of_the_wrong_length_fails_naming_it(build, name, fft_calls):
+    with pytest.raises(InvalidInputError, match=f"^{name} must have [23] members, got "):
+        build()
+    assert fft_calls == []
+
+
+@pytest.mark.parametrize(
     "low, high, closed, message",
     [
         (-math.inf, math.inf, False, "x must be finite, got nan"),

@@ -490,7 +490,7 @@ def test_find_focus_takes_the_covariance_in_one_transform(fft_calls):
 def test_find_focus_guards_every_plane_it_reads(compact_pipeline, monkeypatch):
     # every transfer build, in the stack and past it, is of a guarded distance
     guarded, built = [], []
-    real_guard, real_transfer = wavefield._WindowGuard.guard, wavefield._transfer
+    real_guard, real_transfer = wavefield.FreeSpacePlanes.guard, wavefield._transfer
 
     def guard(self, *distances):
         guarded.extend(distances)
@@ -500,7 +500,7 @@ def test_find_focus_guards_every_plane_it_reads(compact_pipeline, monkeypatch):
         built.append(distance)
         return real_transfer(field, distance, *args, **kwargs)
 
-    monkeypatch.setattr(wavefield._WindowGuard, "guard", guard)
+    monkeypatch.setattr(wavefield.FreeSpacePlanes, "guard", guard)
     monkeypatch.setattr(wavefield, "_transfer", transfer)
     pipe = compact_pipeline
     simulate_channel(
@@ -723,7 +723,7 @@ def test_one_transform_covariance_matches_two(ny, nx):
             0.25e-6, WL,
         )
         spectrum = scipy.fft.fft2(field.samples)
-        axes = wavefield._WindowGuard(field, spectrum).moments()
+        axes = wavefield.FreeSpacePlanes(field, spectrum).moments()
         covs = wavefield._window_covariance(
             field, spectrum, axes, wavefield._power_sum(field.samples)
         )
@@ -1008,7 +1008,7 @@ def test_window_moments_build_no_intensity_grid():
     spectrum = scipy.fft.fft2(field.samples)
     tracemalloc.start()
     try:
-        wavefield._WindowGuard(field, spectrum).moments()
+        wavefield.FreeSpacePlanes(field, spectrum).moments()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1087,8 +1087,10 @@ def test_propagate_elements_skips_zero_steps(monkeypatch):
      ([(math.nan, CircAperture(5e-6))], "non-decreasing"),
      ([CircAperture(5e-6)], "pairs"),
      ([(5e-6, CircAperture(5e-6), 0)], "pairs"),
-     ([("5e-6", CircAperture(5e-6))], "pairs")],
-    ids=["decreasing", "below-the-source", "nan", "bare-element", "triple", "text-z"],
+     ([("5e-6", CircAperture(5e-6))], "pairs"),
+     ([(10e-6, "lens")], "unknown")],
+    ids=["decreasing", "below-the-source", "nan", "bare-element", "triple", "text-z",
+         "unknown-element"],
 )
 def test_propagate_elements_rejects_a_backward_step(elements, message, fft_calls):
     # find_focus checks the positions before it reads the last one
@@ -1096,12 +1098,37 @@ def test_propagate_elements_rejects_a_backward_step(elements, message, fft_calls
     match = {
         "non-decreasing": "^element positions must be non-decreasing and >= 0$",
         "pairs": r"^elements must be \(z, element\) pairs with a real z, got ",
+        "unknown": "^unknown element type str$",
     }[message]
     for propagate in (lambda: propagate_elements(field, elements),
                       lambda: find_focus(field, elements, (10e-6, 20e-6, 33))):
         with pytest.raises(InvalidInputError, match=match):
             propagate()
     assert fft_calls == []  # the order is checked before the first transform
+
+
+def test_the_stack_steps_on_planes_only(monkeypatch):
+    # propagate_elements and find_focus take every step from FreeSpacePlanes,
+    # through wedges, apertures and lenses alike; only the field API, which
+    # the synthesis probe calls, runs angular_spectrum_propagate
+    field = make_gaussian_field(round_beam(8e-6), (0.0, 0.02), (256, 256, 0.25e-6))
+    lenses = [(10e-6, ThinLensPhase(150e-6)), (30e-6, ThinLensPhase(300e-6))]
+    stack = [(5e-6, WedgePhase(-0.02)), (10e-6, CircAperture(12e-6)),
+             (10e-6, ThinLensPhase(150e-6)), (30e-6, CircAperture(14e-6)),
+             (30e-6, ThinLensPhase(300e-6))]
+    probe = field
+    for (z, lens), z_prev in zip(lenses, [0.0, 10e-6]):
+        probe = apply_element(angular_spectrum_propagate(probe, z - z_prev), lens)
+
+    def field_step(*args):
+        raise AssertionError("the stack loop took a field step")
+
+    monkeypatch.setattr(wavefield, "angular_spectrum_propagate", field_step)
+    assert np.array_equal(propagate_elements(field, lenses).samples, probe.samples)
+    assert propagate_elements(field, stack).clipped_fraction > 0.0
+    for elements in (lenses, stack):
+        result = find_focus(field, elements, (35e-6, 55e-6, 33))
+        assert result.z_focus == pytest.approx(43.45e-6, abs=0.1e-6)
 
 
 def real_space_path(source, elements):
@@ -1284,8 +1311,9 @@ def test_non_finite_power_fails_as_invalid_input(bad):
 
 
 @pytest.mark.parametrize("samples", [np.full((64, 64), "x", dtype=object),
-                                     np.full((64, 64), {}, dtype=object)],
-                         ids=["text", "mapping"])
+                                     np.full((64, 64), {}, dtype=object),
+                                     np.full((64, 64), None, dtype=object)],
+                         ids=["text", "mapping", "none"])
 def test_samples_that_are_not_numbers_fail_as_invalid_input(samples):
     with pytest.raises(InvalidInputError, match="^samples must be complex numbers: "):
         ScalarField(samples, 0.25e-6, WL)
