@@ -61,8 +61,11 @@ from .wavefield import (
     SpotMetrics,
     ThinLensPhase,
     WedgePhase,
+    _centroid_variance,
     _check_grid_tuple,
     _check_positions,
+    _check_power,
+    _fit_profile,
     _intensity_stats,
     _mirror_x,
     angular_spectrum_propagate,
@@ -382,6 +385,17 @@ def _achieved_imaging(f_list, z_list):
     return float(v), float(magnification)
 
 
+def _row_mfd(x: np.ndarray, row: np.ndarray) -> float:
+    """The fitted 1/e^2 diameter of |row|^2 along x (_fit_profile), started
+    from the row's own centroid and moment radius, or the moment diameter
+    if the fit fails, as spot_metrics gives mfd_fit."""
+    profile = row.real**2 + row.imag**2
+    total = _check_power(float(profile.sum()), "the probe's row has no power")
+    c, var = _centroid_variance(profile, x, total)
+    w = _fit_profile(x, profile, c, 2.0 * math.sqrt(var))
+    return 2.0 * w if w else 4.0 * math.sqrt(var)
+
+
 def _wave_verify(f_list, z_list, targets: DesignTargets, v: float, magnification: float):
     """Cross-check the ABCD prescription against scalar wave propagation.
 
@@ -390,8 +404,11 @@ def _wave_verify(f_list, z_list, targets: DesignTargets, v: float, magnification
     measured at the wave focus must match the ABCD magnification within
     3 percent. The focus is located by a fine fitted-width scan around
     the ABCD image plane (v past the top lens), which also tolerates the
-    small non-paraxial focal shift; every scan plane comes from the
-    spectrum of the one lens-exit field.
+    small non-paraxial focal shift. The probe is on axis and untilted and
+    its lenses have no apertures, so its spot is centred on y = 0: every
+    scan plane is read as that row alone (FreeSpacePlanes.axis_rows),
+    from the spectrum of the one lens-exit field, and its x width is
+    fitted there (_row_mfd).
     """
     w0p = 2.5e-6
     m_abs = abs(magnification)
@@ -410,7 +427,7 @@ def _wave_verify(f_list, z_list, targets: DesignTargets, v: float, magnification
 
     z_top = z_list[-1]
     z_planes = z_top + v + np.linspace(-0.12 * v, 0.12 * v, 13)
-    widths = [spot_metrics(planes.plane(z - z_top)).mfd_fit[0] for z in z_planes]
+    widths = [_row_mfd(field.x, row) for row in planes.axis_rows(*(z_planes - z_top))]
     best = int(np.argmin(widths))
     if best in (0, len(widths) - 1):
         raise ConvergenceError(

@@ -33,17 +33,32 @@ the transfer product is built on the band's rows and only they are
 transformed (FreeSpacePlanes.x_variance; Matsushima & Shimobaba, Opt.
 Express 17, 19662, 2009, for the band-limited angular spectrum).
 
+A plane read only for its row y = 0 (FreeSpacePlanes.axis_rows, the
+synthesis probe's on-axis spot) runs no 2-d pass: row ny/2 of a 2-d
+inverse DFT is the 1-d inverse along x of sum_m (-1)^m P[m, :] / ny, P
+the transfer product, so the signed column sums of P's band blocks feed
+one 1-d inverse of a single row.
+
 One class propagates: FreeSpacePlanes, a field's spectrum and window
 guard. Every step of the stack loop (propagate_elements) starts from
 planes and runs no x-axis pass it does not need. The source is a
 product of an x and a y profile, so its spectrum is the outer product
-of two 1-d transforms, one pass of a row and one of a column
-(gaussian_planes). Free space is diagonal in (ky, kx) and a wedge in
-(y, kx), so a step that ends at a wedge runs the axis-0 inverse pass
-alone, the ramp and the axis-0 forward pass, and the next guard's
-real-space moments come by Parseval. A step that ends at an aperture
-runs its axis-1 pass on the opening's rows only; one that ends at a
-lens builds its whole plane.
+of two 1-d transforms, one pass of a row and one of a column, and so
+are its spectral moments (gaussian_planes). Free space is diagonal in
+(ky, kx) and a wedge in (y, kx), so a step that ends at a wedge runs the
+axis-0 inverse pass alone, the ramp and the axis-0 forward pass, and the
+next guard's real-space moments come by Parseval. A step that ends at an
+aperture runs its axis-1 pass on the opening's rows only; one that ends
+at a lens builds its whole plane.
+
+Past an aperture the field is zero outside the opening's box, and the
+stack loop owns the grid _aperture returns: a lens at its z multiplies
+the box in place, and the next planes take that grid as their spectrum
+(_box_planes). Their forward transform runs in place on the box's
+columns, their moments read the box's rows, and they keep a copy of the
+box alone, which serves the guard's covariance and any later read of
+the field. The stack mutates no grid it did not create: a caller's
+field is copied before its transform.
 
 Before propagating, the routine estimates where the beam will land from
 the first and second moments of intensity in both real and angular
@@ -179,7 +194,9 @@ class _Grid:
 @dataclass(eq=False)
 class ScalarField(_Grid):
     """Sampled complex field. Treat instances as immutable; operations
-    return new fields. Samples that are not complex numbers raise
+    return new fields. The stack loop (propagate_elements) mutates only
+    the samples of fields it created itself, before any caller sees
+    them. Samples that are not complex numbers raise
     InvalidInputError; a NaN or infinite one fails at the first intensity
     sum that reads it (the window guard, spot_metrics)."""
 
@@ -384,19 +401,37 @@ def _check_power(total: float, empty: str) -> float:
     return total
 
 
+def _abs2(values: np.ndarray) -> np.ndarray:
+    """|values|^2 of a 1-d complex array."""
+    return values.real**2 + values.imag**2
+
+
+def _sines(frame: _Grid):
+    """(sin_x, sin_y): sin(theta) = lambda f of the FFT grid's spatial
+    frequencies f along x and y, in fftfreq order."""
+    return [frame.wavelength * sfft.fftfreq(n, frame.pitch) for n in (frame.nx, frame.ny)]
+
+
 def _centroid_variance(weights: np.ndarray, coords: np.ndarray, total: float):
     """(centroid, variance) of `coords` under the marginal `weights` of sum `total`."""
     c = float(weights @ coords) / total
     return c, float(weights @ (coords - c) ** 2) / total
 
 
-def _intensity_stats(samples: np.ndarray, x: np.ndarray, y: np.ndarray):
+def _intensity_stats(samples: np.ndarray, x: np.ndarray, y: np.ndarray,
+                     rows: slice = slice(None)):
     """(total, cx, cy, vx, vy) of |samples|^2 (C-contiguous), from two einsum
     reads of its float64 view; total is _power_sum's sum, bit for bit. A
-    total that is not finite or not positive raises InvalidInputError."""
-    iy = _row_sums(samples)
+    total that is not finite or not positive raises InvalidInputError.
+
+    Only `rows` are read, and every other row must be zero: their column
+    sums are the whole grid's, and their full-width row sums fill a
+    vector of every row's, so each sum runs in the whole grid's order and
+    the result is bit for bit that of the whole grid."""
+    iy = np.zeros(len(y))
+    iy[rows] = _row_sums(samples[rows])
     total = _check_power(float(iy.sum()), "field has no power")
-    cx, vx = _centroid_variance(_column_sums(samples), x, total)
+    cx, vx = _centroid_variance(_column_sums(samples[rows]), x, total)
     cy, vy = _centroid_variance(iy, y, total)
     return total, cx, cy, vx, vy
 
@@ -410,7 +445,8 @@ def _marginal_stats(ix: np.ndarray, iy: np.ndarray, x: np.ndarray, y: np.ndarray
     return cx, cy, vx, vy
 
 
-def _window_covariance(field: ScalarField, spectrum: np.ndarray, axes, total: float):
+def _window_covariance(field: _Grid, spectrum: np.ndarray, axes, total: float,
+                       support=None):
     """x-theta and y-theta covariances from the local transverse momentum
     density Im(conj(E) grad E) / k, given the cheap pass's axes and sum `total`.
 
@@ -419,18 +455,22 @@ def _window_covariance(field: ScalarField, spectrum: np.ndarray, axes, total: fl
     -Re(conj(E) dE/dx) to the y density; the spectral derivative is
     anti-Hermitian, so those cross terms sum to zero down every column
     and along every row, and the weighted sums keep only the wanted term.
+    E is field.samples, or with `support` (rows, cols, samples) the
+    samples on a box outside which E is zero: then `field` gives only the
+    grid, and E and h are read on the box alone.
     """
+    rows, cols, samples = support or (slice(None), slice(None), field.samples)
     fx = sfft.fftfreq(field.nx, field.pitch)
     fy = sfft.fftfreq(field.ny, field.pitch)
     h = (2j * math.pi * fx)[None, :] - (2.0 * math.pi * fy)[:, None]
     h *= spectrum
-    e = field.samples.view(np.float64)
-    h = _fft2(h, True).view(np.float64)
+    e = samples.view(np.float64)
+    h = _fft2(h, True)[rows, cols].view(np.float64)
     # column sums of Im(conj(E) h) = re h.imag - im h.real, row sums of Re(conj(E) h)
     im_columns = np.einsum("ij,ij->j", e[:, 0::2], h[:, 1::2])
     im_columns -= np.einsum("ij,ij->j", e[:, 1::2], h[:, 0::2])
-    moment_x = float(im_columns @ field.x)
-    moment_y = -float(np.einsum("ij,ij->i", e, h) @ field.y)
+    moment_x = float(im_columns @ field.x[cols])
+    moment_y = -float(np.einsum("ij,ij->i", e, h) @ field.y[rows])
     (_, cx, mean_sx, *_), (_, cy, mean_sy, *_) = axes
     k_itot = field.wavenumber * total
     return moment_x / k_itot - cx * mean_sx, moment_y / k_itot - cy * mean_sy
@@ -522,6 +562,16 @@ def _band_blocks(n: int, q: int):
     return (slice(0, q), slice(None)), (slice(n - m, n), slice(m, 0, -1))
 
 
+def _band_phases(frame: _Grid, distance: float) -> np.ndarray:
+    """exp(i kz d) on the quadrant block that bounds the band (_kz_quadrant),
+    0 where evanescent: one exp per distinct kz, gathered onto the block."""
+    kz, index = _kz_quadrant(frame.nx, frame.ny, frame.pitch, frame.wavenumber)
+    phases = np.zeros(len(kz) + 1, dtype=np.complex128)  # slot 0: evanescent
+    np.multiply(kz, 1j * distance, out=phases[1:])
+    np.exp(phases[1:], out=phases[1:])
+    return phases[index]
+
+
 def _transfer(field: ScalarField, distance: float, spectrum=None,
               band_rows: bool = False) -> np.ndarray:
     """Band-limited transfer exp(i kz d) on the FFT grid, zero outside the
@@ -538,12 +588,8 @@ def _transfer(field: ScalarField, distance: float, spectrum=None,
     full-grid formula's.
     """
     nx, ny = field.nx, field.ny
-    kz, index = _kz_quadrant(nx, ny, field.pitch, field.wavenumber)
-    phases = np.zeros(len(kz) + 1, dtype=np.complex128)  # slot 0: evanescent
-    np.multiply(kz, 1j * distance, out=phases[1:])
-    np.exp(phases[1:], out=phases[1:])
-    quadrant = phases[index]
-    qy, qx = index.shape
+    quadrant = _band_phases(field, distance)
+    qy, qx = quadrant.shape
     row_blocks = _band_blocks(ny, qy)
     # the rows of `out` each block fills: in place, or stacked from row 0
     targets = [r for r, _ in row_blocks]
@@ -579,26 +625,31 @@ def _x_marginal(band_rows: np.ndarray) -> np.ndarray:
 
 class FreeSpacePlanes:
     """Free-space planes of one field from its spectrum, each read behind
-    the field's wrap-around guard. FreeSpacePlanes(field) takes the
-    spectrum in one forward FFT on the field's nonzero column span
-    (_fft2); gaussian_planes and _wedge pass it with the field's _Frame,
-    its _intensity_stats and a builder, and the field is built only when
-    read: for the covariance, a zero distance or a caller.
+    the field's wrap-around guard. FreeSpacePlanes(field) copies the
+    caller's field and takes the spectrum in one forward FFT of the copy
+    on its nonzero column span (_fft2). gaussian_planes, _wedge and
+    _box_planes pass the spectrum with the field's _Frame, its
+    _intensity_stats (followed, for a source, by the spectral moments)
+    and a builder of its support: (rows, cols, samples), the field on a
+    box outside which it is zero. The support is built only when read,
+    for the covariance, a zero distance or a caller, and the field only
+    from it.
 
     guard() decides a distance first with the exact check's footprint
     (_extents) at the covariance's Cauchy-Schwarz limit: on the grid x is
     diagonal and the spectral momentum Hermitian, so |cov| <= sqrt(var
     var_s), and no covariance can give a larger footprint. The relative
     margin absorbs the rounding of the moments, so only a distance the
-    limit cannot clear needs the exact covariance. The moments take one
-    pass, which keeps the power sum the covariance reads; each is
-    computed at most once.
+    limit cannot clear needs the exact covariance, which reads the
+    support alone. The moments take one pass, which keeps the power sum
+    the covariance reads; each is computed at most once.
 
     plane() costs one transfer build and one inverse FFT, whose axis-0
     pass runs on the band's two column blocks, all that _transfer writes;
     it stays bit-identical to a full 2-d FFT. x_variance() reads only the
     x variance of a plane, from the band rows (_x_marginal): about 0.3 of
-    a full 2-d transform. Each step of the stack loop (propagate_elements)
+    a full 2-d transform. axis_rows() reads only the row y = 0 of planes,
+    one 1-d inverse each. Each step of the stack loop (propagate_elements)
     starts from planes and ends at a wedge (_wedge), an aperture
     (_aperture) or plane().
     """
@@ -612,13 +663,30 @@ class FreeSpacePlanes:
         self._field, self.spectrum = field, spectrum
         self.frame = field if frame is None else frame
         self._stats, self._build = stats, build
-        self._axes = self._covs = self._total = None
+        self._box = self._axes = self._covs = self._total = None
+
+    def _support(self):
+        """(rows, cols, samples): the field's samples on a box outside which
+        it is zero, the whole grid unless the planes were made past an
+        aperture (_box_planes); built at most once."""
+        if self._box is None:
+            if self._build is None:
+                self._box = (slice(None), slice(None), self._field.samples)
+            else:
+                self._box, self._build = self._build(), None
+        return self._box
 
     @property
     def field(self) -> ScalarField:
-        """The field, built on its first read if the planes were made without it."""
+        """The field, built from its support on its first read if the
+        planes were made without it: a box is embedded in zeros."""
         if self._field is None:
-            self._field, self._build = self._build(), None
+            frame = self.frame
+            rows, cols, samples = self._support()
+            if samples.shape != (frame.ny, frame.nx):
+                samples, box = np.zeros((frame.ny, frame.nx), dtype=np.complex128), samples
+                samples[rows, cols] = box
+            self._field = frame._with_samples(samples)
         return self._field
 
     def moments(self):
@@ -627,11 +695,11 @@ class FreeSpacePlanes:
         if self._axes is None:
             frame = self.frame
             stats = self._stats or _intensity_stats(self.field.samples, frame.x, frame.y)
-            self._total, cx, cy, vx, vy = stats
-            # angular moments of the whole spectrum, evanescent part too; sin(theta) = lambda f
-            sin_x = frame.wavelength * sfft.fftfreq(frame.nx, frame.pitch)
-            sin_y = frame.wavelength * sfft.fftfreq(frame.ny, frame.pitch)
-            _, mean_sx, mean_sy, var_sx, var_sy = _intensity_stats(self.spectrum, sin_x, sin_y)
+            self._total, cx, cy, vx, vy, *spectral = stats
+            if not spectral:
+                # angular moments of the whole spectrum, evanescent part too
+                spectral = _intensity_stats(self.spectrum, *_sines(frame))[1:]
+            mean_sx, mean_sy, var_sx, var_sy = spectral
             self._axes = (
                 ("x", cx, mean_sx, vx, var_sx, frame.nx),
                 ("y", cy, mean_sy, vy, var_sy, frame.ny),
@@ -653,7 +721,8 @@ class FreeSpacePlanes:
             if all(extent * (1.0 + _BOUND_MARGIN) <= half for _, extent, half in extents):
                 continue
             if self._covs is None:
-                self._covs = _window_covariance(self.field, self.spectrum, axes, self._total)
+                self._covs = _window_covariance(self.frame, self.spectrum, axes, self._total,
+                                                self._support())
             _check_window(self.frame, axes, self._covs, d)
 
     def plane(self, distance: float) -> ScalarField:
@@ -675,6 +744,39 @@ class FreeSpacePlanes:
         ix = _x_marginal(_transfer(self.frame, distance, self.spectrum, band_rows=True))
         total = _check_power(float(ix.sum()), "field has no power in the propagating band")
         return _centroid_variance(ix, self.frame.x, total)[1]
+
+    def axis_rows(self, *distances: float) -> list:
+        """The row y = 0 (index ny/2) of plane(d) at each of `distances`,
+        all guarded first; equal to those rows of plane(d) to rounding.
+
+        Row ny/2 of a 2-d inverse DFT is the 1-d inverse along x of
+        sum_m (-1)^m P[m, :] / ny, where P is the transfer product, zero
+        outside the band's blocks. The signs and 1/ny fold into the
+        spectrum's band blocks once for every distance. Each distance then
+        takes one exp per distinct kz and one gather (_band_phases), one
+        signed column sum per block (einsum: one thread, no BLAS) and one
+        1-d inverse of a one-row grid (_fft2): no transfer product and no
+        2-d pass."""
+        self.guard(*distances)
+        frame = self.frame
+        quadrant_shape = _kz_quadrant(frame.nx, frame.ny, frame.pitch, frame.wavenumber)[1].shape
+        blocks = []
+        for (r, qr), (c, qc) in itertools.product(
+            _band_blocks(frame.ny, quadrant_shape[0]), _band_blocks(frame.nx, quadrant_shape[1])
+        ):
+            signs = np.where(np.arange(frame.ny)[r] % 2, -1.0, 1.0) / frame.ny
+            blocks.append((qr, c, qc, signs[:, None] * self.spectrum[r, c]))
+        rows = []
+        for d in distances:
+            if d == 0.0:
+                rows.append(self.field.samples[frame.ny // 2].copy())
+                continue
+            quadrant = _band_phases(frame, d)
+            row = np.zeros((1, frame.nx), dtype=np.complex128)
+            for qr, c, qc, block in blocks:
+                row[0, c] += np.einsum("ij,ij->j", quadrant[qr, qc], block)
+            rows.append(_fft2(row, True, ())[0])
+        return rows
 
     def _wedge(self, distance: float, wedge: WedgePhase) -> "FreeSpacePlanes":
         """The planes just past `wedge`, `distance` downstream.
@@ -705,7 +807,7 @@ class FreeSpacePlanes:
         _fft2(samples, False, columns, ())
         return FreeSpacePlanes(
             None, samples, frame, (total, *_marginal_stats(ix, iy, frame.x, frame.y)),
-            lambda: frame._with_samples(_fft2(samples.copy(), True, columns)),
+            lambda: (slice(None), slice(None), _fft2(samples.copy(), True, columns)),
         )
 
     def _aperture(self, distance: float, aperture: CircAperture):
@@ -713,7 +815,8 @@ class FreeSpacePlanes:
         opening's (rows, columns)). The plane's axis-1 inverse pass runs on
         the opening's rows only, which are bit-identical to those of
         plane(distance); the power before clipping comes by Parseval from
-        the transfer product."""
+        the transfer product. The field's grid is new, zero outside the
+        box, and the stack loop that asked for it owns it."""
         frame = self.frame
         self.guard(distance)
         opening = _opening(frame, aperture)
@@ -741,21 +844,25 @@ def gaussian_planes(
     The field is the outer product of an x and a y profile, so its 2-d DFT
     is the outer product of theirs: one axis-1 pass of the x profile as a
     row and one axis-0 pass of the y profile as a column (_fft2). The
-    real-space moments come from the profiles. The field is built only if
-    it is read, such as for the covariance of a step the Cauchy-Schwarz
-    limit cannot clear. Both agree with the field's FreeSpacePlanes to
-    rounding.
+    real-space moments come from the profiles, and the spectral ones from
+    the two 1-d spectra: each marginal of |spectrum|^2 is one 1-d |.|^2
+    times the other's sum, a scale the moments drop. The field is built
+    only if it is read, such as for the covariance of a step the
+    Cauchy-Schwarz limit cannot clear. Both agree with the field's
+    FreeSpacePlanes to rounding.
     """
     profile_x, profile_y = _gaussian_profiles(beam, tilt, grid, center)
     frame = _Frame(grid[0], grid[1], grid[2], beam.wavelength)
-    spectrum = (_fft2(profile_y[:, None].copy(), False, [slice(None)], ())
-                * _fft2(profile_x[None, :].copy(), False, ()))
-    ix = profile_x.real**2 + profile_x.imag**2
-    iy = profile_y.real**2 + profile_y.imag**2
-    stats = (float(ix.sum()) * float(iy.sum()), *_marginal_stats(ix, iy, frame.x, frame.y))
+    spectrum_y = _fft2(profile_y[:, None].copy(), False, [slice(None)], ())
+    spectrum_x = _fft2(profile_x[None, :].copy(), False, ())
+    ix, iy = _abs2(profile_x), _abs2(profile_y)
+    stats = (
+        float(ix.sum()) * float(iy.sum()), *_marginal_stats(ix, iy, frame.x, frame.y),
+        *_marginal_stats(_abs2(spectrum_x[0]), _abs2(spectrum_y[:, 0]), *_sines(frame)),
+    )
     return FreeSpacePlanes(
-        None, spectrum, frame, stats,
-        lambda: frame._with_samples(np.multiply.outer(profile_y, profile_x)),
+        None, spectrum_y * spectrum_x, frame, stats,
+        lambda: (slice(None), slice(None), np.multiply.outer(profile_y, profile_x)),
     )
 
 
@@ -793,27 +900,42 @@ def propagate_elements(
 ) -> ScalarField:
     """Carry a source at z = 0, a field or its FreeSpacePlanes, through
     (z, element) pairs with non-decreasing z >= 0 of PhaseElements (else
-    InvalidInputError, before any transform) and return the field just
-    past the last element.
+    InvalidInputError, before any transform, as for a source of another
+    type) and return the field just past the last element.
 
-    One loop takes the elements in turn, and every step starts from
-    planes: a field is wrapped in its FreeSpacePlanes. A step that ends at
-    a wedge stays in the spectrum (FreeSpacePlanes._wedge), one that ends
-    at an aperture builds only the opening's rows (FreeSpacePlanes.
-    _aperture), and one that ends at a lens builds its plane (plane(),
-    which angular_spectrum_propagate runs too). A lens at an aperture's z
-    multiplies only the opening's box. Zero-length steps, such as between
-    an aperture and the lens at its z, are skipped; an element at the z
-    of planes builds their field first."""
-    _check_positions(elements)
+    One loop (_stack) takes the elements in turn, and every step starts
+    from planes: a caller's field is wrapped in its FreeSpacePlanes, which
+    copies it. A step that ends at a wedge stays in the spectrum
+    (FreeSpacePlanes._wedge), one that ends at an aperture builds only the
+    opening's rows (FreeSpacePlanes._aperture), and one that ends at a
+    lens builds its plane (plane(), which angular_spectrum_propagate runs
+    too). The loop owns the grid an aperture returns: a lens at the
+    aperture's z multiplies the opening's box of it in place, and the next
+    step's planes take it as their spectrum (_box_planes). Zero-length
+    steps, such as between an aperture and the lens at its z, are skipped;
+    an element at the z of planes builds their field first."""
     # the loop holds the source's only reference and frees it at its first step
-    state, box, z_now = source, None, 0.0
+    sources = [source]
     del source
+    state, _ = _stack(sources, elements)
+    return state.field if isinstance(state, FreeSpacePlanes) else state
+
+
+def _stack(sources: list, elements: Sequence):
+    """(state, box) just past the last of `elements` for the one source
+    popped from `sources`: state is planes or a field, and box the
+    opening's (rows, cols) outside which the field, a grid the loop
+    created, is zero (None if no aperture at the last z bounds it)."""
+    state, box, z_now = sources.pop(), None, 0.0
+    if not isinstance(state, (ScalarField, FreeSpacePlanes)):
+        raise InvalidInputError(
+            f"source must be a ScalarField or FreeSpacePlanes, got {type(state).__name__}"
+        )
+    _check_positions(elements)
     for z_el, el in elements:
         distance, z_now = z_el - z_now, z_el
         if distance != 0.0:
-            if not isinstance(state, FreeSpacePlanes):
-                state = FreeSpacePlanes(state)
+            state = _planes(state, box)
             if isinstance(el, WedgePhase):
                 state, box = state._wedge(distance, el), None
                 continue
@@ -824,10 +946,35 @@ def propagate_elements(
         elif isinstance(state, FreeSpacePlanes):
             state = state.field
         if box is not None and isinstance(el, ThinLensPhase):
-            state = _lens(state, el, *box)
+            state = _lens(state, el, *box, state.samples)
         else:
             state, box = apply_element(state, el), None
-    return state.field if isinstance(state, FreeSpacePlanes) else state
+    return state, box
+
+
+def _planes(state: Union[ScalarField, FreeSpacePlanes], box) -> FreeSpacePlanes:
+    """The planes of a _stack state: the planes themselves, those of the
+    grid the loop owns with its box (_box_planes), or FreeSpacePlanes of a
+    field, which copies it."""
+    if isinstance(state, FreeSpacePlanes):
+        return state
+    return FreeSpacePlanes(state) if box is None else _box_planes(state, *box)
+
+
+def _box_planes(field: ScalarField, rows: slice, cols: slice) -> FreeSpacePlanes:
+    """The FreeSpacePlanes of `field`, zero outside the box (rows, cols),
+    whose samples the stack loop created and now hands over: they become
+    the spectrum, in a forward transform in place on the box's columns
+    (_fft2), with no copy of the grid and no scan for its nonzero
+    columns. The moments come first, from the box's rows alone
+    (_intensity_stats), bit for bit those of the whole grid; the planes
+    keep a copy of the box alone as their support."""
+    frame = _Frame(field.nx, field.ny, field.pitch, field.wavelength, field.clipped_fraction)
+    samples = field.samples
+    stats = _intensity_stats(samples, frame.x, frame.y, rows)
+    box = samples[rows, cols].copy()
+    return FreeSpacePlanes(None, _fft2(samples, False, [cols]), frame, stats,
+                           lambda: (rows, cols, box))
 
 
 def _mirror_x(samples: np.ndarray) -> None:
@@ -851,18 +998,22 @@ def _wedge_ramp(frame: _Grid, wedge: WedgePhase) -> np.ndarray:
     return np.exp(1j * frame.wavenumber * (math.sin(wedge.tilt_y) * frame.y))[:, None]
 
 
-def _lens(field: ScalarField, lens: ThinLensPhase, rows: slice, cols: slice) -> ScalarField:
+def _lens(field: ScalarField, lens: ThinLensPhase, rows: slice, cols: slice,
+          samples: np.ndarray) -> ScalarField:
     """`field` through `lens`, whose phase is taken only on the box
     (rows, cols) of the field: every sample outside it must be zero. The
-    phase is built in the output's box and the samples multiply it in
-    place, samples first: no box-sized temporary."""
+    result is written to the box of `samples`, which is zero outside it:
+    a new grid (apply_element), whose box first holds the phase, or the
+    field's own samples, a grid the stack loop created, multiplied in
+    place (propagate_elements). Either way the samples multiply the
+    phase, samples first, so both give the same values."""
     xb, yb = field.x[cols], field.y[rows]
     ik_2f = -1j * field.wavenumber / (2.0 * lens.focal_length)
-    samples = np.zeros_like(field.samples)
-    phase = samples[rows, cols]
+    out = samples[rows, cols]
+    phase = np.empty_like(out) if samples is field.samples else out
     np.multiply(np.exp(ik_2f * (yb * yb))[:, None], np.exp(ik_2f * (xb * xb))[None, :],
                 out=phase)
-    np.multiply(field.samples[rows, cols], phase, out=phase)
+    np.multiply(field.samples[rows, cols], phase, out=out)
     return replace(field, samples=samples)
 
 
@@ -916,7 +1067,8 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     for a source).
     """
     if isinstance(element, ThinLensPhase):
-        return _lens(field, element, slice(None), _nonzero_columns(field.samples))
+        return _lens(field, element, slice(None), _nonzero_columns(field.samples),
+                     np.zeros_like(field.samples))
     if isinstance(element, WedgePhase):
         _check_tilt(element.tilt_y, field.wavelength, field.pitch)
         return replace(field, samples=field.samples * _wedge_ramp(field, element))
@@ -1049,7 +1201,9 @@ class FocusResult:
     the focus plane's from the final parabola, over the smallest of them.
     planes is the exit field's FreeSpacePlanes: its spectrum and its
     guard, whose moments and covariance are each taken at most once, so
-    any later plane costs one transfer build and one inverse FFT."""
+    any later plane costs one transfer build and one inverse FFT. Past an
+    aperture they keep only the opening's box of the exit field, and
+    planes.field embeds it in zeros when read."""
 
     z_focus: float
     metrics: SpotMetrics
@@ -1083,7 +1237,10 @@ def find_focus(
 
     Every plane past the stack comes from the exit field's one
     FreeSpacePlanes, whose guard, with its moments and covariance each
-    taken at most once, checks both window ends and every plane read. The
+    taken at most once, checks both window ends and every plane read.
+    Past an aperture they are the stack's own box planes (_box_planes),
+    with no copy of the exit field. A source that is neither a field nor
+    planes raises InvalidInputError before any transform. The
     triples read x variances only (FreeSpacePlanes.x_variance); the focus
     plane is read whole for the spot metrics. The result keeps the focus
     field and the exit field's planes.
@@ -1113,12 +1270,10 @@ def find_focus(
     # the stack loop holds the source's only reference and frees it early
     sources = [source]
     del source
-    exit_field = propagate_elements(sources.pop(), elements)
-
     # one spectrum and at most one pass of guard moments serve every plane;
     # guarding both window ends first fails a window the beam leaves before
     # any inverse FFT, and every read guards its plane on the cached moments
-    planes = FreeSpacePlanes(exit_field)
+    planes = _planes(*_stack(sources, elements))
     planes.guard(z_min - z_exit, z_max - z_exit)
 
     sampled = []  # (z, x variance) of every plane read

@@ -6,6 +6,7 @@ gate. Each heavyweight fixture records its own wall time for the budget
 checks.
 """
 
+import collections
 import time
 from pathlib import Path
 
@@ -100,21 +101,48 @@ def compact_channels(compact_pipeline):
     ]
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """List that grows by one (inverse, pruned) pair for every 2-d transform
-    or pass of one (wavefield._fft2 call). pruned: the call names column
-    blocks (columns is not None), and their widths sum to less than the
-    grid width or it names the rows of its axis-1 pass (rows is not None)."""
-    calls = []
-    transform = wavefield._fft2
+class TransformCalls(list):
+    """One (inverse, pruned) pair per wavefield._fft2 call, in order, and
+    `forms`, a count of the calls by (direction, form, profile).
 
-    def counted(samples, inverse, columns=None, rows=None):
+    pruned: the call names column blocks (columns is not None), and their
+    widths sum to less than the grid width or it names the rows of its
+    axis-1 pass (rows is not None). direction is "fft" or "ifft"; form is
+    "whole" (no columns), "axis 1" (no column block), "2-d" (column blocks,
+    then every row), "some rows" (column blocks, then the rows named) or
+    "axis 0" (column blocks, no row); profile: the input is a 1-d profile,
+    a grid of one row or one column."""
+
+    def __init__(self):
+        super().__init__()
+        self.forms = collections.Counter()
+
+    def record(self, samples, inverse, columns, rows):
         nx = samples.shape[1]
         pruned = columns is not None and (
             sum(len(range(nx)[c]) for c in columns) < nx or rows is not None
         )
-        calls.append((inverse, pruned))
+        self.append((inverse, pruned))
+        if columns is None:
+            form = "whole"
+        elif not columns:
+            form = "axis 1"
+        elif rows is None:
+            form = "2-d"
+        else:
+            form = "some rows" if rows else "axis 0"
+        self.forms["ifft" if inverse else "fft", form, 1 in samples.shape] += 1
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """TransformCalls that grows by one entry for every 2-d transform or
+    pass of one (wavefield._fft2 call)."""
+    calls = TransformCalls()
+    transform = wavefield._fft2
+
+    def counted(samples, inverse, columns=None, rows=None):
+        calls.record(samples, inverse, columns, rows)
         return transform(samples, inverse, columns, rows)
 
     monkeypatch.setattr(wavefield, "_fft2", counted)

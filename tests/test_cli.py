@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, reports, dumps, overrides."""
 
 import argparse
-import collections
 import csv
 import json
 import os
@@ -725,25 +724,26 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
         steps.append(distance)
         return propagate(field, distance)
 
+    # every column scan, and whether the synthesis probe made it
+    scans, probing = [], []
+    nonzero_columns, wave_verify = wavefield._nonzero_columns, designer._wave_verify
+
+    def counted_scan(samples):
+        scans.append(bool(probing))
+        return nonzero_columns(samples)
+
+    def marked_probe(*args):
+        probing.append(1)
+        try:
+            return wave_verify(*args)
+        finally:
+            probing.pop()
+
     monkeypatch.setattr(wavefield, "_gaussian_profiles", counted_source)
     monkeypatch.setattr(wavefield, "angular_spectrum_propagate", counted_step)
     monkeypatch.setattr(designer, "angular_spectrum_propagate", counted_step)
-    forms, transform = collections.Counter(), wavefield._fft2  # fft_calls' counting _fft2
-
-    def counted_transform(samples, inverse, columns=None, rows=None):
-        if columns is None:
-            form = "whole"
-        elif not columns:
-            form = "axis 1"
-        elif rows is None:
-            form = "2-d"
-        else:
-            form = "some rows" if rows else "axis 0"
-        # a 1-d profile's transform is a pass of a one-row or one-column grid
-        forms["ifft" if inverse else "fft", form, 1 in samples.shape] += 1
-        return transform(samples, inverse, columns, rows)
-
-    monkeypatch.setattr(wavefield, "_fft2", counted_transform)
+    monkeypatch.setattr(wavefield, "_nonzero_columns", counted_scan)
+    monkeypatch.setattr(designer, "_wave_verify", marked_probe)
     dump = tmp_path / "centre.sfld"
     code = cli.main(
         ["design", str(SCENARIO_DIR / "compact.json"),
@@ -755,9 +755,14 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
     assert len(sources) == 3
     # only the probe's steps end at a lens
     assert steps and 0.0 not in steps
-    assert forms == {
+    # the probe's two steps, its two lenses and its scan planes scan the
+    # probe's whole fields; past each search's apertures the box names the
+    # columns, so no channel search scans
+    assert scans == [True] * 5
+    assert fft_calls.forms == {
         # the probe's three spectra, and in each of the two channel searches
-        # the spectra past its two lenses: none of a source or past a wedge
+        # the spectra past its two lenses (on the aperture's box columns):
+        # none of a source or past a wedge
         ("fft", "2-d", False): 7,
         # each channel source enters as one pass of a row and one of a column
         ("fft", "axis 1", True): 2,
@@ -770,10 +775,11 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
         ("ifft", "axis 1", False): 8,
         # each aperture plane: its axis-1 pass on the opening's rows
         ("ifft", "some rows", False): 4,
-        # the probe's 2 steps and 13 scan planes, each search's focus plane
-        # and the off-centre channel's shared plane, reached from the
-        # spectrum of its own search
-        ("ifft", "2-d", False): 18,
+        # the probe's 2 steps, each search's focus plane and the off-centre
+        # channel's shared plane, reached from the spectrum of its own search
+        ("ifft", "2-d", False): 5,
+        # the probe's 13 scan planes, each read as its row y = 0 alone
+        ("ifft", "axis 1", True): 13,
         # the two covariances of the guard
         ("ifft", "whole", False): 2,
     }
@@ -785,30 +791,49 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
     assert [pruned for inverse, pruned in fft_calls if not inverse].count(False) == 2
 
 
-def test_compact_design_peaks_under_four_and_a_half_grids(tmp_path):
-    # live complex grids at the peak, inside _transfer during an
-    # off-centre channel's search: the centre channel's field, the exit
-    # field, its spectrum and the plane being built. One more grid held
-    # across a search, such as find_focus keeping its source or
-    # crosstalk_matrix keeping a channel's planes into the next search,
-    # crosses the bound
+def peak_grids(argv):
+    """(exit code, tracemalloc peak in complex grids of compact.json) of
+    cli.main(argv)."""
     import tracemalloc
 
     from ionoptics import cli, load_scenario
 
-    scenario = SCENARIO_DIR / "compact.json"
-    nx, ny, _ = load_scenario(str(scenario)).grid
+    nx, ny, _ = load_scenario(str(SCENARIO_DIR / "compact.json")).grid
     tracemalloc.start()
     try:
-        code = cli.main(
-            ["design", str(scenario), "--report", str(tmp_path / "design.json"),
-             "--dump-field", str(tmp_path / "centre.sfld")]
-        )
+        code = cli.main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, peak / (nx * ny * 16)
+
+
+def test_compact_design_peaks_under_four_grids(tmp_path):
+    # live complex grids at the peak, inside _transfer during an
+    # off-centre channel's search: the centre channel's field, the exit
+    # planes' spectrum and their copy of the aperture's box (about 0.2 of
+    # a grid), and the plane being built. Keeping the whole exit field
+    # beside its spectrum, or one more grid held across a search, such as
+    # find_focus keeping its source or crosstalk_matrix keeping a
+    # channel's planes into the next search, crosses the bound
+    code, peak = peak_grids(
+        ["design", str(SCENARIO_DIR / "compact.json"), "--report", str(tmp_path / "design.json"),
+         "--dump-field", str(tmp_path / "centre.sfld")]
+    )
     assert code == 0
-    assert peak <= 4.5 * nx * ny * 16
+    assert peak <= 4.0
+
+
+def test_compact_sweep_peaks_under_two_and_three_quarter_grids(tmp_path):
+    # a sweep holds no centre field: the exit planes' spectrum and box
+    # copy, and the plane being built. Keeping the whole exit field beside
+    # its spectrum crosses the bound
+    code, peak = peak_grids(
+        ["sweep", str(SCENARIO_DIR / "compact.json"), "--preset", "prism-mismatch",
+         "--report", str(tmp_path / "sweep.json"), "--csv", str(tmp_path / "sweep.csv")]
+    )
+    assert code == 0
+    assert peak <= 2.75
 
 
 def test_design_without_mirror_symmetry_propagates_every_channel(tmp_path, monkeypatch):

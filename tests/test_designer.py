@@ -195,6 +195,43 @@ def test_wave_verify_finds_no_waist_off_the_image_plane(compact_pipeline, scale)
     assert info.value.residual is None
 
 
+@pytest.mark.parametrize("pipeline", ["compact_pipeline", "reference_pipeline"])
+def test_wave_verify_reads_the_spot_fit_from_one_row(pipeline, request, monkeypatch):
+    # the probe's scan reads each plane's row y = 0 alone: no spot_metrics
+    # and no plane() past its two steps. Its widths are the spot fits of
+    # the whole planes, with the same narrowest plane
+    from ionoptics import wavefield
+
+    scans, planes_read = [], []
+    axis_rows, plane = wavefield.FreeSpacePlanes.axis_rows, wavefield.FreeSpacePlanes.plane
+
+    def spied_rows(self, *distances):
+        scans.append((self, distances))
+        return axis_rows(self, *distances)
+
+    def spied_plane(self, distance):
+        planes_read.append(distance)
+        return plane(self, distance)
+
+    def no_metrics(field):
+        raise AssertionError("the probe's scan calls no spot_metrics")
+
+    args = wave_verify_args(request.getfixturevalue(pipeline)["prescription"])
+    with monkeypatch.context() as patch:
+        patch.setattr(wavefield.FreeSpacePlanes, "axis_rows", spied_rows)
+        patch.setattr(wavefield.FreeSpacePlanes, "plane", spied_plane)
+        patch.setattr(designer, "spot_metrics", no_metrics)
+        patch.setattr(wavefield, "spot_metrics", no_metrics)
+        designer._wave_verify(*args)
+    assert len(planes_read) == 2  # the probe's two steps to its lenses
+    [(planes, distances)] = scans
+    assert len(distances) == 13
+    widths = [designer._row_mfd(planes.frame.x, row) for row in planes.axis_rows(*distances)]
+    fits = [spot_metrics(planes.plane(d)).mfd_fit[0] for d in distances]
+    np.testing.assert_allclose(widths, fits, rtol=1e-9, atol=0)
+    assert np.argmin(widths) == np.argmin(fits)
+
+
 def test_wave_verify_rejects_a_wrong_magnification(compact_pipeline):
     f_list, z_list, targets, v, m = wave_verify_args(compact_pipeline["prescription"])
     with pytest.raises(ConvergenceError, match="disagrees with the ABCD prescription") as info:

@@ -1482,3 +1482,85 @@ def test_sfld_rejects_non_finite_samples(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(InvalidInputError, match="non-finite samples"):
         read_field_sfld(path)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: propagate_elements(np.zeros((64, 64), complex), [(1e-6, ThinLensPhase(1e-4))]),
+    lambda: find_focus(np.zeros((64, 64), complex), [], (1e-6, 2e-6, 33)),
+    lambda: propagate_elements(np.zeros((64, 64)), []),
+], ids=["propagate", "find-focus", "no-elements"])
+def test_a_source_of_another_type_fails_before_any_transform(run, fft_calls):
+    # the stack takes ownership of the grids it makes, so it checks what it is handed
+    with pytest.raises(InvalidInputError,
+                       match="^source must be a ScalarField or FreeSpacePlanes, got ndarray$"):
+        run()
+    assert fft_calls == []
+
+
+def test_source_spectral_moments_come_from_its_profiles(monkeypatch):
+    source = (beam_from_mfd(2.45e-6, 5.2e-6, WL), (0.03, 0.1), (128, 256, 0.22e-6),
+              (1.5e-6, -0.5e-6))
+    want = FreeSpacePlanes(make_gaussian_field(*source)).moments()
+    reads = []
+    stats = wavefield._intensity_stats
+    monkeypatch.setattr(wavefield, "_intensity_stats",
+                        lambda samples, *args: reads.append(samples.shape) or stats(samples, *args))
+    got = gaussian_planes(*source).moments()
+    assert reads == []  # no read of a whole grid, the spectrum's included
+    for axis, axis_want in zip(got, want):
+        assert axis[0] == axis_want[0] and axis[5] == axis_want[5]
+        np.testing.assert_allclose(axis[1:5], axis_want[1:5], rtol=1e-12, atol=0)
+
+
+def lensed_box_field():
+    """(field just past an aperture and the lens at its z, a grid the
+    caller owns; the opening's box), as the stack loop makes them."""
+    field = make_gaussian_field(
+        round_beam(), (0.0, 0.02), (256, 128, 0.22e-6), center=(1e-6, 0.5e-6)
+    )
+    clipped, box = FreeSpacePlanes(field)._aperture(30e-6, CircAperture(6e-6))
+    return wavefield._lens(clipped, ThinLensPhase(90e-6), *box, clipped.samples), box
+
+
+def test_box_planes_are_the_planes_of_their_field():
+    field, (rows, cols) = lensed_box_field()
+    assert cols.stop - cols.start < field.nx and rows.stop - rows.start < field.ny
+    caller = wavefield.ScalarField(field.samples.copy(), field.pitch, field.wavelength,
+                                   field.clipped_fraction)
+    kept = caller.samples.copy()
+    whole = FreeSpacePlanes(caller)
+    boxed = wavefield._box_planes(field, rows, cols)
+    # the box planes took the field's grid as their spectrum, and keep its box alone
+    assert np.shares_memory(boxed.spectrum, field.samples)
+    assert boxed._support()[2].shape == (rows.stop - rows.start, cols.stop - cols.start)
+    assert np.array_equal(boxed.spectrum.view(np.float64), whole.spectrum.view(np.float64))
+    assert boxed.moments() == whole.moments()
+    assert boxed._total == whole._total
+    covs = [wavefield._window_covariance(planes.frame, planes.spectrum, planes.moments(),
+                                         planes._total, planes._support())
+            for planes in (boxed, whole)]
+    np.testing.assert_allclose(covs[0], covs[1], rtol=1e-14, atol=0)
+    assert boxed.field.clipped_fraction == caller.clipped_fraction
+    assert np.array_equal(boxed.field.samples.view(np.float64), kept.view(np.float64))
+    # the caller's field keeps its samples through its planes' reads; the
+    # Cauchy-Schwarz limit cannot clear this step, which takes the covariance
+    whole.guard(40e-6)
+    whole.plane(40e-6)
+    assert whole._covs is not None
+    assert np.array_equal(caller.samples.view(np.float64), kept.view(np.float64))
+
+
+def test_the_stack_writes_no_sample_of_its_source():
+    field = make_gaussian_field(
+        round_beam(), (0.0, 0.0), (256, 256, 0.22e-6), center=(1e-6, 0.5e-6)
+    )
+    kept = field.samples.copy()
+    elements = [(30e-6, CircAperture(8e-6)), (30e-6, ThinLensPhase(60e-6)),
+                (50e-6, CircAperture(8e-6)), (50e-6, ThinLensPhase(60e-6))]
+    exit_field = propagate_elements(field, elements)
+    assert np.array_equal(field.samples.view(np.float64), kept.view(np.float64))
+    result = find_focus(field, elements, (60e-6, 120e-6, 33))
+    assert np.array_equal(field.samples.view(np.float64), kept.view(np.float64))
+    # the exit planes keep the last aperture's box; their field is rebuilt from it
+    assert result.planes._field is None
+    assert np.array_equal(result.planes.field.samples, exit_field.samples)
