@@ -57,6 +57,7 @@ from .picmodel import (
 from .wavefield import (
     CircAperture,
     FreeSpacePlanes,
+    OffsetLaunch,
     ScalarField,
     SpotMetrics,
     ThinLensPhase,
@@ -66,8 +67,9 @@ from .wavefield import (
     _check_positions,
     _check_power,
     _fit_profile,
-    _intensity_stats,
-    _mirror_x,
+    _gaussian_profiles,
+    _marginals,
+    _mirror_index,
     angular_spectrum_propagate,
     apply_element,
     find_focus,
@@ -480,56 +482,48 @@ def synthesize_lens_stack(
     dist = targets.image_distance
     budget_r = targets.aperture_budget / 2.0
 
-    f2_values = np.arange(F2_RANGE[0], F2_RANGE[1] + GRID_STEP / 2, GRID_STEP)
-    gap_values = np.arange(GAP_RANGE[0], GAP_RANGE[1] + GRID_STEP / 2, GRID_STEP)
-
-    rejections = {
-        "focal_length": 0,
-        "working_distance": 0,
-        "max_stack_height": 0,
-        "telecentricity": 0,
-        "internal_focus": 0,
-        "chief_slope": 0,
-        "aperture_budget": 0,
-    }
+    # every (f2, gap) candidate at once, f2 major as the grid is walked;
+    # each check counts the candidates that passed every earlier one
+    f2, g = np.meshgrid(
+        np.arange(F2_RANGE[0], F2_RANGE[1] + GRID_STEP / 2, GRID_STEP),
+        np.arange(GAP_RANGE[0], GAP_RANGE[1] + GRID_STEP / 2, GRID_STEP),
+        indexing="ij",
+    )
+    p00 = 1.0 - dist / f2
+    p01 = g * p00 + dist
+    denom = p00 - ms
+    alive = np.abs(denom) >= 1e-9
+    # the masks below drop what a failed or degenerate candidate computes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f1 = p01 / denom
+        d1 = -p01 / ms
+        stack = d1 + g
+        failed = {
+            "focal_length": f1 < MIN_FOCAL_LENGTH,
+            "working_distance": d1 < MIN_WORKING_DISTANCE,
+            "max_stack_height": stack > targets.max_stack_height,
+            "telecentricity": np.abs(1.0 - g / f1) > TELECENTRIC_TOL,
+            "internal_focus": (d1 > f1) & (f1 * d1 / (d1 - f1) < g),
+            "chief_slope": chief_reach / f1 > MAX_CHIEF_SLOPE,
+        }
+    rejections = {}
+    for check, fails in failed.items():
+        rejections[check] = int(np.count_nonzero(alive & fails))
+        alive &= ~fails
+    rejections["aperture_budget"] = 0
     best = None
-    for f2 in f2_values:
-        p00 = 1.0 - dist / f2
-        for g in gap_values:
-            p01 = g * p00 + dist
-            denom = p00 - ms
-            if abs(denom) < 1e-9:
-                continue
-            f1 = p01 / denom
-            if f1 < MIN_FOCAL_LENGTH:
-                rejections["focal_length"] += 1
-                continue
-            d1 = -p01 / ms
-            if d1 < MIN_WORKING_DISTANCE:
-                rejections["working_distance"] += 1
-                continue
-            stack = d1 + g
-            if stack > targets.max_stack_height:
-                rejections["max_stack_height"] += 1
-                continue
-            if abs(1.0 - g / f1) > TELECENTRIC_TOL:
-                rejections["telecentricity"] += 1
-                continue
-            if d1 > f1 and f1 * d1 / (d1 - f1) < g:
-                rejections["internal_focus"] += 1
-                continue
-            if chief_reach / f1 > MAX_CHIEF_SLOPE:
-                rejections["chief_slope"] += 1
-                continue
-            if max(_widths_at_lenses(source, (f1, f2), (d1, stack))) > budget_r:
-                rejections["aperture_budget"] += 1
-                continue
-            key = (stack, f2, g)
-            if best is None or key < best[0]:
-                best = (key, float(f1), float(f2), float(g), float(d1))
+    # the least (stack, f2, gap) first: the first that fits the budget wins
+    candidates = np.flatnonzero(alive.ravel())
+    for i in candidates[np.lexsort((g.flat[candidates], f2.flat[candidates],
+                                    stack.flat[candidates]))]:
+        lenses = (f1.flat[i], f2.flat[i]), (d1.flat[i], stack.flat[i])
+        if max(_widths_at_lenses(source, *lenses)) > budget_r:
+            rejections["aperture_budget"] += 1
+        elif best is None:
+            best = (f1.flat[i], f2.flat[i], g.flat[i], d1.flat[i])
 
     if best is not None:
-        _, f1, f2, g, d1 = best
+        f1, f2, g, d1 = map(float, best)
         f_list = (f1, f2)
         z_list = (d1, d1 + g)
         # the chief ray's reach at each lens
@@ -608,14 +602,32 @@ def _launch(prescription, array, mirror, channel):
             outcoupling_angle(mirror).exit_angle_deg)
 
 
-def _search(prescription, array, grid, z_search, channel, launch):
+@dataclass
+class _SharedLaunch:
+    """The x offsets of the channels that one OffsetLaunch serves and,
+    once the first of their searches (_search) has made it, the launch."""
+
+    offsets: list
+    launch: Optional[OffsetLaunch] = None
+
+
+def _search(prescription, array, grid, z_search, channel, launch, shared=None):
     """(ChannelFocus, FocusResult) of `channel` launched as `launch`, an
     (elements, source x, tilt_deg) triple: the array's Gaussian mode at the
-    design wavelength, centred at x and tilted by tilt_deg in y-z, enters
-    as its FreeSpacePlanes (gaussian_planes: the spectrum of a product
-    field, from one 1-d transform per axis) and runs through elements to
-    find_focus within z_search (None: 0.5 to 1.25 image distances past the
-    stack top, 33 steps). waveguide_position is x.
+    design wavelength, centred at x and tilted by tilt_deg in y-z, runs
+    through elements to find_focus within z_search (None: 0.5 to 1.25
+    image distances past the stack top, 33 steps). waveguide_position is
+    x.
+
+    The source takes make_gaussian_field's checks and messages at its real
+    centre (_gaussian_profiles), then enters from an OffsetLaunch of the
+    same source at x = 0 (gaussian_planes: one 1-d transform per axis),
+    which takes the leading wedges and the free space to the first
+    aperture once and the offset as a phase. `shared` is a crosstalk
+    pass's _SharedLaunch: its launch, made by the first search for every
+    propagated offset, serves each; without it the search makes its own.
+    Either way the launch computes the same values, so the record does not
+    depend on it.
 
     Every search, a sweep point's too, centres find_focus's first triple
     on the nominal ABCD image plane, predicted_image_distance past the
@@ -628,11 +640,15 @@ def _search(prescription, array, grid, z_search, channel, launch):
     if z_search is None:
         z_search = (top + 0.5 * dist, top + 1.25 * dist, 33)
     beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
-    # no name here holds the source's planes, so the stack loop can free them
-    result = find_focus(
-        gaussian_planes(beam, tilt=(0.0, math.radians(tilt_deg)), grid=grid, center=(x, 0.0)),
-        list(elements), z_search, top + dist,
-    )
+    tilt = (0.0, math.radians(tilt_deg))
+    _gaussian_profiles(beam, tilt, grid, (x, 0.0))  # the checks, at the real centre
+    if shared is None:
+        shared = _SharedLaunch([x])
+    if shared.launch is None:
+        # the launch holds the source's only reference and frees it at its first step
+        shared.launch = OffsetLaunch([gaussian_planes(beam, tilt, grid)], elements,
+                                     shared.offsets)
+    result = find_focus(shared.launch.at(x), list(elements), z_search, top + dist)
     return ChannelFocus(
         **vars(result.metrics),
         channel=channel,
@@ -653,6 +669,7 @@ def simulate_channel(
     grid,
     z_search=None,
     with_result: bool = False,
+    shared: Optional[_SharedLaunch] = None,
 ):
     """Wave-propagate one channel through the stack and find its focus.
 
@@ -661,13 +678,15 @@ def simulate_channel(
     returned ChannelFocus holds the metrics at the x-width minimum past the
     stack (_search). With with_result the return value is (ChannelFocus,
     FocusResult), so a caller can reuse the focus field and exit planes.
-    A channel that WaveguideArraySpec.check_channel rejects raises
-    InvalidInputError before any work.
+    `shared` is crosstalk_matrix's launch of every channel it propagates;
+    the record is the same with it or without. A channel that
+    WaveguideArraySpec.check_channel rejects raises InvalidInputError
+    before any work.
     """
     array.check_channel(channel)
     focus, result = _search(
         prescription, array, grid, z_search, channel,
-        _launch(prescription, array, mirror, channel),
+        _launch(prescription, array, mirror, channel), shared,
     )
     return (focus, result) if with_result else focus
 
@@ -680,14 +699,6 @@ def _error_prefix(prefix: str):
     except IonOpticsError as exc:
         exc.args = (f"{prefix}{exc}",) + exc.args[1:]
         raise
-
-
-def _row_and_centroid(field: ScalarField, y_row: float):
-    """A channel's |E|^2 on the row at y_row of its field in the common
-    crosstalk plane and its x centroid there, from the marginals as
-    spot_metrics takes it."""
-    row = interp_row(field.samples, field.y, y_row, axis=0)
-    return row, _intensity_stats(field.samples, field.x, field.y)[1]
 
 
 def crosstalk_matrix(
@@ -707,8 +718,12 @@ def crosstalk_matrix(
     the centre channel first, and runs each propagated channel's own focus
     search (simulate_channel, within z_search), which sends its source
     through the stack once; channel_focus holds the records it returns.
-    The centre channel's search fixes the plane and the row's y, and its
-    focus field is its field there. Every other propagated channel reaches
+    The sources differ only in x, so one OffsetLaunch, made by the first
+    search, takes the stack's leading wedges and the free space to its
+    first aperture once for all of them, and each search enters it at its
+    own offset. The centre channel's search fixes
+    the plane and the row's y, and its focus field is its field there,
+    whose spot gives the centroid. Every other propagated channel reaches
     that plane in one inverse FFT from the stack-exit FreeSpacePlanes of
     its own search. In the same step |E|^2 on two rows gives its row
     through the centre spot, and the marginals of its |E|^2 its centroid.
@@ -720,14 +735,15 @@ def crosstalk_matrix(
     channel past the middle (i > n-1-i) mirrors its partner n-1-i,
     and the rest are propagated; the centre channel is always among them:
     it ties with its partner, and the tie goes to the lower index. A
-    mirrored channel takes its partner's fields mirrored in place on the
-    grid's periodic index map ix -> (nx - ix) % nx, as soon as the partner
-    is done with them (the centre field is mirrored back): its field in
-    the common plane goes through the same row and centroid steps, and its
-    record keeps its channel and waveguide position, takes its partner's
-    z_focus, beam_slope and focus_fit_residual, and takes its spot metrics
-    from the mirrored focus field. An array that fails the check
-    propagates every channel. mirror_of says which channels mirrored.
+    mirrored channel is its partner mirrored on the grid's periodic index
+    map ix -> (nx - ix) % nx, but no grid is mirrored: its spot metrics
+    (spot_metrics(mirrored=True)), its row and its centroid in the common
+    plane come from its partner's marginals and lines, index-mapped, while
+    the partner's fields are live, and the centre field is never changed.
+    Its record keeps its channel and waveguide position and takes its
+    partner's z_focus, beam_slope and focus_fit_residual. An array that
+    fails the check propagates every channel. mirror_of says which
+    channels mirrored.
 
     Ion positions are mapped into the plane by a least-squares scale fit
     of the centroids, which absorbs the sub-percent magnification offset
@@ -771,41 +787,41 @@ def crosstalk_matrix(
     focus_table = [None] * n
     rows = np.empty((n, int(grid[0])))
     centroids = np.empty(n)
-    for i in [centre] + [j for j in range(n) if j != centre and mirror_of[j] is None]:
+    order = [centre] + [j for j in range(n) if j != centre and mirror_of[j] is None]
+    shared = _SharedLaunch([float(positions[i]) for i in order])
+    for i in order:
         # the channel that takes this one's fields mirrored, if any
         image = n - 1 - i if mirror_of[n - 1 - i] == i else None
-        image_spot = None
         with _error_prefix(f"channel {i}: "):
-            record, result = simulate_channel(
-                prescription, array, i, mirror, grid=grid, z_search=z_search,
-                with_result=True,
-            )
-            if i == centre:
-                z_eval, y_row = record.z_focus, record.centroid[1]
-                field = centre_field = result.field_at_focus
-            else:
-                if image is not None:
-                    # the image's spot; the focus field is not read again
-                    _mirror_x(result.field_at_focus.samples)
-                    image_spot = spot_metrics(result.field_at_focus)
-                planes = result.planes
-                del result  # drop the focus field before the common plane
-                field = planes.plane(z_eval - top)
-            rows[i], centroids[i] = _row_and_centroid(field, y_row)
+            record, result = simulate_channel(prescription, array, i, mirror, grid, z_search,
+                                              with_result=True, shared=shared)
         focus_table[i] = record
         if image is not None:
             with _error_prefix(f"channel {image}: "):
-                _mirror_x(field.samples)
-                # without image_spot the partner is the centre, whose
-                # focus field is this field
-                spot = spot_metrics(field) if image_spot is None else image_spot
                 focus_table[image] = replace(
-                    record, **vars(spot), channel=image,
-                    waveguide_position=float(positions[image]),
+                    record, **vars(spot_metrics(result.field_at_focus, mirrored=True)),
+                    channel=image, waveguide_position=float(positions[image]),
                 )
-                rows[image], centroids[image] = _row_and_centroid(field, y_row)
-                if i == centre:
-                    _mirror_x(field.samples)  # the centre field is kept: mirror it back
+        with _error_prefix(f"channel {i}: "):
+            if i == centre:
+                z_eval, y_row = record.z_focus, record.centroid[1]
+                field = centre_field = result.field_at_focus
+                # the centroids of the spots in this plane
+                centroids[i] = record.centroid[0]
+                if image is not None:
+                    centroids[image] = focus_table[image].centroid[0]
+            else:
+                planes = result.planes
+                del result  # drop the focus field before the common plane
+                field = planes.plane(z_eval - top)
+                total, ix, _ = _marginals(field.samples)
+                centroids[i] = _centroid_variance(ix, field.x, total)[0]
+                if image is not None:
+                    centroids[image] = _centroid_variance(ix[_mirror_index(len(ix))],
+                                                          field.x, total)[0]
+            rows[i] = interp_row(field.samples, field.y, y_row, axis=0)
+            if image is not None:
+                rows[image] = interp_row(field.samples, field.y, y_row, axis=0, mirrored=True)
         # nothing of this channel lives into the next channel's search
         result = planes = field = None
 

@@ -11,6 +11,13 @@ exp(i kz d) with kz = sqrt(k^2 - kx^2 - ky^2) and evanescent components
 transfer function has unit modulus, so power is conserved and a
 z / -z round trip is the identity.
 
+Every grid that takes an axis-0 pass is made by _grid, whose rows lie
+_ROW_PAD samples further apart than their width: rows 2^n samples apart
+map every sample of a column to a few cache sets, and a padded column
+pass took half the time at 1024^2. pocketfft transforms a line the same
+way at any stride, and every row is contiguous in itself, so the values
+do not depend on the padding; ScalarField keeps such a grid as it is.
+
 Every FFT runs in _fft2. Given no columns it is the full 2-d transform;
 given column blocks, its axis-0 pass runs in place on exactly those
 blocks, then the axis-1 pass on the rows it is given (all by default).
@@ -51,6 +58,15 @@ next guard's real-space moments come by Parseval. A step that ends at an
 aperture runs its axis-1 pass on the opening's rows only; one that ends
 at a lens builds its whole plane.
 
+Sources that differ only in their x offset, such as the channels of one
+design, enter from one launch at x = 0 (OffsetLaunch): free space is
+shift-invariant and a wedge ramps in y only, so up to a stack's first
+aperture a source moved by x has the unmoved one's spectrum times
+exp(-i kx x), by the Fourier shift theorem. The launch runs the leading
+wedges and builds the transfer product to the aperture once; each source
+takes its phase on the product's band blocks, and its guard is the
+launch's with the centroid moved by x.
+
 Past an aperture the field is zero outside the opening's box, and the
 stack loop owns the grid _aperture returns: a lens at its z multiplies
 the box in place, and the next planes take that grid as their spectrum
@@ -82,7 +98,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.fft as sfft
@@ -112,6 +128,7 @@ __all__ = [
     "angular_spectrum_propagate",
     "FreeSpacePlanes",
     "gaussian_planes",
+    "OffsetLaunch",
     "propagate_elements",
     "apply_element",
     "spot_metrics",
@@ -142,8 +159,11 @@ _TILT_LIMIT = math.radians(30.0)
 # fails after this many trial points
 _FIT_STEP_TOL = 1e-12
 _FIT_MAX_EVALS = 100
-# rows per block of the in-place x mirror: 1 MiB of temporary at nx = 1024
-_MIRROR_ROWS = 64
+# samples past the end of each row of a grid that takes an axis-0 pass
+# (_grid): a row stride of 2^n samples makes every column pass miss the
+# cache. One axis-0 pass over a 1024^2 grid took 7.5 ms padded by 16
+# against 14.2 ms unpadded, and 28.9 against 39.9 ms at 2048^2
+_ROW_PAD = 16
 
 
 def _check_grid(nx: int, ny: int, pitch: float):
@@ -213,11 +233,17 @@ class ScalarField(_Grid):
                 if not isinstance(value, numbers.Number):
                     raise InvalidInputError(f"samples must be complex numbers: got {value!r}")
         try:
-            self.samples = np.ascontiguousarray(samples, dtype=np.complex128)
+            samples = np.asarray(samples, dtype=np.complex128)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"samples must be complex numbers: {exc}") from None
-        if self.samples.ndim != 2:
+        if samples.ndim != 2:
             raise InvalidInputError("samples must be a 2-d array")
+        # rows that are contiguous each, in order and apart, such as a
+        # _grid's, are kept as they lie; any other layout is copied
+        step = samples.itemsize
+        if samples.strides[1] != step or samples.strides[0] < step * samples.shape[1]:
+            samples = np.ascontiguousarray(samples)
+        self.samples = samples
         _check_grid(self.nx, self.ny, self.pitch)
         check_real("wavelength", self.wavelength, 0)
         check_real("clipped_fraction", self.clipped_fraction, 0, 1, closed=True)
@@ -281,6 +307,17 @@ class CircAperture:
 
 
 PhaseElement = Union[ThinLensPhase, WedgePhase, CircAperture]
+
+
+def _grid(ny: int, nx: int, values=None) -> np.ndarray:
+    """A new ny x nx complex grid, zeros or a copy of `values` (a grid or
+    what broadcasts to one), whose rows lie _ROW_PAD samples further apart
+    than their width: no axis-0 pass over it strides by a power of two.
+    Every grid the package transforms along axis 0 is made here."""
+    out = np.zeros((ny, nx + _ROW_PAD), dtype=np.complex128)[:, :nx]
+    if values is not None:
+        out[...] = values
+    return out
 
 
 def _check_tilt(tilt: float, wavelength: float, pitch: float):
@@ -371,14 +408,14 @@ def _span(mask: np.ndarray) -> slice:
 
 
 def _row_sums(samples: np.ndarray) -> np.ndarray:
-    """Row sums of |samples|^2 (C-contiguous), from one einsum read of its
+    """Row sums of |samples|^2 (contiguous rows), from one einsum read of its
     float64 view."""
     v = samples.view(np.float64)
     return np.einsum("ij,ij->i", v, v)
 
 
 def _column_sums(samples: np.ndarray) -> np.ndarray:
-    """Column sums of |samples|^2 (C-contiguous), from one einsum read of
+    """Column sums of |samples|^2 (contiguous rows), from one einsum read of
     its float64 view: no |E|^2 grid, one thread, no BLAS."""
     v = samples.view(np.float64)
     ix = np.einsum("ij,ij->j", v, v)
@@ -418,20 +455,40 @@ def _centroid_variance(weights: np.ndarray, coords: np.ndarray, total: float):
     return c, float(weights @ (coords - c) ** 2) / total
 
 
-def _intensity_stats(samples: np.ndarray, x: np.ndarray, y: np.ndarray,
-                     rows: slice = slice(None)):
-    """(total, cx, cy, vx, vy) of |samples|^2 (C-contiguous), from two einsum
-    reads of its float64 view; total is _power_sum's sum, bit for bit. A
-    total that is not finite or not positive raises InvalidInputError.
+def _mirror_index(n: int) -> np.ndarray:
+    """The periodic index map ix -> (n - ix) % n of a mirror in x: it takes
+    x to -x exactly for ix >= 1 and keeps index 0 (x = -n/2 pitch, its own
+    image under the window's periodicity)."""
+    return -np.arange(n) % n
+
+
+def _marginals(samples: np.ndarray, rows: slice = slice(None)):
+    """(total, column sums, row sums) of |samples|^2 (contiguous rows), from
+    two einsum reads of its float64 view; total is _power_sum's sum, bit
+    for bit. A total that is not finite or not positive raises
+    InvalidInputError before the column sums are read.
 
     Only `rows` are read, and every other row must be zero: their column
     sums are the whole grid's, and their full-width row sums fill a
     vector of every row's, so each sum runs in the whole grid's order and
     the result is bit for bit that of the whole grid."""
-    iy = np.zeros(len(y))
+    iy = np.zeros(samples.shape[0])
     iy[rows] = _row_sums(samples[rows])
     total = _check_power(float(iy.sum()), "field has no power")
-    cx, vx = _centroid_variance(_column_sums(samples[rows]), x, total)
+    return total, _column_sums(samples[rows]), iy
+
+
+def _intensity_stats(samples: np.ndarray, x: np.ndarray, y: np.ndarray,
+                     rows: slice = slice(None), mirrored: bool = False):
+    """(total, cx, cy, vx, vy) of |samples|^2 from its _marginals (read on
+    `rows`). With `mirrored`, those of samples mirrored in x on
+    _mirror_index: the column sums are index-mapped, which gives the
+    mirrored grid's bit for bit, and the row sums hold its rows' values in
+    another order, so they agree with the mirrored grid's to rounding."""
+    total, ix, iy = _marginals(samples, rows)
+    if mirrored:
+        ix = ix[_mirror_index(len(ix))]
+    cx, vx = _centroid_variance(ix, x, total)
     cy, vy = _centroid_variance(iy, y, total)
     return total, cx, cy, vx, vy
 
@@ -462,7 +519,8 @@ def _window_covariance(field: _Grid, spectrum: np.ndarray, axes, total: float,
     rows, cols, samples = support or (slice(None), slice(None), field.samples)
     fx = sfft.fftfreq(field.nx, field.pitch)
     fy = sfft.fftfreq(field.ny, field.pitch)
-    h = (2j * math.pi * fx)[None, :] - (2.0 * math.pi * fy)[:, None]
+    h = _grid(field.ny, field.nx, (2j * math.pi * fx)[None, :])
+    h -= (2.0 * math.pi * fy)[:, None]
     h *= spectrum
     e = samples.view(np.float64)
     h = _fft2(h, True)[rows, cols].view(np.float64)
@@ -506,16 +564,18 @@ def _check_window(field: ScalarField, axes, covs, d: float):
 def _fft2(samples: np.ndarray, inverse: bool,
           columns: Optional[Sequence[slice]] = None,
           rows: Optional[Sequence[slice]] = None) -> np.ndarray:
-    """The 2-d FFT of the C-contiguous grid `samples` (inverse if
-    `inverse`), which it overwrites, or the passes of it that the caller
-    names. With `columns` None it is scipy.fft.fft2 (ifft2). Otherwise
-    `columns` are disjoint slices that name exactly the column blocks the
-    axis-0 pass transforms, in place, and `rows` (None: every row) the row
-    blocks the axis-1 pass then transforms, in place. Naming every nonzero
-    column and every row gives the 2-d transform bit-identically (see the
-    module docstring); an empty `columns` leaves the axis-1 pass alone, an
-    empty `rows` the axis-0 pass alone, and a row the axis-1 pass skips
-    keeps its axis-0 values. Every transform of the package runs here."""
+    """The 2-d FFT of the grid `samples`, each of whose rows is contiguous
+    (a _grid), inverse if `inverse`, which it overwrites, or the passes of
+    it that the caller names. With `columns` None it is scipy.fft.fft2
+    (ifft2). Otherwise `columns` are disjoint slices that name exactly the
+    column blocks the axis-0 pass transforms, in place, and `rows` (None:
+    every row) the row blocks the axis-1 pass then transforms, in place.
+    Naming every nonzero column and every row gives the 2-d transform
+    bit-identically (see the module docstring); an empty `columns` leaves
+    the axis-1 pass alone, an empty `rows` the axis-0 pass alone, and a
+    row the axis-1 pass skips keeps its axis-0 values. pocketfft
+    transforms a line the same way at any stride, so a _grid gives the
+    bits of a contiguous one. Every transform of the package runs here."""
     if columns is None:
         transform = sfft.ifft2 if inverse else sfft.fft2
         return transform(samples, workers=-1, overwrite_x=True)
@@ -531,13 +591,15 @@ def _fft2(samples: np.ndarray, inverse: bool,
     return samples
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _kz_quadrant(nx: int, ny: int, pitch: float, k: float):
     """The propagating band's distinct kz values, and a read-only int32
     table over the block [0..ay] x [0..ax] of the FFT grid that bounds the
     band (kx, ky >= 0, the Nyquist index included): 0 for an evanescent
-    entry, else 1 + the index of the entry's kz among the values. One
-    cache entry suffices: a run propagates on one grid at a time."""
+    entry, else 1 + the index of the entry's kz among the values. Two
+    cache entries hold a design's two grids, the synthesis probe's and the
+    channels', so a process that runs designs in turn builds neither
+    again."""
     kx = (2.0 * math.pi * sfft.fftfreq(nx, pitch))[None, : nx // 2 + 1]
     ky = (2.0 * math.pi * sfft.fftfreq(ny, pitch))[: ny // 2 + 1, None]
     kz_sq = k * k - kx * kx - ky * ky
@@ -572,12 +634,20 @@ def _band_phases(frame: _Grid, distance: float) -> np.ndarray:
     return phases[index]
 
 
+def _stacked(blocks) -> list:
+    """The slices that stack the two blocks `blocks` (_band_blocks' grid
+    slices; the first starts at index 0) one after the other from 0."""
+    first, second = blocks
+    return [first, slice(first.stop, first.stop + second.stop - second.start)]
+
+
 def _transfer(field: ScalarField, distance: float, spectrum=None,
-              band_rows: bool = False) -> np.ndarray:
+              band_rows: bool = False, band_columns: bool = False) -> np.ndarray:
     """Band-limited transfer exp(i kz d) on the FFT grid, zero outside the
     propagating band; with `spectrum`, the product transfer * spectrum.
     With `band_rows`, only the rows of the band's two row blocks, stacked
-    in that order: every other row is zero.
+    in that order: every other row is zero; with `band_columns` likewise
+    the columns. Anything else is a _grid.
 
     On an even grid fftfreq negates exactly, so kz[iy, ix] equals
     kz[iy, (nx - ix) % nx] and kz[(ny - iy) % ny, ix] bit for bit. The exp
@@ -587,25 +657,26 @@ def _transfer(field: ScalarField, distance: float, spectrum=None,
     entry gets the exp of the same float, so every value equals the
     full-grid formula's.
     """
-    nx, ny = field.nx, field.ny
     quadrant = _band_phases(field, distance)
-    qy, qx = quadrant.shape
-    row_blocks = _band_blocks(ny, qy)
-    # the rows of `out` each block fills: in place, or stacked from row 0
-    targets = [r for r, _ in row_blocks]
-    if band_rows:
-        first, mirrored = targets
-        targets = [first, slice(first.stop, first.stop + mirrored.stop - mirrored.start)]
-    out = np.zeros((targets[1].stop, nx), dtype=np.complex128)
-    for ((r, qr), t), (c, qc) in itertools.product(
-        zip(row_blocks, targets), _band_blocks(nx, qx)
+    row_blocks = _band_blocks(field.ny, quadrant.shape[0])
+    column_blocks = _band_blocks(field.nx, quadrant.shape[1])
+    # the rows and columns of `out` each block fills: in place, or stacked from 0
+    targets = [[s for s, _ in blocks] for blocks in (row_blocks, column_blocks)]
+    for axis, stacked in enumerate((band_rows, band_columns)):
+        if stacked:
+            targets[axis] = _stacked(targets[axis])
+    shape = (targets[0][1].stop, targets[1][1].stop)
+    out = (np.zeros(shape, dtype=np.complex128) if band_rows or band_columns
+           else _grid(*shape))
+    for ((r, qr), t), ((c, qc), u) in itertools.product(
+        zip(row_blocks, targets[0]), zip(column_blocks, targets[1])
     ):
         if spectrum is None:
-            out[t, c] = quadrant[qr, qc]
+            out[t, u] = quadrant[qr, qc]
         else:
             # keep this operand order: NumPy's complex multiply may round
             # differently with the operands swapped, and reports must not move
-            np.multiply(quadrant[qr, qc], spectrum[r, c], out=out[t, c])
+            np.multiply(quadrant[qr, qc], spectrum[r, c], out=out[t, u])
     return out
 
 
@@ -658,7 +729,7 @@ class FreeSpacePlanes:
                  frame: Optional[_Grid] = None, stats=None, build=None):
         if spectrum is None:
             # a copy: the transform overwrites its input, and the guard reads the field
-            samples = field.samples.copy()
+            samples = _grid(field.ny, field.nx, field.samples)
             spectrum = _fft2(samples, False, [_nonzero_columns(samples)])
         self._field, self.spectrum = field, spectrum
         self.frame = field if frame is None else frame
@@ -684,7 +755,7 @@ class FreeSpacePlanes:
             frame = self.frame
             rows, cols, samples = self._support()
             if samples.shape != (frame.ny, frame.nx):
-                samples, box = np.zeros((frame.ny, frame.nx), dtype=np.complex128), samples
+                samples, box = _grid(frame.ny, frame.nx), samples
                 samples[rows, cols] = box
             self._field = frame._with_samples(samples)
         return self._field
@@ -706,15 +777,20 @@ class FreeSpacePlanes:
             )
         return self._axes
 
-    def guard(self, *distances: float):
+    def guard(self, *distances: float, shift: float = 0.0):
         """Raise PropagationWindowError if the beam would leave the safe
         window at any of `distances` (InvalidInputError if one is not
-        finite). A zero distance is the identity and passes."""
+        finite). A zero distance is the identity and passes. With `shift`,
+        the guard of the field moved by `shift` in x: its centroid moves,
+        and its other moments and the covariance stay (OffsetLaunch)."""
         for d in distances:
             check_real("propagation distance", d)
             if d == 0.0:
                 continue
             axes = self.moments()
+            if shift:
+                (label, c, *rest), y_axis = axes
+                axes = ((label, c + shift, *rest), y_axis)
             limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), d)
                       for *_, v, v_s, _ in axes]
             extents = _extents(self.frame, axes, limits, d)
@@ -807,7 +883,8 @@ class FreeSpacePlanes:
         _fft2(samples, False, columns, ())
         return FreeSpacePlanes(
             None, samples, frame, (total, *_marginal_stats(ix, iy, frame.x, frame.y)),
-            lambda: (slice(None), slice(None), _fft2(samples.copy(), True, columns)),
+            lambda: (slice(None), slice(None),
+                     _fft2(_grid(frame.ny, frame.nx, samples), True, columns)),
         )
 
     def _aperture(self, distance: float, aperture: CircAperture):
@@ -821,9 +898,18 @@ class FreeSpacePlanes:
         self.guard(distance)
         opening = _opening(frame, aperture)
         samples = _transfer(frame, distance, self.spectrum)
-        before = _power_sum(samples) / (frame.nx * frame.ny)
-        _fft2(samples, True, _band(frame, 1), opening[:1])
-        return _clip(frame, samples, opening, before), opening[:2]
+        return _aperture_plane(frame, samples, opening,
+                               _power_sum(samples) / (frame.nx * frame.ny))
+
+
+def _aperture_plane(frame: _Grid, samples: np.ndarray, opening, before: float):
+    """(field just past an aperture of `opening` (_opening); the opening's
+    (rows, columns)) from `samples`, the transfer product at its plane,
+    zero outside the band's blocks, whose sum of |E|^2 is `before`: the
+    axis-1 inverse pass runs on the opening's rows only, and the clip in
+    place (_clip)."""
+    _fft2(samples, True, _band(frame, 1), opening[:1])
+    return _clip(frame, samples, opening, before), opening[:2]
 
 
 def _window_guard(field: ScalarField, spectrum: np.ndarray, *distances: float):
@@ -866,6 +952,111 @@ def gaussian_planes(
     )
 
 
+class OffsetLaunch:
+    """Sources that differ only in their x offset, each entering a stack
+    from one launch at x = 0.
+
+    Free space is shift-invariant and a wedge ramps in y only, so the
+    spectrum at a stack's first element past its leading wedges is, for a
+    source moved by x, that of the unmoved source times exp(-i kx x) (the
+    Fourier shift theorem). OffsetLaunch(sources, elements, offsets) pops
+    the source at x = 0, FreeSpacePlanes, from the list `sources`, so that
+    it holds their only reference and frees them at its first step (as
+    the stack loop holds its source). It carries them through the leading
+    wedges of `elements` and builds the transfer product to the next
+    element, which must lie a positive distance past them, once; it keeps
+    only the product's band blocks (_transfer). Each of its steps is
+    guarded for every one of `offsets` as FreeSpacePlanes.guard(shift=x)
+    guards it, so the covariance is taken at most once per step; a
+    failing offset's error is kept for its entry.
+
+    at(x) is the source at offset x, one of `offsets`, for
+    propagate_elements or find_focus on the same elements. Each offset
+    enters once: its guard error, if any, is raised, then its phase
+    multiplies the band blocks into a new _grid, and the stack loop goes
+    on from the element's plane: past an aperture as
+    FreeSpacePlanes._aperture leaves it, with the power before the cut
+    taken once for all offsets, or before any other element as its whole
+    plane. The last entry frees the blocks.
+    """
+
+    def __init__(self, sources: list, elements: Sequence, offsets: Sequence[float]):
+        planes = sources.pop()
+        self._elements = tuple(elements)
+        _check_positions(self._elements)
+        self._offsets, self._failures = list(offsets), {}
+        wedges = next((i for i, (_, el) in enumerate(self._elements)
+                       if not isinstance(el, WedgePhase)), len(self._elements))
+        if wedges == len(self._elements):
+            raise InvalidInputError("an offset launch needs an element past the wedges")
+        z_now = 0.0
+        for z_el, element in self._elements[: wedges + 1]:
+            distance, z_now = z_el - z_now, z_el
+            if distance == 0.0:
+                if not isinstance(element, WedgePhase):
+                    raise InvalidInputError(
+                        "an offset launch needs its first element past the wedges "
+                        "a positive distance beyond them"
+                    )
+                planes = FreeSpacePlanes(apply_element(planes.field, element))
+                continue
+            for x in self._offsets:
+                if x not in self._failures:
+                    try:
+                        planes.guard(distance, shift=x)
+                    except PropagationWindowError as exc:
+                        self._failures[x] = exc
+            if isinstance(element, WedgePhase):
+                planes = planes._wedge(distance, element)
+        self._entry, self._frame = wedges, planes.frame
+        self._blocks = _transfer(planes.frame, distance, planes.spectrum,
+                                 band_rows=True, band_columns=True)
+        self._before = _power_sum(self._blocks) / (planes.frame.nx * planes.frame.ny)
+
+    def at(self, x: float) -> "_AtOffset":
+        """The source at offset x, which must be one of the launch's offsets."""
+        if x not in self._offsets:
+            raise InvalidInputError(f"offset {x!r} m is not one of the launch's offsets")
+        return _AtOffset(self, x)
+
+    def _product(self, x: float) -> np.ndarray:
+        """The transfer product at the launch's element for the source at
+        offset x, a new _grid: the band blocks times exp(-i kx x)."""
+        frame = self._frame
+        phase = np.exp((-1j * x) * (2.0 * math.pi * sfft.fftfreq(frame.nx, frame.pitch)))
+        samples = _grid(frame.ny, frame.nx)
+        for (r, t), (c, u) in itertools.product(
+            *[zip(b, _stacked(b)) for b in (_band(frame, 0), _band(frame, 1))]
+        ):
+            np.multiply(self._blocks[t, u], phase[c], out=samples[r, c])
+        return samples
+
+    def _enter(self, x: float, elements: Sequence):
+        """(state, box, z, elements left) of the stack loop (_stack) for the
+        source at offset x, past the element at the launch's product."""
+        if tuple(elements) != self._elements:
+            raise InvalidInputError("an offset launch enters only the elements it was made for")
+        if x in self._failures:
+            raise self._failures.pop(x)
+        samples, frame = self._product(x), self._frame
+        self._offsets.remove(x)
+        if not self._offsets:
+            self._blocks = None
+        z_el, element = self._elements[self._entry]
+        if isinstance(element, CircAperture):
+            field, box = _aperture_plane(frame, samples, _opening(frame, element), self._before)
+            return field, box, z_el, self._elements[self._entry + 1 :]
+        field = frame._with_samples(_fft2(samples, True, _band(frame, 1)))
+        return field, None, z_el, self._elements[self._entry :]
+
+
+class _AtOffset(NamedTuple):
+    """A source of an OffsetLaunch: the launch and the offset x."""
+
+    launch: OffsetLaunch
+    x: float
+
+
 def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarField:
     """Propagate by `distance` (may be negative). Zero distance is the identity."""
     if distance == 0.0:
@@ -896,12 +1087,13 @@ def _check_positions(elements: Sequence) -> float:
 
 
 def propagate_elements(
-    source: Union[ScalarField, FreeSpacePlanes], elements: Sequence
+    source: Union[ScalarField, FreeSpacePlanes, _AtOffset], elements: Sequence
 ) -> ScalarField:
-    """Carry a source at z = 0, a field or its FreeSpacePlanes, through
-    (z, element) pairs with non-decreasing z >= 0 of PhaseElements (else
-    InvalidInputError, before any transform, as for a source of another
-    type) and return the field just past the last element.
+    """Carry a source at z = 0, a field, its FreeSpacePlanes or an
+    OffsetLaunch's source (OffsetLaunch.at), through (z, element) pairs
+    with non-decreasing z >= 0 of PhaseElements (else InvalidInputError,
+    before any transform, as for a source of another type) and return the
+    field just past the last element.
 
     One loop (_stack) takes the elements in turn, and every step starts
     from planes: a caller's field is wrapped in its FreeSpacePlanes, which
@@ -923,11 +1115,14 @@ def propagate_elements(
 
 def _stack(sources: list, elements: Sequence):
     """(state, box) just past the last of `elements` for the one source
-    popped from `sources`: state is planes or a field, and box the
+    popped from `sources` (an OffsetLaunch's source enters past the
+    launch's aperture): state is planes or a field, and box the
     opening's (rows, cols) outside which the field, a grid the loop
     created, is zero (None if no aperture at the last z bounds it)."""
     state, box, z_now = sources.pop(), None, 0.0
-    if not isinstance(state, (ScalarField, FreeSpacePlanes)):
+    if isinstance(state, _AtOffset):
+        state, box, z_now, elements = state.launch._enter(state.x, elements)
+    elif not isinstance(state, (ScalarField, FreeSpacePlanes)):
         raise InvalidInputError(
             f"source must be a ScalarField or FreeSpacePlanes, got {type(state).__name__}"
         )
@@ -975,17 +1170,6 @@ def _box_planes(field: ScalarField, rows: slice, cols: slice) -> FreeSpacePlanes
     box = samples[rows, cols].copy()
     return FreeSpacePlanes(None, _fft2(samples, False, [cols]), frame, stats,
                            lambda: (rows, cols, box))
-
-
-def _mirror_x(samples: np.ndarray) -> None:
-    """Mirror a grid in x in place on its periodic index map
-    ix -> (nx - ix) % nx. That takes x to -x exactly for ix >= 1 and keeps
-    column 0 (x = -nx/2 pitch, its own image under the window's
-    periodicity). The columns are reversed a block of rows at a time, so no
-    second grid is live; a second call undoes the first."""
-    for r in range(0, samples.shape[0], _MIRROR_ROWS):
-        block = samples[r : r + _MIRROR_ROWS, 1:]
-        block[...] = block[:, ::-1]
 
 
 def _nonzero_columns(samples: np.ndarray) -> slice:
@@ -1068,13 +1252,15 @@ def apply_element(field: ScalarField, element: PhaseElement) -> ScalarField:
     """
     if isinstance(element, ThinLensPhase):
         return _lens(field, element, slice(None), _nonzero_columns(field.samples),
-                     np.zeros_like(field.samples))
+                     _grid(field.ny, field.nx))
     if isinstance(element, WedgePhase):
         _check_tilt(element.tilt_y, field.wavelength, field.pitch)
-        return replace(field, samples=field.samples * _wedge_ramp(field, element))
+        samples = _grid(field.ny, field.nx)
+        return replace(field, samples=np.multiply(field.samples, _wedge_ramp(field, element),
+                                                  out=samples))
     if isinstance(element, CircAperture):
-        return _clip(field, field.samples.copy(), _opening(field, element),
-                     _power_sum(field.samples))
+        return _clip(field, _grid(field.ny, field.nx, field.samples),
+                     _opening(field, element), _power_sum(field.samples))
     raise InvalidInputError(f"unknown element type {type(element).__name__}")
 
 
@@ -1149,19 +1335,32 @@ def _fit_profile(coords: np.ndarray, profile: np.ndarray, c0: float, w0: float):
     return None
 
 
-def interp_row(samples: np.ndarray, coords: np.ndarray, value: float, axis: int):
+def interp_row(samples: np.ndarray, coords: np.ndarray, value: float, axis: int,
+               mirrored: bool = False):
     """Linear interpolation of |samples|^2 through `value` along `axis`
-    (0: a row, 1: a column), from |E|^2 on the two lines it reads."""
+    (0: a row, 1: a column), from |E|^2 on the two lines it reads. With
+    `mirrored`, that of samples mirrored in x on _mirror_index, bit for
+    bit: a row is read and index-mapped, and a column is read from the
+    column of `samples` that maps to it."""
     idx = float(np.interp(value, coords, np.arange(len(coords))))
     lo = int(np.clip(math.floor(idx), 0, len(coords) - 2))
     frac = idx - lo
-    lines = samples[lo : lo + 2] if axis == 0 else samples[:, lo : lo + 2].T
+    if axis == 0:
+        lines = samples[lo : lo + 2]
+    else:
+        columns = _mirror_index(len(coords))[lo : lo + 2] if mirrored else slice(lo, lo + 2)
+        lines = samples[:, columns].T
     below, above = lines.real**2 + lines.imag**2
-    return (1.0 - frac) * below + frac * above
+    profile = (1.0 - frac) * below + frac * above
+    return profile[_mirror_index(len(profile))] if mirrored and axis == 0 else profile
 
 
-def spot_metrics(field: ScalarField) -> SpotMetrics:
+def spot_metrics(field: ScalarField, mirrored: bool = False) -> SpotMetrics:
     """Centroid, second-moment and fitted mode-field diameters of |E|^2.
+    With `mirrored`, those of the field mirrored in x on _mirror_index,
+    from the field's own marginals and lines (_intensity_stats,
+    interp_row): no grid is mirrored, and the values agree with the
+    mirrored grid's to rounding.
 
     mfd_moment is four times the intensity standard deviation per axis
     (equal to the 1/e^2 diameter for a Gaussian). mfd_fit is twice the
@@ -1174,12 +1373,12 @@ def spot_metrics(field: ScalarField) -> SpotMetrics:
     a radius that is not finite and positive) that axis reports the moment
     value and fit_failed is set.
     """
-    _, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y)
+    _, cx, cy, vx, vy = _intensity_stats(field.samples, field.x, field.y, mirrored=mirrored)
     mfd_mx = 4.0 * math.sqrt(max(vx, 0.0))
     mfd_my = 4.0 * math.sqrt(max(vy, 0.0))
 
-    profile_x = interp_row(field.samples, field.y, cy, axis=0)
-    profile_y = interp_row(field.samples, field.x, cx, axis=1)
+    profile_x = interp_row(field.samples, field.y, cy, axis=0, mirrored=mirrored)
+    profile_y = interp_row(field.samples, field.x, cx, axis=1, mirrored=mirrored)
     wx = _fit_profile(field.x, profile_x, cx, mfd_mx / 2.0)
     wy = _fit_profile(field.y, profile_y, cy, mfd_my / 2.0)
     failed = wx is None or wy is None
@@ -1214,7 +1413,7 @@ class FocusResult:
 
 
 def find_focus(
-    source: Union[ScalarField, FreeSpacePlanes],
+    source: Union[ScalarField, FreeSpacePlanes, _AtOffset],
     elements: Sequence[tuple[float, PhaseElement]],
     z_search: tuple[float, float, int],
     centre: Optional[float] = None,
@@ -1222,11 +1421,12 @@ def find_focus(
     """Propagate through positioned elements and locate the x-width minimum.
 
     `elements` is a list of (z, element) with non-decreasing z >= 0
-    (checked before any transform); the source, a field or its
-    FreeSpacePlanes, sits at z = 0 and crosses them on planes
-    (propagate_elements), and the window (z_min, z_max, steps) must
-    start past the last element. Past it the x variance of the intensity is quadratic in z
-    (free space), so a parabola through three planes finds its minimum.
+    (checked before any transform); the source, a field, its
+    FreeSpacePlanes or an OffsetLaunch's source, sits at z = 0 and
+    crosses them on planes (propagate_elements), and the window (z_min,
+    z_max, steps) must start past the last element. Past it the x
+    variance of the intensity is quadratic in z (free space), so a
+    parabola through three planes finds its minimum.
     The first triple is centre +- h, with the refining step
     h = 2 (z_max - z_min) / (steps - 1) and `centre` (absolute; None: the
     window middle) clamped into [z_min + h, z_max - h]. Its vertex is the

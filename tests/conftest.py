@@ -102,8 +102,10 @@ def compact_channels(compact_pipeline):
 
 
 class TransformCalls(list):
-    """One (inverse, pruned) pair per wavefield._fft2 call, in order, and
-    `forms`, a count of the calls by (direction, form, profile).
+    """One (inverse, pruned) pair per wavefield._fft2 call, in order,
+    `forms`, a count of the calls by (direction, form, profile), and
+    `strides`, the row stride in bytes of every call whose axis-0 pass
+    runs over a grid of more than one column.
 
     pruned: the call names column blocks (columns is not None), and their
     widths sum to less than the grid width or it names the rows of its
@@ -116,6 +118,7 @@ class TransformCalls(list):
     def __init__(self):
         super().__init__()
         self.forms = collections.Counter()
+        self.strides = []
 
     def record(self, samples, inverse, columns, rows):
         nx = samples.shape[1]
@@ -123,6 +126,8 @@ class TransformCalls(list):
             sum(len(range(nx)[c]) for c in columns) < nx or rows is not None
         )
         self.append((inverse, pruned))
+        if (columns is None or columns) and nx > 1:
+            self.strides.append(samples.strides[0])
         if columns is None:
             form = "whole"
         elif not columns:

@@ -751,8 +751,8 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
     )
     assert code == 0
     assert dump.stat().st_size > 0
-    # the synthesis probe, the centre channel and one source per mirror pair
-    assert len(sources) == 3
+    # the synthesis probe and one launch at x = 0 for every propagated channel
+    assert len(sources) == 2
     # only the probe's steps end at a lens
     assert steps and 0.0 not in steps
     # the probe's two steps, its two lenses and its scan planes scan the
@@ -764,15 +764,15 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
         # the spectra past its two lenses (on the aperture's box columns):
         # none of a source or past a wedge
         ("fft", "2-d", False): 7,
-        # each channel source enters as one pass of a row and one of a column
-        ("fft", "axis 1", True): 2,
-        ("fft", "axis 0", True): 2,
-        # a wedge acts between axis-0 passes on the band's column blocks
-        ("ifft", "axis 0", False): 2,
-        ("fft", "axis 0", False): 2,
-        # the x marginal past each wedge, and each search's three planes
+        # the one launch's source enters as one pass of a row and one of a column
+        ("fft", "axis 1", True): 1,
+        ("fft", "axis 0", True): 1,
+        # its wedge acts between axis-0 passes on the band's column blocks
+        ("ifft", "axis 0", False): 1,
+        ("fft", "axis 0", False): 1,
+        # the x marginal past the wedge, and each search's three planes
         # read for their x variance only: the axis-1 pass on the band's rows
-        ("ifft", "axis 1", False): 8,
+        ("ifft", "axis 1", False): 7,
         # each aperture plane: its axis-1 pass on the opening's rows
         ("ifft", "some rows", False): 4,
         # the probe's 2 steps, each search's focus plane and the off-centre
@@ -789,6 +789,19 @@ def test_design_propagates_each_channel_once(tmp_path, monkeypatch, fft_calls):
     # fields span the grid: the four past the searches' lenses run on the
     # field's nonzero columns
     assert [pruned for inverse, pruned in fft_calls if not inverse].count(False) == 2
+
+
+def test_design_column_passes_stride_off_powers_of_two(tmp_path, fft_calls):
+    # rows 2^n samples apart make every axis-0 pass miss the cache; each
+    # grid that takes one lies in a wavefield._grid, whose rows are padded
+    from ionoptics import cli
+
+    code = cli.main(["design", str(SCENARIO_DIR / "compact.json"),
+                     "--report", str(tmp_path / "design.json")])
+    assert code == 0
+    # the probe's and the channels' column passes, the covariances' included
+    assert len(fft_calls.strides) == 20
+    assert [s for s in fft_calls.strides if s & (s - 1) == 0] == []
 
 
 def peak_grids(argv):
@@ -809,13 +822,16 @@ def peak_grids(argv):
 
 
 def test_compact_design_peaks_under_four_grids(tmp_path):
-    # live complex grids at the peak, inside _transfer during an
-    # off-centre channel's search: the centre channel's field, the exit
-    # planes' spectrum and their copy of the aperture's box (about 0.2 of
-    # a grid), and the plane being built. Keeping the whole exit field
-    # beside its spectrum, or one more grid held across a search, such as
-    # find_focus keeping its source or crosstalk_matrix keeping a
-    # channel's planes into the next search, crosses the bound
+    # live complex grids at the peak, inside _transfer as the off-centre
+    # channel's search builds its focus plane: the centre channel's field,
+    # the exit planes' spectrum and their copy of the aperture's box (about
+    # 0.2 of a grid), and the plane being built. The one launch's band
+    # blocks (0.36 of a grid), held through the centre channel's search,
+    # are freed as the last propagated channel enters. Keeping the whole
+    # exit field beside its spectrum, or one more grid held across a
+    # search, such as find_focus keeping its source, the launch keeping a
+    # whole product or crosstalk_matrix keeping a channel's planes into
+    # the next search, crosses the bound
     code, peak = peak_grids(
         ["design", str(SCENARIO_DIR / "compact.json"), "--report", str(tmp_path / "design.json"),
          "--dump-field", str(tmp_path / "centre.sfld")]
@@ -860,8 +876,8 @@ def test_design_without_mirror_symmetry_propagates_every_channel(tmp_path, monke
     scenario = SCENARIO_DIR / "compact.json"
     code = cli.main(["design", str(scenario), "--report", str(tmp_path / "design.json")])
     assert code == 0
-    # the synthesis probe plus one source per channel
-    assert len(sources) == 4
+    # the synthesis probe plus one launch at x = 0 for all three channels
+    assert len(sources) == 2
     report = reports[0]
     assert report.mirror_of == (None, None, None)
     loaded = load_scenario(str(scenario))

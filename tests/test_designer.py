@@ -175,6 +175,77 @@ def test_synthesis_returns_a_grid_point(monkeypatch):
     assert p.focal_lengths[1] == pytest.approx(102.5e-6, abs=1e-12)
 
 
+def scalar_stack_search(targets, chief_reach):
+    """The (f2, gap) search one candidate at a time, its checks in order:
+    (rejection counts, (f1, f2, gap, d1) of the least (stack, f2, gap)
+    feasible candidate or None)."""
+    source = designer.beam_from_mfd(*targets.source_mfd, targets.wavelength)
+    ms, dist = -targets.magnification, targets.image_distance
+    rejections = dict.fromkeys(["focal_length", "working_distance", "max_stack_height",
+                                "telecentricity", "internal_focus", "chief_slope",
+                                "aperture_budget"], 0)
+    best = None
+    step = designer.GRID_STEP
+    for f2 in np.arange(designer.F2_RANGE[0], designer.F2_RANGE[1] + step / 2, step):
+        p00 = 1.0 - dist / f2
+        for g in np.arange(designer.GAP_RANGE[0], designer.GAP_RANGE[1] + step / 2, step):
+            p01 = g * p00 + dist
+            denom = p00 - ms
+            if abs(denom) < 1e-9:
+                continue
+            f1 = p01 / denom
+            d1 = -p01 / ms
+            stack = d1 + g
+            for check, failed in (
+                ("focal_length", lambda: f1 < designer.MIN_FOCAL_LENGTH),
+                ("working_distance", lambda: d1 < designer.MIN_WORKING_DISTANCE),
+                ("max_stack_height", lambda: stack > targets.max_stack_height),
+                ("telecentricity", lambda: abs(1.0 - g / f1) > designer.TELECENTRIC_TOL),
+                ("internal_focus", lambda: d1 > f1 and f1 * d1 / (d1 - f1) < g),
+                ("chief_slope", lambda: chief_reach / f1 > designer.MAX_CHIEF_SLOPE),
+                ("aperture_budget", lambda: max(designer._widths_at_lenses(
+                    source, (f1, f2), (d1, stack))) > targets.aperture_budget / 2.0),
+            ):
+                if failed():
+                    rejections[check] += 1
+                    break
+            else:
+                if best is None or (stack, f2, g) < best[0]:
+                    best = ((stack, f2, g), (f1, f2, g, d1))
+    return rejections, best and tuple(map(float, best[1]))
+
+
+@pytest.mark.parametrize("changes, chief_reach", [
+    ({}, 0.0),
+    ({}, 160e-6),
+    ({"image_distance": 175e-6}, 0.0),
+    ({"magnification": 3.4, "image_distance": 170e-6, "max_stack_height": 300e-6,
+      "aperture_budget": 100e-6}, 20e-6),
+    ({"max_stack_height": 80e-6}, 0.0),
+    ({"aperture_budget": 12e-6}, 0.0),
+], ids=["reference", "chief-reach", "short-conjugate", "steep", "low-stack", "narrow"])
+def test_stack_search_masks_match_the_candidate_loop(monkeypatch, changes, chief_reach):
+    # the array search keeps the loop's rejection histogram and its least
+    # (stack, f2, gap) candidate, bit for bit
+    monkeypatch.setattr(designer, "_wave_verify", lambda *args: None)
+    targets = reference_targets(**changes)
+    rejections, best = scalar_stack_search(targets, chief_reach)
+    try:
+        p = synthesize_lens_stack(targets, chief_reach=chief_reach)
+    except InfeasibleDesignError as exc:
+        assert best is None
+        failures = sorted((k for k, v in rejections.items() if v), key=lambda k: -rejections[k])
+        detail = ", ".join(f"{k} ({rejections[k]} candidates)" for k in failures)
+        assert str(exc).endswith(f"two-lens candidates rejected by: {detail}")
+        return
+    if best is None:
+        assert len(p.focal_lengths) == 1
+        return
+    f1, f2, g, d1 = best
+    assert p.focal_lengths == (f1, f2)
+    assert p.lens_positions == (d1, d1 + g)
+
+
 def wave_verify_args(prescription):
     """_wave_verify's arguments for a synthesized prescription."""
     return (
@@ -337,9 +408,9 @@ def compact_crosstalk(compact_pipeline):
     pipe = compact_pipeline
     calls = []
 
-    def counted(field, _original=designer.spot_metrics):
+    def counted(field, _original=designer.spot_metrics, **kwargs):
         calls.append(1)
-        return _original(field)
+        return _original(field, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(designer, "spot_metrics", counted)
@@ -368,7 +439,11 @@ def test_crosstalk_own_focus_records_match_simulate_channel(
 
 def test_crosstalk_mirrored_record_follows_the_mirror_rule(compact_pipeline, compact_crosstalk):
     # channel 0's focus, channel 2's index and position, and the spot
-    # metrics of channel 0's focus field taken through ix -> (nx - ix) % nx
+    # metrics of channel 0's focus field taken through ix -> (nx - ix) % nx.
+    # No grid is mirrored: the record comes from channel 0's marginals and
+    # lines, whose row sums add the mirrored rows' values in another order,
+    # so the spot values agree with the mirrored grid's to rounding (at
+    # most 1.2e-15 relative on compact and reference)
     pipe = compact_pipeline
     record, result = simulate_channel(
         pipe["prescription"], pipe["array"], 0, pipe["scenario"].mirror,
@@ -378,12 +453,15 @@ def test_crosstalk_mirrored_record_follows_the_mirror_rule(compact_pipeline, com
     mirrored = dataclasses.replace(
         field, samples=field.samples[:, (-np.arange(field.nx)) % field.nx]
     )
-    expected = dataclasses.replace(
-        record, **vars(spot_metrics(mirrored)), channel=2,
-        waveguide_position=float(pipe["positions"][2]),
-    )
+    spot = spot_metrics(mirrored)
     report = compact_crosstalk[0]
-    assert report.channel_focus[2] == expected
+    got = report.channel_focus[2]
+    assert got == dataclasses.replace(
+        record, **{name: getattr(got, name) for name in ("centroid", "mfd_moment", "mfd_fit")},
+        fit_failed=spot.fit_failed, channel=2, waveguide_position=float(pipe["positions"][2]),
+    )
+    for name in ("centroid", "mfd_moment", "mfd_fit"):
+        assert getattr(got, name) == pytest.approx(getattr(spot, name), rel=1e-13, abs=0), name
     matrix = report.matrix_db
     assert np.max(np.abs(matrix - matrix[::-1, ::-1])) <= 1e-9
 
@@ -396,6 +474,18 @@ def test_crosstalk_mirrored_record_agrees_with_its_own_propagation(
     assert mirrored.z_focus == pytest.approx(direct.z_focus, abs=1e-9)
     for name in ("centroid", "mfd_fit", "mfd_moment"):
         assert getattr(mirrored, name) == pytest.approx(getattr(direct, name), rel=1e-5), name
+
+
+def test_channel_outside_the_window_fails_at_its_real_centre(compact_pipeline, fft_calls):
+    # the source enters from a launch at x = 0, but its checks run at its
+    # own centre, 1 mm out, before any transform
+    pipe = compact_pipeline
+    array = dataclasses.replace(pipe["array"], positions_m=pipe["positions"] + 1e-3)
+    with pytest.raises(InvalidInputError, match=r"^beam centered at \(1\.0\d*e-03, 0\.000e\+00\) "
+                                                 "m carries no power inside the sampled window$"):
+        simulate_channel(pipe["prescription"], array, 1, pipe["scenario"].mirror,
+                         grid=pipe["scenario"].grid)
+    assert fft_calls == []
 
 
 def test_crosstalk_mirror_ties_go_to_the_lower_index(compact_pipeline):
@@ -921,9 +1011,15 @@ def test_sweep_scales_a_micrometre_value_once(compact_pipeline, monkeypatch):
 
     pipe = compact_pipeline
     centres = []
+    profiles = designer._gaussian_profiles
+
+    def checked(beam, tilt, grid, center):
+        centres.append(center)
+        return profiles(beam, tilt, grid, center)
+
     monkeypatch.setattr(designer, "simulate_channel", lambda *args: None)
-    monkeypatch.setattr(designer, "gaussian_planes",
-                        lambda beam, tilt, grid, center: centres.append(center))
+    # the source's checks run at its real centre; it enters from x = 0
+    monkeypatch.setattr(designer, "_gaussian_profiles", checked)
     monkeypatch.setattr(designer, "find_focus", no_search)
     with pytest.raises(Searched):
         tolerance_sweep(pipe["prescription"], pipe["array"], pipe["scenario"].mirror,

@@ -50,8 +50,8 @@ def minimal_report():
     }
 
 
-def test_schema_version_is_nine():
-    assert REPORT_SCHEMA_VERSION == 9
+def test_schema_version_is_ten():
+    assert REPORT_SCHEMA_VERSION == 10
 
 
 def test_canonical_json_is_sorted_and_terminated():

@@ -1,5 +1,6 @@
 """Scalar wave propagation: conservation laws, metrics, focus search, I/O."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -492,9 +493,9 @@ def test_find_focus_guards_every_plane_it_reads(compact_pipeline, monkeypatch):
     guarded, built = [], []
     real_guard, real_transfer = wavefield.FreeSpacePlanes.guard, wavefield._transfer
 
-    def guard(self, *distances):
+    def guard(self, *distances, **kwargs):
         guarded.extend(distances)
-        return real_guard(self, *distances)
+        return real_guard(self, *distances, **kwargs)
 
     def transfer(field, distance, *args, **kwargs):
         built.append(distance)
@@ -1564,3 +1565,135 @@ def test_the_stack_writes_no_sample_of_its_source():
     # the exit planes keep the last aperture's box; their field is rebuilt from it
     assert result.planes._field is None
     assert np.array_equal(result.planes.field.samples, exit_field.samples)
+
+
+def test_mirrored_spot_metrics_match_the_mirrored_grid():
+    # an off-axis, asymmetric spot: the mirrored metrics read the field's
+    # own marginals and lines, and match those of the mirrored grid
+    field = make_gaussian_field(
+        beam_from_mfd(2.4e-6, 3.1e-6, 0.729e-6), (0.02, 0.05), (256, 128, 0.22e-6),
+        center=(7.3e-6, -2.1e-6),
+    )
+    field = dataclasses.replace(field, samples=field.samples * (1.0 + 0.3j * np.sin(field.x)))
+    mirrored = dataclasses.replace(field,
+                                   samples=field.samples[:, -np.arange(field.nx) % field.nx])
+    got, want = spot_metrics(field, mirrored=True), spot_metrics(mirrored)
+    assert got.fit_failed == want.fit_failed and got.clipped_fraction == want.clipped_fraction
+    for name in ("centroid", "mfd_moment", "mfd_fit"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13, abs=0), name
+    for axis, coords, value in ((0, field.y, -1.9e-6), (1, field.x, -7.1e-6)):
+        got = wavefield.interp_row(field.samples, coords, value, axis, mirrored=True)
+        assert np.array_equal(got, wavefield.interp_row(mirrored.samples, coords, value, axis))
+
+
+def padded_copy(samples):
+    """A copy of `samples` in a grid whose rows lie 16 samples apart past their width."""
+    out = np.zeros((samples.shape[0], samples.shape[1] + 16), dtype=np.complex128)
+    out = out[:, : samples.shape[1]]
+    out[...] = samples
+    return out
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["fft", "ifft"])
+@pytest.mark.parametrize("columns, rows", [
+    (None, None),
+    ([slice(0, 40), slice(100, 128)], None),
+    ([slice(0, 40), slice(100, 128)], ()),
+    ((), None),
+    ([slice(10, 90)], [slice(5, 20), slice(60, 61)]),
+], ids=["whole", "column-blocks", "axis-0", "axis-1", "row-subset"])
+def test_fft2_of_a_padded_grid_keeps_the_contiguous_bits(inverse, columns, rows):
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128))
+    padded = padded_copy(samples)
+    assert padded.strides[0] == 144 * 16
+    want = wavefield._fft2(samples.copy(), inverse, columns, rows)
+    got = wavefield._fft2(padded, inverse, columns, rows)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    # every pass of a padded grid runs in place
+    assert np.shares_memory(got, padded)
+
+
+def test_grid_rows_stride_off_a_power_of_two():
+    for n in (64, 1024, 2048):
+        grid = wavefield._grid(n, n)
+        step = grid.strides[0]
+        assert grid.shape == (n, n) and not grid.any()
+        assert step & (step - 1) != 0 and grid.strides[1] == 16
+
+
+def test_scalar_field_keeps_padded_rows_and_copies_other_layouts():
+    field = make_gaussian_field(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
+    padded = padded_copy(field.samples)
+    kept = ScalarField(padded, field.pitch, field.wavelength)
+    assert kept.samples is padded
+    assert wavefield._power_sum(kept.samples) == wavefield._power_sum(field.samples)
+    wide = np.zeros((128, 256), dtype=np.complex128)
+    wide[:, ::2] = field.samples
+    for layout in (wide[:, ::2], np.asfortranarray(field.samples), field.samples[::-1]):
+        copied = ScalarField(layout, field.pitch, field.wavelength).samples
+        assert not np.shares_memory(copied, layout)
+        assert copied.flags.c_contiguous and np.array_equal(copied, layout)
+
+
+def test_kz_tables_of_two_grids_stay_cached():
+    # a design propagates on the synthesis probe's grid and the channels'
+    wavefield._kz_quadrant.cache_clear()
+    grids = [(512, 512, 0.5e-6, 2.0 * math.pi / WL), (1024, 1024, 0.22e-6, 2.0 * math.pi / WL)]
+    for _ in range(3):
+        for grid in grids:
+            wavefield._kz_quadrant(*grid)
+    assert wavefield._kz_quadrant.cache_info().misses == 2
+
+
+def test_offset_launch_gives_the_direct_launch_spectrum(compact_pipeline):
+    # an off-axis channel: the transfer product at its first aperture from
+    # the launch at x = 0 times exp(-i kx x), against its own launch at x
+    source, elements = compact_launch(compact_pipeline, 0)
+    x = source[3][0]
+    assert x != 0.0 and isinstance(elements[0][1], WedgePhase)
+    (z_wedge, wedge), (z_aperture, _) = elements
+    direct = gaussian_planes(*source)._wedge(z_wedge, wedge)
+    want = wavefield._transfer(direct.frame, z_aperture - z_wedge, direct.spectrum)
+    launch = wavefield.OffsetLaunch([gaussian_planes(*source[:3])], elements, [x])
+    got = launch._product(x)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # and the field just past the aperture
+    launched = propagate_elements(launch.at(x), elements)
+    by_hand = propagate_elements(gaussian_planes(*source), elements)
+    peak = np.abs(by_hand.samples).max()
+    assert np.abs(launched.samples - by_hand.samples).max() <= 1e-14 * peak
+    assert launched.clipped_fraction == pytest.approx(by_hand.clipped_fraction, rel=1e-12)
+
+
+def test_offset_launch_guards_each_offset_at_its_own_entry():
+    # the guard of an offset moves the centroid only: the far offset fails
+    # with the message of its own launch, raised at its entry alone
+    beam = round_beam(4e-6)
+    grid = (128, 128, 0.25e-6)
+    elements = [(2e-6, WedgePhase(-0.02)), (20e-6, CircAperture(8e-6)),
+                (20e-6, ThinLensPhase(60e-6))]
+    near, far = 1e-6, 12e-6
+    with pytest.raises(PropagationWindowError) as direct:
+        propagate_elements(gaussian_planes(beam, (0.0, 0.02), grid, (far, 0.0)), elements)
+    launch = wavefield.OffsetLaunch([gaussian_planes(beam, (0.0, 0.02), grid)], elements,
+                                    [far, near])
+    with pytest.raises(PropagationWindowError) as shifted:
+        propagate_elements(launch.at(far), elements)
+    assert str(shifted.value) == str(direct.value)
+    with pytest.raises(InvalidInputError, match="^an offset launch enters only the elements"):
+        propagate_elements(launch.at(near), elements[:2])
+    got = propagate_elements(launch.at(near), elements)
+    want = propagate_elements(gaussian_planes(beam, (0.0, 0.02), grid, (near, 0.0)), elements)
+    assert np.abs(got.samples - want.samples).max() <= 1e-14 * np.abs(want.samples).max()
+    # the last entry freed the launch's blocks
+    with pytest.raises(InvalidInputError, match="is not one of the launch's offsets"):
+        launch.at(near)
+
+
+def test_offset_launch_needs_an_element_past_its_wedges():
+    planes = gaussian_planes(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
+    for elements in ([(2e-6, WedgePhase(0.01))], [(2e-6, WedgePhase(0.01)),
+                                                   (2e-6, CircAperture(5e-6))]):
+        with pytest.raises(InvalidInputError, match="^an offset launch needs"):
+            wavefield.OffsetLaunch([planes], elements, [0.0])
