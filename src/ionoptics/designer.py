@@ -602,13 +602,15 @@ def _launch(prescription, array, mirror, channel):
             outcoupling_angle(mirror).exit_angle_deg)
 
 
-@dataclass
-class _SharedLaunch:
-    """The x offsets of the channels that one OffsetLaunch serves and,
-    once the first of their searches (_search) has made it, the launch."""
-
-    offsets: list
-    launch: Optional[OffsetLaunch] = None
+def _launch_sources(prescription, array, grid, launch, offsets) -> list:
+    """OffsetLaunch.sources of the channel launched as `launch`, an
+    (elements, source x, tilt_deg) triple, moved to each of `offsets`,
+    from one launch of its source at x = 0 (gaussian_planes)."""
+    elements, _, tilt_deg = launch
+    beam = beam_from_mfd(*array.mode_mfd_m, prescription.targets.wavelength)
+    # the launch holds the source's only reference and frees it at its first step
+    return OffsetLaunch([gaussian_planes(beam, (0.0, math.radians(tilt_deg)), grid)],
+                        elements, offsets).sources
 
 
 def _search(prescription, array, grid, z_search, channel, launch, shared=None):
@@ -620,14 +622,11 @@ def _search(prescription, array, grid, z_search, channel, launch, shared=None):
     x.
 
     The source takes make_gaussian_field's checks and messages at its real
-    centre (_gaussian_profiles), then enters from an OffsetLaunch of the
-    same source at x = 0 (gaussian_planes: one 1-d transform per axis),
-    which takes the leading wedges and the free space to the first
-    aperture once and the offset as a phase. `shared` is a crosstalk
-    pass's _SharedLaunch: its launch, made by the first search for every
-    propagated offset, serves each; without it the search makes its own.
-    Either way the launch computes the same values, so the record does not
-    depend on it.
+    centre (_gaussian_profiles), then enters the stack as `shared`, a
+    source that crosstalk_matrix took from one launch of every channel it
+    propagates (_launch_sources), or without it as the one source of its
+    own launch. Either way the values are the same, so the record does
+    not depend on it.
 
     Every search, a sweep point's too, centres find_focus's first triple
     on the nominal ABCD image plane, predicted_image_distance past the
@@ -643,12 +642,8 @@ def _search(prescription, array, grid, z_search, channel, launch, shared=None):
     tilt = (0.0, math.radians(tilt_deg))
     _gaussian_profiles(beam, tilt, grid, (x, 0.0))  # the checks, at the real centre
     if shared is None:
-        shared = _SharedLaunch([x])
-    if shared.launch is None:
-        # the launch holds the source's only reference and frees it at its first step
-        shared.launch = OffsetLaunch([gaussian_planes(beam, tilt, grid)], elements,
-                                     shared.offsets)
-    result = find_focus(shared.launch.at(x), list(elements), z_search, top + dist)
+        (shared,) = _launch_sources(prescription, array, grid, launch, [x])
+    result = find_focus(shared, list(elements), z_search, top + dist)
     return ChannelFocus(
         **vars(result.metrics),
         channel=channel,
@@ -669,7 +664,7 @@ def simulate_channel(
     grid,
     z_search=None,
     with_result: bool = False,
-    shared: Optional[_SharedLaunch] = None,
+    shared=None,
 ):
     """Wave-propagate one channel through the stack and find its focus.
 
@@ -678,10 +673,10 @@ def simulate_channel(
     returned ChannelFocus holds the metrics at the x-width minimum past the
     stack (_search). With with_result the return value is (ChannelFocus,
     FocusResult), so a caller can reuse the focus field and exit planes.
-    `shared` is crosstalk_matrix's launch of every channel it propagates;
-    the record is the same with it or without. A channel that
-    WaveguideArraySpec.check_channel rejects raises InvalidInputError
-    before any work.
+    `shared` is this channel's source from crosstalk_matrix's launch
+    (_launch_sources); the record is the same with it or without. A
+    channel that WaveguideArraySpec.check_channel rejects raises
+    InvalidInputError before any work.
     """
     array.check_channel(channel)
     focus, result = _search(
@@ -718,10 +713,11 @@ def crosstalk_matrix(
     the centre channel first, and runs each propagated channel's own focus
     search (simulate_channel, within z_search), which sends its source
     through the stack once; channel_focus holds the records it returns.
-    The sources differ only in x, so one OffsetLaunch, made by the first
-    search, takes the stack's leading wedges and the free space to its
-    first aperture once for all of them, and each search enters it at its
-    own offset. The centre channel's search fixes
+    The sources differ only in x, so one OffsetLaunch (_launch_sources,
+    made first, under the centre channel's error prefix) takes the stack's
+    leading wedges and the free space to its first aperture once for all
+    of them, and each search enters with its own source (simulate_channel's
+    `shared`). The centre channel's search fixes
     the plane and the row's y, and its focus field is its field there,
     whose spot gives the centroid. Every other propagated channel reaches
     that plane in one inverse FFT from the stack-exit FreeSpacePlanes of
@@ -788,13 +784,16 @@ def crosstalk_matrix(
     rows = np.empty((n, int(grid[0])))
     centroids = np.empty(n)
     order = [centre] + [j for j in range(n) if j != centre and mirror_of[j] is None]
-    shared = _SharedLaunch([float(positions[i]) for i in order])
-    for i in order:
+    with _error_prefix(f"channel {centre}: "):
+        sources = _launch_sources(prescription, array, grid,
+                                  _launch(prescription, array, mirror, centre),
+                                  [float(positions[i]) for i in order])
+    for i, source in zip(order, sources):
         # the channel that takes this one's fields mirrored, if any
         image = n - 1 - i if mirror_of[n - 1 - i] == i else None
         with _error_prefix(f"channel {i}: "):
             record, result = simulate_channel(prescription, array, i, mirror, grid, z_search,
-                                              with_result=True, shared=shared)
+                                              with_result=True, shared=source)
         focus_table[i] = record
         if image is not None:
             with _error_prefix(f"channel {image}: "):

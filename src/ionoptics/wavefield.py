@@ -47,25 +47,26 @@ the transfer product, so the signed column sums of P's band blocks feed
 one 1-d inverse of a single row.
 
 One class propagates: FreeSpacePlanes, a field's spectrum and window
-guard. Every step of the stack loop (propagate_elements) starts from
-planes and runs no x-axis pass it does not need. The source is a
-product of an x and a y profile, so its spectrum is the outer product
-of two 1-d transforms, one pass of a row and one of a column, and so
-are its spectral moments (gaussian_planes). Free space is diagonal in
-(ky, kx) and a wedge in (y, kx), so a step that ends at a wedge runs the
-axis-0 inverse pass alone, the ramp and the axis-0 forward pass, and the
-next guard's real-space moments come by Parseval. A step that ends at an
-aperture runs its axis-1 pass on the opening's rows only; one that ends
-at a lens builds its whole plane.
+guard, made with its moments (__init__). Every step of the stack loop
+(propagate_elements) starts from planes and runs no x-axis pass it does
+not need. The source is a product of an x and a y profile, so its
+spectrum is the outer product of two 1-d transforms, one pass of a row
+and one of a column, and so are its spectral moments (gaussian_planes).
+Free space is diagonal in (ky, kx) and a wedge in (y, kx), so a step
+that ends at a wedge runs the axis-0 inverse pass alone, the ramp and
+the axis-0 forward pass, and the next guard's real-space moments come by
+Parseval. A step that ends at an aperture runs its axis-1 pass on the
+opening's rows only; one that ends at a lens builds its whole plane.
 
 Sources that differ only in their x offset, such as the channels of one
 design, enter from one launch at x = 0 (OffsetLaunch): free space is
 shift-invariant and a wedge ramps in y only, so up to a stack's first
 aperture a source moved by x has the unmoved one's spectrum times
-exp(-i kx x), by the Fourier shift theorem. The launch runs the leading
-wedges and builds the transfer product to the aperture once; each source
-takes its phase on the product's band blocks, and its guard is the
-launch's with the centroid moved by x.
+exp(-i kx x), by the Fourier shift theorem. The launch runs a stack's
+wedges and builds the transfer product to its aperture once; each of
+its sources (OffsetLaunch.sources) takes its phase on the product's band
+blocks at its one entry, and its guard is the launch's with the centroid
+moved by x, as a shift leaves the covariance alone (FreeSpacePlanes.guard).
 
 Past an aperture the field is zero outside the opening's box, and the
 stack loop owns the grid _aperture returns: a lens at its z multiplies
@@ -702,9 +703,11 @@ class FreeSpacePlanes:
     _box_planes pass the spectrum with the field's _Frame, its
     _intensity_stats (followed, for a source, by the spectral moments)
     and a builder of its support: (rows, cols, samples), the field on a
-    box outside which it is zero. The support is built only when read,
-    for the covariance, a zero distance or a caller, and the field only
-    from it.
+    box outside which it is zero. The planes are made with their guard
+    moments, axes: per axis (label, centroid, mean sin(theta), variance,
+    variance of sin(theta), samples), in one pass that keeps the power
+    sum the covariance reads. The support, the field (from the support)
+    and the covariance are each taken on their first read.
 
     guard() decides a distance first with the exact check's footprint
     (_extents) at the covariance's Cauchy-Schwarz limit: on the grid x is
@@ -712,8 +715,7 @@ class FreeSpacePlanes:
     var_s), and no covariance can give a larger footprint. The relative
     margin absorbs the rounding of the moments, so only a distance the
     limit cannot clear needs the exact covariance, which reads the
-    support alone. The moments take one pass, which keeps the power sum
-    the covariance reads; each is computed at most once.
+    support alone and is always that of the unshifted field.
 
     plane() costs one transfer build and one inverse FFT, whose axis-0
     pass runs on the band's two column blocks, all that _transfer writes;
@@ -731,51 +733,47 @@ class FreeSpacePlanes:
             # a copy: the transform overwrites its input, and the guard reads the field
             samples = _grid(field.ny, field.nx, field.samples)
             spectrum = _fft2(samples, False, [_nonzero_columns(samples)])
-        self._field, self.spectrum = field, spectrum
-        self.frame = field if frame is None else frame
-        self._stats, self._build = stats, build
-        self._box = self._axes = self._covs = self._total = None
+        if field is not None:
+            self.field = field
+        self.spectrum, self._build = spectrum, build
+        self.frame = frame = field if frame is None else frame
+        self._total, cx, cy, vx, vy, *spectral = (
+            stats or _intensity_stats(field.samples, frame.x, frame.y)
+        )
+        if not spectral:
+            # angular moments of the whole spectrum, evanescent part too
+            spectral = _intensity_stats(spectrum, *_sines(frame))[1:]
+        mean_sx, mean_sy, var_sx, var_sy = spectral
+        self.axes = (
+            ("x", cx, mean_sx, vx, var_sx, frame.nx),
+            ("y", cy, mean_sy, vy, var_sy, frame.ny),
+        )
 
+    @functools.cached_property
     def _support(self):
         """(rows, cols, samples): the field's samples on a box outside which
         it is zero, the whole grid unless the planes were made past an
-        aperture (_box_planes); built at most once."""
-        if self._box is None:
-            if self._build is None:
-                self._box = (slice(None), slice(None), self._field.samples)
-            else:
-                self._box, self._build = self._build(), None
-        return self._box
+        aperture (_box_planes)."""
+        if self._build is None:
+            return slice(None), slice(None), self.field.samples
+        return self._build()
 
-    @property
+    @functools.cached_property
     def field(self) -> ScalarField:
         """The field, built from its support on its first read if the
         planes were made without it: a box is embedded in zeros."""
-        if self._field is None:
-            frame = self.frame
-            rows, cols, samples = self._support()
-            if samples.shape != (frame.ny, frame.nx):
-                samples, box = _grid(frame.ny, frame.nx), samples
-                samples[rows, cols] = box
-            self._field = frame._with_samples(samples)
-        return self._field
+        frame = self.frame
+        rows, cols, samples = self._support
+        if samples.shape != (frame.ny, frame.nx):
+            samples, box = _grid(frame.ny, frame.nx), samples
+            samples[rows, cols] = box
+        return frame._with_samples(samples)
 
-    def moments(self):
-        """The cheap pass's per-axis (label, centroid, mean sin(theta),
-        variance, variance of sin(theta), samples), computed once."""
-        if self._axes is None:
-            frame = self.frame
-            stats = self._stats or _intensity_stats(self.field.samples, frame.x, frame.y)
-            self._total, cx, cy, vx, vy, *spectral = stats
-            if not spectral:
-                # angular moments of the whole spectrum, evanescent part too
-                spectral = _intensity_stats(self.spectrum, *_sines(frame))[1:]
-            mean_sx, mean_sy, var_sx, var_sy = spectral
-            self._axes = (
-                ("x", cx, mean_sx, vx, var_sx, frame.nx),
-                ("y", cy, mean_sy, vy, var_sy, frame.ny),
-            )
-        return self._axes
+    @functools.cached_property
+    def _covs(self):
+        """x-theta and y-theta covariances, which a shift in x leaves alone."""
+        return _window_covariance(self.frame, self.spectrum, self.axes, self._total,
+                                  self._support)
 
     def guard(self, *distances: float, shift: float = 0.0):
         """Raise PropagationWindowError if the beam would leave the safe
@@ -783,22 +781,19 @@ class FreeSpacePlanes:
         finite). A zero distance is the identity and passes. With `shift`,
         the guard of the field moved by `shift` in x: its centroid moves,
         and its other moments and the covariance stay (OffsetLaunch)."""
+        axes = self.axes
+        if shift:
+            (label, c, *rest), y_axis = axes
+            axes = ((label, c + shift, *rest), y_axis)
         for d in distances:
             check_real("propagation distance", d)
             if d == 0.0:
                 continue
-            axes = self.moments()
-            if shift:
-                (label, c, *rest), y_axis = axes
-                axes = ((label, c + shift, *rest), y_axis)
             limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), d)
                       for *_, v, v_s, _ in axes]
             extents = _extents(self.frame, axes, limits, d)
             if all(extent * (1.0 + _BOUND_MARGIN) <= half for _, extent, half in extents):
                 continue
-            if self._covs is None:
-                self._covs = _window_covariance(self.frame, self.spectrum, axes, self._total,
-                                                self._support())
             _check_window(self.frame, axes, self._covs, d)
 
     def plane(self, distance: float) -> ScalarField:
@@ -816,7 +811,7 @@ class FreeSpacePlanes:
         factor ny the variance drops."""
         self.guard(distance)
         if distance == 0.0:
-            return self.moments()[0][3]
+            return self.axes[0][3]
         ix = _x_marginal(_transfer(self.frame, distance, self.spectrum, band_rows=True))
         total = _check_power(float(ix.sum()), "field has no power in the propagating band")
         return _centroid_variance(ix, self.frame.x, total)[1]
@@ -957,70 +952,68 @@ class OffsetLaunch:
     from one launch at x = 0.
 
     Free space is shift-invariant and a wedge ramps in y only, so the
-    spectrum at a stack's first element past its leading wedges is, for a
-    source moved by x, that of the unmoved source times exp(-i kx x) (the
-    Fourier shift theorem). OffsetLaunch(sources, elements, offsets) pops
-    the source at x = 0, FreeSpacePlanes, from the list `sources`, so that
-    it holds their only reference and frees them at its first step (as
-    the stack loop holds its source). It carries them through the leading
-    wedges of `elements` and builds the transfer product to the next
-    element, which must lie a positive distance past them, once; it keeps
-    only the product's band blocks (_transfer). Each of its steps is
-    guarded for every one of `offsets` as FreeSpacePlanes.guard(shift=x)
-    guards it, so the covariance is taken at most once per step; a
-    failing offset's error is kept for its entry.
+    spectrum at a stack's first aperture is, for a source moved by x, that
+    of the unmoved source times exp(-i kx x) (the Fourier shift theorem).
+    OffsetLaunch(sources, elements, offsets) pops the source at x = 0,
+    FreeSpacePlanes, from the list `sources`, so that it holds their only
+    reference and frees them at its first step. `elements` must open with
+    wedges, then an aperture, each a positive distance past the one before
+    (else InvalidInputError, before any transform). The launch carries the
+    planes through the wedges, guarding each step for every offset as
+    FreeSpacePlanes.guard(shift=x) does, and keeps only the band blocks
+    (_transfer) of the transfer product to the aperture.
 
-    at(x) is the source at offset x, one of `offsets`, for
-    propagate_elements or find_focus on the same elements. Each offset
-    enters once: its guard error, if any, is raised, then its phase
-    multiplies the band blocks into a new _grid, and the stack loop goes
-    on from the element's plane: past an aperture as
-    FreeSpacePlanes._aperture leaves it, with the power before the cut
-    taken once for all offsets, or before any other element as its whole
-    plane. The last entry frees the blocks.
+    sources holds one source per offset, in order, each with its guard's
+    error if it has one, for propagate_elements or find_focus on the same
+    elements. It is made on each read: the sources alone keep the launch
+    alive, so no reference cycle keeps the blocks past a pass that raises.
+    A source enters once (else InvalidInputError): its error, if any, is
+    raised; otherwise its phase multiplies the band blocks into a new
+    _grid, and the stack loop goes on past the aperture as
+    FreeSpacePlanes._aperture leaves it. The blocks are freed once every
+    source has tried to enter.
     """
 
     def __init__(self, sources: list, elements: Sequence, offsets: Sequence[float]):
         planes = sources.pop()
         self._elements = tuple(elements)
         _check_positions(self._elements)
-        self._offsets, self._failures = list(offsets), {}
         wedges = next((i for i, (_, el) in enumerate(self._elements)
                        if not isinstance(el, WedgePhase)), len(self._elements))
-        if wedges == len(self._elements):
-            raise InvalidInputError("an offset launch needs an element past the wedges")
-        z_now = 0.0
-        for z_el, element in self._elements[: wedges + 1]:
-            distance, z_now = z_el - z_now, z_el
-            if distance == 0.0:
-                if not isinstance(element, WedgePhase):
-                    raise InvalidInputError(
-                        "an offset launch needs its first element past the wedges "
-                        "a positive distance beyond them"
-                    )
-                planes = FreeSpacePlanes(apply_element(planes.field, element))
-                continue
-            for x in self._offsets:
-                if x not in self._failures:
+        zs = [0.0] + [z for z, _ in self._elements[: wedges + 1]]
+        distances = [b - a for a, b in zip(zs, zs[1:])]
+        if (wedges == len(self._elements) or min(distances) <= 0.0
+                or not isinstance(self._elements[wedges][1], CircAperture)):
+            raise InvalidInputError(
+                "an offset launch needs wedges, then an aperture, each a positive "
+                "distance past the one before"
+            )
+        self._offsets = list(offsets)
+        self._errors = [None] * len(self._offsets)
+        for distance, (_, element) in zip(distances, self._elements):
+            for i, x in enumerate(self._offsets):
+                if self._errors[i] is None:
                     try:
                         planes.guard(distance, shift=x)
                     except PropagationWindowError as exc:
-                        self._failures[x] = exc
+                        # its traceback's frames would hold the launch
+                        self._errors[i] = exc.with_traceback(None)
             if isinstance(element, WedgePhase):
                 planes = planes._wedge(distance, element)
         self._entry, self._frame = wedges, planes.frame
+        self._untried = set(range(len(self._offsets)))
         self._blocks = _transfer(planes.frame, distance, planes.spectrum,
                                  band_rows=True, band_columns=True)
         self._before = _power_sum(self._blocks) / (planes.frame.nx * planes.frame.ny)
 
-    def at(self, x: float) -> "_AtOffset":
-        """The source at offset x, which must be one of the launch's offsets."""
-        if x not in self._offsets:
-            raise InvalidInputError(f"offset {x!r} m is not one of the launch's offsets")
-        return _AtOffset(self, x)
+    @property
+    def sources(self) -> list:
+        """One source per offset, in order, made on this read."""
+        return [_LaunchSource(self, i, x, error)
+                for i, (x, error) in enumerate(zip(self._offsets, self._errors))]
 
     def _product(self, x: float) -> np.ndarray:
-        """The transfer product at the launch's element for the source at
+        """The transfer product at the launch's aperture for the source at
         offset x, a new _grid: the band blocks times exp(-i kx x)."""
         frame = self._frame
         phase = np.exp((-1j * x) * (2.0 * math.pi * sfft.fftfreq(frame.nx, frame.pitch)))
@@ -1031,30 +1024,33 @@ class OffsetLaunch:
             np.multiply(self._blocks[t, u], phase[c], out=samples[r, c])
         return samples
 
-    def _enter(self, x: float, elements: Sequence):
-        """(state, box, z, elements left) of the stack loop (_stack) for the
-        source at offset x, past the element at the launch's product."""
+    def _enter(self, source: "_LaunchSource", elements: Sequence):
+        """(state, box, z, elements left) of the stack loop (_stack) for
+        `source`, just past the launch's aperture."""
         if tuple(elements) != self._elements:
             raise InvalidInputError("an offset launch enters only the elements it was made for")
-        if x in self._failures:
-            raise self._failures.pop(x)
-        samples, frame = self._product(x), self._frame
-        self._offsets.remove(x)
-        if not self._offsets:
+        if source.index not in self._untried:
+            raise InvalidInputError("a source of an offset launch enters once")
+        self._untried.remove(source.index)
+        samples = None if source.error is not None else self._product(source.x)
+        if not self._untried:
             self._blocks = None
-        z_el, element = self._elements[self._entry]
-        if isinstance(element, CircAperture):
-            field, box = _aperture_plane(frame, samples, _opening(frame, element), self._before)
-            return field, box, z_el, self._elements[self._entry + 1 :]
-        field = frame._with_samples(_fft2(samples, True, _band(frame, 1)))
-        return field, None, z_el, self._elements[self._entry :]
+        if samples is None:
+            # a new error: the kept one would tie the frames it unwinds to the source
+            raise PropagationWindowError(*source.error.args)
+        frame, (z_el, aperture) = self._frame, self._elements[self._entry]
+        field, box = _aperture_plane(frame, samples, _opening(frame, aperture), self._before)
+        return field, box, z_el, self._elements[self._entry + 1 :]
 
 
-class _AtOffset(NamedTuple):
-    """A source of an OffsetLaunch: the launch and the offset x."""
+class _LaunchSource(NamedTuple):
+    """A source of an OffsetLaunch: the launch, its place among the
+    offsets, the offset x and its guard error (None: every step passes)."""
 
     launch: OffsetLaunch
+    index: int
     x: float
+    error: Optional[PropagationWindowError]
 
 
 def angular_spectrum_propagate(field: ScalarField, distance: float) -> ScalarField:
@@ -1087,10 +1083,10 @@ def _check_positions(elements: Sequence) -> float:
 
 
 def propagate_elements(
-    source: Union[ScalarField, FreeSpacePlanes, _AtOffset], elements: Sequence
+    source: Union[ScalarField, FreeSpacePlanes, _LaunchSource], elements: Sequence
 ) -> ScalarField:
     """Carry a source at z = 0, a field, its FreeSpacePlanes or an
-    OffsetLaunch's source (OffsetLaunch.at), through (z, element) pairs
+    OffsetLaunch's source (OffsetLaunch.sources), through (z, element) pairs
     with non-decreasing z >= 0 of PhaseElements (else InvalidInputError,
     before any transform, as for a source of another type) and return the
     field just past the last element.
@@ -1120,11 +1116,12 @@ def _stack(sources: list, elements: Sequence):
     opening's (rows, cols) outside which the field, a grid the loop
     created, is zero (None if no aperture at the last z bounds it)."""
     state, box, z_now = sources.pop(), None, 0.0
-    if isinstance(state, _AtOffset):
-        state, box, z_now, elements = state.launch._enter(state.x, elements)
+    if isinstance(state, _LaunchSource):
+        state, box, z_now, elements = state.launch._enter(state, elements)
     elif not isinstance(state, (ScalarField, FreeSpacePlanes)):
         raise InvalidInputError(
-            f"source must be a ScalarField or FreeSpacePlanes, got {type(state).__name__}"
+            "source must be a ScalarField, FreeSpacePlanes or a source of an OffsetLaunch, "
+            f"got {type(state).__name__}"
         )
     _check_positions(elements)
     for z_el, el in elements:
@@ -1399,10 +1396,9 @@ class FocusResult:
     fit_residual is the largest deviation of the sampled x variances and
     the focus plane's from the final parabola, over the smallest of them.
     planes is the exit field's FreeSpacePlanes: its spectrum and its
-    guard, whose moments and covariance are each taken at most once, so
-    any later plane costs one transfer build and one inverse FFT. Past an
-    aperture they keep only the opening's box of the exit field, and
-    planes.field embeds it in zeros when read."""
+    guard, so any later plane costs one transfer build and one inverse
+    FFT. Past an aperture they keep only the opening's box of the exit
+    field, and planes.field embeds it in zeros when read."""
 
     z_focus: float
     metrics: SpotMetrics
@@ -1413,7 +1409,7 @@ class FocusResult:
 
 
 def find_focus(
-    source: Union[ScalarField, FreeSpacePlanes, _AtOffset],
+    source: Union[ScalarField, FreeSpacePlanes, _LaunchSource],
     elements: Sequence[tuple[float, PhaseElement]],
     z_search: tuple[float, float, int],
     centre: Optional[float] = None,
@@ -1436,11 +1432,11 @@ def find_focus(
     upward with its vertex inside the window.
 
     Every plane past the stack comes from the exit field's one
-    FreeSpacePlanes, whose guard, with its moments and covariance each
-    taken at most once, checks both window ends and every plane read.
+    FreeSpacePlanes, whose guard, with its moments taken once and its
+    covariance at most once, checks both window ends and every plane read.
     Past an aperture they are the stack's own box planes (_box_planes),
-    with no copy of the exit field. A source that is neither a field nor
-    planes raises InvalidInputError before any transform. The
+    with no copy of the exit field. A source of any other kind raises
+    InvalidInputError before any transform. The
     triples read x variances only (FreeSpacePlanes.x_variance); the focus
     plane is read whole for the spot metrics. The result keeps the focus
     field and the exit field's planes.
@@ -1470,9 +1466,9 @@ def find_focus(
     # the stack loop holds the source's only reference and frees it early
     sources = [source]
     del source
-    # one spectrum and at most one pass of guard moments serve every plane;
+    # one spectrum and one pass of guard moments serve every plane;
     # guarding both window ends first fails a window the beam leaves before
-    # any inverse FFT, and every read guards its plane on the cached moments
+    # any inverse FFT, and every read guards its plane on the same moments
     planes = _planes(*_stack(sources, elements))
     planes.guard(z_min - z_exit, z_max - z_exit)
 
@@ -1506,7 +1502,7 @@ def find_focus(
     z, variance = np.array(sampled).T
     fit_residual = float(np.max(np.abs(variance - parabola(z))) / np.min(variance))
 
-    exit_cy = planes.moments()[1][1]
+    exit_cy = planes.axes[1][1]
     return FocusResult(
         z_focus=z_focus,
         metrics=metrics,

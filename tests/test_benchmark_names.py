@@ -175,3 +175,19 @@ def test_benchmark_required_layers_record_calls(workload, argv, tmp_path, monkey
     silent = [name for name in load_script("run").REQUIRED_LAYERS[workload]
               if name not in called]
     assert not silent, f"{workload}: no calls recorded in {', '.join(silent)}"
+
+
+def test_field_power_read_by_the_power_budget_check():
+    # perfbench/workload.py's power-budget check reads ScalarField.power
+    # from a dump; the tests above see calls and imports, not attribute reads
+    import numpy as np
+
+    from ionoptics.wavefield import ScalarField
+
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    pitch = 0.25e-6
+    field = ScalarField(samples, pitch, 0.729e-6)
+    assert "field.power" in (PERFBENCH / "workload.py").read_text(encoding="utf-8")
+    assert field.power == pytest.approx(float(np.sum(np.abs(samples) ** 2)) * pitch**2,
+                                        rel=1e-12)

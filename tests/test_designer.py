@@ -3,8 +3,10 @@
 import ast
 import copy
 import dataclasses
+import gc
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -559,6 +561,40 @@ def test_crosstalk_off_centre_failure_names_channel(compact_pipeline, monkeypatc
         )
     assert str(info.value) == "channel 0: x"
     assert info.value.residual == 0.5
+
+
+def test_a_crosstalk_pass_that_raises_leaves_no_live_launch(compact_pipeline, monkeypatch):
+    # the launch's sources alone keep it alive, so once the pass unwinds
+    # its launch and band blocks go by reference counting, with no
+    # collector to break a cycle
+    launches = []
+
+    def recorded(*args, _original=designer.OffsetLaunch):
+        launch = _original(*args)
+        launches.append(weakref.ref(launch))
+        return launch
+
+    monkeypatch.setattr(designer, "OffsetLaunch", recorded)
+    monkeypatch.setattr(designer, "find_focus", fail_on_call(2, designer.find_focus))
+    pipe = compact_pipeline
+    message = None
+    gc.disable()
+    try:
+        try:
+            crosstalk_matrix(
+                pipe["prescription"],
+                pipe["array"],
+                pipe["crystal"],
+                pipe["scenario"].mirror,
+                grid=pipe["scenario"].grid,
+            )
+        except ConvergenceError as exc:
+            message = str(exc)
+        # the exception and its traceback, which hold the pass's frames, are dropped here
+        assert message == "channel 0: x"
+        assert len(launches) == 1 and launches[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_crosstalk_dark_row_names_its_channel(compact_pipeline, monkeypatch):
@@ -1121,12 +1157,12 @@ def source_calls(tree):
 
 
 def test_every_focus_search_launches_in_one_place():
-    # one function builds a channel's source planes and runs its focus
+    # one function builds a channel's source planes and one runs its focus
     # search; the synthesis probe is the only source built as a field
     path = Path(designer.__file__)
     assert source_calls(ast.parse(path.read_text(encoding="utf-8"))) == [
         ("find_focus", "_search"),
-        ("gaussian_planes", "_search"),
+        ("gaussian_planes", "_launch_sources"),
         ("make_gaussian_field", "_wave_verify"),
     ]
 

@@ -1,10 +1,12 @@
 """Scalar wave propagation: conservation laws, metrics, focus search, I/O."""
 
 import dataclasses
+import gc
 import math
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -429,7 +431,7 @@ def test_find_focus_guards_from_one_moment_pass(fft_calls):
     # plane (the 8 um source clears its window without the covariance)
     field, elements, z_waist = lens_focus(16e-6, 100e-6)
     result = find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
-    assert result.planes._covs is not None
+    assert "_covs" in vars(result.planes)
     assert len(fft_calls) == 6
 
 
@@ -454,7 +456,7 @@ def test_covariance_reads_the_power_of_the_moment_pass(monkeypatch):
     power_sum = wavefield._power_sum
     monkeypatch.setattr(wavefield, "_power_sum", lambda s: reads.append(s.shape) or power_sum(s))
     planes.guard(100e-6)
-    assert planes._covs is not None
+    assert "_covs" in vars(planes)
     assert reads == []
 
 
@@ -484,7 +486,7 @@ def test_find_focus_takes_the_covariance_in_one_transform(fft_calls):
     # need, then three fit planes and the focus plane on the band
     field, elements, z_waist = lens_focus(16e-6, 100e-6)
     result = find_focus(field, elements, z_search=(0.5 * z_waist, 1.5 * z_waist, 33))
-    assert result.planes._covs is not None
+    assert "_covs" in vars(result.planes)
     assert fft_calls == [(False, False), (True, False)] + [(True, True)] * 4
 
 
@@ -724,7 +726,7 @@ def test_one_transform_covariance_matches_two(ny, nx):
             0.25e-6, WL,
         )
         spectrum = scipy.fft.fft2(field.samples)
-        axes = wavefield.FreeSpacePlanes(field, spectrum).moments()
+        axes = wavefield.FreeSpacePlanes(field, spectrum).axes
         covs = wavefield._window_covariance(
             field, spectrum, axes, wavefield._power_sum(field.samples)
         )
@@ -1009,7 +1011,7 @@ def test_window_moments_build_no_intensity_grid():
     spectrum = scipy.fft.fft2(field.samples)
     tracemalloc.start()
     try:
-        wavefield.FreeSpacePlanes(field, spectrum).moments()
+        wavefield.FreeSpacePlanes(field, spectrum).axes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1181,8 +1183,8 @@ def test_planes_past_a_wedge_hold_the_moments_of_their_field(compact_pipeline):
     for z, wedge in [(z, el) for z, el in elements if isinstance(el, WedgePhase)]:
         planes = planes._wedge(z - z_now, wedge)
         z_now = z
-        (_, cx, _, vx, _, _), (_, cy, _, vy, _, _) = planes.moments()
-        assert planes._field is None  # the moments build no field
+        (_, cx, _, vx, _, _), (_, cy, _, vy, _, _) = planes.axes
+        assert "field" not in vars(planes)  # the moments build no field
         field = planes.field
         total, *stats = wavefield._intensity_stats(field.samples, field.x, field.y)
         assert planes._total == pytest.approx(total, rel=1e-12)
@@ -1204,7 +1206,7 @@ def test_step_past_a_wedge_takes_the_covariance(distance):
     by_hand = FreeSpacePlanes(
         apply_element(FreeSpacePlanes(make_gaussian_field(*source)).plane(2e-6), wedge)
     )
-    axes = planes.moments()
+    axes = planes.axes
     limits = [math.copysign(math.sqrt(v) * math.sqrt(v_s), distance) for *_, v, v_s, _ in axes]
     assert any(extent > half for _, extent, half in
                wavefield._extents(planes.frame, axes, limits, distance))
@@ -1215,7 +1217,7 @@ def test_step_past_a_wedge_takes_the_covariance(distance):
             outcomes.append(None)
         except PropagationWindowError as exc:
             outcomes.append(str(exc))
-        assert reader._covs is not None
+        assert "_covs" in vars(reader)
     assert outcomes[0] == outcomes[1]
     assert (outcomes[0] is None) == (distance == 28e-6)
 
@@ -1264,7 +1266,7 @@ def test_gaussian_planes_are_the_planes_of_the_field():
     built = FreeSpacePlanes(field)
     peak = np.abs(built.spectrum).max()
     assert np.abs(planes.spectrum - built.spectrum).max() <= 1e-14 * peak
-    for got, want in zip(planes.moments(), built.moments()):
+    for got, want in zip(planes.axes, built.axes):
         label, c, mean_s, var, var_s, n = want
         assert got[0] == label and got[5] == n
         assert got[1] == pytest.approx(c, rel=1e-12, abs=1e-12 * math.sqrt(var))
@@ -1272,7 +1274,7 @@ def test_gaussian_planes_are_the_planes_of_the_field():
         assert got[3:5] == pytest.approx((var, var_s), rel=1e-12)
     # a short step clears the Cauchy-Schwarz limit: no field is built
     planes.plane(5e-6)
-    assert planes._field is None
+    assert "field" not in vars(planes)
     assert np.array_equal(planes.field.samples, field.samples)
 
 
@@ -1493,7 +1495,8 @@ def test_sfld_rejects_non_finite_samples(tmp_path):
 def test_a_source_of_another_type_fails_before_any_transform(run, fft_calls):
     # the stack takes ownership of the grids it makes, so it checks what it is handed
     with pytest.raises(InvalidInputError,
-                       match="^source must be a ScalarField or FreeSpacePlanes, got ndarray$"):
+                       match="^source must be a ScalarField, FreeSpacePlanes or a source of an "
+                             "OffsetLaunch, got ndarray$"):
         run()
     assert fft_calls == []
 
@@ -1501,12 +1504,12 @@ def test_a_source_of_another_type_fails_before_any_transform(run, fft_calls):
 def test_source_spectral_moments_come_from_its_profiles(monkeypatch):
     source = (beam_from_mfd(2.45e-6, 5.2e-6, WL), (0.03, 0.1), (128, 256, 0.22e-6),
               (1.5e-6, -0.5e-6))
-    want = FreeSpacePlanes(make_gaussian_field(*source)).moments()
+    want = FreeSpacePlanes(make_gaussian_field(*source)).axes
     reads = []
     stats = wavefield._intensity_stats
     monkeypatch.setattr(wavefield, "_intensity_stats",
                         lambda samples, *args: reads.append(samples.shape) or stats(samples, *args))
-    got = gaussian_planes(*source).moments()
+    got = gaussian_planes(*source).axes
     assert reads == []  # no read of a whole grid, the spectrum's included
     for axis, axis_want in zip(got, want):
         assert axis[0] == axis_want[0] and axis[5] == axis_want[5]
@@ -1533,12 +1536,12 @@ def test_box_planes_are_the_planes_of_their_field():
     boxed = wavefield._box_planes(field, rows, cols)
     # the box planes took the field's grid as their spectrum, and keep its box alone
     assert np.shares_memory(boxed.spectrum, field.samples)
-    assert boxed._support()[2].shape == (rows.stop - rows.start, cols.stop - cols.start)
+    assert boxed._support[2].shape == (rows.stop - rows.start, cols.stop - cols.start)
     assert np.array_equal(boxed.spectrum.view(np.float64), whole.spectrum.view(np.float64))
-    assert boxed.moments() == whole.moments()
+    assert boxed.axes == whole.axes
     assert boxed._total == whole._total
-    covs = [wavefield._window_covariance(planes.frame, planes.spectrum, planes.moments(),
-                                         planes._total, planes._support())
+    covs = [wavefield._window_covariance(planes.frame, planes.spectrum, planes.axes,
+                                         planes._total, planes._support)
             for planes in (boxed, whole)]
     np.testing.assert_allclose(covs[0], covs[1], rtol=1e-14, atol=0)
     assert boxed.field.clipped_fraction == caller.clipped_fraction
@@ -1547,7 +1550,7 @@ def test_box_planes_are_the_planes_of_their_field():
     # Cauchy-Schwarz limit cannot clear this step, which takes the covariance
     whole.guard(40e-6)
     whole.plane(40e-6)
-    assert whole._covs is not None
+    assert "_covs" in vars(whole)
     assert np.array_equal(caller.samples.view(np.float64), kept.view(np.float64))
 
 
@@ -1563,7 +1566,7 @@ def test_the_stack_writes_no_sample_of_its_source():
     result = find_focus(field, elements, (60e-6, 120e-6, 33))
     assert np.array_equal(field.samples.view(np.float64), kept.view(np.float64))
     # the exit planes keep the last aperture's box; their field is rebuilt from it
-    assert result.planes._field is None
+    assert "field" not in vars(result.planes)
     assert np.array_equal(result.planes.field.samples, exit_field.samples)
 
 
@@ -1659,7 +1662,7 @@ def test_offset_launch_gives_the_direct_launch_spectrum(compact_pipeline):
     got = launch._product(x)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # and the field just past the aperture
-    launched = propagate_elements(launch.at(x), elements)
+    launched = propagate_elements(*launch.sources, elements)
     by_hand = propagate_elements(gaussian_planes(*source), elements)
     peak = np.abs(by_hand.samples).max()
     assert np.abs(launched.samples - by_hand.samples).max() <= 1e-14 * peak
@@ -1678,17 +1681,19 @@ def test_offset_launch_guards_each_offset_at_its_own_entry():
         propagate_elements(gaussian_planes(beam, (0.0, 0.02), grid, (far, 0.0)), elements)
     launch = wavefield.OffsetLaunch([gaussian_planes(beam, (0.0, 0.02), grid)], elements,
                                     [far, near])
+    far_source, near_source = launch.sources
     with pytest.raises(PropagationWindowError) as shifted:
-        propagate_elements(launch.at(far), elements)
+        propagate_elements(far_source, elements)
     assert str(shifted.value) == str(direct.value)
     with pytest.raises(InvalidInputError, match="^an offset launch enters only the elements"):
-        propagate_elements(launch.at(near), elements[:2])
-    got = propagate_elements(launch.at(near), elements)
+        propagate_elements(near_source, elements[:2])
+    got = propagate_elements(near_source, elements)
     want = propagate_elements(gaussian_planes(beam, (0.0, 0.02), grid, (near, 0.0)), elements)
     assert np.abs(got.samples - want.samples).max() <= 1e-14 * np.abs(want.samples).max()
-    # the last entry freed the launch's blocks
-    with pytest.raises(InvalidInputError, match="is not one of the launch's offsets"):
-        launch.at(near)
+    # a source enters once, and the last entry freed the launch's blocks
+    with pytest.raises(InvalidInputError, match="^a source of an offset launch enters once$"):
+        propagate_elements(near_source, elements)
+    assert launch._blocks is None
 
 
 def test_offset_launch_needs_an_element_past_its_wedges():
@@ -1697,3 +1702,95 @@ def test_offset_launch_needs_an_element_past_its_wedges():
                                                    (2e-6, CircAperture(5e-6))]):
         with pytest.raises(InvalidInputError, match="^an offset launch needs"):
             wavefield.OffsetLaunch([planes], elements, [0.0])
+
+
+def test_offset_launch_takes_only_a_designed_stack(fft_calls):
+    # wedges, then an aperture, each a positive distance past the one
+    # before; any other stack fails before the launch's first transform
+    planes = gaussian_planes(round_beam(), (0.0, 0.0), (128, 128, 0.25e-6))
+    fft_calls.clear()
+    for elements in ([(2e-6, WedgePhase(0.01)), (20e-6, ThinLensPhase(60e-6))],
+                     [(0.0, WedgePhase(0.01)), (20e-6, CircAperture(5e-6))],
+                     [(0.0, CircAperture(5e-6))], []):
+        with pytest.raises(InvalidInputError, match="^an offset launch needs wedges, then an "
+                                                    "aperture, each a positive distance"):
+            wavefield.OffsetLaunch([planes], elements, [0.0])
+    assert fft_calls == []
+
+
+def entry_outcome(source, elements):
+    """None if `source` crosses `elements`, else its PropagationWindowError's message."""
+    try:
+        propagate_elements(source, elements)
+    except PropagationWindowError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("mfd, tilt_x, x, z, moved_fails", [
+    (3e-6, 0.06, 4e-6, 80e-6, True),
+    (4e-6, 0.03, -4e-6, 120e-6, False),
+], ids=["moved-source-fails", "moved-source-passes"])
+def test_a_launch_source_is_guarded_as_the_moved_source(mfd, tilt_x, x, z, moved_fails):
+    # the covariance of an x-tilted source does not move with it: a
+    # launch source's guard decides as the source built at its offset,
+    # whichever offset took the covariance first
+    beam, grid = beam_from_mfd(mfd, mfd, WL), (256, 256, 0.25e-6)
+    elements = [(z, CircAperture(20e-6)), (z, ThinLensPhase(100e-6))]
+    moved = entry_outcome(gaussian_planes(beam, (tilt_x, 0.0), grid, (x, 0.0)), elements)
+    launch = wavefield.OffsetLaunch([gaussian_planes(beam, (tilt_x, 0.0), grid)], elements, [x])
+    (source,) = launch.sources
+    assert (moved is not None) == moved_fails
+    assert (entry_outcome(source, elements) is not None) == moved_fails
+
+
+def equal_offset_launch(offsets):
+    """(the launch of offsets through a wedge, an aperture and a lens,
+    its elements): the offset 12 um leaves the window, 1 um does not."""
+    beam, grid = round_beam(4e-6), (128, 128, 0.25e-6)
+    elements = [(2e-6, WedgePhase(-0.02)), (20e-6, CircAperture(8e-6)),
+                (20e-6, ThinLensPhase(60e-6))]
+    launch = wavefield.OffsetLaunch([gaussian_planes(beam, (0.0, 0.02), grid)], elements,
+                                    offsets)
+    return launch, elements
+
+
+def test_equal_offsets_each_raise_their_guard_error():
+    launch, elements = equal_offset_launch([12e-6, 12e-6])
+    for source in launch.sources:
+        assert source.error is not None
+        with pytest.raises(PropagationWindowError, match="^propagating 2.000e-06 m would move the beam"):
+            propagate_elements(source, elements)
+    assert launch._blocks is None
+
+
+def test_a_launch_source_enters_once():
+    launch, elements = equal_offset_launch([1e-6, 12e-6])
+    near, far = launch.sources
+    propagate_elements(near, elements)
+    with pytest.raises(PropagationWindowError):
+        propagate_elements(far, elements)
+    for source in (near, far, *launch.sources):
+        with pytest.raises(InvalidInputError, match="^a source of an offset launch enters once$"):
+            propagate_elements(source, elements)
+
+
+def test_a_failed_entry_leaves_no_live_launch():
+    # the error a source raises is not the one it carries, so no frame it
+    # unwinds is tied to it in a cycle: the launch goes by reference counting
+    gc.disable()
+    try:
+        launch, elements = equal_offset_launch([12e-6, 1e-6])
+        blocks = weakref.ref(launch._blocks)
+        alive = weakref.ref(launch)
+        far, near = launch.sources
+        del launch
+        try:
+            propagate_elements(far, elements)
+        except PropagationWindowError:
+            pass
+        assert alive() is not None and blocks() is not None  # near has yet to enter
+        del far, near
+        assert alive() is None and blocks() is None
+    finally:
+        gc.enable()
